@@ -30,16 +30,17 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Sequence
 
-from .exact import CyclotomicSum, QmodZ, cyclo_from_angles
+from .exact import CyclotomicSum, QmodZ, cyclo_from_angles, residue_multiset
 from .lattice import (
     DiscriminantData,
     chern_coordinates,
     discriminant,
-    phi_eval,
+    phi_table,
     radical_slope,
 )
 from .presentation import DecoratedPresentation, presentation
@@ -52,8 +53,8 @@ from .quadfun import (
     QuadraticFunction,
     _subgroup_size,
     gauss_sum,
-    invariant_fingerprint,
     is_isomorphic,
+    table_fingerprint,
 )
 from .zlinalg import IntMatrix, determinant, intmatrix, smith_normal_form
 
@@ -107,22 +108,33 @@ def _integral_slopes(data: DiscriminantData, c: Sequence[int]) -> tuple[int, ...
     cokernel coordinates of c contracted against the duality matrix.
     """
     raw = radical_slope(data, c)
-    assert all(s.denominator == 1 for s in raw), "characteristic parity forces integral slopes"
+    if any(s.denominator != 1 for s in raw):
+        raise RuntimeError(f"radical slopes {raw} are not integral for a characteristic vector")
     slopes = tuple(int(s) for s in raw)
     free, _ = chern_coordinates(data, c)
     w = data.duality_matrix
     for j in range(len(slopes)):
-        assert 2 * slopes[j] == sum(w[m][j] * free[m] for m in range(data.free_rank))
+        if 2 * slopes[j] != sum(w[m][j] * free[m] for m in range(data.free_rank)):
+            raise RuntimeError(f"slope {j} breaks the duality identity with the free decoration part")
     return slopes
+
+
+def _value_tables(data: DiscriminantData, c: Sequence[int], cap: int) -> tuple[list[int], list[int]]:
+    """phi_table behind the order cap."""
+    if data.torsion_order > cap:
+        raise OrderCapExceeded(data.torsion_order, cap)
+    return phi_table(data, c)
 
 
 def _finite_function(data: DiscriminantData, c: Sequence[int], cap: int) -> QuadraticFunction:
     # the quadratic law holds by construction, so the table check is skipped
     group = FiniteAbelianGroup(data.torsion_factors)
     slopes = [Fraction(s) for s in _integral_slopes(data, c)]
-    return QuadraticFunction.from_callable(
+    values, _ = _value_tables(data, c, cap)
+    angle = {r: QmodZ(Fraction(r, data.value_modulus)) for r in set(values)}
+    return QuadraticFunction(
         group,
-        lambda w: phi_eval(data, c, data.torsion_lift(w)),
+        dict(zip(group.elements(), map(angle.__getitem__, values))),
         radical_slopes=slopes,
         cap=cap,
         check=False,
@@ -177,16 +189,19 @@ class InvariantReport:
 def invariants_report(p: DecoratedPresentation, *, cap: int = DEFAULT_ORDER_CAP) -> InvariantReport:
     """Assemble the discriminant invariants of one decorated presentation."""
     data = discriminant(p.matrix)
-    q = _finite_function(data, p.chern, cap)
-    fp = invariant_fingerprint(q)
+    slopes = _integral_slopes(data, p.chern)
+    values, defects = _value_tables(data, p.chern, cap)
+    modulus = data.value_modulus
+    fp = table_fingerprint(data.torsion_factors, modulus, values, defects, slopes)
     free, tors = chern_coordinates(data, p.chern)
-    diag = tuple(sorted(_pair_eval(data.linking, x, x) for x in q.group.elements()))
+    # b(w, w) = 2 q(w) - delta(w)
+    diag = residue_multiset(Counter((2 * v - d) % modulus for v, d in zip(values, defects)), modulus)
     return InvariantReport(
         free_rank=data.free_rank,
         torsion_factors=data.torsion_factors,
         chern_free_gcd=math.gcd(*free) if free else 0,
         chern_torsion=tors,
-        radical_slopes=_integral_slopes(data, p.chern),
+        radical_slopes=slopes,
         value_multiset=fp.value_multiset,
         defect_multiset=fp.defect_multiset,
         linking_diagonal=diag,
@@ -270,13 +285,12 @@ def _mixed_verdict(
     matched section and compared exactly with the other side.
     """
     factors = data1.torsion_factors
-    group = FiniteAbelianGroup(factors)
-    if group.order > cap:
-        raise OrderCapExceeded(group.order, cap)
+    finite1 = _finite_function(data1, c1, cap)
+    group = finite1.group
     elements = list(group.elements())
 
-    q1 = {w: phi_eval(data1, c1, data1.torsion_lift(w)) for w in elements}
-    q2 = {w: phi_eval(data2, c2, data2.torsion_lift(w)) for w in elements}
+    q1 = finite1.values
+    q2 = _finite_function(data2, c2, cap).values
     slopes1 = _integral_slopes(data1, c1)
     slopes2 = _integral_slopes(data2, c2)
     free1, tors1 = chern_coordinates(data1, c1)

@@ -19,7 +19,7 @@ import cmath
 import math
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, Union
+from typing import Iterable, Mapping, Union
 
 RationalLike = Union[int, Fraction]
 
@@ -184,17 +184,22 @@ def _totient(n: int) -> int:
 
 
 def _reduce_mod_cyclotomic(coeffs: list[int], n: int) -> list[int]:
-    """Remainder of the given polynomial modulo Phi_n, as a list of length < deg Phi_n padded to it."""
+    """Remainder of the given polynomial modulo Phi_n, as a list of length < deg Phi_n padded to it.
+
+    Phi_n is monic and mostly zero (Phi_4095 has 1729 coefficients, 423
+    of them nonzero), so each elimination step touches only its support.
+    """
     f = cyclotomic_polynomial(n)
     df = len(f) - 1
+    terms = [(i, fi) for i, fi in enumerate(f[:df]) if fi]
     r = list(coeffs)
     for k in range(len(r) - 1, df - 1, -1):
         c = r[k]
         if c:
             r[k] = 0
             base = k - df
-            for i in range(df):
-                r[base + i] -= c * f[i]
+            for i, fi in terms:
+                r[base + i] -= c * fi
     del r[df:]
     return r
 
@@ -370,6 +375,32 @@ def cyclo_from_angles(angles: Iterable[Union[QmodZ, RationalLike]]) -> Cyclotomi
     for a in reduced:
         coeffs[a.numerator * (n // a.denominator)] += 1
     return CyclotomicSum(n, coeffs)
+
+
+def residue_multiset(histogram: Mapping[int, int], modulus: int) -> tuple[QmodZ, ...]:
+    """The sorted multiset of angles r/modulus, r taken histogram[r] times.
+
+    Residues are in [0, modulus), so ascending residue is ascending
+    QmodZ; one QmodZ is made per residue, not per occurrence.
+    """
+    out: list[QmodZ] = []
+    for r in sorted(histogram):
+        out += [QmodZ(Fraction(r, modulus))] * histogram[r]
+    return tuple(out)
+
+
+def cyclo_from_residues(histogram: Mapping[int, int], modulus: int) -> CyclotomicSum:
+    """Sum of exp(2*pi*i*r/modulus), r taken histogram[r] times.
+
+    Gives the modulus and coefficients cyclo_from_angles gives on the
+    same angles: the lcm of their reduced denominators is
+    modulus / gcd(modulus, support).
+    """
+    g = math.gcd(modulus, *histogram)
+    coeffs = [0] * (modulus // g)
+    for r, count in histogram.items():
+        coeffs[r // g] += count
+    return CyclotomicSum(modulus // g, coeffs)
 
 
 def cyclo_equals(a: CyclotomicSum, b: CyclotomicSum) -> bool:

@@ -17,6 +17,15 @@ the one section all downstream value tables and Gauss sums refer to.
 
 On the free (radical) part, phi_c restricts to x (x) [r] |-> -(c(x)/2) r,
 so the integer slopes c(k_j)/2 on a kernel basis carry all of it.
+
+phi_eval is the defining reference: it evaluates the formula above on
+one rational vector.  Whole tables come from phi_table instead, in
+plain integers: every value of phi_c, of its defect and of the linking
+pairing on the torsion part is a multiple of 1/(2N), N the last
+invariant factor, and the values on the generators follow from the
+integer Smith columns V_i = d_i g_i and covectors U'_i = B g_i alone.
+phi_table fills the rest by the quadratic recurrence, one step per
+element.
 """
 
 from __future__ import annotations
@@ -93,6 +102,13 @@ class DiscriminantData:
     matrix between free covectors and the kernel basis, with
     duality_inverse its exact integer inverse.  eval_free_lift[m][i] is
     the evaluation pairing of the m-th free covector with the i-th lift.
+
+    Integer representation: g_i = V_i / d_i with V_i the integer Smith
+    column, and B g_i = cok_tors_covectors[i].  Tables of phi_c over the
+    torsion part (phi_table) hold integers r in [0, value_modulus)
+    standing for r / value_modulus, where value_modulus = 2N and N is
+    the last invariant factor; phi_eval on torsion_lift stays the
+    definition they are tested against.
     """
 
     matrix: IntMatrix
@@ -117,6 +133,11 @@ class DiscriminantData:
     @property
     def torsion_order(self) -> int:
         return prod(self.torsion_factors)
+
+    @property
+    def value_modulus(self) -> int:
+        """2N, N the last invariant factor (1 without torsion): the unit of phi_table is 1/(2N)."""
+        return 2 * (self.torsion_factors[-1] if self.torsion_factors else 1)
 
     def dual_contains(self, x: Sequence) -> bool:
         xs = _frac_vec(x)
@@ -193,8 +214,8 @@ def discriminant(matrix: IntMatrix) -> DiscriminantData:
     )
     b1 = len(free_idx)
     w = IntMatrix([[int(_dot(fm, kj)) for kj in kernel] for fm in cok_free], cols=b1)
-    det_w = determinant(w)
-    assert abs(det_w) == 1, "free covectors and kernel basis must pair unimodularly"
+    if abs(determinant(w)) != 1:
+        raise RuntimeError("free covectors and kernel basis must pair unimodularly")
     winv = _inverse_of_unimodular(w) if b1 else IntMatrix((), cols=0)
     eval_free_lift = tuple(
         tuple(QmodZ(_dot(fm, gi)) for gi in lifts) for fm in cok_free
@@ -216,8 +237,10 @@ def discriminant(matrix: IntMatrix) -> DiscriminantData:
         duality_inverse=winv,
         eval_free_lift=eval_free_lift,
     )
-    if data.free_rank == 0:
-        assert data.torsion_order == abs(determinant(matrix))
+    if data.free_rank == 0 and data.torsion_order != abs(determinant(matrix)):
+        raise RuntimeError(
+            f"torsion order {data.torsion_order} differs from |det| = {abs(determinant(matrix))}"
+        )
     return data
 
 
@@ -227,6 +250,58 @@ def phi_eval(data: DiscriminantData, c: Sequence[int], x: Sequence) -> QmodZ:
     xs = data.require_dual(x)
     bx = [_dot(row, xs) for row in data.matrix.data]
     return QmodZ((_dot(xs, bx) - _dot(cs, xs)) / 2)
+
+
+def _int_dot(a: Sequence[int], b: Sequence[int]) -> int:
+    return sum(x * y for x, y in zip(a, b))
+
+
+def phi_table(data: DiscriminantData, c: Sequence[int]) -> tuple[list[int], list[int]]:
+    """Values and homogeneity defects of phi_c on every torsion element.
+
+    Both lists follow itertools.product order of the torsion coordinates
+    w and hold integers in [0, M), M = data.value_modulus, standing for
+    phi_eval(data, c, data.torsion_lift(w)) and phi_c(w) - phi_c(-w)
+    in units of 1/M.  Only integer Smith data enters: with V_i = d_i g_i,
+    U'_i = B g_i and N = M/2,
+
+        M q(g_i)      = (N/d_i) (V_i . U'_i - c . V_i)
+        M b(g_i, g_j) = 2 (N/d_i) V_i . U'_j
+        M delta(g_i)  = -2 (N/d_i) c . V_i
+
+    and q(w + t g_i) = q(w) + t q(g_i) + C(t,2) b(g_i,g_i) + t b(w,g_i)
+    fills the table; delta is additive.  B V_i = d_i U'_i is checked for
+    every generator, which puts every lift in the dual lattice.
+    """
+    cs = data.require_characteristic(c)
+    factors = data.torsion_factors
+    covectors = data.cok_tors_covectors
+    m = data.value_modulus
+    columns = []
+    for i, (d, g, cov) in enumerate(zip(factors, data.lifts, covectors)):
+        scaled = [x * d for x in g]
+        if any(x.denominator != 1 for x in scaled):
+            raise DualLatticeError(f"torsion lift {i} is not an integer vector over {d}")
+        column = [int(x) for x in scaled]
+        if data.matrix.matvec(column) != tuple(d * y for y in cov):
+            raise DualLatticeError(f"torsion generator {i}: B V_{i} differs from {d} times its covector")
+        columns.append(column)
+    scale = [m // 2 // d for d in factors]
+    c_of = [_int_dot(cs, v) for v in columns]
+    q_gen = [s * (_int_dot(v, cov) - cv) % m for s, v, cov, cv in zip(scale, columns, covectors, c_of)]
+    b_gen = [[2 * s * _int_dot(v, cov) % m for cov in covectors] for s, v in zip(scale, columns)]
+    defect_gen = [-2 * s * cv % m for s, cv in zip(scale, c_of)]
+
+    values, defects = [0], [0]
+    # pairings[l] holds b(w, g_l) over the part of the table built so far
+    pairings = [[0] for _ in factors]
+    for i, d in enumerate(factors):
+        steps = [(t * q_gen[i] + t * (t - 1) // 2 * b_gen[i][i]) % m for t in range(d)]
+        values = [(v + s + t * p) % m for v, p in zip(values, pairings[i]) for t, s in enumerate(steps)]
+        defects = [(x + t * defect_gen[i]) % m for x in defects for t in range(d)]
+        for l in range(i + 1, len(factors)):
+            pairings[l] = [(x + t * b_gen[i][l]) % m for x in pairings[l] for t in range(d)]
+    return values, defects
 
 
 def linking_pairing(data: DiscriminantData, x: Sequence, y: Sequence) -> QmodZ:

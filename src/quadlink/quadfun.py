@@ -19,11 +19,12 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Iterator, Mapping
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
-from quadlink.exact import CyclotomicSum, QmodZ, cyclo_from_angles
+from quadlink.exact import CyclotomicSum, QmodZ, cyclo_from_angles, cyclo_from_residues, residue_multiset
 
 DEFAULT_ORDER_CAP = 10_000
 
@@ -233,14 +234,41 @@ class Fingerprint:
     radical_gcd: int
 
 
-def invariant_fingerprint(q: QuadraticFunction) -> Fingerprint:
+def table_fingerprint(
+    invariant_factors: Sequence[int],
+    modulus: int,
+    values: Iterable[int],
+    defects: Iterable[int],
+    radical_slopes: Sequence[Fraction | int],
+) -> Fingerprint:
+    """The fingerprint of a function given by integer tables.
+
+    values and defects hold q(x) and q(x) - q(-x) over the group, each
+    as a residue r in [0, modulus) standing for r/modulus; the order of
+    the elements does not matter.  Multisets and the Gauss sum are read
+    off histograms of the residues.
+    """
+    histogram = Counter(values)
     return Fingerprint(
-        invariant_factors=q.group.invariant_factors,
-        value_multiset=tuple(sorted(q.values.values())),
-        defect_multiset=tuple(sorted(defect_of(q, x) for x in q.group.elements())),
-        gauss=gauss_sum(q).canonical(),
-        radical_rank=len(q.radical_slopes),
-        radical_gcd=_radical_gcd(q.radical_slopes),
+        invariant_factors=tuple(invariant_factors),
+        value_multiset=residue_multiset(histogram, modulus),
+        defect_multiset=residue_multiset(Counter(defects), modulus),
+        gauss=cyclo_from_residues(histogram, modulus).canonical(),
+        radical_rank=len(radical_slopes),
+        radical_gcd=_radical_gcd(tuple(radical_slopes)),
+    )
+
+
+def invariant_fingerprint(q: QuadraticFunction) -> Fingerprint:
+    g = q.group
+    modulus = math.lcm(1, *(v.denominator for v in q.values.values()))
+    residue = {x: v.numerator * (modulus // v.denominator) for x, v in q.values.items()}
+    return table_fingerprint(
+        g.invariant_factors,
+        modulus,
+        residue.values(),
+        ((r - residue[g.neg(x)]) % modulus for x, r in residue.items()),
+        q.radical_slopes,
     )
 
 

@@ -1,11 +1,14 @@
 """Decision layer: regimes, censuses, and the two lens counting rules."""
 
+import dataclasses
 import math
 import random
 from collections import deque
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from quadlink.classify import (
     EQUIVALENT,
@@ -21,11 +24,12 @@ from quadlink.classify import (
     yc_equivalent,
     yc_equivalent_by_pairing,
 )
-from quadlink.exact import cyclo_from_angles
-from quadlink.lattice import chern_coordinates, discriminant
+import quadlink.classify as classify_module
+from quadlink.exact import QmodZ, cyclo_from_angles
+from quadlink.lattice import chern_coordinates, discriminant, phi_eval, radical_slope
 from quadlink.presentation import HandleSlide, apply_move, chern_equal, presentation, random_walk
-from quadlink.quadfun import OrderCapExceeded
-from quadlink.zlinalg import determinant, intmatrix
+from quadlink.quadfun import FiniteAbelianGroup, Fingerprint, OrderCapExceeded, QuadraticFunction
+from quadlink.zlinalg import IntMatrix, determinant, intmatrix
 
 
 # --- the gcd fact behind the free regime -------------------------------
@@ -321,3 +325,75 @@ def test_stable_profile_drops_section_data_when_it_must():
     torsiononly = invariants_report(presentation(MIXED, (0, 2)))
     assert torsiononly.chern_free_gcd == 0
     assert len(torsiononly.stable_profile()) == 7
+
+
+# --- reports against the defining formula -----------------------------------
+#
+# The report reads its multisets and Gauss sum off integer tables; the
+# oracle below evaluates phi_eval on every stored lift instead and sorts.
+
+
+@st.composite
+def decorated_symmetric_forms(draw):
+    n = draw(st.integers(1, 6))
+    m = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            m[i][j] = m[j][i] = draw(st.integers(-3, 3))
+    chern = tuple(m[i][i] + 2 * draw(st.integers(-3, 3)) for i in range(n))
+    return m, chern
+
+
+def _report_oracle(m, chern):
+    data = discriminant(IntMatrix(m))
+    group = FiniteAbelianGroup(data.torsion_factors)
+    slopes = radical_slope(data, chern)
+    q = QuadraticFunction.from_callable(
+        group, lambda w: phi_eval(data, chern, data.torsion_lift(w)), radical_slopes=slopes, check=False
+    )
+    elements = list(group.elements())
+    gauss = cyclo_from_angles(q.values.values()).canonical()
+    pairs = range(len(data.torsion_factors))
+    diagonal = tuple(
+        sorted(sum((data.linking[i][j] * (w[i] * w[j]) for i in pairs for j in pairs), QmodZ(0)) for w in elements)
+    )
+    return Fingerprint(
+        invariant_factors=data.torsion_factors,
+        value_multiset=tuple(sorted(q.values.values())),
+        defect_multiset=tuple(sorted(q(w) - q(group.neg(w)) for w in elements)),
+        gauss=gauss,
+        radical_rank=len(slopes),
+        radical_gcd=math.gcd(*(int(2 * s) for s in slopes)),
+    ), diagonal
+
+
+@settings(max_examples=60, deadline=None)
+@given(decorated_symmetric_forms())
+def test_report_matches_the_phi_eval_oracle(form):
+    m, chern = form
+    assume(discriminant(IntMatrix(m)).torsion_order <= 400)
+    r = invariants_report(presentation(m, chern))
+    oracle, diagonal = _report_oracle(m, chern)
+    assert r.fingerprint == oracle
+    assert (r.gauss.modulus, r.gauss.coeffs) == (oracle.gauss.modulus, oracle.gauss.coeffs)
+    assert r.value_multiset == oracle.value_multiset
+    assert r.defect_multiset == oracle.defect_multiset
+    assert r.linking_diagonal == diagonal
+    assert r.radical_slopes == tuple(int(s) for s in radical_slope(discriminant(IntMatrix(m)), chern))
+
+
+def _report_on_corrupted_data(monkeypatch, p, **fields):
+    original = classify_module.discriminant
+    monkeypatch.setattr(classify_module, "discriminant", lambda m: dataclasses.replace(original(m), **fields))
+    return invariants_report(p)
+
+
+def test_report_checks_integral_slopes(monkeypatch):
+    # c = (1, 0) pairs oddly with (1, 1), which no kernel vector of diag(1, 0) is
+    with pytest.raises(RuntimeError, match="not integral"):
+        _report_on_corrupted_data(monkeypatch, presentation([[1, 0], [0, 0]], (1, 0)), kernel=((1, 1),))
+
+
+def test_report_checks_the_duality_identity(monkeypatch):
+    with pytest.raises(RuntimeError, match="duality identity"):
+        _report_on_corrupted_data(monkeypatch, presentation([[0]], (2,)), duality_matrix=IntMatrix([[3]]))

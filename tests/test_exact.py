@@ -1,4 +1,6 @@
 import math
+import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -11,9 +13,12 @@ from quadlink.exact import (
     cyclo_abs_squared,
     cyclo_equals,
     cyclo_from_angles,
+    cyclo_from_residues,
     cyclotomic_polynomial,
     qmodz_reduce,
+    residue_multiset,
 )
+from quadlink.exact import _reduce_mod_cyclotomic
 
 # ---------------------------------------------------------------------------
 # independent oracle: cyclotomic polynomials by recursive long division over Q
@@ -231,3 +236,39 @@ def test_normalized_trace_is_value_invariant(xs, k):
 def test_approx_is_display_only_float():
     v = cyclo_from_angles([Fraction(1, 3)])
     assert isinstance(v.approx(), complex)
+
+
+def _dense_reduce(coeffs, n):
+    """Long division by Phi_n touching every coefficient, the reference for the sparse loop."""
+    f = cyclotomic_polynomial(n)
+    df = len(f) - 1
+    r = list(coeffs)
+    for k in range(len(r) - 1, df - 1, -1):
+        c = r[k]
+        if c:
+            r[k] = 0
+            base = k - df
+            for i in range(df):
+                r[base + i] -= c * f[i]
+    del r[df:]
+    return r
+
+
+def test_sparse_reduction_matches_dense_division():
+    rng = random.Random(20020701)
+    for n in range(1, 401):
+        coeffs = [rng.randint(-3, 3) for _ in range(n)]
+        assert _reduce_mod_cyclotomic(coeffs, n) == _dense_reduce(coeffs, n), n
+
+
+@given(st.integers(min_value=1, max_value=60).flatmap(
+    lambda m: st.tuples(st.just(m), st.lists(st.integers(0, m - 1), min_size=1, max_size=30))
+))
+def test_residue_histograms_match_angle_lists(modulus_and_residues):
+    modulus, residues = modulus_and_residues
+    histogram = Counter(residues)
+    angles = [QmodZ(Fraction(r, modulus)) for r in residues]
+    assert residue_multiset(histogram, modulus) == tuple(sorted(angles))
+    direct = cyclo_from_angles(angles)
+    via_histogram = cyclo_from_residues(histogram, modulus)
+    assert (via_histogram.modulus, via_histogram.coeffs) == (direct.modulus, direct.coeffs)

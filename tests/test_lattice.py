@@ -1,8 +1,9 @@
+import dataclasses
 import itertools
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from quadlink.exact import QmodZ
@@ -15,10 +16,12 @@ from quadlink.lattice import (
     is_characteristic,
     linking_pairing,
     phi_eval,
+    phi_table,
     radical_slope,
     wu_classes,
 )
 from quadlink.zlinalg import IntMatrix
+import quadlink.lattice as lattice_module
 
 
 def symmetric_matrices(max_dim=4, max_entry=4):
@@ -277,3 +280,76 @@ def test_pointwise_embedding_of_chern_classes_cyclic():
 def test_pointwise_embedding_degenerate_via_slopes():
     data = discriminant(IntMatrix([[0]]))
     assert radical_slope(data, (0,)) != radical_slope(data, (2,))
+
+
+# ---------------------------------------------------------------------------
+# integer value tables against the defining formula
+
+
+def test_order_nine_cyclic_table():
+    # the brute-force values of test_order_nine_cyclic_form, in units of 1/18
+    data = discriminant(IntMatrix([[9]]))
+    assert data.value_modulus == 18
+    values, defects = phi_table(data, (9,))
+    assert values[:3] == [0, 10, 4]
+    # delta(x) = -9x/9 = 0 mod 1: c = 9 is a multiple of the order
+    assert defects == [0] * 9
+    assert phi_table(data, (1,))[1][1] == 16  # 8/9, see test_defect_against_evaluation
+
+
+def test_table_of_the_trivial_group():
+    assert phi_table(discriminant(IntMatrix([[1]])), (1,)) == ([0], [0])
+    assert phi_table(discriminant(IntMatrix([[0]])), (2,)) == ([0], [0])
+
+
+@settings(max_examples=100, deadline=None)
+@given(symmetric_matrices(max_dim=6, max_entry=3), st.data())
+def test_phi_table_matches_phi_eval(m, data_strategy):
+    data = discriminant(m)
+    assume(data.torsion_order <= 400)
+    c = characteristic_vectors(
+        m, data_strategy.draw(st.lists(st.integers(-3, 3), min_size=m.rows, max_size=m.rows))
+    )
+    values, defects = phi_table(data, c)
+    modulus = data.value_modulus
+    factors = data.torsion_factors
+    elements = list(itertools.product(*(range(d) for d in factors)))
+    assert len(values) == len(defects) == len(elements)
+    for w, v, d in zip(elements, values, defects):
+        assert 0 <= v < modulus and 0 <= d < modulus
+        phi = phi_eval(data, c, data.torsion_lift(w))
+        minus = tuple(-a % f for a, f in zip(w, factors))
+        assert QmodZ(Fraction(v, modulus)) == phi
+        assert QmodZ(Fraction(d, modulus)) == phi - phi_eval(data, c, data.torsion_lift(minus))
+
+
+def test_phi_table_checks_duality_per_generator():
+    data = discriminant(IntMatrix([[0, 0], [0, 6]]))
+    assert data.torsion_factors == (6,)
+    bad_covector = dataclasses.replace(data, cok_tors_covectors=((0, 2),))
+    with pytest.raises(DualLatticeError):
+        phi_table(bad_covector, (0, 0))
+    bad_lift = dataclasses.replace(data, lifts=((Fraction(0), Fraction(1, 12)),))
+    with pytest.raises(DualLatticeError):
+        phi_table(bad_lift, (0, 0))
+    with pytest.raises(CharacteristicError):
+        phi_table(data, (0, 1))
+
+
+def _corrupt_smith(monkeypatch, **fields):
+    original = lattice_module.smith_normal_form
+    monkeypatch.setattr(
+        lattice_module, "smith_normal_form", lambda m: dataclasses.replace(original(m), **fields)
+    )
+
+
+def test_discriminant_checks_unimodular_duality(monkeypatch):
+    _corrupt_smith(monkeypatch, uinv=IntMatrix([[2]]))
+    with pytest.raises(RuntimeError, match="unimodular"):
+        discriminant(IntMatrix([[0]]))
+
+
+def test_discriminant_checks_torsion_order(monkeypatch):
+    _corrupt_smith(monkeypatch, d=IntMatrix([[3]]))
+    with pytest.raises(RuntimeError, match="torsion order"):
+        discriminant(IntMatrix([[5]]))

@@ -370,3 +370,14 @@ class TestProperties:
         rows, chern = form
         q = table_from_matrix(rows, chern)
         assert is_isomorphic(q, q) is not None
+
+    @settings(max_examples=40, deadline=None)
+    @given(decorated_forms())
+    def test_histogram_route_matches_sorting(self, form):
+        rows, chern = form
+        q = table_from_matrix(rows, chern)
+        fp = invariant_fingerprint(q)
+        assert fp.value_multiset == tuple(sorted(q.values.values()))
+        assert fp.defect_multiset == tuple(sorted(defect_of(q, x) for x in q.group.elements()))
+        reference = gauss_sum(q).canonical()
+        assert (fp.gauss.modulus, fp.gauss.coeffs) == (reference.modulus, reference.coeffs)
