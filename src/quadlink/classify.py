@@ -256,14 +256,49 @@ def _isometries(
     yield from extend(0)
 
 
-def _apply_images(
-    group: FiniteAbelianGroup, images: Sequence[tuple[int, ...]], w: tuple[int, ...]
-) -> tuple[int, ...]:
-    acc = group.zero()
-    for wi, im in zip(w, images):
-        if wi:
-            acc = group.add(acc, group.scale(wi, im))
-    return acc
+def _torsion_map_verdict(
+    data1: DiscriminantData,
+    c1: Sequence[int],
+    data2: DiscriminantData,
+    c2: Sequence[int],
+    cap: int,
+    budget: _Budget,
+    reasons: tuple[str, str, str],
+) -> EquivalenceVerdict:
+    """Match decoration classes by a pairing-preserving torsion map, then compare Gauss sums.
+
+    Sound when the Gauss sums do not depend on the section, i.e. when
+    the decorations are blind to the radical.  reasons holds the prose
+    for: no matching map, equivalence (formatted with the map), and a
+    Gauss sum mismatch.
+    """
+    q1 = _finite_function(data1, c1, cap)
+    q2 = _finite_function(data2, c2, cap)
+    _, tors1 = chern_coordinates(data1, c1)
+    _, tors2 = chern_coordinates(data2, c2)
+    no_map, equivalent, gauss_differ = reasons
+    for images in _isometries(data1.linking, data1.torsion_factors, data2.linking, budget):
+        if GroupIso(q1.group, q2.group, images).apply(tors1) == tors2:
+            break
+    else:
+        if budget.exhausted:
+            return EquivalenceVerdict(UNKNOWN, "budget ran out while sweeping torsion maps")
+        return EquivalenceVerdict(INEQUIVALENT, no_map)
+    if gauss_sum(q1) == gauss_sum(q2):
+        return EquivalenceVerdict(EQUIVALENT, equivalent.format(images))
+    return EquivalenceVerdict(INEQUIVALENT, gauss_differ)
+
+
+_MIXED_BLIND_REASONS = (
+    "no pairing-preserving map matches the torsion decoration classes",
+    "vanishing free decoration part; torsion map {} matches the decorations and the Gauss sums agree",
+    "Gauss sums of the torsion parts differ",
+)
+_PAIRING_REASONS = (
+    "no pairing-preserving map matches the decoration classes",
+    "torsion map {} matches the decorations and the Gauss sums agree",
+    "Gauss sums differ",
+)
 
 
 def _mixed_verdict(
@@ -285,68 +320,44 @@ def _mixed_verdict(
     matched section and compared exactly with the other side.
     """
     factors = data1.torsion_factors
-    finite1 = _finite_function(data1, c1, cap)
-    group = finite1.group
-    elements = list(group.elements())
-
-    q1 = finite1.values
-    q2 = _finite_function(data2, c2, cap).values
-    slopes1 = _integral_slopes(data1, c1)
-    slopes2 = _integral_slopes(data2, c2)
-    free1, tors1 = chern_coordinates(data1, c1)
-    _, tors2 = chern_coordinates(data2, c2)
-    g = math.gcd(*slopes1)
-
+    g = math.gcd(*_integral_slopes(data1, c1))
     if g == 0:
         # decoration is blind to the radical: the Gauss sums are section
         # independent and the candidate map only has to match the
         # torsion decoration classes
-        gamma1 = cyclo_from_angles(q1.values())
-        gamma2 = cyclo_from_angles(q2.values())
-        match = None
-        for images in _isometries(data1.linking, factors, data2.linking, budget):
-            if _apply_images(group, images, tors1) == tors2:
-                match = images
-                break
-        if match is None:
-            if budget.exhausted:
-                return EquivalenceVerdict(UNKNOWN, "budget ran out while sweeping torsion maps")
-            return EquivalenceVerdict(
-                INEQUIVALENT, "no pairing-preserving map matches the torsion decoration classes"
-            )
-        if gamma1 == gamma2:
-            return EquivalenceVerdict(
-                EQUIVALENT,
-                f"vanishing free decoration part; torsion map {match} matches the decorations and the Gauss sums agree",
-            )
-        return EquivalenceVerdict(INEQUIVALENT, "Gauss sums of the torsion parts differ")
+        return _torsion_map_verdict(data1, c1, data2, c2, cap, budget, _MIXED_BLIND_REASONS)
+
+    finite1 = _finite_function(data1, c1, cap)
+    group = finite1.group
+    elements = list(group.elements())
+    q1 = finite1.values
+    q2 = _finite_function(data2, c2, cap).values
+    free1, tors1 = chern_coordinates(data1, c1)
+    free2, tors2 = chern_coordinates(data2, c2)
 
     b = data1.free_rank
     k = len(factors)
-    w1inv = data1.duality_inverse
-    w2inv = data2.duality_inverse
-    ell1 = tuple(sum(w1inv[l][m] * slopes1[l] for l in range(b)) for m in range(b))
-    ell2 = tuple(sum(w2inv[l][m] * slopes2[l] for l in range(b)) for m in range(b))
-    e1, e2 = data1.eval_free_lift, data2.eval_free_lift
+    # the slope covector W^-T slopes is free/2, since _integral_slopes
+    # checked 2 slopes = W^T free and discriminant checked W unimodular
+    ell1 = tuple(f // 2 for f in free1)
+    ell2 = tuple(f // 2 for f in free2)
     lam2 = data2.linking
 
-    def lift_pairings(table: Sequence[Sequence[QmodZ]], coeffs: tuple[int, ...], w: tuple[int, ...]) -> QmodZ:
-        acc = QmodZ(0)
-        for m in range(b):
-            if not coeffs[m]:
-                continue
-            row = table[m]
-            term = QmodZ(0)
-            for i in range(k):
-                if w[i]:
-                    term = term + row[i] * w[i]
-            acc = acc + term * coeffs[m]
-        return acc
+    def contraction(data: DiscriminantData, ell: tuple[int, ...]) -> tuple[QmodZ, ...]:
+        # ell against the free-covector evaluations: one angle per torsion generator
+        return tuple(
+            sum((row[i] * e for row, e in zip(data.eval_free_lift, ell) if e), QmodZ(0))
+            for i in range(k)
+        )
+
+    def pair_with(row: tuple[QmodZ, ...], w: tuple[int, ...]) -> QmodZ:
+        return sum((r * wi for r, wi in zip(row, w) if wi), QmodZ(0))
 
     # side-1 angles against the stored section, slope-corrected; the
     # candidate-dependent remainder is added per sweep step
-    base1 = {w: q1[w] + lift_pairings(e1, ell1, w) for w in elements}
-    drop2 = {u: lift_pairings(e2, ell2, u) for u in elements}
+    row1, row2 = contraction(data1, ell1), contraction(data2, ell2)
+    base1 = {w: q1[w] + pair_with(row1, w) for w in elements}
+    drop2 = {u: pair_with(row2, u) for u in elements}
     lamvec2 = {
         u: tuple(_pair_eval(lam2, group.generator(l), u) for l in range(k)) for u in elements
     }
@@ -390,14 +401,15 @@ def _mixed_verdict(
         return mu_cache[key]
 
     for images in _isometries(data1.linking, factors, data2.linking, budget):
-        mapped = _apply_images(group, images, tors1)
+        iso = GroupIso(group, group, images)
+        mapped = iso.apply(tors1)
         v = tuple((t - s) % d for t, s, d in zip(tors2, mapped, factors))
         if any(vl % math.gcd(g, dl) for vl, dl in zip(v, factors)):
             continue
         axes = [mu_choices(dl, vl) for dl, vl in zip(factors, v)]
         if any(not axis for axis in axes):
             continue
-        dmap = {w: _apply_images(group, images, w) for w in elements}
+        dmap = {w: iso.apply(w) for w in elements}
         for mu in itertools.product(*axes):
             angles = {}
             for w in elements:
@@ -501,28 +513,7 @@ def yc_equivalent_by_pairing(
             INEQUIVALENT,
             f"torsion invariant factors differ: {d1.torsion_factors} vs {d2.torsion_factors}",
         )
-    q1 = _finite_function(d1, p1.chern, cap)
-    q2 = _finite_function(d2, p2.chern, cap)
-    _, tors1 = chern_coordinates(d1, p1.chern)
-    _, tors2 = chern_coordinates(d2, p2.chern)
-    group = q1.group
-    bud = _Budget(budget)
-    match = None
-    for images in _isometries(d1.linking, d1.torsion_factors, d2.linking, bud):
-        if _apply_images(group, images, tors1) == tors2:
-            match = images
-            break
-    if match is None:
-        if bud.exhausted:
-            return EquivalenceVerdict(UNKNOWN, "budget ran out while sweeping torsion maps")
-        return EquivalenceVerdict(
-            INEQUIVALENT, "no pairing-preserving map matches the decoration classes"
-        )
-    if gauss_sum(q1) == gauss_sum(q2):
-        return EquivalenceVerdict(
-            EQUIVALENT, f"torsion map {match} matches the decorations and the Gauss sums agree"
-        )
-    return EquivalenceVerdict(INEQUIVALENT, "Gauss sums differ")
+    return _torsion_map_verdict(d1, p1.chern, d2, p2.chern, cap, _Budget(budget), _PAIRING_REASONS)
 
 
 def canonical_chern_vectors(matrix: IntMatrix | Sequence[Sequence[int]]) -> tuple[tuple[int, ...], ...]:
@@ -544,7 +535,8 @@ def canonical_chern_vectors(matrix: IntMatrix | Sequence[Sequence[int]]) -> tupl
     for w in itertools.product(*(range(d) for d in snf.diagonal())):
         shift = snf.uinv.matvec(w)
         out.append(tuple(bi + 2 * si for bi, si in zip(base, shift)))
-    assert len(out) == abs(det) and len(set(out)) == len(out)
+    if len(out) != abs(det) or len(set(out)) != len(out):
+        raise RuntimeError(f"expected {abs(det)} distinct decorations, got {len(set(out))} of {len(out)}")
     return tuple(out)
 
 
@@ -637,5 +629,6 @@ def lens_diffeo_count(p: int, q1: int, q2: int) -> int:
     scattered = sum(1 for t in triples if len(set(t)) == 3)
     collapsed = sum(1 for t in triples if len(set(t)) == 1)
     total = Fraction(p, 2) - Fraction(scattered, 4) + Fraction(collapsed, 2)
-    assert total.denominator == 1
+    if total.denominator != 1:
+        raise RuntimeError(f"orbit count {total} is not an integer")
     return int(total)

@@ -171,7 +171,8 @@ def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
     out = [0] * ((len(poly) - 1) * stretch + 1)
     for i, c in enumerate(poly):
         out[i * stretch] = c
-    assert len(out) - 1 == _totient(n)
+    if len(out) - 1 != _totient(n):
+        raise RuntimeError(f"Phi_{n} came out with degree {len(out) - 1}, not phi({n})")
     return tuple(out)
 
 

@@ -77,7 +77,8 @@ def wu_classes(matrix: IntMatrix) -> tuple[tuple[int, ...], ...]:
     if not matrix.is_symmetric():
         raise ValueError("wu classes need a symmetric matrix")
     solved = solve_mod2(matrix, matrix.diagonal())
-    assert solved is not None, "diagonal not in the mod-2 column space of a symmetric matrix"
+    if solved is None:
+        raise RuntimeError("diagonal not in the mod-2 column space of a symmetric matrix")
     particular, basis = solved
     out = []
     for mask in range(1 << len(basis)):
@@ -99,9 +100,9 @@ class DiscriminantData:
     the torsion linking pairing on the lifts.  cok_free_covectors and
     cok_tors_covectors are integer covectors representing the Smith
     generators of coker(B); duality_matrix is the (unimodular) pairing
-    matrix between free covectors and the kernel basis, with
-    duality_inverse its exact integer inverse.  eval_free_lift[m][i] is
-    the evaluation pairing of the m-th free covector with the i-th lift.
+    matrix between free covectors and the kernel basis.
+    eval_free_lift[m][i] is the evaluation pairing of the m-th free
+    covector with the i-th lift.
 
     Integer representation: g_i = V_i / d_i with V_i the integer Smith
     column, and B g_i = cok_tors_covectors[i].  Tables of phi_c over the
@@ -123,7 +124,6 @@ class DiscriminantData:
     free_indices: tuple[int, ...]
     linking: tuple[tuple[QmodZ, ...], ...]
     duality_matrix: IntMatrix
-    duality_inverse: IntMatrix
     eval_free_lift: tuple[tuple[QmodZ, ...], ...]
 
     @property
@@ -172,23 +172,6 @@ class DiscriminantData:
         return tuple(acc)
 
 
-def _inverse_of_unimodular(w: IntMatrix) -> IntMatrix:
-    n = w.rows
-    a = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)] for i, row in enumerate(w.data)]
-    for col in range(n):
-        piv = next(i for i in range(col, n) if a[i][col])
-        a[col], a[piv] = a[piv], a[col]
-        scale = a[col][col]
-        a[col] = [x / scale for x in a[col]]
-        for i in range(n):
-            if i != col and a[i][col]:
-                f = a[i][col]
-                a[i] = [x - f * y for x, y in zip(a[i], a[col])]
-    out = [[a[i][n + j] for j in range(n)] for i in range(n)]
-    assert all(x.denominator == 1 for row in out for x in row)
-    return IntMatrix([[int(x) for x in row] for row in out], cols=n)
-
-
 def discriminant(matrix: IntMatrix) -> DiscriminantData:
     """Compute and freeze the discriminant data of a symmetric form."""
     matrix = intmatrix(matrix)
@@ -216,7 +199,6 @@ def discriminant(matrix: IntMatrix) -> DiscriminantData:
     w = IntMatrix([[int(_dot(fm, kj)) for kj in kernel] for fm in cok_free], cols=b1)
     if abs(determinant(w)) != 1:
         raise RuntimeError("free covectors and kernel basis must pair unimodularly")
-    winv = _inverse_of_unimodular(w) if b1 else IntMatrix((), cols=0)
     eval_free_lift = tuple(
         tuple(QmodZ(_dot(fm, gi)) for gi in lifts) for fm in cok_free
     )
@@ -234,7 +216,6 @@ def discriminant(matrix: IntMatrix) -> DiscriminantData:
         free_indices=tuple(free_idx),
         linking=linking,
         duality_matrix=w,
-        duality_inverse=winv,
         eval_free_lift=eval_free_lift,
     )
     if data.free_rank == 0 and data.torsion_order != abs(determinant(matrix)):

@@ -43,7 +43,8 @@ def e8() -> IntMatrix:
     for i, j in _E8_EDGES:
         rows[i][j] = rows[j][i] = -1
     m = intmatrix(rows)
-    assert determinant(m) == 1
+    if determinant(m) != 1:
+        raise RuntimeError("the E8 plumbing matrix must be unimodular")
     return m
 
 
@@ -61,12 +62,14 @@ def lens(p: int, q: int) -> IntMatrix:
     n = len(terms)
     rows = [[0] * n for _ in range(n)]
     for i, t in enumerate(terms):
-        assert t >= 2
+        if t < 2:
+            raise RuntimeError(f"continued fraction term {t} of {p}/{q} is below 2")
         rows[i][i] = t
         if i:
             rows[i][i - 1] = rows[i - 1][i] = -1
     m = intmatrix(rows)
-    assert abs(determinant(m)) == p
+    if abs(determinant(m)) != p:
+        raise RuntimeError(f"lens chain for ({p}, {q}) has determinant other than +-{p}")
     return m
 
 

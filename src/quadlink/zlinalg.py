@@ -124,8 +124,8 @@ class SmithDecomposition:
     """U @ matrix @ V == D with U, V unimodular.
 
     D is diagonal with nonnegative entries, each dividing the next, and
-    zeros trailing.  uinv and vinv are the exact inverses, kept because
-    the discriminant construction needs columns of both V and U^-1.
+    zeros trailing.  uinv is the exact inverse of U, kept because its
+    columns are the cokernel covectors of the discriminant construction.
     """
 
     matrix: IntMatrix
@@ -133,7 +133,6 @@ class SmithDecomposition:
     d: IntMatrix
     v: IntMatrix
     uinv: IntMatrix
-    vinv: IntMatrix
 
     def diagonal(self) -> tuple[int, ...]:
         return self.d.diagonal()
@@ -153,7 +152,6 @@ def smith_normal_form(m: IntMatrix) -> SmithDecomposition:
     u = [list(row) for row in IntMatrix.identity(r).data]
     uinv = [list(row) for row in IntMatrix.identity(r).data]
     v = [list(row) for row in IntMatrix.identity(c).data]
-    vinv = [list(row) for row in IntMatrix.identity(c).data]
 
     def row_swap(i, k):
         a[i], a[k] = a[k], a[i]
@@ -179,7 +177,6 @@ def smith_normal_form(m: IntMatrix) -> SmithDecomposition:
             row[j], row[l] = row[l], row[j]
         for row in v:
             row[j], row[l] = row[l], row[j]
-        vinv[j], vinv[l] = vinv[l], vinv[j]
 
     def col_add(j, l, q):
         # col j += q * col l
@@ -187,7 +184,6 @@ def smith_normal_form(m: IntMatrix) -> SmithDecomposition:
             row[j] += q * row[l]
         for row in v:
             row[j] += q * row[l]
-        vinv[l] = [x - q * y for x, y in zip(vinv[l], vinv[j])]
 
     t = 0
     size = min(r, c)
@@ -242,7 +238,6 @@ def smith_normal_form(m: IntMatrix) -> SmithDecomposition:
         d=IntMatrix(a, cols=c),
         v=IntMatrix(v, cols=c),
         uinv=IntMatrix(uinv, cols=r),
-        vinv=IntMatrix(vinv, cols=c),
     )
 
 

@@ -29,7 +29,7 @@ from quadlink.exact import QmodZ, cyclo_from_angles
 from quadlink.lattice import chern_coordinates, discriminant, phi_eval, radical_slope
 from quadlink.presentation import HandleSlide, apply_move, chern_equal, presentation, random_walk
 from quadlink.quadfun import FiniteAbelianGroup, Fingerprint, OrderCapExceeded, QuadraticFunction
-from quadlink.zlinalg import IntMatrix, determinant, intmatrix
+from quadlink.zlinalg import IntMatrix, determinant, intmatrix, solve_integer
 
 
 # --- the gcd fact behind the free regime -------------------------------
@@ -397,3 +397,101 @@ def test_report_checks_integral_slopes(monkeypatch):
 def test_report_checks_the_duality_identity(monkeypatch):
     with pytest.raises(RuntimeError, match="duality identity"):
         _report_on_corrupted_data(monkeypatch, presentation([[0]], (2,)), duality_matrix=IntMatrix([[3]]))
+
+
+def test_canonical_decorations_check_their_count(monkeypatch):
+    original = classify_module.smith_normal_form
+    monkeypatch.setattr(
+        classify_module,
+        "smith_normal_form",
+        lambda m: dataclasses.replace(original(m), uinv=IntMatrix([[0]])),
+    )
+    with pytest.raises(RuntimeError, match="distinct decorations"):
+        canonical_chern_vectors([[3]])
+
+
+# --- the slope covector of the mixed sweep ------------------------------
+#
+# The sweep contracts couplings against W^-T s, s the kernel slopes and
+# W the duality matrix.  Because 2 s = W^T f for the free cokernel part
+# f of a characteristic vector, and W is unimodular, that covector is
+# f / 2 with no inversion.  Handle slides move the Smith bases around,
+# so check the identity on scrambled presentations.
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(2, 12),
+    st.integers(1, 3),
+    st.data(),
+)
+def test_slope_covector_is_half_the_free_part(d, b, data_strategy):
+    free = data_strategy.draw(st.lists(st.integers(-3, 3), min_size=b, max_size=b))
+    c0 = d % 2 + 2 * data_strategy.draw(st.integers(-2, 2))
+    p = presentation([[d if i == j == 0 else 0 for j in range(b + 1)] for i in range(b + 1)], [c0] + [2 * f for f in free])
+    slides = data_strategy.draw(
+        st.lists(st.tuples(st.integers(0, b), st.integers(0, b), st.sampled_from((1, -1))), max_size=8)
+    )
+    for i, j, sign in slides:
+        if i != j:
+            p = apply_move(p, HandleSlide(i, j, sign))
+    data = discriminant(p.matrix)
+    free_part, _ = chern_coordinates(data, p.chern)
+    slopes = radical_slope(data, p.chern)
+    assert all(s.denominator == 1 for s in slopes)
+    assert all(f % 2 == 0 for f in free_part)
+    ell = solve_integer(data.duality_matrix.transpose(), [int(s) for s in slopes])
+    assert ell == tuple(f // 2 for f in free_part)
+
+
+# Verdicts of the mixed regime, reason strings included: the CLI prints
+# them, so they are pinned on one pair per branch of the sweep.  On
+# TWISTED_A and TWISTED_B the free covectors pair nontrivially with the
+# torsion lifts, so both slope contractions enter the Gauss comparison.
+SCRAMBLED = [[9, 9, 0], [9, 9, 0], [0, 0, 0]]
+TWISTED_A = [[-3, 1, 2, 1], [1, 2, 0, 1], [2, 0, -2, -2], [1, 1, -2, -3]]
+TWISTED_B = [[-3, -3, 2, -1], [-3, 0, 0, -3], [2, 0, -2, 2], [-1, -3, 2, 1]]
+PINNED_MIXED = [
+    (MIXED, (0, 0), MIXED, (0, 0), {}, EQUIVALENT,
+     "vanishing free decoration part; torsion map ((1,),) matches the decorations and the Gauss sums agree"),
+    ([[0, 0], [0, 4]], (0, 0), [[0, 0], [0, 4]], (0, 4), {}, INEQUIVALENT,
+     "Gauss sums of the torsion parts differ"),
+    ([[0, 0], [0, 4]], (0, 0), [[0, 0], [0, 4]], (0, 2), {}, INEQUIVALENT,
+     "no pairing-preserving map matches the torsion decoration classes"),
+    (MIXED, (0, 0), MIXED, (0, 0), {"budget": 1}, UNKNOWN,
+     "budget ran out while sweeping torsion maps"),
+    (MIXED, (2, 0), MIXED, (2, 2), {}, EQUIVALENT,
+     "torsion map ((1,),) with coupling contraction (1,) and section character (0,) matches the Gauss sums"),
+    ([[9, 0, 0], [0, 0, 0], [0, 0, 0]], (1, 2, 4), SCRAMBLED, (9, 5, 6), {}, EQUIVALENT,
+     "torsion map ((1,),) with coupling contraction (4,) and section character (0,) matches the Gauss sums"),
+    (TWISTED_A, (1, -4, -2, 5), TWISTED_A, (3, 4, 2, -1), {}, EQUIVALENT,
+     "torsion map ((1,),) with coupling contraction (4,) and section character (0,) matches the Gauss sums"),
+    (TWISTED_B, (5, 4, -4, 3), TWISTED_B, (1, -2, 4, 3), {}, EQUIVALENT,
+     "torsion map ((1,),) with coupling contraction (0,) and section character (0,) matches the Gauss sums"),
+    (MIXED, (4, 0), MIXED, (4, 2), {}, INEQUIVALENT,
+     "no pairing-preserving map, coupling, and section shift reproduce the Gauss sums"),
+    (MIXED, (2, 0), MIXED, (2, 2), {"budget": 5}, UNKNOWN,
+     "budget ran out while comparing Gauss sums over matched sections"),
+]
+
+
+@pytest.mark.parametrize("m1, c1, m2, c2, kwargs, status, reason", PINNED_MIXED)
+def test_mixed_verdicts_are_pinned(m1, c1, m2, c2, kwargs, status, reason):
+    v = yc_equivalent(presentation(m1, c1), presentation(m2, c2), **kwargs)
+    assert (v.status, v.reason, v.witness) == (status, reason, None)
+
+
+# The pairing oracle shares the torsion-map search with the sweep's
+# radical-blind branch but keeps its own reason strings.
+PINNED_PAIRING = [
+    ([[2]], (0,), (0,), {}, EQUIVALENT, "torsion map ((1,),) matches the decorations and the Gauss sums agree"),
+    ([[2]], (0,), (2,), {}, INEQUIVALENT, "Gauss sums differ"),
+    ([[4]], (0,), (2,), {}, INEQUIVALENT, "no pairing-preserving map matches the decoration classes"),
+    ([[3, 0], [0, 3]], (1, 1), (1, 1), {"budget": 1}, UNKNOWN, "budget ran out while sweeping torsion maps"),
+]
+
+
+@pytest.mark.parametrize("m, c1, c2, kwargs, status, reason", PINNED_PAIRING)
+def test_pairing_verdicts_are_pinned(m, c1, c2, kwargs, status, reason):
+    v = yc_equivalent_by_pairing(presentation(m, c1), presentation(m, c2), **kwargs)
+    assert (v.status, v.reason, v.witness) == (status, reason, None)

@@ -353,3 +353,9 @@ def test_discriminant_checks_torsion_order(monkeypatch):
     _corrupt_smith(monkeypatch, d=IntMatrix([[3]]))
     with pytest.raises(RuntimeError, match="torsion order"):
         discriminant(IntMatrix([[5]]))
+
+
+def test_wu_classes_check_the_mod2_solution(monkeypatch):
+    monkeypatch.setattr(lattice_module, "solve_mod2", lambda m, rhs: None)
+    with pytest.raises(RuntimeError, match="mod-2 column space"):
+        wu_classes(IntMatrix([[1]]))
