@@ -33,9 +33,9 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
-from .exact import CyclotomicSum, QmodZ, cyclo_from_angles, residue_multiset
+from .exact import CyclotomicSum, QmodZ, cyclo_from_residues, residue_multiset
 from .lattice import (
     DiscriminantData,
     chern_coordinates,
@@ -51,8 +51,8 @@ from .quadfun import (
     GroupIso,
     OrderCapExceeded,
     QuadraticFunction,
+    _linear_table,
     _subgroup_size,
-    gauss_sum,
     is_isomorphic,
     table_fingerprint,
 )
@@ -101,7 +101,21 @@ class _Budget:
         return not self.exhausted
 
 
-def _integral_slopes(data: DiscriminantData, c: Sequence[int]) -> tuple[int, ...]:
+class _Side(NamedTuple):
+    """One presentation's data for a decision, computed once."""
+
+    data: DiscriminantData
+    chern: tuple[int, ...]
+    free: tuple[int, ...]
+    tors: tuple[int, ...]
+
+
+def _side(data: DiscriminantData, c: Sequence[int]) -> _Side:
+    free, tors = chern_coordinates(data, c)
+    return _Side(data, tuple(c), free, tors)
+
+
+def _integral_slopes(data: DiscriminantData, c: Sequence[int], free: Sequence[int]) -> tuple[int, ...]:
     """Kernel slopes of the decoration, integral because c is characteristic.
 
     Cross-checks the duality identity: twice the slopes equal the free
@@ -111,7 +125,6 @@ def _integral_slopes(data: DiscriminantData, c: Sequence[int]) -> tuple[int, ...
     if any(s.denominator != 1 for s in raw):
         raise RuntimeError(f"radical slopes {raw} are not integral for a characteristic vector")
     slopes = tuple(int(s) for s in raw)
-    free, _ = chern_coordinates(data, c)
     w = data.duality_matrix
     for j in range(len(slopes)):
         if 2 * slopes[j] != sum(w[m][j] * free[m] for m in range(data.free_rank)):
@@ -127,30 +140,22 @@ def _value_tables(data: DiscriminantData, c: Sequence[int], cap: int) -> tuple[l
 
 
 def _finite_function(data: DiscriminantData, c: Sequence[int], cap: int) -> QuadraticFunction:
+    # finite first homology only, so there is no radical and no slope;
     # the quadratic law holds by construction, so the table check is skipped
     group = FiniteAbelianGroup(data.torsion_factors)
-    slopes = [Fraction(s) for s in _integral_slopes(data, c)]
     values, _ = _value_tables(data, c, cap)
     angle = {r: QmodZ(Fraction(r, data.value_modulus)) for r in set(values)}
     return QuadraticFunction(
         group,
         dict(zip(group.elements(), map(angle.__getitem__, values))),
-        radical_slopes=slopes,
         cap=cap,
         check=False,
     )
 
 
-def _pair_eval(linking: Sequence[Sequence[QmodZ]], x: Sequence[int], y: Sequence[int]) -> QmodZ:
-    acc = QmodZ(0)
-    for i, xi in enumerate(x):
-        if not xi:
-            continue
-        row = linking[i]
-        for j, yj in enumerate(y):
-            if yj:
-                acc = acc + row[j] * (xi * yj)
-    return acc
+def _residues(matrix: Sequence[Sequence[QmodZ]], modulus: int) -> list[list[int]]:
+    """Entries whose denominators divide modulus, as residues in units of 1/modulus."""
+    return [[a.numerator * (modulus // a.denominator) for a in row] for row in matrix]
 
 
 @dataclass(frozen=True)
@@ -189,17 +194,17 @@ class InvariantReport:
 def invariants_report(p: DecoratedPresentation, *, cap: int = DEFAULT_ORDER_CAP) -> InvariantReport:
     """Assemble the discriminant invariants of one decorated presentation."""
     data = discriminant(p.matrix)
-    slopes = _integral_slopes(data, p.chern)
+    free, tors = chern_coordinates(data, p.chern)
+    slopes = _integral_slopes(data, p.chern, free)
     values, defects = _value_tables(data, p.chern, cap)
     modulus = data.value_modulus
     fp = table_fingerprint(data.torsion_factors, modulus, values, defects, slopes)
-    free, tors = chern_coordinates(data, p.chern)
     # b(w, w) = 2 q(w) - delta(w)
     diag = residue_multiset(Counter((2 * v - d) % modulus for v, d in zip(values, defects)), modulus)
     return InvariantReport(
         free_rank=data.free_rank,
         torsion_factors=data.torsion_factors,
-        chern_free_gcd=math.gcd(*free) if free else 0,
+        chern_free_gcd=math.gcd(*free),
         chern_torsion=tors,
         radical_slopes=slopes,
         value_multiset=fp.value_multiset,
@@ -211,26 +216,32 @@ def invariants_report(p: DecoratedPresentation, *, cap: int = DEFAULT_ORDER_CAP)
 
 
 def _isometries(
-    link1: Sequence[Sequence[QmodZ]],
+    link1: Sequence[Sequence[int]],
+    link2: Sequence[Sequence[int]],
     factors: tuple[int, ...],
-    link2: Sequence[Sequence[QmodZ]],
+    modulus: int,
     budget: _Budget,
 ) -> Iterator[tuple[tuple[int, ...], ...]]:
     """Yield generator images of every pairing-preserving isomorphism.
 
-    Depth-first over the target group, one source generator at a time,
-    pruned by element order and by the pairing against the partial map.
-    Stops early (without a verdict) when the budget runs out.
+    link1 and link2 hold the linking pairings of the stored generators
+    of the two sides as residues in [0, modulus), in units of
+    1/modulus.  Depth-first over the target group, one source generator
+    at a time, pruned by element order and by the pairing against the
+    partial map.  Stops early (without a verdict) when the budget runs
+    out.
     """
     group = FiniteAbelianGroup(factors)
     elements = list(group.elements())
     k = len(factors)
-    cache: dict[tuple, QmodZ] = {}
+    cache: dict[tuple, int] = {}
 
-    def pair(x: tuple[int, ...], y: tuple[int, ...]) -> QmodZ:
+    def pair(x: tuple[int, ...], y: tuple[int, ...]) -> int:
         key = (x, y) if x <= y else (y, x)
         if key not in cache:
-            cache[key] = _pair_eval(link2, key[0], key[1])
+            a, b = key
+            terms = (ai * bj * link2[i][j] for i, ai in enumerate(a) if ai for j, bj in enumerate(b) if bj)
+            cache[key] = sum(terms) % modulus
         return cache[key]
 
     images: list[tuple[int, ...]] = []
@@ -257,10 +268,8 @@ def _isometries(
 
 
 def _torsion_map_verdict(
-    data1: DiscriminantData,
-    c1: Sequence[int],
-    data2: DiscriminantData,
-    c2: Sequence[int],
+    side1: _Side,
+    side2: _Side,
     cap: int,
     budget: _Budget,
     reasons: tuple[str, str, str],
@@ -272,19 +281,22 @@ def _torsion_map_verdict(
     for: no matching map, equivalence (formatted with the map), and a
     Gauss sum mismatch.
     """
-    q1 = _finite_function(data1, c1, cap)
-    q2 = _finite_function(data2, c2, cap)
-    _, tors1 = chern_coordinates(data1, c1)
-    _, tors2 = chern_coordinates(data2, c2)
+    data1, data2 = side1.data, side2.data
+    factors = data1.torsion_factors
+    modulus = data1.value_modulus
+    values1, _ = _value_tables(data1, side1.chern, cap)
+    values2, _ = _value_tables(data2, side2.chern, cap)
+    group = FiniteAbelianGroup(factors)
+    link1, link2 = _residues(data1.linking, modulus), _residues(data2.linking, modulus)
     no_map, equivalent, gauss_differ = reasons
-    for images in _isometries(data1.linking, data1.torsion_factors, data2.linking, budget):
-        if GroupIso(q1.group, q2.group, images).apply(tors1) == tors2:
+    for images in _isometries(link1, link2, factors, modulus, budget):
+        if GroupIso(group, group, images).apply(side1.tors) == side2.tors:
             break
     else:
         if budget.exhausted:
             return EquivalenceVerdict(UNKNOWN, "budget ran out while sweeping torsion maps")
         return EquivalenceVerdict(INEQUIVALENT, no_map)
-    if gauss_sum(q1) == gauss_sum(q2):
+    if cyclo_from_residues(Counter(values1), modulus) == cyclo_from_residues(Counter(values2), modulus):
         return EquivalenceVerdict(EQUIVALENT, equivalent.format(images))
     return EquivalenceVerdict(INEQUIVALENT, gauss_differ)
 
@@ -301,14 +313,7 @@ _PAIRING_REASONS = (
 )
 
 
-def _mixed_verdict(
-    data1: DiscriminantData,
-    c1: Sequence[int],
-    data2: DiscriminantData,
-    c2: Sequence[int],
-    cap: int,
-    budget: _Budget,
-) -> EquivalenceVerdict:
+def _mixed_verdict(side1: _Side, side2: _Side, cap: int, budget: _Budget) -> EquivalenceVerdict:
     """Sweep candidate maps when both free rank and torsion are present.
 
     A candidate consists of a pairing-preserving torsion map d, a
@@ -318,70 +323,58 @@ def _mixed_verdict(
     a character chi ranging over the subgroup the slopes generate.
     For each candidate the sum on one side is re-expressed over the
     matched section and compared exactly with the other side.
+
+    Every table holds residues in units of 1/M, M the value modulus,
+    indexed by element position in itertools.product order.
     """
-    factors = data1.torsion_factors
-    g = math.gcd(*_integral_slopes(data1, c1))
+    data1, data2 = side1.data, side2.data
+    g = math.gcd(*_integral_slopes(data1, side1.chern, side1.free))
+    # side 2's slopes enter nowhere, but its duality check must run
+    _integral_slopes(data2, side2.chern, side2.free)
     if g == 0:
         # decoration is blind to the radical: the Gauss sums are section
         # independent and the candidate map only has to match the
         # torsion decoration classes
-        return _torsion_map_verdict(data1, c1, data2, c2, cap, budget, _MIXED_BLIND_REASONS)
+        return _torsion_map_verdict(side1, side2, cap, budget, _MIXED_BLIND_REASONS)
 
-    finite1 = _finite_function(data1, c1, cap)
-    group = finite1.group
+    factors = data1.torsion_factors
+    modulus = data1.value_modulus
+    q1, _ = _value_tables(data1, side1.chern, cap)
+    q2, _ = _value_tables(data2, side2.chern, cap)
+    group = FiniteAbelianGroup(factors)
     elements = list(group.elements())
-    q1 = finite1.values
-    q2 = _finite_function(data2, c2, cap).values
-    free1, tors1 = chern_coordinates(data1, c1)
-    free2, tors2 = chern_coordinates(data2, c2)
-
+    position = {w: t for t, w in enumerate(elements)}
+    free1 = side1.free
     b = data1.free_rank
-    k = len(factors)
+    link1, link2 = _residues(data1.linking, modulus), _residues(data2.linking, modulus)
     # the slope covector W^-T slopes is free/2, since _integral_slopes
     # checked 2 slopes = W^T free and discriminant checked W unimodular
     ell1 = tuple(f // 2 for f in free1)
-    ell2 = tuple(f // 2 for f in free2)
-    lam2 = data2.linking
+    ell2 = tuple(f // 2 for f in side2.free)
 
-    def contraction(data: DiscriminantData, ell: tuple[int, ...]) -> tuple[QmodZ, ...]:
+    def contraction(data: DiscriminantData, ell: tuple[int, ...]) -> list[int]:
         # ell against the free-covector evaluations: one angle per torsion generator
-        return tuple(
-            sum((row[i] * e for row, e in zip(data.eval_free_lift, ell) if e), QmodZ(0))
-            for i in range(k)
-        )
-
-    def pair_with(row: tuple[QmodZ, ...], w: tuple[int, ...]) -> QmodZ:
-        return sum((r * wi for r, wi in zip(row, w) if wi), QmodZ(0))
+        lift = _residues(data.eval_free_lift, modulus)
+        return [sum(e * row[i] for e, row in zip(ell, lift)) % modulus for i in range(len(factors))]
 
     # side-1 angles against the stored section, slope-corrected; the
-    # candidate-dependent remainder is added per sweep step
-    row1, row2 = contraction(data1, ell1), contraction(data2, ell2)
-    base1 = {w: q1[w] + pair_with(row1, w) for w in elements}
-    drop2 = {u: pair_with(row2, u) for u in elements}
-    lamvec2 = {
-        u: tuple(_pair_eval(lam2, group.generator(l), u) for l in range(k)) for u in elements
-    }
+    # candidate-dependent remainder is subtracted per sweep step
+    base1 = [(q + p) % modulus for q, p in zip(q1, _linear_table(contraction(data1, ell1), factors, modulus))]
+    row2 = contraction(data2, ell2)
 
     char_axes = [range(0, d, math.gcd(g, d)) for d in factors]
-
-    def chi_table(avec: tuple[int, ...]) -> dict[tuple[int, ...], QmodZ]:
-        return {
-            u: QmodZ(sum(Fraction(al * ul, d) for al, ul, d in zip(avec, u, factors)))
-            for u in elements
-        }
-
-    chi_cache: dict[tuple[int, ...], dict] = {}
+    chi_cache: dict[tuple[int, ...], list[int]] = {}
     gamma2_cache: dict[tuple[int, ...], CyclotomicSum] = {}
 
-    def chi_of(avec: tuple[int, ...]) -> dict[tuple[int, ...], QmodZ]:
+    def chi_of(avec: tuple[int, ...]) -> list[int]:
         if avec not in chi_cache:
-            chi_cache[avec] = chi_table(avec)
+            chi_cache[avec] = _linear_table([a * (modulus // d) for a, d in zip(avec, factors)], factors, modulus)
         return chi_cache[avec]
 
     def gamma2_of(avec: tuple[int, ...]) -> CyclotomicSum:
         if avec not in gamma2_cache:
-            chi = chi_of(avec)
-            gamma2_cache[avec] = cyclo_from_angles(q2[u] - chi[u] for u in elements)
+            shifted = Counter((x - c) % modulus for x, c in zip(q2, chi_of(avec)))
+            gamma2_cache[avec] = cyclo_from_residues(shifted, modulus)
         return gamma2_cache[avec]
 
     mu_cache: dict[tuple[int, int], tuple[int, ...]] = {}
@@ -400,33 +393,30 @@ def _mixed_verdict(
             mu_cache[key] = tuple(sorted(out))
         return mu_cache[key]
 
-    for images in _isometries(data1.linking, factors, data2.linking, budget):
+    for images in _isometries(link1, link2, factors, modulus, budget):
         iso = GroupIso(group, group, images)
-        mapped = iso.apply(tors1)
-        v = tuple((t - s) % d for t, s, d in zip(tors2, mapped, factors))
+        mapped = iso.apply(side1.tors)
+        v = tuple((t - s) % d for t, s, d in zip(side2.tors, mapped, factors))
         if any(vl % math.gcd(g, dl) for vl, dl in zip(v, factors)):
             continue
         axes = [mu_choices(dl, vl) for dl, vl in zip(factors, v)]
         if any(not axis for axis in axes):
             continue
-        dmap = {w: iso.apply(w) for w in elements}
+        dmap = [position[iso.apply(w)] for w in elements]
         for mu in itertools.product(*axes):
-            angles = {}
-            for w in elements:
-                u = dmap[w]
-                ang = base1[w] - drop2[u]
-                lv = lamvec2[u]
-                for l in range(k):
-                    if mu[l]:
-                        ang = ang - lv[l] * mu[l]
-                angles[u] = ang
+            # side-2 slope correction plus the pairing with the coupling, linear in u
+            row = [(r + sum(ml * link2[l][i] for l, ml in enumerate(mu))) % modulus for i, r in enumerate(row2)]
+            drop2 = _linear_table(row, factors, modulus)
+            angles = [0] * len(elements)
+            for w, u in enumerate(dmap):
+                angles[u] = base1[w] - drop2[u]
             for avec in itertools.product(*char_axes):
                 if not budget.charge(len(elements)):
                     return EquivalenceVerdict(
                         UNKNOWN, "budget ran out while comparing Gauss sums over matched sections"
                     )
-                chi = chi_of(avec)
-                gamma1 = cyclo_from_angles(angles[u] - chi[u] for u in elements)
+                shifted = Counter((a - c) % modulus for a, c in zip(angles, chi_of(avec)))
+                gamma1 = cyclo_from_residues(shifted, modulus)
                 if gamma1 == gamma2_of(avec):
                     return EquivalenceVerdict(
                         EQUIVALENT,
@@ -464,10 +454,8 @@ def yc_equivalent(
             INEQUIVALENT,
             f"torsion invariant factors differ: {d1.torsion_factors} vs {d2.torsion_factors}",
         )
-    free1, _ = chern_coordinates(d1, p1.chern)
-    free2, _ = chern_coordinates(d2, p2.chern)
-    g1 = math.gcd(*free1) if free1 else 0
-    g2 = math.gcd(*free2) if free2 else 0
+    side1, side2 = _side(d1, p1.chern), _side(d2, p2.chern)
+    g1, g2 = math.gcd(*side1.free), math.gcd(*side2.free)
     if g1 != g2:
         return EquivalenceVerdict(
             INEQUIVALENT, f"free decoration orbits differ: gcd {g1} vs {g2}"
@@ -486,7 +474,7 @@ def yc_equivalent(
             EQUIVALENT,
             f"free first homology of rank {d1.free_rank} with matching decoration gcd {g1}",
         )
-    return _mixed_verdict(d1, p1.chern, d2, p2.chern, cap, _Budget(budget))
+    return _mixed_verdict(side1, side2, cap, _Budget(budget))
 
 
 def yc_equivalent_by_pairing(
@@ -513,7 +501,17 @@ def yc_equivalent_by_pairing(
             INEQUIVALENT,
             f"torsion invariant factors differ: {d1.torsion_factors} vs {d2.torsion_factors}",
         )
-    return _torsion_map_verdict(d1, p1.chern, d2, p2.chern, cap, _Budget(budget), _PAIRING_REASONS)
+    return _torsion_map_verdict(_side(d1, p1.chern), _side(d2, p2.chern), cap, _Budget(budget), _PAIRING_REASONS)
+
+
+def _decoration_count(m: IntMatrix) -> int:
+    """|det|, the number of decoration classes of a nondegenerate symmetric form."""
+    if not m.is_symmetric():
+        raise ValueError("need a symmetric matrix")
+    det = determinant(m)
+    if det == 0:
+        raise ValueError("degenerate form: infinitely many decoration classes, pass them explicitly")
+    return abs(det)
 
 
 def canonical_chern_vectors(matrix: IntMatrix | Sequence[Sequence[int]]) -> tuple[tuple[int, ...], ...]:
@@ -524,19 +522,15 @@ def canonical_chern_vectors(matrix: IntMatrix | Sequence[Sequence[int]]) -> tupl
     refused.
     """
     m = intmatrix(matrix)
-    if not m.is_symmetric():
-        raise ValueError("need a symmetric matrix")
-    det = determinant(m)
-    if det == 0:
-        raise ValueError("degenerate form: infinitely many decoration classes, pass them explicitly")
+    count = _decoration_count(m)
     snf = smith_normal_form(m)
     base = m.diagonal()
     out = []
     for w in itertools.product(*(range(d) for d in snf.diagonal())):
         shift = snf.uinv.matvec(w)
         out.append(tuple(bi + 2 * si for bi, si in zip(base, shift)))
-    if len(out) != abs(det) or len(set(out)) != len(out):
-        raise RuntimeError(f"expected {abs(det)} distinct decorations, got {len(set(out))} of {len(out)}")
+    if len(out) != count or len(set(out)) != len(out):
+        raise RuntimeError(f"expected {count} distinct decorations, got {len(set(out))} of {len(out)}")
     return tuple(out)
 
 
@@ -550,13 +544,17 @@ def yc_classes(
     """Partition decorations of one form into move-equivalence classes.
 
     Without an explicit list the canonical decorations are used, which
-    needs det != 0.  Pairs are bucketed by the stable invariant profile
+    needs det != 0 and |det| within the order cap, checked before any
+    decoration is enumerated.  Pairs are bucketed by the stable invariant profile
     first and compared pairwise within buckets; the partition is
     assembled deterministically in input order.  An unknown pairwise
     verdict aborts with an error rather than guessing a partition.
     """
     m = intmatrix(matrix)
     if chern_vectors is None:
+        count = _decoration_count(m)
+        if count > cap:
+            raise OrderCapExceeded(count, cap)
         vecs = canonical_chern_vectors(m)
     else:
         vecs = tuple(tuple(int(x) for x in v) for v in chern_vectors)

@@ -46,7 +46,6 @@ from .classify import (
     UNKNOWN,
     EvenOrderError,
     InvariantReport,
-    canonical_chern_vectors,
     invariants_report,
     lens_diffeo_count,
     lens_yc_count,
@@ -342,12 +341,10 @@ def cmd_lens_census(args: argparse.Namespace) -> int:
 def cmd_classes(args: argparse.Namespace) -> int:
     rows = load_matrix_file(args.file)
     try:
-        matrix = intmatrix(rows)
-        vectors = canonical_chern_vectors(matrix)
-        partition = yc_classes(matrix, cap=args.cap, budget=args.budget)
+        partition = yc_classes(intmatrix(rows), cap=args.cap, budget=args.budget)
     except ValueError as exc:
         raise InputError(f"{args.file}: {exc}") from exc
-    print(f"{len(vectors)} decorations, {len(partition)} classes")
+    print(f"{sum(map(len, partition))} decorations, {len(partition)} classes")
     for block in partition:
         print("  " + "  ".join(str(list(v)) for v in block))
     return EXIT_OK

@@ -25,7 +25,8 @@ pairing on the torsion part is a multiple of 1/(2N), N the last
 invariant factor, and the values on the generators follow from the
 integer Smith columns V_i = d_i g_i and covectors U'_i = B g_i alone.
 phi_table fills the rest by the quadratic recurrence, one step per
-element.
+element; the recurrence lives in quadfun (_quadratic_table), where the
+table check of QuadraticFunction uses it too.
 """
 
 from __future__ import annotations
@@ -36,6 +37,7 @@ from math import prod
 from typing import Sequence
 
 from quadlink.exact import QmodZ
+from quadlink.quadfun import _linear_table, _quadratic_table
 from quadlink.zlinalg import IntMatrix, determinant, intmatrix, smith_normal_form, solve_mod2
 
 RationalVector = tuple[Fraction, ...]
@@ -250,9 +252,9 @@ def phi_table(data: DiscriminantData, c: Sequence[int]) -> tuple[list[int], list
         M b(g_i, g_j) = 2 (N/d_i) V_i . U'_j
         M delta(g_i)  = -2 (N/d_i) c . V_i
 
-    and q(w + t g_i) = q(w) + t q(g_i) + C(t,2) b(g_i,g_i) + t b(w,g_i)
-    fills the table; delta is additive.  B V_i = d_i U'_i is checked for
-    every generator, which puts every lift in the dual lattice.
+    and the quadratic recurrence in quadfun fills the table; delta is
+    additive.  B V_i = d_i U'_i is checked for every generator, which
+    puts every lift in the dual lattice.
     """
     cs = data.require_characteristic(c)
     factors = data.torsion_factors
@@ -272,17 +274,7 @@ def phi_table(data: DiscriminantData, c: Sequence[int]) -> tuple[list[int], list
     q_gen = [s * (_int_dot(v, cov) - cv) % m for s, v, cov, cv in zip(scale, columns, covectors, c_of)]
     b_gen = [[2 * s * _int_dot(v, cov) % m for cov in covectors] for s, v in zip(scale, columns)]
     defect_gen = [-2 * s * cv % m for s, cv in zip(scale, c_of)]
-
-    values, defects = [0], [0]
-    # pairings[l] holds b(w, g_l) over the part of the table built so far
-    pairings = [[0] for _ in factors]
-    for i, d in enumerate(factors):
-        steps = [(t * q_gen[i] + t * (t - 1) // 2 * b_gen[i][i]) % m for t in range(d)]
-        values = [(v + s + t * p) % m for v, p in zip(values, pairings[i]) for t, s in enumerate(steps)]
-        defects = [(x + t * defect_gen[i]) % m for x in defects for t in range(d)]
-        for l in range(i + 1, len(factors)):
-            pairings[l] = [(x + t * b_gen[i][l]) % m for x in pairings[l] for t in range(d)]
-    return values, defects
+    return _quadratic_table(factors, m, q_gen, b_gen), _linear_table(defect_gen, factors, m)
 
 
 def linking_pairing(data: DiscriminantData, x: Sequence, y: Sequence) -> QmodZ:

@@ -31,6 +31,33 @@ DEFAULT_ORDER_CAP = 10_000
 Element = tuple[int, ...]
 
 
+def _linear_table(row: Sequence[int], factors: Sequence[int], modulus: int) -> list[int]:
+    """sum_i row_i w_i mod modulus for every w in Z/d_1 x ... x Z/d_k, in itertools.product order."""
+    table = [0]
+    for r, d in zip(row, factors):
+        table = [(x + t * r) % modulus for x in table for t in range(d)]
+    return table
+
+
+def _quadratic_table(
+    factors: Sequence[int], modulus: int, q_gen: Sequence[int], b_gen: Sequence[Sequence[int]]
+) -> list[int]:
+    """A quadratic function on every element, in itertools.product order, from its generator data.
+
+    q_gen[i] = q(g_i) and b_gen[i][j] = b(g_i, g_j) are residues mod
+    modulus; the table follows from
+    q(w + t g_i) = q(w) + t q(g_i) + C(t, 2) b(g_i, g_i) + t b(w, g_i),
+    one addition per element.
+    """
+    values = [0]
+    for i, d in enumerate(factors):
+        # b(w, g_i) over the coordinates filled so far
+        pairing = _linear_table([b_gen[j][i] for j in range(i)], factors[:i], modulus)
+        steps = [(t * q_gen[i] + t * (t - 1) // 2 * b_gen[i][i]) % modulus for t in range(d)]
+        values = [(v + s + t * p) % modulus for v, p in zip(values, pairing) for t, s in enumerate(steps)]
+    return values
+
+
 class OrderCapExceeded(RuntimeError):
     def __init__(self, order: int, cap: int) -> None:
         super().__init__(f"group order {order} exceeds the cap {cap}")
@@ -124,45 +151,23 @@ class QuadraticFunction:
         return self.values[x]
 
     def _check_quadratic(self) -> None:
+        # q is quadratic exactly when its generator data satisfies
+        # d_i b(g_i, g_j) = 0 and q(d_i g_i) = d_i q(g_i) + C(d_i, 2) b(g_i, g_i) = 0
+        # and the recurrence rebuilds the whole table from that data
         g = self.group
         if self.values[g.zero()] != QmodZ(0):
             raise ValueError("a quadratic function must vanish at 0")
-        k = len(g.invariant_factors)
-        if g.order <= 256:
-            # complete: additivity of b_q( . , y) along every generator at
-            # every point, which with symmetry of b_q gives bilinearity
-            gens = [g.generator(i) for i in range(k)]
-            elements = list(g.elements())
-            for e in gens:
-                qe = self.values[e]
-                for x in elements:
-                    qxe = self.values[g.add(x, e)]
-                    qx = self.values[x]
-                    for y in elements:
-                        lhs = self.values[g.add(g.add(x, e), y)] - qxe - self.values[y]
-                        rhs = (self.values[g.add(x, y)] - qx - self.values[y]) + (
-                            self.values[g.add(e, y)] - qe - self.values[y]
-                        )
-                        if lhs != rhs:
-                            raise ValueError(f"polarization is not bilinear at x={x}, e={e}, y={y}")
-        else:
-            # deterministic strided sample of the degree-3 vanishing condition
-            elements = list(g.elements())
-            stride = max(1, len(elements) // 12)
-            sample = elements[::stride][:12] + [g.generator(i) for i in range(k)]
-            q = self.values
-            for x, y, z in itertools.product(sample, repeat=3):
-                lhs = (
-                    q[g.add(g.add(x, y), z)]
-                    - q[g.add(x, y)]
-                    - q[g.add(x, z)]
-                    - q[g.add(y, z)]
-                    + q[x]
-                    + q[y]
-                    + q[z]
-                )
-                if lhs != QmodZ(0):
-                    raise ValueError(f"polarization is not bilinear at sampled triple {x}, {y}, {z}")
+        factors = g.invariant_factors
+        modulus = math.lcm(1, *(v.denominator for v in self.values.values()))
+        residue = {x: v.numerator * (modulus // v.denominator) for x, v in self.values.items()}
+        gens = [g.generator(i) for i in range(len(factors))]
+        q_gen = [residue[e] for e in gens]
+        b_gen = [[(residue[g.add(e, f)] - qe - qf) % modulus for f, qf in zip(gens, q_gen)] for e, qe in zip(gens, q_gen)]
+        for i, d in enumerate(factors):
+            if any(d * b % modulus for b in b_gen[i]) or (d * q_gen[i] + d * (d - 1) // 2 * b_gen[i][i]) % modulus:
+                raise ValueError(f"polarization is not bilinear on generator {i}")
+        if _quadratic_table(factors, modulus, q_gen, b_gen) != list(residue.values()):
+            raise ValueError("polarization is not bilinear: the table is not determined by its generator data")
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, QuadraticFunction):

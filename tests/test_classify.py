@@ -451,6 +451,9 @@ def test_slope_covector_is_half_the_free_part(d, b, data_strategy):
 SCRAMBLED = [[9, 9, 0], [9, 9, 0], [0, 0, 0]]
 TWISTED_A = [[-3, 1, 2, 1], [1, 2, 0, 1], [2, 0, -2, -2], [1, 1, -2, -3]]
 TWISTED_B = [[-3, -3, 2, -1], [-3, 0, 0, -3], [2, 0, -2, 2], [-1, -3, 2, 1]]
+# Z/4 + Z/8 + Z^2: two torsion generators, so the coupling contraction
+# reaches the off-diagonal linking terms
+TWO_GENERATORS = [[12, -16, 0, 4], [-16, 24, 0, -8], [0, 0, 0, 0], [4, -8, 0, 4]]
 PINNED_MIXED = [
     (MIXED, (0, 0), MIXED, (0, 0), {}, EQUIVALENT,
      "vanishing free decoration part; torsion map ((1,),) matches the decorations and the Gauss sums agree"),
@@ -472,6 +475,8 @@ PINNED_MIXED = [
      "no pairing-preserving map, coupling, and section shift reproduce the Gauss sums"),
     (MIXED, (2, 0), MIXED, (2, 2), {"budget": 5}, UNKNOWN,
      "budget ran out while comparing Gauss sums over matched sections"),
+    (TWO_GENERATORS, (2, -2, -4, -2), TWO_GENERATORS, (0, -4, -2, -4), {}, EQUIVALENT,
+     "torsion map ((1, 0), (0, 1)) with coupling contraction (1, 3) and section character (1, 0) matches the Gauss sums"),
 ]
 
 
@@ -495,3 +500,40 @@ PINNED_PAIRING = [
 def test_pairing_verdicts_are_pinned(m, c1, c2, kwargs, status, reason):
     v = yc_equivalent_by_pairing(presentation(m, c1), presentation(m, c2), **kwargs)
     assert (v.status, v.reason, v.witness) == (status, reason, None)
+
+
+# Each side's discriminant data, decoration coordinates and slopes are
+# computed once per decision and passed down, and the slope check still
+# runs on both sides.
+SWEEP_PAIR = ([[9, 0, 0], [0, 0, 0], [0, 0, 0]], (1, 2, 4), SCRAMBLED, (9, 5, 6))
+BLIND_PAIR = (MIXED, (0, 0), MIXED, (0, 2))
+
+
+@pytest.mark.parametrize("m1, c1, m2, c2", [SWEEP_PAIR, BLIND_PAIR])
+def test_each_side_is_computed_once(monkeypatch, m1, c1, m2, c2):
+    calls = {}
+    for name in ("discriminant", "chern_coordinates", "radical_slope"):
+        original = getattr(classify_module, name)
+
+        def counted(*args, _name=name, _original=original):
+            calls[_name] = calls.get(_name, 0) + 1
+            return _original(*args)
+
+        monkeypatch.setattr(classify_module, name, counted)
+    yc_equivalent(presentation(m1, c1), presentation(m2, c2))
+    assert calls == {"discriminant": 2, "chern_coordinates": 2, "radical_slope": 2}
+
+
+def test_sweep_checks_the_second_sides_duality_identity(monkeypatch):
+    m1, c1, m2, c2 = SWEEP_PAIR
+    original = classify_module.discriminant
+
+    def corrupt_second(matrix):
+        data = original(matrix)
+        if matrix == intmatrix(m2):
+            data = dataclasses.replace(data, duality_matrix=IntMatrix([[2, 0], [0, 2]]))
+        return data
+
+    monkeypatch.setattr(classify_module, "discriminant", corrupt_second)
+    with pytest.raises(RuntimeError, match="duality identity"):
+        yc_equivalent(presentation(m1, c1), presentation(m2, c2))

@@ -19,6 +19,7 @@ from quadlink.cli import (
     main,
     presentation_payload,
 )
+import quadlink.classify as classify_module
 from quadlink.classify import invariants_report
 from quadlink.presentation import presentation
 
@@ -169,6 +170,34 @@ def test_classes_command(tmp_path, capsys):
     assert main(["classes", path]) == EXIT_OK
     out = capsys.readouterr().out
     assert "9 decorations, 5 classes" in out
+
+
+def _count_canonical_calls(monkeypatch):
+    calls = []
+    original = classify_module.canonical_chern_vectors
+
+    def counted(matrix):
+        calls.append(matrix)
+        return original(matrix)
+
+    monkeypatch.setattr(classify_module, "canonical_chern_vectors", counted)
+    return calls
+
+
+def test_classes_checks_the_cap_before_enumerating(tmp_path, capsys, monkeypatch):
+    calls = _count_canonical_calls(monkeypatch)
+    path = write_doc(tmp_path, "m.json", {"matrix": [[300000]]})
+    assert main(["classes", path]) == EXIT_CAP
+    assert capsys.readouterr().err == "error: group order 300000 exceeds the cap 10000\n"
+    assert calls == []
+
+
+def test_classes_enumerates_decorations_once(tmp_path, capsys, monkeypatch):
+    calls = _count_canonical_calls(monkeypatch)
+    path = write_doc(tmp_path, "m.json", {"matrix": [[9]]})
+    assert main(["classes", path]) == EXIT_OK
+    assert capsys.readouterr().out.startswith("9 decorations, 5 classes\n")
+    assert len(calls) == 1
 
 
 def test_classes_rejects_degenerate_matrix(tmp_path, capsys):

@@ -1,8 +1,9 @@
 import itertools
+import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from quadlink.exact import QmodZ, cyclo_abs_squared, cyclo_from_angles
@@ -19,7 +20,7 @@ from quadlink.quadfun import (
     is_isomorphic,
     radical_compatible,
 )
-from quadlink.zlinalg import intmatrix
+from quadlink.zlinalg import determinant, intmatrix
 
 
 def table_from_matrix(rows, chern):
@@ -145,10 +146,20 @@ class TestConstruction:
         assert DEFAULT_ORDER_CAP == 10_000
 
     def test_large_group_sampled_check(self):
-        # past the complete-check threshold construction must still work
+        # a large table passes the complete check from generator data
         rows = [[301]]
         q = table_from_matrix(rows, (301,))
         assert q.group.order == 301
+
+    def test_large_non_quadratic_table_rejected(self):
+        # x^2/600 on Z/300 with one value moved by 1/600: every generator
+        # condition holds, only the rebuilt table tells the difference
+        g = FiniteAbelianGroup((300,))
+        table = {(x,): QmodZ(Fraction(x * x, 600)) for x in range(300)}
+        QuadraticFunction(g, table)
+        table[(7,)] = QmodZ(Fraction(50, 600))
+        with pytest.raises(ValueError, match="bilinear"):
+            QuadraticFunction(g, table)
 
     def test_bad_slope_denominator_rejected(self):
         g = FiniteAbelianGroup(())
@@ -159,6 +170,47 @@ class TestConstruction:
         q = table_from_matrix([[3]], (3,))
         with pytest.raises(AttributeError):
             q.values = {}
+
+
+def brute_force_is_quadratic(group, values):
+    """q(0) = 0 and a vanishing third difference at every triple: the definition."""
+    elements = list(group.elements())
+    index = {x: i for i, x in enumerate(elements)}
+    modulus = math.lcm(1, *(values[x].denominator for x in elements))
+    r = [values[x].numerator * (modulus // values[x].denominator) for x in elements]
+    add = [[index[group.add(x, y)] for y in elements] for x in elements]
+    if r[index[group.zero()]]:
+        return False
+    for x in range(len(elements)):
+        ax = add[x]
+        for y in range(len(elements)):
+            xy, ay = ax[y], add[y]
+            for z in range(len(elements)):
+                if (r[add[xy][z]] - r[xy] - r[ax[z]] - r[ay[z]] + r[x] + r[y] + r[z]) % modulus:
+                    return False
+    return True
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_table_check_agrees_with_the_definition(data):
+    n = data.draw(st.integers(1, 3))
+    entries = data.draw(st.lists(st.integers(-6, 6), min_size=n * n, max_size=n * n))
+    rows = [[entries[min(i, j) * n + max(i, j)] for j in range(n)] for i in range(n)]
+    order = abs(determinant(intmatrix(rows)))
+    assume(2 <= order <= 64)
+    chern = [rows[i][i] % 2 + 2 * data.draw(st.integers(-2, 2)) for i in range(n)]
+    q = table_from_matrix(rows, chern)
+    values = dict(q.values)
+    if data.draw(st.booleans()):
+        x = data.draw(st.sampled_from(list(q.group.elements())))
+        values[x] = values[x] + QmodZ(Fraction(data.draw(st.integers(1, 7)), data.draw(st.sampled_from((2, 4, 8, 2 * order)))))
+    try:
+        QuadraticFunction(q.group, values)
+        accepted = True
+    except ValueError:
+        accepted = False
+    assert accepted == brute_force_is_quadratic(q.group, values)
 
 
 class TestEvaluation:
