@@ -10,7 +10,8 @@ into verdicts.
 Three regimes apply, ordered by how much structure survives:
 
 * finite first homology: the finite quadratic function is a complete
-  invariant and an isomorphism search settles the question outright;
+  invariant, and an exhaustive isomorphism search on the two integer
+  value tables settles the question outright;
 * free first homology: the gcd of the decoration vector is a complete
   invariant (the unimodular orbit of an integer vector is its gcd);
 * mixed: a sweep over pairing-preserving torsion maps, couplings of
@@ -33,7 +34,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 from .exact import CyclotomicSum, QmodZ, cyclo_from_residues, residue_multiset
 from .lattice import (
@@ -50,10 +51,10 @@ from .quadfun import (
     Fingerprint,
     GroupIso,
     OrderCapExceeded,
-    QuadraticFunction,
+    _image_positions,
+    _isometries,
     _linear_table,
-    _subgroup_size,
-    is_isomorphic,
+    _table_isomorphism,
     table_fingerprint,
 )
 from .zlinalg import IntMatrix, determinant, intmatrix, smith_normal_form
@@ -139,20 +140,6 @@ def _value_tables(data: DiscriminantData, c: Sequence[int], cap: int) -> tuple[l
     return phi_table(data, c)
 
 
-def _finite_function(data: DiscriminantData, c: Sequence[int], cap: int) -> QuadraticFunction:
-    # finite first homology only, so there is no radical and no slope;
-    # the quadratic law holds by construction, so the table check is skipped
-    group = FiniteAbelianGroup(data.torsion_factors)
-    values, _ = _value_tables(data, c, cap)
-    angle = {r: QmodZ(Fraction(r, data.value_modulus)) for r in set(values)}
-    return QuadraticFunction(
-        group,
-        dict(zip(group.elements(), map(angle.__getitem__, values))),
-        cap=cap,
-        check=False,
-    )
-
-
 def _residues(matrix: Sequence[Sequence[QmodZ]], modulus: int) -> list[list[int]]:
     """Entries whose denominators divide modulus, as residues in units of 1/modulus."""
     return [[a.numerator * (modulus // a.denominator) for a in row] for row in matrix]
@@ -196,8 +183,9 @@ def invariants_report(p: DecoratedPresentation, *, cap: int = DEFAULT_ORDER_CAP)
     data = discriminant(p.matrix)
     free, tors = chern_coordinates(data, p.chern)
     slopes = _integral_slopes(data, p.chern, free)
-    values, defects = _value_tables(data, p.chern, cap)
+    values, defect_gen = _value_tables(data, p.chern, cap)
     modulus = data.value_modulus
+    defects = _linear_table(defect_gen, data.torsion_factors, modulus)
     fp = table_fingerprint(data.torsion_factors, modulus, values, defects, slopes)
     # b(w, w) = 2 q(w) - delta(w)
     diag = residue_multiset(Counter((2 * v - d) % modulus for v, d in zip(values, defects)), modulus)
@@ -213,58 +201,6 @@ def invariants_report(p: DecoratedPresentation, *, cap: int = DEFAULT_ORDER_CAP)
         gauss=fp.gauss,
         fingerprint=fp,
     )
-
-
-def _isometries(
-    link1: Sequence[Sequence[int]],
-    link2: Sequence[Sequence[int]],
-    factors: tuple[int, ...],
-    modulus: int,
-    budget: _Budget,
-) -> Iterator[tuple[tuple[int, ...], ...]]:
-    """Yield generator images of every pairing-preserving isomorphism.
-
-    link1 and link2 hold the linking pairings of the stored generators
-    of the two sides as residues in [0, modulus), in units of
-    1/modulus.  Depth-first over the target group, one source generator
-    at a time, pruned by element order and by the pairing against the
-    partial map.  Stops early (without a verdict) when the budget runs
-    out.
-    """
-    group = FiniteAbelianGroup(factors)
-    elements = list(group.elements())
-    k = len(factors)
-    cache: dict[tuple, int] = {}
-
-    def pair(x: tuple[int, ...], y: tuple[int, ...]) -> int:
-        key = (x, y) if x <= y else (y, x)
-        if key not in cache:
-            a, b = key
-            terms = (ai * bj * link2[i][j] for i, ai in enumerate(a) if ai for j, bj in enumerate(b) if bj)
-            cache[key] = sum(terms) % modulus
-        return cache[key]
-
-    images: list[tuple[int, ...]] = []
-
-    def extend(i: int) -> Iterator[tuple[tuple[int, ...], ...]]:
-        if i == k:
-            if _subgroup_size(group, images) == group.order:
-                yield tuple(images)
-            return
-        for m in elements:
-            if not budget.charge():
-                return
-            if any((factors[i] * ml) % dl for ml, dl in zip(m, factors)):
-                continue
-            if pair(m, m) != link1[i][i]:
-                continue
-            if any(pair(m, images[j]) != link1[i][j] for j in range(i)):
-                continue
-            images.append(m)
-            yield from extend(i + 1)
-            images.pop()
-
-    yield from extend(0)
 
 
 def _torsion_map_verdict(
@@ -289,7 +225,9 @@ def _torsion_map_verdict(
     group = FiniteAbelianGroup(factors)
     link1, link2 = _residues(data1.linking, modulus), _residues(data2.linking, modulus)
     no_map, equivalent, gauss_differ = reasons
-    for images in _isometries(link1, link2, factors, modulus, budget):
+    elements = list(group.elements())
+    k = len(factors)
+    for images in _isometries(factors, modulus, link1, link2, range(k), [elements] * k, budget.charge):
         if GroupIso(group, group, images).apply(side1.tors) == side2.tors:
             break
     else:
@@ -343,7 +281,6 @@ def _mixed_verdict(side1: _Side, side2: _Side, cap: int, budget: _Budget) -> Equ
     q2, _ = _value_tables(data2, side2.chern, cap)
     group = FiniteAbelianGroup(factors)
     elements = list(group.elements())
-    position = {w: t for t, w in enumerate(elements)}
     free1 = side1.free
     b = data1.free_rank
     link1, link2 = _residues(data1.linking, modulus), _residues(data2.linking, modulus)
@@ -393,16 +330,16 @@ def _mixed_verdict(side1: _Side, side2: _Side, cap: int, budget: _Budget) -> Equ
             mu_cache[key] = tuple(sorted(out))
         return mu_cache[key]
 
-    for images in _isometries(link1, link2, factors, modulus, budget):
-        iso = GroupIso(group, group, images)
-        mapped = iso.apply(side1.tors)
+    k = len(factors)
+    for images in _isometries(factors, modulus, link1, link2, range(k), [elements] * k, budget.charge):
+        mapped = GroupIso(group, group, images).apply(side1.tors)
         v = tuple((t - s) % d for t, s, d in zip(side2.tors, mapped, factors))
         if any(vl % math.gcd(g, dl) for vl, dl in zip(v, factors)):
             continue
         axes = [mu_choices(dl, vl) for dl, vl in zip(factors, v)]
         if any(not axis for axis in axes):
             continue
-        dmap = [position[iso.apply(w)] for w in elements]
+        dmap = _image_positions(factors, images)
         for mu in itertools.product(*axes):
             # side-2 slope correction plus the pairing with the coupling, linear in u
             row = [(r + sum(ml * link2[l][i] for l, ml in enumerate(mu))) % modulus for i, r in enumerate(row2)]
@@ -461,7 +398,9 @@ def yc_equivalent(
             INEQUIVALENT, f"free decoration orbits differ: gcd {g1} vs {g2}"
         )
     if d1.free_rank == 0:
-        iso = is_isomorphic(_finite_function(d1, p1.chern, cap), _finite_function(d2, p2.chern, cap))
+        values1, _ = _value_tables(d1, p1.chern, cap)
+        values2, _ = _value_tables(d2, p2.chern, cap)
+        iso = _table_isomorphism(d1.torsion_factors, d1.value_modulus, values1, values2)
         if iso is not None:
             return EquivalenceVerdict(
                 EQUIVALENT, "the finite quadratic functions are isomorphic", witness=iso
@@ -522,7 +461,11 @@ def canonical_chern_vectors(matrix: IntMatrix | Sequence[Sequence[int]]) -> tupl
     refused.
     """
     m = intmatrix(matrix)
-    count = _decoration_count(m)
+    return _canonical_chern_vectors(m, _decoration_count(m))
+
+
+def _canonical_chern_vectors(m: IntMatrix, count: int) -> tuple[tuple[int, ...], ...]:
+    """canonical_chern_vectors of a form whose decoration count is already known."""
     snf = smith_normal_form(m)
     base = m.diagonal()
     out = []
@@ -555,7 +498,7 @@ def yc_classes(
         count = _decoration_count(m)
         if count > cap:
             raise OrderCapExceeded(count, cap)
-        vecs = canonical_chern_vectors(m)
+        vecs = _canonical_chern_vectors(m, count)
     else:
         vecs = tuple(tuple(int(x) for x in v) for v in chern_vectors)
     pres = [presentation(m.data, v) for v in vecs]

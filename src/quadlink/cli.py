@@ -125,13 +125,15 @@ def dump_document(doc: dict[str, Any]) -> str:
 
 def _read_document(path: str) -> dict[str, Any]:
     try:
-        text = Path(path).read_text()
+        doc = json.loads(Path(path).read_text(encoding="utf-8"))
     except OSError as exc:
         raise InputError(f"{path}: {exc.strerror or exc}") from exc
-    try:
-        doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise InputError(f"{path}:{exc.lineno}: {exc.msg}") from exc
+    except ValueError as exc:
+        # text that is not UTF-8, or an integer literal beyond the
+        # interpreter's digit limit
+        raise InputError(f"{path}: {exc}") from exc
     if not isinstance(doc, dict):
         raise InputError(f"{path}: top level must be a JSON object")
     return doc
@@ -274,7 +276,10 @@ def cmd_compare(args: argparse.Namespace) -> int:
 
 def cmd_walk(args: argparse.Namespace) -> int:
     p, name = load_presentation_file(args.file)
-    walked, trail = random_walk(p, args.steps, args.seed)
+    try:
+        walked, trail = random_walk(p, args.steps, args.seed)
+    except ValueError as exc:
+        raise InputError(f"{args.file}: {exc}") from exc
     before = invariants_report(p, cap=args.cap)
     after = invariants_report(walked, cap=args.cap)
     preserved = before.stable_profile() == after.stable_profile()
@@ -290,7 +295,10 @@ def cmd_walk(args: argparse.Namespace) -> int:
     }
     text = dump_document(doc)
     if args.out:
-        Path(args.out).write_text(text)
+        try:
+            Path(args.out).write_text(text)
+        except OSError as exc:
+            raise InputError(f"{args.out}: {exc.strerror or exc}") from exc
     sys.stdout.write(text)
     if not preserved or verdict.status == INEQUIVALENT:
         return EXIT_INEQUIVALENT

@@ -37,7 +37,7 @@ from math import prod
 from typing import Sequence
 
 from quadlink.exact import QmodZ
-from quadlink.quadfun import _linear_table, _quadratic_table
+from quadlink.quadfun import _quadratic_table
 from quadlink.zlinalg import IntMatrix, determinant, intmatrix, smith_normal_form, solve_mod2
 
 RationalVector = tuple[Fraction, ...]
@@ -240,21 +240,23 @@ def _int_dot(a: Sequence[int], b: Sequence[int]) -> int:
 
 
 def phi_table(data: DiscriminantData, c: Sequence[int]) -> tuple[list[int], list[int]]:
-    """Values and homogeneity defects of phi_c on every torsion element.
+    """Values of phi_c on every torsion element, and its homogeneity defects on the generators.
 
-    Both lists follow itertools.product order of the torsion coordinates
-    w and hold integers in [0, M), M = data.value_modulus, standing for
-    phi_eval(data, c, data.torsion_lift(w)) and phi_c(w) - phi_c(-w)
-    in units of 1/M.  Only integer Smith data enters: with V_i = d_i g_i,
-    U'_i = B g_i and N = M/2,
+    The value table follows itertools.product order of the torsion
+    coordinates w; it and the k generator defects hold integers in
+    [0, M), M = data.value_modulus, standing for
+    phi_eval(data, c, data.torsion_lift(w)) and
+    phi_c(g_i) - phi_c(-g_i) in units of 1/M.  Only integer Smith data
+    enters: with V_i = d_i g_i, U'_i = B g_i and N = M/2,
 
         M q(g_i)      = (N/d_i) (V_i . U'_i - c . V_i)
         M b(g_i, g_j) = 2 (N/d_i) V_i . U'_j
         M delta(g_i)  = -2 (N/d_i) c . V_i
 
     and the quadratic recurrence in quadfun fills the table; delta is
-    additive.  B V_i = d_i U'_i is checked for every generator, which
-    puts every lift in the dual lattice.
+    additive, so _linear_table there expands it to the whole group.
+    B V_i = d_i U'_i is checked for every generator, which puts every
+    lift in the dual lattice.
     """
     cs = data.require_characteristic(c)
     factors = data.torsion_factors
@@ -274,7 +276,7 @@ def phi_table(data: DiscriminantData, c: Sequence[int]) -> tuple[list[int], list
     q_gen = [s * (_int_dot(v, cov) - cv) % m for s, v, cov, cv in zip(scale, columns, covectors, c_of)]
     b_gen = [[2 * s * _int_dot(v, cov) % m for cov in covectors] for s, v in zip(scale, columns)]
     defect_gen = [-2 * s * cv % m for s, cv in zip(scale, c_of)]
-    return _quadratic_table(factors, m, q_gen, b_gen), _linear_table(defect_gen, factors, m)
+    return _quadratic_table(factors, m, q_gen, b_gen), defect_gen
 
 
 def linking_pairing(data: DiscriminantData, x: Sequence, y: Sequence) -> QmodZ:

@@ -282,6 +282,8 @@ def random_walk(
     multiplier and increment) so that a seed pins down the whole walk
     across platforms; each step picks uniformly from enumerate_moves.
     """
+    if steps < 0:
+        raise ValueError(f"a walk needs a non-negative number of steps, got {steps}")
     rng = _lcg_stream(seed)
     trail: list[Move] = []
     current = p

@@ -8,11 +8,15 @@ function to a divisible radical; two functions only count as isomorphic
 when that data matches up to an integer change of radical basis, which
 for slope vectors means equality of ranks and gcds.
 
-The isomorphism search enumerates images of a generating family,
-largest order first, pruned by value and polarization constraints; a
-found candidate is always rechecked pointwise before being returned,
-because matching invariants alone only promise that *some* isomorphism
-exists, not that a particular assignment is one.
+The isomorphism search works on value tables of int residues in units
+of 1/M, listed in itertools.product order.  Value and defect
+histograms prefilter; a depth-first search, shared with the pairing
+route of classify, then tries images of the generators, largest order
+first, among the elements with the right value, pruned by element
+order and by the polarization.  A found candidate is always rechecked
+pointwise before being returned, because matching invariants alone only
+promise that *some* isomorphism exists, not that a particular
+assignment is one.
 """
 
 from __future__ import annotations
@@ -24,7 +28,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
-from quadlink.exact import CyclotomicSum, QmodZ, cyclo_from_angles, cyclo_from_residues, residue_multiset
+from quadlink.exact import CyclotomicSum, QmodZ, cyclo_from_residues, residue_multiset
 
 DEFAULT_ORDER_CAP = 10_000
 
@@ -56,6 +60,35 @@ def _quadratic_table(
         steps = [(t * q_gen[i] + t * (t - 1) // 2 * b_gen[i][i]) % modulus for t in range(d)]
         values = [(v + s + t * p) % modulus for v, p in zip(values, pairing) for t, s in enumerate(steps)]
     return values
+
+
+def _generator_data(factors: Sequence[int], modulus: int, values: Sequence[int]) -> tuple[list[int], list[list[int]]]:
+    """q(g_i) and b(g_i, g_j) read off a value table in itertools.product order."""
+    k = len(factors)
+    strides = [math.prod(factors[i + 1 :]) for i in range(k)]
+
+    def at(*gens: int) -> int:
+        # the value at the sum of these generators
+        return values[sum(gens.count(i) % d * s for i, (d, s) in enumerate(zip(factors, strides)))]
+
+    q_gen = [at(i) for i in range(k)]
+    b_gen = [[(at(i, j) - q_gen[i] - q_gen[j]) % modulus for j in range(k)] for i in range(k)]
+    return q_gen, b_gen
+
+
+def _defect_table(factors: Sequence[int], modulus: int, q_gen: list[int], b_gen: list[list[int]]) -> list[int]:
+    """q(x) - q(-x) on every element: additive in x, and 2 q(g) - b(g, g) on a generator g."""
+    return _linear_table([(2 * q - b_gen[i][i]) % modulus for i, q in enumerate(q_gen)], factors, modulus)
+
+
+def _image_positions(factors: Sequence[int], images: Sequence[Sequence[int]]) -> list[int]:
+    """Position of Psi(w) in itertools.product order for every w, in that order; Psi(g_i) = images[i]."""
+    positions = [0] * math.prod(factors)
+    for j, d in enumerate(factors):
+        stride = math.prod(factors[j + 1 :])
+        for t, c in enumerate(_linear_table([m[j] for m in images], factors, d)):
+            positions[t] += c * stride
+    return positions
 
 
 class OrderCapExceeded(RuntimeError):
@@ -154,19 +187,15 @@ class QuadraticFunction:
         # q is quadratic exactly when its generator data satisfies
         # d_i b(g_i, g_j) = 0 and q(d_i g_i) = d_i q(g_i) + C(d_i, 2) b(g_i, g_i) = 0
         # and the recurrence rebuilds the whole table from that data
-        g = self.group
-        if self.values[g.zero()] != QmodZ(0):
+        factors = self.group.invariant_factors
+        modulus, (residues,) = _residue_tables(self)
+        if residues[0]:
             raise ValueError("a quadratic function must vanish at 0")
-        factors = g.invariant_factors
-        modulus = math.lcm(1, *(v.denominator for v in self.values.values()))
-        residue = {x: v.numerator * (modulus // v.denominator) for x, v in self.values.items()}
-        gens = [g.generator(i) for i in range(len(factors))]
-        q_gen = [residue[e] for e in gens]
-        b_gen = [[(residue[g.add(e, f)] - qe - qf) % modulus for f, qf in zip(gens, q_gen)] for e, qe in zip(gens, q_gen)]
+        q_gen, b_gen = _generator_data(factors, modulus, residues)
         for i, d in enumerate(factors):
             if any(d * b % modulus for b in b_gen[i]) or (d * q_gen[i] + d * (d - 1) // 2 * b_gen[i][i]) % modulus:
                 raise ValueError(f"polarization is not bilinear on generator {i}")
-        if _quadratic_table(factors, modulus, q_gen, b_gen) != list(residue.values()):
+        if _quadratic_table(factors, modulus, q_gen, b_gen) != residues:
             raise ValueError("polarization is not bilinear: the table is not determined by its generator data")
 
     def __eq__(self, other: object) -> bool:
@@ -199,13 +228,20 @@ def defect_of(q: QuadraticFunction, x: Element) -> QmodZ:
     return q(x) - q(q.group.neg(x))
 
 
+def _residue_tables(*qs: QuadraticFunction) -> tuple[int, list[list[int]]]:
+    """A common denominator M, and each q's values as residues r standing for r/M, in itertools.product order."""
+    modulus = math.lcm(1, *(v.denominator for q in qs for v in q.values.values()))
+    return modulus, [[v.numerator * (modulus // v.denominator) for v in q.values.values()] for q in qs]
+
+
 def gauss_sum(q: QuadraticFunction) -> CyclotomicSum:
     """Sum of exp(2 pi i q(x)) over the (finite) group, exactly.
 
     Radical slope data does not enter: the table is the finite part and
     the sum is taken over it, matching the use of one stored section.
     """
-    return cyclo_from_angles(q.values.values())
+    modulus, (residues,) = _residue_tables(q)
+    return cyclo_from_residues(Counter(residues), modulus)
 
 
 def _radical_gcd(slopes: tuple[Fraction, ...]) -> int:
@@ -265,16 +301,10 @@ def table_fingerprint(
 
 
 def invariant_fingerprint(q: QuadraticFunction) -> Fingerprint:
-    g = q.group
-    modulus = math.lcm(1, *(v.denominator for v in q.values.values()))
-    residue = {x: v.numerator * (modulus // v.denominator) for x, v in q.values.items()}
-    return table_fingerprint(
-        g.invariant_factors,
-        modulus,
-        residue.values(),
-        ((r - residue[g.neg(x)]) % modulus for x, r in residue.items()),
-        q.radical_slopes,
-    )
+    factors = q.group.invariant_factors
+    modulus, (residues,) = _residue_tables(q)
+    defects = _defect_table(factors, modulus, *_generator_data(factors, modulus, residues))
+    return table_fingerprint(factors, modulus, residues, defects, q.radical_slopes)
 
 
 @dataclass(frozen=True)
@@ -292,12 +322,82 @@ class GroupIso:
         return acc
 
 
-def _subgroup_size(group: FiniteAbelianGroup, gens: Iterable[Element]) -> int:
-    span = {group.zero()}
-    for v in gens:
-        o = group.element_order(v)
-        span = {group.add(s, group.scale(k, v)) for s in span for k in range(o)}
-    return len(span)
+def _isometries(
+    factors: Sequence[int], modulus: int, link1: Sequence[Sequence[int]], link2: Sequence[Sequence[int]],
+    order: Sequence[int], candidates: Sequence[Sequence[Element]], charge: Callable[[], bool],
+) -> Iterator[tuple[Element, ...]]:
+    """Yield the generator images of each automorphism, built from the candidates, that carries link1 to link2.
+
+    link1 and link2 hold b(g_i, g_j) on the two sides in units of
+    1/modulus.  Depth-first over the generators in the given order,
+    pruned by element order and by the pairing against the partial map;
+    a leaf counts when the map is bijective.  charge() runs once per
+    candidate tried; the search stops, without a verdict, on False.
+    """
+    k = len(factors)
+    cache: dict[tuple, int] = {}
+
+    def pair(x: Element, y: Element) -> int:
+        key = (x, y) if x <= y else (y, x)
+        if key not in cache:
+            a, b = key
+            terms = (ai * bj * link2[i][j] for i, ai in enumerate(a) if ai for j, bj in enumerate(b) if bj)
+            cache[key] = sum(terms) % modulus
+        return cache[key]
+
+    images: list[Element] = [()] * k
+
+    def extend(depth: int) -> Iterator[tuple[Element, ...]]:
+        if depth == k:
+            positions = _image_positions(factors, images)
+            if len(set(positions)) == len(positions):
+                yield tuple(images)
+            return
+        i = order[depth]
+        for m in candidates[i]:
+            if not charge():
+                return
+            if any((factors[i] * ml) % dl for ml, dl in zip(m, factors)):
+                continue
+            if pair(m, m) != link1[i][i]:
+                continue
+            if any(pair(m, images[j]) != link1[i][j] for j in order[:depth]):
+                continue
+            images[i] = m
+            yield from extend(depth + 1)
+
+    yield from extend(0)
+
+
+def _table_isomorphism(
+    factors: tuple[int, ...], modulus: int, values1: list[int], values2: list[int]
+) -> GroupIso | None:
+    """An isomorphism Psi with q2(Psi(x)) = q1(x) for all x, or None.
+
+    values1 and values2 are the value tables of q1 and q2 on the group
+    with these invariant factors, as residues in units of 1/modulus in
+    itertools.product order.  The search is exhaustive, so None is a
+    definite negative.
+    """
+    if Counter(values1) != Counter(values2):
+        return None
+    q1, b1 = _generator_data(factors, modulus, values1)
+    q2, b2 = _generator_data(factors, modulus, values2)
+    if Counter(_defect_table(factors, modulus, q1, b1)) != Counter(_defect_table(factors, modulus, q2, b2)):
+        return None
+    group = FiniteAbelianGroup(factors)
+    elements = list(group.elements())
+    candidates = [[m for m, v in zip(elements, values2) if v == want] for want in q1]
+    if not all(candidates):
+        return None
+    # largest order first; enumeration order of candidates fixes determinism
+    order = sorted(range(len(factors)), key=lambda i: (-factors[i], i))
+    for images in _isometries(factors, modulus, b1, b2, order, candidates, lambda: True):
+        # value and polarization constraints do not force the map, so the
+        # pointwise check makes any returned witness unconditionally good
+        if all(values2[u] == v for u, v in zip(_image_positions(factors, images), values1)):
+            return GroupIso(group, group, images)
+    return None
 
 
 def is_isomorphic(q1: QuadraticFunction, q2: QuadraticFunction) -> GroupIso | None:
@@ -307,65 +407,8 @@ def is_isomorphic(q1: QuadraticFunction, q2: QuadraticFunction) -> GroupIso | No
     None is a definite negative for the finite parts; radical slope data
     is compared by rank and gcd first.
     """
-    g1, g2 = q1.group, q2.group
-    if g1.invariant_factors != g2.invariant_factors:
+    factors = q1.group.invariant_factors
+    if factors != q2.group.invariant_factors or not radical_compatible(q1, q2):
         return None
-    if not radical_compatible(q1, q2):
-        return None
-    if sorted(q1.values.values()) != sorted(q2.values.values()):
-        return None
-    if sorted(defect_of(q1, x) for x in g1.elements()) != sorted(
-        defect_of(q2, x) for x in g2.elements()
-    ):
-        return None
-
-    k = len(g1.invariant_factors)
-    if k == 0:
-        return GroupIso(g1, g2, ())
-    # largest order first; enumeration order of candidates fixes determinism
-    level_order = sorted(range(k), key=lambda i: (-g1.invariant_factors[i], i))
-    all_targets = list(g2.elements())
-    candidates: dict[int, list[Element]] = {}
-    for i in level_order:
-        d = g1.invariant_factors[i]
-        want = q1(g1.generator(i))
-        candidates[i] = [m for m in all_targets if g2.scale(d, m) == g2.zero() and q2(m) == want]
-        if not candidates[i]:
-            return None
-
-    images: dict[int, Element] = {}
-
-    def compatible(i: int, m: Element) -> bool:
-        # the diagonal is not determined by q(m) alone, so i pairs with itself
-        ei = g1.generator(i)
-        if bilinear_of(q2, m, m) != bilinear_of(q1, ei, ei):
-            return False
-        for j, mj in images.items():
-            if bilinear_of(q2, m, mj) != bilinear_of(q1, ei, g1.generator(j)):
-                return False
-        return True
-
-    def verified(iso: GroupIso) -> bool:
-        return all(q2(iso.apply(x)) == q1(x) for x in g1.elements())
-
-    def search(depth: int) -> GroupIso | None:
-        if depth == k:
-            iso = GroupIso(g1, g2, tuple(images[i] for i in range(k)))
-            # value and polarization constraints do not force surjectivity
-            # on their own, so bijectivity gates the leaf; the pointwise
-            # check then makes any returned witness unconditionally good,
-            # and rejecting here never loses a true isomorphism
-            if _subgroup_size(g2, iso.images) == g2.order and verified(iso):
-                return iso
-            return None
-        i = level_order[depth]
-        for m in candidates[i]:
-            if compatible(i, m):
-                images[i] = m
-                found = search(depth + 1)
-                if found is not None:
-                    return found
-                del images[i]
-        return None
-
-    return search(0)
+    modulus, (values1, values2) = _residue_tables(q1, q2)
+    return _table_isomorphism(factors, modulus, values1, values2)

@@ -103,6 +103,54 @@ def test_finite_regime_witness_is_checked_pointwise():
     assert v.status == EQUIVALENT and v.witness is not None
 
 
+# Verdicts of the finite regime with their witnesses: the CLI prints the
+# witness images, so they are pinned, including the two walk pairs of
+# the benchmark's decide workload (seed 1) over Z/45+Z/45 and (Z/5)^4.
+def _diagonal(*entries):
+    return [[d if i == j else 0 for j in range(len(entries))] for i, d in enumerate(entries)]
+
+
+def _walked(rows, chern, seed, size_cap):
+    return random_walk(presentation(rows, chern), 24, seed, size_cap=size_cap)[0]
+
+
+_ISOMORPHIC = "the finite quadratic functions are isomorphic"
+_NOT_ISOMORPHIC = "no isomorphism carries one finite quadratic function to the other"
+PINNED_FINITE = [
+    (lambda: (presentation([[5]], (5,)), presentation([[-5]], (-5,))), EQUIVALENT, _ISOMORPHIC, ((2,),)),
+    (
+        lambda: (presentation(_diagonal(45, 45), (-3, 1)), _walked(_diagonal(45, 45), (-3, 1), 753161180, 2)),
+        EQUIVALENT, _ISOMORPHIC, ((1, 0), (44, 44)),
+    ),
+    (
+        lambda: (
+            presentation(_diagonal(5, 5, 5, 5), (-3, 3, 1, -3)),
+            _walked(_diagonal(5, 5, 5, 5), (-3, 3, 1, -3), 1180710293, 4),
+        ),
+        EQUIVALENT, _ISOMORPHIC, ((0, 1, 1, 1), (0, 1, 2, 1), (4, 0, 0, 3), (4, 1, 1, 0)),
+    ),
+    (
+        lambda: (presentation(_diagonal(9, 27), (3, -3)), _walked(_diagonal(9, 27), (3, -3), 985796255, 2)),
+        EQUIVALENT, _ISOMORPHIC, ((2, 15), (0, 14)),
+    ),
+    (lambda: (presentation([[2]], (0,)), presentation([[2]], (2,))), INEQUIVALENT, _NOT_ISOMORPHIC, None),
+    (lambda: (presentation([[3]], (3,)), presentation([[-3]], (-3,))), INEQUIVALENT, _NOT_ISOMORPHIC, None),
+    (lambda: (presentation([], ()), presentation([], ())), EQUIVALENT, _ISOMORPHIC, ()),
+    (lambda: (presentation(_diagonal(2, 2), (0, 2)), presentation(_diagonal(2, 2), (2, 0))), EQUIVALENT, _ISOMORPHIC, ((0, 1), (1, 0))),
+    (lambda: (presentation([[9]], (11,)), presentation([[9]], (25,))), EQUIVALENT, _ISOMORPHIC, ((8,),)),
+]
+
+
+@pytest.mark.parametrize(
+    "pair, status, reason, images",
+    PINNED_FINITE,
+    ids=["mirror-five", "z45-walk", "z5x4-walk", "z9-z27-walk", "projective", "mirror-three", "empty", "swap", "orbit"],
+)
+def test_finite_verdicts_are_pinned(pair, status, reason, images):
+    v = yc_equivalent(*pair())
+    assert (v.status, v.reason, None if v.witness is None else v.witness.images) == (status, reason, images)
+
+
 def test_verdict_status_is_validated():
     with pytest.raises(ValueError):
         EquivalenceVerdict("maybe", "nope")
@@ -239,6 +287,24 @@ def test_census_counts_for_small_forms():
     assert len(yc_classes([[1]])) == 1
     assert len(yc_classes([[2]])) == 2
     assert len(yc_classes([[9]])) == 5
+
+
+def test_census_computes_the_determinant_once(monkeypatch):
+    calls = []
+    original = classify_module.determinant
+
+    def counted(m):
+        calls.append(m)
+        return original(m)
+
+    monkeypatch.setattr(classify_module, "determinant", counted)
+    for rows in ([[9]], [[2, 1], [1, 2]]):
+        calls.clear()
+        yc_classes(rows)
+        assert len(calls) == 1
+    calls.clear()
+    assert len(canonical_chern_vectors([[9]])) == 9
+    assert len(calls) == 1
 
 
 def test_census_partition_for_the_circle_bundle():

@@ -173,14 +173,16 @@ def test_classes_command(tmp_path, capsys):
 
 
 def _count_canonical_calls(monkeypatch):
+    # yc_classes enumerates through the private helper, which takes the
+    # decoration count it has already checked against the cap
     calls = []
-    original = classify_module.canonical_chern_vectors
+    original = classify_module._canonical_chern_vectors
 
-    def counted(matrix):
+    def counted(matrix, count):
         calls.append(matrix)
-        return original(matrix)
+        return original(matrix, count)
 
-    monkeypatch.setattr(classify_module, "canonical_chern_vectors", counted)
+    monkeypatch.setattr(classify_module, "_canonical_chern_vectors", counted)
     return calls
 
 
@@ -233,6 +235,46 @@ def test_syntax_error_diagnostic_names_line(tmp_path, capsys):
 def test_missing_file_diagnostic(tmp_path, capsys):
     assert main(["invariants", str(tmp_path / "absent.json")]) == EXIT_INVALID
     assert "absent.json" in capsys.readouterr().err
+
+
+def test_integer_beyond_the_digit_limit(tmp_path, capsys):
+    # CPython 3.11 refuses integer literals over 4300 digits with a plain
+    # ValueError; without that limit the entry parses, and the torsion
+    # order then exceeds the cap
+    path = write_doc(tmp_path, "huge.json", '{"matrix": [[' + "2" * 4400 + ']], "chern": [0]}')
+    code = main(["invariants", path])
+    err = capsys.readouterr().err
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if 0 < limit < 4400:
+        assert code == EXIT_INVALID
+        assert err.startswith(f"error: {path}: ")
+    else:
+        assert code == EXIT_CAP
+        assert err.startswith("error: group order ")
+
+
+def test_non_utf8_file_diagnostic(tmp_path, capsys):
+    path = tmp_path / "latin1.json"
+    path.write_bytes(b'{"matrix": [[2]], "chern": [0], "name": "\xe9"}')
+    assert main(["invariants", str(path)]) == EXIT_INVALID
+    assert capsys.readouterr().err.startswith(f"error: {path}: 'utf-8' codec can't decode byte 0xe9")
+
+
+def test_walk_to_a_missing_directory(tmp_path, capsys):
+    path = write_doc(tmp_path, "p.json", {"matrix": [[2]], "chern": [0]})
+    out_path = tmp_path / "missing" / "walked.json"
+    assert main(["walk", path, "--out", str(out_path)]) == EXIT_INVALID
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {out_path}: ")
+
+
+def test_walk_refuses_negative_steps(tmp_path, capsys):
+    path = write_doc(tmp_path, "p.json", {"matrix": [[2]], "chern": [0]})
+    assert main(["walk", path, "--steps", "-3"]) == EXIT_INVALID
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {path}: a walk needs a non-negative number of steps, got -3\n"
 
 
 def test_differing_field_order_prefers_structure():

@@ -20,6 +20,7 @@ from quadlink.lattice import (
     radical_slope,
     wu_classes,
 )
+from quadlink.quadfun import _linear_table
 from quadlink.zlinalg import IntMatrix
 import quadlink.lattice as lattice_module
 
@@ -290,16 +291,16 @@ def test_order_nine_cyclic_table():
     # the brute-force values of test_order_nine_cyclic_form, in units of 1/18
     data = discriminant(IntMatrix([[9]]))
     assert data.value_modulus == 18
-    values, defects = phi_table(data, (9,))
+    values, defect_gen = phi_table(data, (9,))
     assert values[:3] == [0, 10, 4]
     # delta(x) = -9x/9 = 0 mod 1: c = 9 is a multiple of the order
-    assert defects == [0] * 9
-    assert phi_table(data, (1,))[1][1] == 16  # 8/9, see test_defect_against_evaluation
+    assert defect_gen == [0]
+    assert phi_table(data, (1,))[1] == [16]  # 8/9, see test_defect_against_evaluation
 
 
 def test_table_of_the_trivial_group():
-    assert phi_table(discriminant(IntMatrix([[1]])), (1,)) == ([0], [0])
-    assert phi_table(discriminant(IntMatrix([[0]])), (2,)) == ([0], [0])
+    assert phi_table(discriminant(IntMatrix([[1]])), (1,)) == ([0], [])
+    assert phi_table(discriminant(IntMatrix([[0]])), (2,)) == ([0], [])
 
 
 @settings(max_examples=100, deadline=None)
@@ -310,9 +311,12 @@ def test_phi_table_matches_phi_eval(m, data_strategy):
     c = characteristic_vectors(
         m, data_strategy.draw(st.lists(st.integers(-3, 3), min_size=m.rows, max_size=m.rows))
     )
-    values, defects = phi_table(data, c)
+    values, defect_gen = phi_table(data, c)
     modulus = data.value_modulus
     factors = data.torsion_factors
+    assert len(defect_gen) == len(factors)
+    # the defect is additive, so the generator defects determine it everywhere
+    defects = _linear_table(defect_gen, factors, modulus)
     elements = list(itertools.product(*(range(d) for d in factors)))
     assert len(values) == len(defects) == len(elements)
     for w, v, d in zip(elements, values, defects):

@@ -294,6 +294,12 @@ class TestRandomWalk:
         end, _ = random_walk(p, 30, seed=seed)
         assert abs(determinant(end.matrix)) == abs(determinant(p.matrix))
 
+    def test_negative_steps_refused(self):
+        p = presentation([[2]], (0,))
+        with pytest.raises(ValueError, match="non-negative"):
+            random_walk(p, -3, seed=1)
+        assert random_walk(p, 0, seed=1) == (p, ())
+
     def test_size_stays_bounded(self):
         p = presentation([[2]], (0,))
         end, _ = random_walk(p, 60, seed=5, size_cap=6)

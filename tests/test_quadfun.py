@@ -20,6 +20,8 @@ from quadlink.quadfun import (
     is_isomorphic,
     radical_compatible,
 )
+from quadlink.classify import EQUIVALENT, INEQUIVALENT, canonical_chern_vectors, yc_equivalent
+from quadlink.presentation import presentation
 from quadlink.zlinalg import determinant, intmatrix
 
 
@@ -364,6 +366,15 @@ class TestIsomorphism:
         iso = is_isomorphic(q, q)
         assert iso is not None and iso.images == ()
 
+    def test_tables_over_different_denominators(self):
+        # q1 = x/2 and q2 = x/4 on Z/2: both quadratic, with different values
+        g = FiniteAbelianGroup((2,))
+        q1 = QuadraticFunction(g, {(x,): QmodZ(Fraction(x, 2)) for x in range(2)})
+        q2 = QuadraticFunction(g, {(x,): QmodZ(Fraction(x, 4)) for x in range(2)})
+        assert is_isomorphic(q1, q2) is None
+        assert is_isomorphic(q2, q1) is None
+        assert is_isomorphic(q2, q2).images == ((1,),)
+
     def test_slope_gate(self):
         g = FiniteAbelianGroup(())
         q1 = QuadraticFunction(g, {(): QmodZ(0)}, radical_slopes=(Fraction(1),))
@@ -433,3 +444,25 @@ class TestProperties:
         assert fp.defect_multiset == tuple(sorted(defect_of(q, x) for x in q.group.elements()))
         reference = gauss_sum(q).canonical()
         assert (fp.gauss.modulus, fp.gauss.coeffs) == (reference.modulus, reference.coeffs)
+
+
+@st.composite
+def decorated_pairs(draw):
+    """Two decorations of one small nondegenerate form, with at most two torsion generators."""
+    n = draw(st.integers(min_value=1, max_value=2))
+    entries = {(i, j): draw(st.integers(min_value=-4, max_value=4)) for i in range(n) for j in range(i, n)}
+    rows = [[entries[(min(i, j), max(i, j))] for j in range(n)] for i in range(n)]
+    m = intmatrix(rows)
+    det = determinant(m)
+    assume(det != 0 and abs(det) <= 16)
+    decorations = canonical_chern_vectors(m)
+    return rows, draw(st.sampled_from(decorations)), draw(st.sampled_from(decorations))
+
+
+@settings(max_examples=60, deadline=None)
+@given(decorated_pairs())
+def test_finite_regime_matches_the_oracle(pair):
+    rows, c1, c2 = pair
+    verdict = yc_equivalent(presentation(rows, c1), presentation(rows, c2))
+    expected = oracle_isomorphic(table_from_matrix(rows, c1), table_from_matrix(rows, c2))
+    assert verdict.status == (EQUIVALENT if expected else INEQUIVALENT)
