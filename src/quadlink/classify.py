@@ -140,11 +140,6 @@ def _value_tables(data: DiscriminantData, c: Sequence[int], cap: int) -> tuple[l
     return phi_table(data, c)
 
 
-def _residues(matrix: Sequence[Sequence[QmodZ]], modulus: int) -> list[list[int]]:
-    """Entries whose denominators divide modulus, as residues in units of 1/modulus."""
-    return [[a.numerator * (modulus // a.denominator) for a in row] for row in matrix]
-
-
 @dataclass(frozen=True)
 class InvariantReport:
     """Everything the tool can say about one decorated presentation.
@@ -223,7 +218,7 @@ def _torsion_map_verdict(
     values1, _ = _value_tables(data1, side1.chern, cap)
     values2, _ = _value_tables(data2, side2.chern, cap)
     group = FiniteAbelianGroup(factors)
-    link1, link2 = _residues(data1.linking, modulus), _residues(data2.linking, modulus)
+    link1, link2 = data1.linking, data2.linking
     no_map, equivalent, gauss_differ = reasons
     elements = list(group.elements())
     k = len(factors)
@@ -263,7 +258,8 @@ def _mixed_verdict(side1: _Side, side2: _Side, cap: int, budget: _Budget) -> Equ
     matched section and compared exactly with the other side.
 
     Every table holds residues in units of 1/M, M the value modulus,
-    indexed by element position in itertools.product order.
+    as do data.linking and data.eval_free_lift; tables are indexed by
+    element position in itertools.product order.
     """
     data1, data2 = side1.data, side2.data
     g = math.gcd(*_integral_slopes(data1, side1.chern, side1.free))
@@ -283,7 +279,7 @@ def _mixed_verdict(side1: _Side, side2: _Side, cap: int, budget: _Budget) -> Equ
     elements = list(group.elements())
     free1 = side1.free
     b = data1.free_rank
-    link1, link2 = _residues(data1.linking, modulus), _residues(data2.linking, modulus)
+    link1, link2 = data1.linking, data2.linking
     # the slope covector W^-T slopes is free/2, since _integral_slopes
     # checked 2 slopes = W^T free and discriminant checked W unimodular
     ell1 = tuple(f // 2 for f in free1)
@@ -291,8 +287,7 @@ def _mixed_verdict(side1: _Side, side2: _Side, cap: int, budget: _Budget) -> Equ
 
     def contraction(data: DiscriminantData, ell: tuple[int, ...]) -> list[int]:
         # ell against the free-covector evaluations: one angle per torsion generator
-        lift = _residues(data.eval_free_lift, modulus)
-        return [sum(e * row[i] for e, row in zip(ell, lift)) % modulus for i in range(len(factors))]
+        return [sum(e * row[i] for e, row in zip(ell, data.eval_free_lift)) % modulus for i in range(len(factors))]
 
     # side-1 angles against the stored section, slope-corrected; the
     # candidate-dependent remainder is subtracted per sweep step

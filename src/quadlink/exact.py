@@ -69,7 +69,10 @@ class QmodZ:
         return isinstance(other, QmodZ) and self.value == other.value
 
     def __hash__(self) -> int:
-        return hash(("QmodZ", self.value))
+        # the canonical pair, not Fraction.__hash__, which takes a modular
+        # inverse; equal values hash equal because the value is normalized
+        v = self.value
+        return hash((v.numerator, v.denominator))
 
     def __lt__(self, other: "QmodZ") -> bool:
         return self.value < other.value

@@ -18,15 +18,15 @@ the one section all downstream value tables and Gauss sums refer to.
 On the free (radical) part, phi_c restricts to x (x) [r] |-> -(c(x)/2) r,
 so the integer slopes c(k_j)/2 on a kernel basis carry all of it.
 
-phi_eval is the defining reference: it evaluates the formula above on
-one rational vector.  Whole tables come from phi_table instead, in
-plain integers: every value of phi_c, of its defect and of the linking
-pairing on the torsion part is a multiple of 1/(2N), N the last
-invariant factor, and the values on the generators follow from the
-integer Smith columns V_i = d_i g_i and covectors U'_i = B g_i alone.
-phi_table fills the rest by the quadratic recurrence, one step per
-element; the recurrence lives in quadfun (_quadratic_table), where the
-table check of QuadraticFunction uses it too.
+discriminant stores the section in integers: the Smith columns
+V_i = d_i g_i, and the linking pairing and the free covectors on the
+g_i as integer residues in units of 1/(2N), N the last invariant factor:
+every value of phi_c, of its defect and of the linking pairing on the
+torsion part is a multiple of 1/(2N).  phi_table builds whole value tables from that data
+by the quadratic recurrence in quadfun (_quadratic_table), one step per
+element.  phi_eval, linking_pairing and evaluation_pairing evaluate the
+defining formulas on rational vectors such as the derived lifts g_i;
+they are the reference the integer data is tested against.
 """
 
 from __future__ import annotations
@@ -57,6 +57,10 @@ def _frac_vec(v: Sequence) -> RationalVector:
 
 def _dot(a: Sequence, b: Sequence) -> Fraction:
     return sum((Fraction(x) * Fraction(y) for x, y in zip(a, b)), start=Fraction(0))
+
+
+def _int_dot(a: Sequence[int], b: Sequence[int]) -> int:
+    return sum(x * y for x, y in zip(a, b))
 
 
 def is_characteristic(matrix: IntMatrix, c: Sequence[int]) -> bool:
@@ -97,36 +101,36 @@ class DiscriminantData:
     """Frozen discriminant data of one symmetric form.
 
     torsion_factors are the invariant factors > 1 in divisibility order;
-    lifts[i] is the stored rational lift of the i-th torsion generator;
-    kernel is an integer basis of the radical.  linking is the matrix of
-    the torsion linking pairing on the lifts.  cok_free_covectors and
-    cok_tors_covectors are integer covectors representing the Smith
-    generators of coker(B); duality_matrix is the (unimodular) pairing
-    matrix between free covectors and the kernel basis.
-    eval_free_lift[m][i] is the evaluation pairing of the m-th free
-    covector with the i-th lift.
+    torsion_columns[i] is the integer Smith column V_i = d_i g_i of the
+    i-th torsion generator g_i, and lifts[i] = V_i / d_i its rational
+    lift; kernel is an integer basis of the radical.  cok_free_covectors
+    and cok_tors_covectors are integer covectors representing the Smith
+    generators of coker(B), with B g_i = cok_tors_covectors[i];
+    duality_matrix is the (unimodular) pairing matrix between free
+    covectors and the kernel basis.
 
-    Integer representation: g_i = V_i / d_i with V_i the integer Smith
-    column, and B g_i = cok_tors_covectors[i].  Tables of phi_c over the
-    torsion part (phi_table) hold integers r in [0, value_modulus)
-    standing for r / value_modulus, where value_modulus = 2N and N is
-    the last invariant factor; phi_eval on torsion_lift stays the
+    linking[i][j] is the linking pairing b(g_i, g_j) and
+    eval_free_lift[m][i] the evaluation of the m-th free covector on
+    g_i, both held as integers r in [0, value_modulus) standing for
+    r / value_modulus, where value_modulus = 2N and N is the last
+    invariant factor.  Tables of phi_c over the torsion part
+    (phi_table) use the same unit; phi_eval on torsion_lift stays the
     definition they are tested against.
     """
 
     matrix: IntMatrix
     free_rank: int
     torsion_factors: tuple[int, ...]
-    lifts: tuple[RationalVector, ...]
+    torsion_columns: tuple[tuple[int, ...], ...]
     kernel: tuple[tuple[int, ...], ...]
     cok_tors_covectors: tuple[tuple[int, ...], ...]
     cok_free_covectors: tuple[tuple[int, ...], ...]
     u_transform: IntMatrix
     torsion_indices: tuple[int, ...]
     free_indices: tuple[int, ...]
-    linking: tuple[tuple[QmodZ, ...], ...]
+    linking: tuple[tuple[int, ...], ...]
     duality_matrix: IntMatrix
-    eval_free_lift: tuple[tuple[QmodZ, ...], ...]
+    eval_free_lift: tuple[tuple[int, ...], ...]
 
     @property
     def size(self) -> int:
@@ -138,8 +142,13 @@ class DiscriminantData:
 
     @property
     def value_modulus(self) -> int:
-        """2N, N the last invariant factor (1 without torsion): the unit of phi_table is 1/(2N)."""
-        return 2 * (self.torsion_factors[-1] if self.torsion_factors else 1)
+        """2N, N the last invariant factor (1 without torsion): the unit of linking and phi_table is 1/(2N)."""
+        return _value_modulus(self.torsion_factors)
+
+    @property
+    def lifts(self) -> tuple[RationalVector, ...]:
+        """The rational lifts g_i = V_i / d_i of the torsion generators."""
+        return tuple(tuple(Fraction(x, d) for x in v) for d, v in zip(self.torsion_factors, self.torsion_columns))
 
     def dual_contains(self, x: Sequence) -> bool:
         xs = _frac_vec(x)
@@ -174,6 +183,10 @@ class DiscriminantData:
         return tuple(acc)
 
 
+def _value_modulus(factors: Sequence[int]) -> int:
+    return 2 * (factors[-1] if factors else 1)
+
+
 def discriminant(matrix: IntMatrix) -> DiscriminantData:
     """Compute and freeze the discriminant data of a symmetric form."""
     matrix = intmatrix(matrix)
@@ -184,32 +197,34 @@ def discriminant(matrix: IntMatrix) -> DiscriminantData:
     diag = snf.diagonal()
     tors_idx = [i for i in range(n) if diag[i] > 1]
     free_idx = [i for i in range(n) if diag[i] == 0]
+    factors = tuple(diag[i] for i in tors_idx)
+    if not free_idx and prod(factors) != abs(determinant(matrix)):
+        raise RuntimeError(f"torsion order {prod(factors)} differs from |det| = {abs(determinant(matrix))}")
 
-    lifts = tuple(
-        tuple(Fraction(snf.v[k][i], diag[i]) for k in range(n)) for i in tors_idx
-    )
+    columns = tuple(snf.v.column(i) for i in tors_idx)
     kernel = tuple(snf.v.column(i) for i in free_idx)
     cok_tors = tuple(snf.uinv.column(i) for i in tors_idx)
     cok_free = tuple(snf.uinv.column(i) for i in free_idx)
+    # B V_i = d_i U'_i puts every lift in the dual lattice; linking relies on it
+    for i, (d, v, cov) in enumerate(zip(factors, columns, cok_tors)):
+        if matrix.matvec(v) != tuple(d * y for y in cov):
+            raise DualLatticeError(f"torsion generator {i}: B V_{i} differs from {d} times its covector")
 
-    # torsion linking pairing on the lifts; B g_i is exactly the i-th
-    # torsion covector, so no big rational products appear
-    linking = tuple(
-        tuple(QmodZ(_dot(gi, tj)) for tj in cok_tors) for gi in lifts
-    )
     b1 = len(free_idx)
-    w = IntMatrix([[int(_dot(fm, kj)) for kj in kernel] for fm in cok_free], cols=b1)
+    w = IntMatrix([[_int_dot(fm, kj) for kj in kernel] for fm in cok_free], cols=b1)
     if abs(determinant(w)) != 1:
         raise RuntimeError("free covectors and kernel basis must pair unimodularly")
-    eval_free_lift = tuple(
-        tuple(QmodZ(_dot(fm, gi)) for gi in lifts) for fm in cok_free
-    )
+    m = _value_modulus(factors)
+    # g_i = V_i / d_i and B g_i = U'_i, so both pairings are integer dot
+    # products over d_i, i.e. multiples of (m / d_i) / m
+    linking = tuple(tuple(m // d * _int_dot(v, cov) % m for cov in cok_tors) for d, v in zip(factors, columns))
+    eval_free_lift = tuple(tuple(m // d * _int_dot(fm, v) % m for d, v in zip(factors, columns)) for fm in cok_free)
 
-    data = DiscriminantData(
+    return DiscriminantData(
         matrix=matrix,
         free_rank=b1,
-        torsion_factors=tuple(diag[i] for i in tors_idx),
-        lifts=lifts,
+        torsion_factors=factors,
+        torsion_columns=columns,
         kernel=kernel,
         cok_tors_covectors=cok_tors,
         cok_free_covectors=cok_free,
@@ -220,11 +235,6 @@ def discriminant(matrix: IntMatrix) -> DiscriminantData:
         duality_matrix=w,
         eval_free_lift=eval_free_lift,
     )
-    if data.free_rank == 0 and data.torsion_order != abs(determinant(matrix)):
-        raise RuntimeError(
-            f"torsion order {data.torsion_order} differs from |det| = {abs(determinant(matrix))}"
-        )
-    return data
 
 
 def phi_eval(data: DiscriminantData, c: Sequence[int], x: Sequence) -> QmodZ:
@@ -235,10 +245,6 @@ def phi_eval(data: DiscriminantData, c: Sequence[int], x: Sequence) -> QmodZ:
     return QmodZ((_dot(xs, bx) - _dot(cs, xs)) / 2)
 
 
-def _int_dot(a: Sequence[int], b: Sequence[int]) -> int:
-    return sum(x * y for x, y in zip(a, b))
-
-
 def phi_table(data: DiscriminantData, c: Sequence[int]) -> tuple[list[int], list[int]]:
     """Values of phi_c on every torsion element, and its homogeneity defects on the generators.
 
@@ -247,36 +253,24 @@ def phi_table(data: DiscriminantData, c: Sequence[int]) -> tuple[list[int], list
     [0, M), M = data.value_modulus, standing for
     phi_eval(data, c, data.torsion_lift(w)) and
     phi_c(g_i) - phi_c(-g_i) in units of 1/M.  Only integer Smith data
-    enters: with V_i = d_i g_i, U'_i = B g_i and N = M/2,
+    enters: with V_i = data.torsion_columns[i], U'_i = B g_i and N = M/2,
 
         M q(g_i)      = (N/d_i) (V_i . U'_i - c . V_i)
-        M b(g_i, g_j) = 2 (N/d_i) V_i . U'_j
+        M b(g_i, g_j) = data.linking[i][j]
         M delta(g_i)  = -2 (N/d_i) c . V_i
 
     and the quadratic recurrence in quadfun fills the table; delta is
     additive, so _linear_table there expands it to the whole group.
-    B V_i = d_i U'_i is checked for every generator, which puts every
-    lift in the dual lattice.
     """
     cs = data.require_characteristic(c)
     factors = data.torsion_factors
-    covectors = data.cok_tors_covectors
+    columns = data.torsion_columns
     m = data.value_modulus
-    columns = []
-    for i, (d, g, cov) in enumerate(zip(factors, data.lifts, covectors)):
-        scaled = [x * d for x in g]
-        if any(x.denominator != 1 for x in scaled):
-            raise DualLatticeError(f"torsion lift {i} is not an integer vector over {d}")
-        column = [int(x) for x in scaled]
-        if data.matrix.matvec(column) != tuple(d * y for y in cov):
-            raise DualLatticeError(f"torsion generator {i}: B V_{i} differs from {d} times its covector")
-        columns.append(column)
-    scale = [m // 2 // d for d in factors]
+    half = [m // 2 // d for d in factors]
     c_of = [_int_dot(cs, v) for v in columns]
-    q_gen = [s * (_int_dot(v, cov) - cv) % m for s, v, cov, cv in zip(scale, columns, covectors, c_of)]
-    b_gen = [[2 * s * _int_dot(v, cov) % m for cov in covectors] for s, v in zip(scale, columns)]
-    defect_gen = [-2 * s * cv % m for s, cv in zip(scale, c_of)]
-    return _quadratic_table(factors, m, q_gen, b_gen), defect_gen
+    q_gen = [s * (_int_dot(v, cov) - cv) % m for s, v, cov, cv in zip(half, columns, data.cok_tors_covectors, c_of)]
+    defect_gen = [-2 * s * cv % m for s, cv in zip(half, c_of)]
+    return _quadratic_table(factors, m, q_gen, data.linking), defect_gen
 
 
 def linking_pairing(data: DiscriminantData, x: Sequence, y: Sequence) -> QmodZ:
@@ -302,7 +296,7 @@ def radical_slope(data: DiscriminantData, c: Sequence[int]) -> tuple[Fraction, .
     minus sign forced by the defining formula (B - c)/2.
     """
     cs = data.require_characteristic(c)
-    return tuple(Fraction(int(_dot(cs, kj)), 2) for kj in data.kernel)
+    return tuple(Fraction(_int_dot(cs, kj), 2) for kj in data.kernel)
 
 
 def chern_coordinates(data: DiscriminantData, c: Sequence[int]) -> tuple[tuple[int, ...], tuple[int, ...]]:

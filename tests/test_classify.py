@@ -7,7 +7,7 @@ from collections import deque
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from quadlink.classify import (
@@ -25,8 +25,15 @@ from quadlink.classify import (
     yc_equivalent_by_pairing,
 )
 import quadlink.classify as classify_module
-from quadlink.exact import QmodZ, cyclo_from_angles
-from quadlink.lattice import chern_coordinates, discriminant, phi_eval, radical_slope
+from quadlink.exact import cyclo_from_angles
+from quadlink.lattice import (
+    chern_coordinates,
+    discriminant,
+    evaluation_pairing,
+    linking_pairing,
+    phi_eval,
+    radical_slope,
+)
 from quadlink.presentation import HandleSlide, apply_move, chern_equal, presentation, random_walk
 from quadlink.quadfun import FiniteAbelianGroup, Fingerprint, OrderCapExceeded, QuadraticFunction
 from quadlink.zlinalg import IntMatrix, determinant, intmatrix, solve_integer
@@ -419,9 +426,8 @@ def _report_oracle(m, chern):
     )
     elements = list(group.elements())
     gauss = cyclo_from_angles(q.values.values()).canonical()
-    pairs = range(len(data.torsion_factors))
     diagonal = tuple(
-        sorted(sum((data.linking[i][j] * (w[i] * w[j]) for i in pairs for j in pairs), QmodZ(0)) for w in elements)
+        sorted(linking_pairing(data, data.torsion_lift(w), data.torsion_lift(w)) for w in elements)
     )
     return Fingerprint(
         invariant_factors=data.torsion_factors,
@@ -544,6 +550,27 @@ PINNED_MIXED = [
     (TWO_GENERATORS, (2, -2, -4, -2), TWO_GENERATORS, (0, -4, -2, -4), {}, EQUIVALENT,
      "torsion map ((1, 0), (0, 1)) with coupling contraction (1, 3) and section character (1, 0) matches the Gauss sums"),
 ]
+
+
+# discriminant stores the linking pairing and the free-covector
+# evaluations on the lifts as integer residues over the value modulus;
+# the rational pairings on the derived lifts are the reference.  The
+# three pinned forms have nonzero free-covector evaluations.
+@settings(max_examples=100, deadline=None)
+@given(decorated_symmetric_forms().filter(lambda form: len(form[0]) <= 5))
+@example((TWISTED_A, None))
+@example((TWISTED_B, None))
+@example((TWO_GENERATORS, None))
+def test_integer_discriminant_data_matches_the_rational_pairings(form):
+    data = discriminant(IntMatrix(form[0]))
+    modulus = data.value_modulus
+    lifts = data.lifts
+    assert [[Fraction(r, modulus) for r in row] for row in data.linking] == [
+        [linking_pairing(data, gi, gj).value for gj in lifts] for gi in lifts
+    ]
+    assert [[Fraction(r, modulus) for r in row] for row in data.eval_free_lift] == [
+        [evaluation_pairing(fm, gi).value for gi in lifts] for fm in data.cok_free_covectors
+    ]
 
 
 @pytest.mark.parametrize("m1, c1, m2, c2, kwargs, status, reason", PINNED_MIXED)

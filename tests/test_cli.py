@@ -3,6 +3,7 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -292,3 +293,41 @@ def test_installed_entry_point_runs():
     )
     assert proc.returncode == 0
     assert "yc 3" in proc.stdout
+
+
+# Full stdout and exit code of the report and decision commands, pinned
+# byte for byte: one input per regime (finite cyclic, finite with two
+# generators, mixed with nonzero free-covector evaluations, mixed with a
+# vanishing free decoration), a mixed sweep pair at the default budget
+# and at one the sweep exhausts, and a census.
+EXPECTED_CLI = Path(__file__).parent / "expected_cli"
+TWISTED_A = [[-3, 1, 2, 1], [1, 2, 0, 1], [2, 0, -2, -2], [1, 1, -2, -3]]
+MIXED = [[0, 0], [0, 2]]
+PINNED_CLI = [
+    ("invariants_z2", {"p.json": ([[2]], [0])}, ["invariants", "p.json"], EXIT_OK),
+    ("invariants_z2_json", {"p.json": ([[2]], [0])}, ["invariants", "p.json", "--json"], EXIT_OK),
+    ("invariants_z3_z15", {"p.json": ([[9, 3], [3, 6]], [1, 0])}, ["invariants", "p.json"], EXIT_OK),
+    ("invariants_z3_z15_json", {"p.json": ([[9, 3], [3, 6]], [1, 0])}, ["invariants", "p.json", "--json"], EXIT_OK),
+    ("invariants_twisted", {"p.json": (TWISTED_A, [1, -4, -2, 5])}, ["invariants", "p.json"], EXIT_OK),
+    ("invariants_twisted_json", {"p.json": (TWISTED_A, [1, -4, -2, 5])}, ["invariants", "p.json", "--json"], EXIT_OK),
+    ("invariants_mixed_blind", {"p.json": (MIXED, [0, 0])}, ["invariants", "p.json"], EXIT_OK),
+    ("invariants_mixed_blind_json", {"p.json": (MIXED, [0, 0])}, ["invariants", "p.json", "--json"], EXIT_OK),
+    ("compare_mixed", {"a.json": (MIXED, [2, 0]), "b.json": (MIXED, [2, 2])}, ["compare", "a.json", "b.json"], EXIT_OK),
+    (
+        "compare_mixed_budget_5",
+        {"a.json": (MIXED, [2, 0]), "b.json": (MIXED, [2, 2])},
+        ["compare", "a.json", "b.json", "--budget", "5"],
+        EXIT_UNKNOWN,
+    ),
+    ("classes_z3_z15", {"m.json": ([[9, 3], [3, 6]], None)}, ["classes", "m.json"], EXIT_OK),
+]
+
+
+@pytest.mark.parametrize("name, files, args, code", PINNED_CLI, ids=[case[0] for case in PINNED_CLI])
+def test_cli_output_is_pinned(tmp_path, monkeypatch, capsys, name, files, args, code):
+    monkeypatch.chdir(tmp_path)
+    for file_name, (matrix, chern) in files.items():
+        write_doc(tmp_path, file_name, {"matrix": matrix} if chern is None else {"matrix": matrix, "chern": chern})
+    assert main(args) == code
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ((EXPECTED_CLI / f"{name}.txt").read_text(), "")

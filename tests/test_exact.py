@@ -131,11 +131,15 @@ def test_qmodz_order():
     assert QmodZ(Fraction(5, 8)).order() == 8
 
 
-def test_qmodz_immutable_and_hashable():
-    q = QmodZ(Fraction(1, 4))
+@given(st.integers(-60, 60), st.integers(1, 30), st.integers(-5, 5), st.integers(1, 6))
+def test_qmodz_immutable_and_hashable(num, den, shift, scale):
+    q = QmodZ(Fraction(num, den))
     with pytest.raises(AttributeError):
         q.value = Fraction(1, 2)
     assert len({QmodZ(Fraction(1, 4)), QmodZ(Fraction(5, 4))}) == 1
+    # an integer shift, written as one unreduced fraction, is the same value
+    same = QmodZ(Fraction((num + shift * den) * scale, den * scale))
+    assert same == q and hash(same) == hash(q)
 
 
 # ---------------------------------------------------------------------------

@@ -122,9 +122,9 @@ def test_mixed_form_internals():
     assert data.torsion_factors == (2,)
     assert data.lifts == ((Fraction(0), Fraction(1, 2)),)
     assert data.kernel == ((1, 0),)
-    assert data.linking == ((QmodZ(Fraction(1, 2)),),)
+    assert data.linking == ((2,),)
     assert data.duality_matrix == IntMatrix([[1]])
-    assert data.eval_free_lift == ((QmodZ(0),),)
+    assert data.eval_free_lift == ((0,),)
     assert chern_coordinates(data, (2, 0)) == ((2,), (0,))
     assert chern_coordinates(data, (2, 2)) == ((2,), (0,))
 
@@ -149,6 +149,8 @@ def test_validation_errors():
     data = discriminant(IntMatrix([[2]]))
     with pytest.raises(CharacteristicError):
         phi_eval(data, (1,), (Fraction(1, 2),))
+    with pytest.raises(CharacteristicError):
+        phi_table(data, (1,))
     with pytest.raises(DualLatticeError):
         phi_eval(data, (0,), (Fraction(1, 3),))
     assert is_characteristic(IntMatrix([[2]]), (4,))
@@ -220,11 +222,12 @@ def test_lift_orders_and_linking_nondegenerate(m):
         assert any((d // p * x).denominator != 1 for p in set(_prime_factors(d)) for x in g)
     # torsion linking pairing is nondegenerate on the stored lifts
     factors = data.torsion_factors
+    modulus = data.value_modulus
     if 0 < data.torsion_order <= 60:
         for coords in itertools.product(*[range(d) for d in factors]):
             if any(coords):
                 assert any(
-                    sum((a * data.linking[i][j] for i, a in enumerate(coords)), QmodZ(0)) != QmodZ(0)
+                    sum(a * data.linking[i][j] for i, a in enumerate(coords)) % modulus
                     for j in range(len(factors))
                 ), f"{coords} pairs trivially with every lift"
 
@@ -327,19 +330,6 @@ def test_phi_table_matches_phi_eval(m, data_strategy):
         assert QmodZ(Fraction(d, modulus)) == phi - phi_eval(data, c, data.torsion_lift(minus))
 
 
-def test_phi_table_checks_duality_per_generator():
-    data = discriminant(IntMatrix([[0, 0], [0, 6]]))
-    assert data.torsion_factors == (6,)
-    bad_covector = dataclasses.replace(data, cok_tors_covectors=((0, 2),))
-    with pytest.raises(DualLatticeError):
-        phi_table(bad_covector, (0, 0))
-    bad_lift = dataclasses.replace(data, lifts=((Fraction(0), Fraction(1, 12)),))
-    with pytest.raises(DualLatticeError):
-        phi_table(bad_lift, (0, 0))
-    with pytest.raises(CharacteristicError):
-        phi_table(data, (0, 1))
-
-
 def _corrupt_smith(monkeypatch, **fields):
     original = lattice_module.smith_normal_form
     monkeypatch.setattr(
@@ -351,6 +341,13 @@ def test_discriminant_checks_unimodular_duality(monkeypatch):
     _corrupt_smith(monkeypatch, uinv=IntMatrix([[2]]))
     with pytest.raises(RuntimeError, match="unimodular"):
         discriminant(IntMatrix([[0]]))
+
+
+def test_discriminant_checks_duality_per_generator(monkeypatch):
+    # the torsion covector of [[0, 0], [0, 6]] doubled: B V_0 = 6 U'_0 breaks
+    _corrupt_smith(monkeypatch, uinv=IntMatrix([[0, 1], [2, 0]]))
+    with pytest.raises(DualLatticeError, match="B V_0 differs from 6 times its covector"):
+        discriminant(IntMatrix([[0, 0], [0, 6]]))
 
 
 def test_discriminant_checks_torsion_order(monkeypatch):

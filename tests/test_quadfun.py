@@ -229,7 +229,8 @@ class TestEvaluation:
         for a in range(9):
             for b in range(9):
                 assert bilinear_of(q, (a,), (b,)) == QmodZ(Fraction(a * b, 9))
-        assert data.linking[0][0] == QmodZ(Fraction(1, 9))
+        # 1/9 in units of 1/value_modulus
+        assert (data.value_modulus, data.linking[0][0]) == (18, 2)
 
     def test_defect_is_homomorphism(self):
         q = table_from_matrix([[2, 0], [0, 4]], (2, 4))
