@@ -462,11 +462,15 @@ def canonical_chern_vectors(matrix: IntMatrix | Sequence[Sequence[int]]) -> tupl
 def _canonical_chern_vectors(m: IntMatrix, count: int) -> tuple[tuple[int, ...], ...]:
     """canonical_chern_vectors of a form whose decoration count is already known."""
     snf = smith_normal_form(m)
+    diag = snf.diagonal()
+    idx = [i for i, d in enumerate(diag) if d > 1]
+    # the cokernel covectors of the nontrivial Smith generators: U^-1 w
+    # for w over the finite part of coker(B)
+    covectors = snf.uinv_columns(idx)
     base = m.diagonal()
     out = []
-    for w in itertools.product(*(range(d) for d in snf.diagonal())):
-        shift = snf.uinv.matvec(w)
-        out.append(tuple(bi + 2 * si for bi, si in zip(base, shift)))
+    for w in itertools.product(*(range(diag[i]) for i in idx)):
+        out.append(tuple(b + 2 * sum(wk * cov[j] for wk, cov in zip(w, covectors)) for j, b in enumerate(base)))
     if len(out) != count or len(set(out)) != len(out):
         raise RuntimeError(f"expected {count} distinct decorations, got {len(set(out))} of {len(out)}")
     return tuple(out)

@@ -18,6 +18,11 @@ the one section all downstream value tables and Gauss sums refer to.
 On the free (radical) part, phi_c restricts to x (x) [r] |-> -(c(x)/2) r,
 so the integer slopes c(k_j)/2 on a kernel basis carry all of it.
 
+discriminant reads from the Smith decomposition only what it keeps: the
+columns of V and U^-1 and the rows of U at the torsion and free indices
+(SmithDecomposition.v_columns, uinv_columns, u_rows).  The full U, U^-1
+and V are never built on this path.
+
 discriminant stores the section in integers: the Smith columns
 V_i = d_i g_i, and the linking pairing and the free covectors on the
 g_i as integer residues in units of 1/(2N), N the last invariant factor:
@@ -107,7 +112,10 @@ class DiscriminantData:
     and cok_tors_covectors are integer covectors representing the Smith
     generators of coker(B), with B g_i = cok_tors_covectors[i];
     duality_matrix is the (unimodular) pairing matrix between free
-    covectors and the kernel basis.
+    covectors and the kernel basis.  u_tors_rows and u_free_rows are the
+    rows of the Smith transform U at torsion_indices and free_indices:
+    row . c is the coordinate of the class of c on that Smith generator
+    of coker(B) (chern_coordinates).
 
     linking[i][j] is the linking pairing b(g_i, g_j) and
     eval_free_lift[m][i] the evaluation of the m-th free covector on
@@ -125,7 +133,8 @@ class DiscriminantData:
     kernel: tuple[tuple[int, ...], ...]
     cok_tors_covectors: tuple[tuple[int, ...], ...]
     cok_free_covectors: tuple[tuple[int, ...], ...]
-    u_transform: IntMatrix
+    u_tors_rows: tuple[tuple[int, ...], ...]
+    u_free_rows: tuple[tuple[int, ...], ...]
     torsion_indices: tuple[int, ...]
     free_indices: tuple[int, ...]
     linking: tuple[tuple[int, ...], ...]
@@ -201,10 +210,13 @@ def discriminant(matrix: IntMatrix) -> DiscriminantData:
     if not free_idx and prod(factors) != abs(determinant(matrix)):
         raise RuntimeError(f"torsion order {prod(factors)} differs from |det| = {abs(determinant(matrix))}")
 
-    columns = tuple(snf.v.column(i) for i in tors_idx)
-    kernel = tuple(snf.v.column(i) for i in free_idx)
-    cok_tors = tuple(snf.uinv.column(i) for i in tors_idx)
-    cok_free = tuple(snf.uinv.column(i) for i in free_idx)
+    idx = tors_idx + free_idx
+    k = len(tors_idx)
+    v_cols = snf.v_columns(idx)
+    uinv_cols = snf.uinv_columns(idx)
+    u_rows = snf.u_rows(idx)
+    columns, kernel = v_cols[:k], v_cols[k:]
+    cok_tors, cok_free = uinv_cols[:k], uinv_cols[k:]
     # B V_i = d_i U'_i puts every lift in the dual lattice; linking relies on it
     for i, (d, v, cov) in enumerate(zip(factors, columns, cok_tors)):
         if matrix.matvec(v) != tuple(d * y for y in cov):
@@ -228,7 +240,8 @@ def discriminant(matrix: IntMatrix) -> DiscriminantData:
         kernel=kernel,
         cok_tors_covectors=cok_tors,
         cok_free_covectors=cok_free,
-        u_transform=snf.u,
+        u_tors_rows=u_rows[:k],
+        u_free_rows=u_rows[k:],
         torsion_indices=tuple(tors_idx),
         free_indices=tuple(free_idx),
         linking=linking,
@@ -308,7 +321,6 @@ def chern_coordinates(data: DiscriminantData, c: Sequence[int]) -> tuple[tuple[i
     characteristic class of c.
     """
     cs = data.require_characteristic(c)
-    w = data.u_transform.matvec(cs)
-    free = tuple(int(w[i]) for i in data.free_indices)
-    tors = tuple(int(w[i]) % d for i, d in zip(data.torsion_indices, data.torsion_factors))
+    free = tuple(_int_dot(row, cs) for row in data.u_free_rows)
+    tors = tuple(_int_dot(row, cs) % d for row, d in zip(data.u_tors_rows, data.torsion_factors))
     return free, tors

@@ -5,11 +5,18 @@ enough to justify fixed-width types, and the downstream invariants need
 exact divisibility decisions, so numpy dtypes are deliberately avoided.
 Inputs are coerced through int() entry by entry, which also accepts
 numpy integer arrays at the boundary.
+
+smith_normal_form eliminates on the matrix alone and logs its row and
+column operations (Cohen, GTM 138, section 2.4); SmithDecomposition
+rebuilds from the log only the transform rows and columns a caller
+reads.  Transform entries far outgrow the matrix entries, so updating
+whole transforms during elimination would dominate its cost.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Sequence
 
 
@@ -119,23 +126,129 @@ def determinant(m: IntMatrix) -> int:
     return sign * a[n - 1][n - 1]
 
 
+# Elementary operations of the Smith elimination, as logged in
+# SmithDecomposition.row_ops / col_ops: (kind, a, b, q).
+SWAP = "swap"  # exchange a and b
+NEGATE = "negate"  # negate a (rows only; b == a)
+ADD = "add"  # a += q * b
+
+
+def _act(ops: Iterable[tuple[str, int, int, int]], vectors: list[list[int]], transposed: bool, sign: int) -> None:
+    """Apply logged operations, in the order given, to each vector in place.
+
+    Swaps and negations act on entries as logged.  An addition
+    (ADD, a, b, q) does y[a] += sign*q*y[b], or y[b] += sign*q*y[a] when
+    transposed.  With E the elementary matrix of one row operation,
+    that is y -> E y (sign 1), y -> E^-1 y (sign -1) or y -> E^T y
+    (transposed); a column operation col a += q col b is y -> F y with
+    F = E^T of the same tuple, hence transposed.
+    """
+    for kind, i, k, q in ops:
+        if kind == ADD:
+            if transposed:
+                i, k = k, i
+            q *= sign
+            for y in vectors:
+                y[i] += q * y[k]
+        elif kind == SWAP:
+            for y in vectors:
+                y[i], y[k] = y[k], y[i]
+        else:
+            for y in vectors:
+                y[i] = -y[i]
+
+
+def _units(n: int, idx: Iterable[int]) -> list[list[int]]:
+    out = []
+    for i in idx:
+        e = [0] * n
+        e[i] = 1
+        out.append(e)
+    return out
+
+
 @dataclass(frozen=True)
 class SmithDecomposition:
-    """U @ matrix @ V == D with U, V unimodular.
+    """U @ matrix @ V == D with U, V unimodular, kept as the elimination log.
 
     D is diagonal with nonnegative entries, each dividing the next, and
-    zeros trailing.  uinv is the exact inverse of U, kept because its
-    columns are the cokernel covectors of the discriminant construction.
+    zeros trailing.  U and V are not stored.  row_ops lists, in order,
+    the row operations that smith_normal_form applied to the matrix, so
+    U is their product; col_ops lists the column operations, whose
+    product is V.  Each entry is a tuple (kind, a, b, q):
+
+      (SWAP, a, b, 0)    exchange rows (columns) a and b
+      (NEGATE, a, a, 0)  negate row a
+      (ADD, a, b, q)     row (column) a += q * row (column) b
+
+    u_rows, uinv_columns and v_columns rebuild rows of U and columns of
+    U^-1 and V by replaying the log backwards on unit vectors, at
+    O(len(log)) per vector.  Callers read only the few at the torsion
+    and free indices, so most of U, U^-1 and V is never built.  u, uinv
+    and v are the full matrices, replayed on first access and cached.
+
+    The elimination sequence is frozen: discriminant freezes its torsion
+    section out of V's columns, and the Smith-basis radical slopes and
+    torsion coordinates that the CLI invariants command prints depend on
+    which U and V the sequence picks, not on D alone.
     """
 
     matrix: IntMatrix
-    u: IntMatrix
     d: IntMatrix
-    v: IntMatrix
-    uinv: IntMatrix
+    row_ops: tuple[tuple[str, int, int, int], ...]
+    col_ops: tuple[tuple[str, int, int, int], ...]
 
     def diagonal(self) -> tuple[int, ...]:
         return self.d.diagonal()
+
+    def u_rows(self, idx: Iterable[int]) -> tuple[tuple[int, ...], ...]:
+        """Rows idx of U."""
+        xs = _units(self.matrix.rows, idx)
+        _act(reversed(self.row_ops), xs, transposed=True, sign=1)
+        return tuple(map(tuple, xs))
+
+    def uinv_columns(self, idx: Iterable[int]) -> tuple[tuple[int, ...], ...]:
+        """Columns idx of U^-1: the cokernel covectors of the Smith generators."""
+        ys = _units(self.matrix.rows, idx)
+        _act(reversed(self.row_ops), ys, transposed=False, sign=-1)
+        return tuple(map(tuple, ys))
+
+    def v_columns(self, idx: Iterable[int]) -> tuple[tuple[int, ...], ...]:
+        """Columns idx of V."""
+        ys = _units(self.matrix.cols, idx)
+        _act(reversed(self.col_ops), ys, transposed=True, sign=1)
+        return tuple(map(tuple, ys))
+
+    @cached_property
+    def u(self) -> IntMatrix:
+        return IntMatrix(self.u_rows(range(self.matrix.rows)), cols=self.matrix.rows)
+
+    @cached_property
+    def uinv(self) -> IntMatrix:
+        return IntMatrix(zip(*self.uinv_columns(range(self.matrix.rows))), cols=self.matrix.rows)
+
+    @cached_property
+    def v(self) -> IntMatrix:
+        return IntMatrix(zip(*self.v_columns(range(self.matrix.cols))), cols=self.matrix.cols)
+
+
+def _pivot(a: list[list[int]], t: int) -> tuple[int, int] | None:
+    """The first entry of least nonzero |value| in row-major order of a[t:, t:].
+
+    A unit is that minimum as soon as it is seen, so the scan stops there.
+    """
+    best = 0
+    piv = None
+    for i in range(t, len(a)):
+        sizes = list(map(abs, a[i][t:]))
+        nonzero = [x for x in sizes if x]
+        if nonzero:
+            x = min(nonzero)
+            if not best or x < best:
+                best, piv = x, (i, t + sizes.index(x))
+                if x == 1:
+                    break
+    return piv
 
 
 def smith_normal_form(m: IntMatrix) -> SmithDecomposition:
@@ -145,100 +258,72 @@ def smith_normal_form(m: IntMatrix) -> SmithDecomposition:
     row index then lowest column index.  Determinism matters because the
     discriminant construction freezes a section out of V's columns and
     every downstream Gauss sum refers to it.
+
+    Only the matrix is eliminated; each operation is logged (see
+    SmithDecomposition).  Rows and columns before the pivot index t are
+    finished, zero outside the diagonal, so row operations and swaps
+    never need them and a column operation touches only the rows with a
+    nonzero entry in the pivot column.
     """
     m = intmatrix(m)
     r, c = m.rows, m.cols
     a = [list(row) for row in m.data]
-    u = [list(row) for row in IntMatrix.identity(r).data]
-    uinv = [list(row) for row in IntMatrix.identity(r).data]
-    v = [list(row) for row in IntMatrix.identity(c).data]
-
-    def row_swap(i, k):
-        a[i], a[k] = a[k], a[i]
-        u[i], u[k] = u[k], u[i]
-        for row in uinv:
-            row[i], row[k] = row[k], row[i]
-
-    def row_negate(i):
-        a[i] = [-x for x in a[i]]
-        u[i] = [-x for x in u[i]]
-        for row in uinv:
-            row[i] = -row[i]
-
-    def row_add(i, k, q):
-        # row i += q * row k
-        a[i] = [x + q * y for x, y in zip(a[i], a[k])]
-        u[i] = [x + q * y for x, y in zip(u[i], u[k])]
-        for row in uinv:
-            row[k] -= q * row[i]
-
-    def col_swap(j, l):
-        for row in a:
-            row[j], row[l] = row[l], row[j]
-        for row in v:
-            row[j], row[l] = row[l], row[j]
-
-    def col_add(j, l, q):
-        # col j += q * col l
-        for row in a:
-            row[j] += q * row[l]
-        for row in v:
-            row[j] += q * row[l]
+    row_ops: list[tuple[str, int, int, int]] = []
+    col_ops: list[tuple[str, int, int, int]] = []
 
     t = 0
     size = min(r, c)
     while t < size:
-        # deterministic pivot: min |value|, then min row, then min column
-        piv = None
-        for i in range(t, r):
-            for j in range(t, c):
-                val = a[i][j]
-                if val and (piv is None or abs(val) < abs(a[piv[0]][piv[1]])):
-                    piv = (i, j)
+        piv = _pivot(a, t)
         if piv is None:
             break
-        if piv[0] != t:
-            row_swap(t, piv[0])
-        if piv[1] != t:
-            col_swap(t, piv[1])
-        if a[t][t] < 0:
-            row_negate(t)
-        p = a[t][t]
+        pi, pj = piv
+        if pi != t:
+            a[t], a[pi] = a[pi], a[t]
+            row_ops.append((SWAP, t, pi, 0))
+        if pj != t:
+            for row in a[t:]:
+                row[t], row[pj] = row[pj], row[t]
+            col_ops.append((SWAP, t, pj, 0))
+        pivot_row = a[t]
+        if pivot_row[t] < 0:
+            a[t] = pivot_row = [-x for x in pivot_row]
+            row_ops.append((NEGATE, t, t, 0))
+        p = pivot_row[t]
         dirty = False
         for i in range(t + 1, r):
-            if a[i][t]:
-                if a[i][t] % p:
+            x = a[i][t]
+            if x:
+                q, rem = divmod(x, p)
+                if rem:
                     dirty = True
-                q = a[i][t] // p
                 if q:
-                    row_add(i, t, -q)
+                    a[i] = [y - q * z for y, z in zip(a[i], pivot_row)]
+                    row_ops.append((ADD, i, t, -q))
+        # col j += q col t changes only the rows nonzero in column t
+        live = [row for row in a[t:] if row[t]]
         for j in range(t + 1, c):
-            if a[t][j]:
-                if a[t][j] % p:
+            x = pivot_row[j]
+            if x:
+                q, rem = divmod(x, p)
+                if rem:
                     dirty = True
-                q = a[t][j] // p
                 if q:
-                    col_add(j, t, -q)
+                    for row in live:
+                        row[j] -= q * row[t]
+                    col_ops.append((ADD, j, t, -q))
         if dirty:
             continue  # remainders became new, smaller candidates
         # pivot must divide the remaining block for the invariant-factor chain
-        offender = None
-        for i in range(t + 1, r):
-            if any(a[i][j] % p for j in range(t + 1, c)):
-                offender = i
-                break
-        if offender is not None:
-            row_add(t, offender, 1)
-            continue
+        if p != 1:
+            offender = next((i for i in range(t + 1, r) if any(x % p for x in a[i][t + 1 :])), None)
+            if offender is not None:
+                a[t] = [y + z for y, z in zip(pivot_row, a[offender])]
+                row_ops.append((ADD, t, offender, 1))
+                continue
         t += 1
 
-    return SmithDecomposition(
-        matrix=m,
-        u=IntMatrix(u, cols=r),
-        d=IntMatrix(a, cols=c),
-        v=IntMatrix(v, cols=c),
-        uinv=IntMatrix(uinv, cols=r),
-    )
+    return SmithDecomposition(matrix=m, d=IntMatrix(a, cols=c), row_ops=tuple(row_ops), col_ops=tuple(col_ops))
 
 
 def solve_integer(m: IntMatrix, rhs: Sequence[int]) -> tuple[int, ...] | None:
@@ -248,7 +333,8 @@ def solve_integer(m: IntMatrix, rhs: Sequence[int]) -> tuple[int, ...] | None:
     if len(rhs) != m.rows:
         raise DimensionError(f"right-hand side length {len(rhs)} does not match {m.rows} rows")
     snf = smith_normal_form(m)
-    w = snf.u.matvec(rhs)
+    w = list(rhs)
+    _act(snf.row_ops, [w], transposed=False, sign=1)  # w = U rhs
     diag = snf.diagonal()
     y = [0] * m.cols
     for i, wi in enumerate(w):
@@ -260,7 +346,8 @@ def solve_integer(m: IntMatrix, rhs: Sequence[int]) -> tuple[int, ...] | None:
             if wi % di:
                 return None
             y[i] = wi // di
-    return snf.v.matvec(y)
+    _act(reversed(snf.col_ops), [y], transposed=True, sign=1)  # y = V y
+    return tuple(y)
 
 
 def kernel_basis(m: IntMatrix) -> tuple[tuple[int, ...], ...]:
@@ -268,8 +355,7 @@ def kernel_basis(m: IntMatrix) -> tuple[tuple[int, ...], ...]:
     m = intmatrix(m)
     snf = smith_normal_form(m)
     diag = snf.diagonal()
-    idx = [j for j in range(m.cols) if j >= len(diag) or diag[j] == 0]
-    return tuple(snf.v.column(j) for j in idx)
+    return snf.v_columns(j for j in range(m.cols) if j >= len(diag) or diag[j] == 0)
 
 
 def solve_mod2(m: IntMatrix, rhs: Sequence[int]) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...]] | None:

@@ -14,6 +14,8 @@ from quadlink.cli import (
     EXIT_INVALID,
     EXIT_OK,
     EXIT_UNKNOWN,
+    MAX_COMPONENTS,
+    MAX_ENTRY_BITS,
     dump_document,
     first_differing_field,
     load_presentation_file,
@@ -240,18 +242,46 @@ def test_missing_file_diagnostic(tmp_path, capsys):
 
 def test_integer_beyond_the_digit_limit(tmp_path, capsys):
     # CPython 3.11 refuses integer literals over 4300 digits with a plain
-    # ValueError; without that limit the entry parses, and the torsion
-    # order then exceeds the cap
+    # ValueError; without that limit the entry parses, and the entry size
+    # limit refuses it
     path = write_doc(tmp_path, "huge.json", '{"matrix": [[' + "2" * 4400 + ']], "chern": [0]}')
-    code = main(["invariants", path])
-    err = capsys.readouterr().err
-    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
-    if 0 < limit < 4400:
-        assert code == EXIT_INVALID
-        assert err.startswith(f"error: {path}: ")
+    assert main(["invariants", path]) == EXIT_INVALID
+    assert capsys.readouterr().err.startswith(f"error: {path}: ")
+
+
+def _sized_matrix(components, corner):
+    # unimodular for any corner: the top-left 2x2 block [[corner, 1], [1, 0]]
+    # has determinant -1, and the rest is the identity
+    rows = [[1 if i == j else 0 for j in range(components)] for i in range(components)]
+    rows[0][:2] = [corner, 1]
+    rows[1][:2] = [1, 0]
+    return rows
+
+
+@pytest.mark.parametrize(
+    "components, corner, accepted",
+    [
+        (MAX_COMPONENTS, 0, True),
+        (MAX_COMPONENTS + 1, 0, False),
+        (2, 2**MAX_ENTRY_BITS - 1, True),
+        (2, -(2**MAX_ENTRY_BITS - 1), True),
+        (2, 2**MAX_ENTRY_BITS, False),
+        (2, -(2**MAX_ENTRY_BITS), False),
+    ],
+)
+def test_matrix_size_limits(tmp_path, capsys, components, corner, accepted):
+    rows = _sized_matrix(components, corner)
+    chern = [rows[i][i] % 2 for i in range(components)]
+    path = write_doc(tmp_path, "p.json", {"matrix": rows, "chern": chern})
+    matrix_only = write_doc(tmp_path, "m.json", {"matrix": rows})
+    if accepted:
+        assert main(["invariants", path]) == EXIT_OK
     else:
-        assert code == EXIT_CAP
-        assert err.startswith("error: group order ")
+        for argv in (["invariants", path], ["classes", matrix_only]):
+            assert main(argv) == EXIT_INVALID
+            err = capsys.readouterr().err
+            assert err.startswith(f"error: {argv[1]}: field 'matrix' has ")
+            assert "more than the limit" in err
 
 
 def test_non_utf8_file_diagnostic(tmp_path, capsys):

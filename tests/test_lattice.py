@@ -21,7 +21,7 @@ from quadlink.lattice import (
     wu_classes,
 )
 from quadlink.quadfun import _linear_table
-from quadlink.zlinalg import IntMatrix
+from quadlink.zlinalg import IntMatrix, SmithDecomposition, smith_normal_form
 import quadlink.lattice as lattice_module
 
 
@@ -213,6 +213,18 @@ def test_phi_well_defined_on_classes(m, data_strategy):
     assert radical_slope(data, c2) == radical_slope(data, c)
 
 
+@settings(max_examples=100)
+@given(symmetric_matrices(max_dim=5, max_entry=6), st.data())
+def test_chern_coordinates_are_entries_of_u_c(m, data_strategy):
+    # the stored U rows give the same coordinates as the full U c
+    data = discriminant(m)
+    c = characteristic_vectors(m, data_strategy.draw(st.lists(st.integers(-3, 3), min_size=m.rows, max_size=m.rows)))
+    w = smith_normal_form(m).u.matvec(c)
+    free, tors = chern_coordinates(data, c)
+    assert free == tuple(w[i] for i in data.free_indices)
+    assert tors == tuple(w[i] % d for i, d in zip(data.torsion_indices, data.torsion_factors))
+
+
 @settings(max_examples=80)
 @given(symmetric_matrices(max_dim=3, max_entry=3))
 def test_lift_orders_and_linking_nondegenerate(m):
@@ -337,15 +349,25 @@ def _corrupt_smith(monkeypatch, **fields):
     )
 
 
+def _double_cokernel_covectors(monkeypatch):
+    original = SmithDecomposition.uinv_columns
+    monkeypatch.setattr(
+        SmithDecomposition,
+        "uinv_columns",
+        lambda self, idx: tuple(tuple(2 * x for x in col) for col in original(self, idx)),
+    )
+
+
 def test_discriminant_checks_unimodular_duality(monkeypatch):
-    _corrupt_smith(monkeypatch, uinv=IntMatrix([[2]]))
+    # the free covector of [[0]] doubled pairs to 2 with the kernel basis
+    _double_cokernel_covectors(monkeypatch)
     with pytest.raises(RuntimeError, match="unimodular"):
         discriminant(IntMatrix([[0]]))
 
 
 def test_discriminant_checks_duality_per_generator(monkeypatch):
     # the torsion covector of [[0, 0], [0, 6]] doubled: B V_0 = 6 U'_0 breaks
-    _corrupt_smith(monkeypatch, uinv=IntMatrix([[0, 1], [2, 0]]))
+    _double_cokernel_covectors(monkeypatch)
     with pytest.raises(DualLatticeError, match="B V_0 differs from 6 times its covector"):
         discriminant(IntMatrix([[0, 0], [0, 6]]))
 

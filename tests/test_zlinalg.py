@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from quadlink.spaces import e8
 from quadlink.zlinalg import (
     DimensionError,
     IntMatrix,
@@ -116,6 +117,193 @@ def test_smith_determinism():
 def test_smith_empty_matrix():
     snf = smith_normal_form(IntMatrix((), cols=0))
     assert snf.d.rows == 0 and snf.d.cols == 0
+
+
+# reference: the dense elimination that updates U, U^-1 and V alongside
+# the matrix.  smith_normal_form must replay exactly this sequence.
+def dense_smith(m):
+    r, c = m.rows, m.cols
+    a = [list(row) for row in m.data]
+    u = [list(row) for row in IntMatrix.identity(r).data]
+    uinv = [list(row) for row in IntMatrix.identity(r).data]
+    v = [list(row) for row in IntMatrix.identity(c).data]
+
+    def row_swap(i, k):
+        a[i], a[k] = a[k], a[i]
+        u[i], u[k] = u[k], u[i]
+        for row in uinv:
+            row[i], row[k] = row[k], row[i]
+
+    def row_negate(i):
+        a[i] = [-x for x in a[i]]
+        u[i] = [-x for x in u[i]]
+        for row in uinv:
+            row[i] = -row[i]
+
+    def row_add(i, k, q):
+        # row i += q * row k
+        a[i] = [x + q * y for x, y in zip(a[i], a[k])]
+        u[i] = [x + q * y for x, y in zip(u[i], u[k])]
+        for row in uinv:
+            row[k] -= q * row[i]
+
+    def col_swap(j, l):
+        for row in a:
+            row[j], row[l] = row[l], row[j]
+        for row in v:
+            row[j], row[l] = row[l], row[j]
+
+    def col_add(j, l, q):
+        # col j += q * col l
+        for row in a:
+            row[j] += q * row[l]
+        for row in v:
+            row[j] += q * row[l]
+
+    t = 0
+    size = min(r, c)
+    while t < size:
+        # deterministic pivot: min |value|, then min row, then min column
+        piv = None
+        for i in range(t, r):
+            for j in range(t, c):
+                val = a[i][j]
+                if val and (piv is None or abs(val) < abs(a[piv[0]][piv[1]])):
+                    piv = (i, j)
+        if piv is None:
+            break
+        if piv[0] != t:
+            row_swap(t, piv[0])
+        if piv[1] != t:
+            col_swap(t, piv[1])
+        if a[t][t] < 0:
+            row_negate(t)
+        p = a[t][t]
+        dirty = False
+        for i in range(t + 1, r):
+            if a[i][t]:
+                if a[i][t] % p:
+                    dirty = True
+                q = a[i][t] // p
+                if q:
+                    row_add(i, t, -q)
+        for j in range(t + 1, c):
+            if a[t][j]:
+                if a[t][j] % p:
+                    dirty = True
+                q = a[t][j] // p
+                if q:
+                    col_add(j, t, -q)
+        if dirty:
+            continue
+        offender = None
+        for i in range(t + 1, r):
+            if any(a[i][j] % p for j in range(t + 1, c)):
+                offender = i
+                break
+        if offender is not None:
+            row_add(t, offender, 1)
+            continue
+        t += 1
+
+    return IntMatrix(u, cols=r), IntMatrix(a, cols=c), IntMatrix(v, cols=c), IntMatrix(uinv, cols=r)
+
+
+def empty_or_zero_matrices():
+    shapes = st.tuples(st.integers(0, 4), st.integers(0, 4))
+    return shapes.map(lambda rc: IntMatrix.zero(*rc))
+
+
+def degenerate_symmetric_matrices(max_dim=6, max_entry=6):
+    # a symmetric form G^T D G with a zero in D has a nonzero radical
+    def build(args):
+        n, diag, g = args
+        gm = IntMatrix([g[i * n : (i + 1) * n] for i in range(n)])
+        return gm.transpose() @ IntMatrix([[diag[i] if i == j else 0 for j in range(n)] for i in range(n)]) @ gm
+
+    return st.integers(1, max_dim).flatmap(
+        lambda n: st.tuples(
+            st.just(n),
+            st.lists(st.integers(-max_entry, max_entry), min_size=n, max_size=n).map(lambda d: [0] + d[1:]),
+            st.lists(st.integers(-3, 3), min_size=n * n, max_size=n * n),
+        ).map(build)
+    )
+
+
+_BLOCKS = {"e8": e8().data, "h": ((0, 1), (1, 0)), "+1": ((1,),), "-1": ((-1,),), "0": ((0,),), "3": ((3,),)}
+
+
+def scrambled_block_sums(max_components=16):
+    """Block sums of E8, hyperbolic, +-1, 0 and 3, scrambled by handle slides.
+
+    A slide of component i over j (sign s) is the congruence B -> P B P^T
+    with P = I + s e_i e_j^T: row i += s row j, then column i += s column j.
+    """
+
+    def fits(names):
+        return sum(len(_BLOCKS[n]) for n in names) <= max_components
+
+    def build(args):
+        names, slides = args
+        n = sum(len(_BLOCKS[k]) for k in names)
+        rows = [[0] * n for _ in range(n)]
+        at = 0
+        for k in names:
+            block = _BLOCKS[k]
+            for i, row in enumerate(block):
+                rows[at + i][at : at + len(row)] = row
+            at += len(block)
+        for i, j, s in slides:
+            i, j = i % n, j % n
+            if i != j:
+                rows[i] = [x + s * y for x, y in zip(rows[i], rows[j])]
+                for row in rows:
+                    row[i] += s * row[j]
+        return IntMatrix(rows)
+
+    names = st.lists(st.sampled_from(sorted(_BLOCKS)), min_size=1, max_size=8).filter(fits)
+    slides = st.lists(st.tuples(st.integers(0, 15), st.integers(0, 15), st.sampled_from((1, -1))), max_size=40)
+    return st.tuples(names, slides).map(build)
+
+
+def _assert_matches_dense(m):
+    snf = smith_normal_form(m)
+    u, d, v, uinv = dense_smith(m)
+    assert snf.d == d
+    assert snf.u == u
+    assert snf.v == v
+    assert snf.uinv == uinv
+    return snf
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.one_of(
+        empty_or_zero_matrices(),
+        matrices(max_dim=7, max_entry=40),
+        degenerate_symmetric_matrices(),
+        scrambled_block_sums(),
+    )
+)
+def test_smith_replays_the_dense_elimination(m):
+    _assert_matches_dense(m)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(matrices(max_dim=7, max_entry=40), scrambled_block_sums()), st.data())
+def test_smith_accessors_pick_rows_and_columns(m, data):
+    snf = _assert_matches_dense(m)
+    rows = data.draw(st.lists(st.integers(0, m.rows - 1), max_size=m.rows))
+    cols = data.draw(st.lists(st.integers(0, m.cols - 1), max_size=m.cols))
+    assert snf.u_rows(rows) == tuple(snf.u[i] for i in rows)
+    assert snf.uinv_columns(rows) == tuple(snf.uinv.column(i) for i in rows)
+    assert snf.v_columns(cols) == tuple(snf.v.column(j) for j in cols)
+
+
+def test_smith_full_transforms_are_built_once():
+    snf = smith_normal_form(IntMatrix([[6, 4, 2], [4, 0, 8], [2, 8, 6]]))
+    assert snf.row_ops and snf.col_ops
+    assert snf.u is snf.u and snf.v is snf.v and snf.uinv is snf.uinv
 
 
 @settings(max_examples=120)
