@@ -57,7 +57,7 @@ from .quadfun import (
     _table_isomorphism,
     table_fingerprint,
 )
-from .zlinalg import IntMatrix, determinant, intmatrix, smith_normal_form
+from .zlinalg import IntMatrix, determinant, intmatrix
 
 DEFAULT_SEARCH_BUDGET = 250_000
 
@@ -375,8 +375,14 @@ def yc_equivalent(
     sweep is finite but guarded by a step budget, and exhausting the
     budget yields an unknown verdict rather than a guess.
     """
-    d1 = discriminant(p1.matrix)
-    d2 = discriminant(p2.matrix)
+    side1 = _side(discriminant(p1.matrix), p1.chern)
+    side2 = _side(discriminant(p2.matrix), p2.chern)
+    return _decide(side1, side2, cap, budget)
+
+
+def _decide(side1: _Side, side2: _Side, cap: int, budget: int) -> EquivalenceVerdict:
+    """The verdict of yc_equivalent on each side's data, computed once by the caller."""
+    d1, d2 = side1.data, side2.data
     if d1.free_rank != d2.free_rank:
         return EquivalenceVerdict(
             INEQUIVALENT, f"free ranks differ: {d1.free_rank} vs {d2.free_rank}"
@@ -386,15 +392,14 @@ def yc_equivalent(
             INEQUIVALENT,
             f"torsion invariant factors differ: {d1.torsion_factors} vs {d2.torsion_factors}",
         )
-    side1, side2 = _side(d1, p1.chern), _side(d2, p2.chern)
     g1, g2 = math.gcd(*side1.free), math.gcd(*side2.free)
     if g1 != g2:
         return EquivalenceVerdict(
             INEQUIVALENT, f"free decoration orbits differ: gcd {g1} vs {g2}"
         )
     if d1.free_rank == 0:
-        values1, _ = _value_tables(d1, p1.chern, cap)
-        values2, _ = _value_tables(d2, p2.chern, cap)
+        values1, _ = _value_tables(d1, side1.chern, cap)
+        values2, _ = _value_tables(d2, side2.chern, cap)
         iso = _table_isomorphism(d1.torsion_factors, d1.value_modulus, values1, values2)
         if iso is not None:
             return EquivalenceVerdict(
@@ -456,24 +461,32 @@ def canonical_chern_vectors(matrix: IntMatrix | Sequence[Sequence[int]]) -> tupl
     refused.
     """
     m = intmatrix(matrix)
-    return _canonical_chern_vectors(m, _decoration_count(m))
+    count = _decoration_count(m)
+    return _canonical_chern_vectors(discriminant(m), count)
 
 
-def _canonical_chern_vectors(m: IntMatrix, count: int) -> tuple[tuple[int, ...], ...]:
-    """canonical_chern_vectors of a form whose decoration count is already known."""
-    snf = smith_normal_form(m)
-    diag = snf.diagonal()
-    idx = [i for i, d in enumerate(diag) if d > 1]
-    # the cokernel covectors of the nontrivial Smith generators: U^-1 w
-    # for w over the finite part of coker(B)
-    covectors = snf.uinv_columns(idx)
-    base = m.diagonal()
+def _canonical_chern_vectors(data: DiscriminantData, count: int) -> tuple[tuple[int, ...], ...]:
+    """canonical_chern_vectors of a form, from its discriminant data and its known decoration count."""
+    # B g_i, the U^-1 columns at the torsion indices; w runs over the finite coker(B)
+    covectors = data.cok_tors_covectors
+    base = data.matrix.diagonal()
     out = []
-    for w in itertools.product(*(range(diag[i]) for i in idx)):
+    for w in itertools.product(*(range(d) for d in data.torsion_factors)):
         out.append(tuple(b + 2 * sum(wk * cov[j] for wk, cov in zip(w, covectors)) for j, b in enumerate(base)))
     if len(out) != count or len(set(out)) != len(out):
         raise RuntimeError(f"expected {count} distinct decorations, got {len(set(out))} of {len(out)}")
     return tuple(out)
+
+
+def _census_key(side: _Side, cap: int) -> tuple:
+    """An integer key splitting decorations of one form as stable_profile() does; runs the report's checks."""
+    _integral_slopes(side.data, side.chern, side.free)
+    values, defect_gen = _value_tables(side.data, side.chern, cap)
+    g = math.gcd(*side.free)
+    if g:
+        return (g,)
+    # the Gauss sum is read off the value histogram; the defect is a character, whose image fixes its histogram
+    return (0, frozenset(Counter(values).items()), math.gcd(side.data.value_modulus, *defect_gen))
 
 
 def yc_classes(
@@ -487,50 +500,42 @@ def yc_classes(
 
     Without an explicit list the canonical decorations are used, which
     needs det != 0 and |det| within the order cap, checked before any
-    decoration is enumerated.  Pairs are bucketed by the stable invariant profile
-    first and compared pairwise within buckets; the partition is
-    assembled deterministically in input order.  An unknown pairwise
-    verdict aborts with an error rather than guessing a partition.
+    decoration is enumerated.  One discriminant serves all decorations,
+    bucketed on integer keys that split them as stable_profile() does;
+    each, in input order, joins the first class in its bucket whose first
+    member is equivalent to it, else opens one.  An undecided comparison
+    aborts, naming its pair, rather than guess; an empty list gives ().
     """
     m = intmatrix(matrix)
     if chern_vectors is None:
         count = _decoration_count(m)
         if count > cap:
             raise OrderCapExceeded(count, cap)
-        vecs = _canonical_chern_vectors(m, count)
+        data = discriminant(m)
+        vecs = _canonical_chern_vectors(data, count)
     else:
-        vecs = tuple(tuple(int(x) for x in v) for v in chern_vectors)
-    pres = [presentation(m.data, v) for v in vecs]
-    profiles = [invariants_report(p, cap=cap).stable_profile() for p in pres]
-
-    parent = list(range(len(vecs)))
-
-    def find(i: int) -> int:
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    buckets: dict = {}
-    for i, prof in enumerate(profiles):
-        buckets.setdefault(prof, []).append(i)
-    for indices in buckets.values():
-        for a, c in itertools.combinations(indices, 2):
-            ra, rc = find(a), find(c)
-            if ra == rc:
-                continue
-            verdict = yc_equivalent(pres[a], pres[c], cap=cap, budget=budget)
+        vecs = tuple(presentation(m.data, v).chern for v in chern_vectors)
+        if not vecs:
+            return ()
+        data = discriminant(m)
+    sides = [_side(data, v) for v in vecs]
+    buckets: dict[tuple, list[list[int]]] = {}
+    classes: list[list[int]] = []
+    for i, side in enumerate(sides):
+        bucket = buckets.setdefault(_census_key(side, cap), [])
+        for members in bucket:
+            verdict = _decide(sides[members[0]], side, cap, budget)
             if verdict.status == UNKNOWN:
                 raise RuntimeError(
-                    f"cannot complete the partition: {vecs[a]} vs {vecs[c]} is undecided ({verdict.reason})"
+                    f"cannot complete the partition: {vecs[members[0]]} vs {vecs[i]} is undecided ({verdict.reason})"
                 )
             if verdict.status == EQUIVALENT:
-                parent[max(ra, rc)] = min(ra, rc)
-    grouped: dict[int, list[int]] = {}
-    for i in range(len(vecs)):
-        grouped.setdefault(find(i), []).append(i)
-    ordered = sorted(grouped.values(), key=lambda members: members[0])
-    return tuple(tuple(vecs[i] for i in members) for members in ordered)
+                members.append(i)
+                break
+        else:
+            bucket.append([i])
+            classes.append(bucket[-1])
+    return tuple(tuple(vecs[i] for i in members) for members in classes)
 
 
 def lens_yc_count(p: int) -> int:

@@ -1,9 +1,10 @@
 """Decision layer: regimes, censuses, and the two lens counting rules."""
 
 import dataclasses
+import itertools
 import math
 import random
-from collections import deque
+from collections import Counter, deque
 from fractions import Fraction
 
 import pytest
@@ -35,8 +36,8 @@ from quadlink.lattice import (
     radical_slope,
 )
 from quadlink.presentation import HandleSlide, apply_move, chern_equal, presentation, random_walk
-from quadlink.quadfun import FiniteAbelianGroup, Fingerprint, OrderCapExceeded, QuadraticFunction
-from quadlink.zlinalg import IntMatrix, SmithDecomposition, determinant, intmatrix, solve_integer
+from quadlink.quadfun import DEFAULT_ORDER_CAP, FiniteAbelianGroup, Fingerprint, OrderCapExceeded, QuadraticFunction
+from quadlink.zlinalg import IntMatrix, determinant, intmatrix, solve_integer
 
 
 # --- the gcd fact behind the free regime -------------------------------
@@ -297,21 +298,43 @@ def test_census_counts_for_small_forms():
 
 
 def test_census_computes_the_determinant_once(monkeypatch):
-    calls = []
-    original = classify_module.determinant
+    # one determinant and one discriminant per census, shared by every
+    # decoration; no per-decoration report and no public pairwise call
+    calls = Counter()
+    for name in ("determinant", "discriminant", "invariants_report", "yc_equivalent"):
+        original = getattr(classify_module, name)
 
-    def counted(m):
-        calls.append(m)
-        return original(m)
+        def counted(*args, _name=name, _original=original, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
 
-    monkeypatch.setattr(classify_module, "determinant", counted)
-    for rows in ([[9]], [[2, 1], [1, 2]]):
+        monkeypatch.setattr(classify_module, name, counted)
+    for rows in ([[9]], [[2, 1], [1, 2]], [[3, 0], [0, 3]]):
         calls.clear()
         yc_classes(rows)
-        assert len(calls) == 1
+        assert calls == {"determinant": 1, "discriminant": 1}
+    calls.clear()
+    assert len(yc_classes(MIXED, [(2 * a, b) for a in range(-2, 3) for b in (0, 2)])) == 5
+    assert calls == {"discriminant": 1}
     calls.clear()
     assert len(canonical_chern_vectors([[9]])) == 9
-    assert len(calls) == 1
+    assert calls == {"determinant": 1, "discriminant": 1}
+
+
+def test_census_budget_edge_and_empty_list(monkeypatch):
+    # an undecided comparison aborts the census; which pair it names
+    # depends on the comparison order
+    vecs = [(a, 2 * b) for a in (-3, -1, 1, 3) for b in range(-2, 3)]
+    with pytest.raises(RuntimeError, match="cannot complete the partition"):
+        yc_classes([[3, 0], [0, 0]], vecs, budget=5)
+    assert len(yc_classes([[3, 0], [0, 0]], vecs)) == 4
+
+    def refuse(m):
+        raise AssertionError("an empty census built a discriminant")
+
+    monkeypatch.setattr(classify_module, "discriminant", refuse)
+    assert yc_classes([[3, 0], [0, 0]], []) == ()
+    assert yc_classes([[1, 2], [3, 4]], []) == ()
 
 
 def test_census_partition_for_the_circle_bundle():
@@ -339,6 +362,82 @@ def test_census_classes_are_internally_consistent():
                 assert yc_equivalent(pres[a], pres[b]).status == EQUIVALENT
     for other in part[1:]:
         assert yc_equivalent(pres[part[0][0]], pres[other[0]]).status == INEQUIVALENT
+
+
+# --- the census against its pairwise oracle -----------------------------
+#
+# yc_classes compares each decoration with the first member of each class
+# in its bucket, on integer keys.  The oracle is the pairwise census it
+# replaced: bucket by stable_profile(), run yc_equivalent on every pair of
+# a bucket not yet joined, and merge with union-find.
+
+
+def _census_oracle(m, vecs, profiles):
+    pres = [presentation(m, v) for v in vecs]
+    parent = list(range(len(vecs)))
+
+    def find(i):
+        while parent[i] != i:
+            i = parent[i]
+        return i
+
+    buckets = {}
+    for i, prof in enumerate(profiles):
+        buckets.setdefault(prof, []).append(i)
+    for indices in buckets.values():
+        for a, c in itertools.combinations(indices, 2):
+            ra, rc = find(a), find(c)
+            if ra == rc:
+                continue
+            verdict = yc_equivalent(pres[a], pres[c])
+            assert verdict.is_definite
+            if verdict.status == EQUIVALENT:
+                parent[max(ra, rc)] = min(ra, rc)
+    grouped = {}
+    for i in range(len(vecs)):
+        grouped.setdefault(find(i), []).append(i)
+    return tuple(tuple(vecs[i] for i in members) for members in sorted(grouped.values(), key=lambda g: g[0]))
+
+
+def _check_census_against_oracle(m, vecs):
+    profiles = [invariants_report(presentation(m, v)).stable_profile() for v in vecs]
+    data = discriminant(intmatrix(m))
+    keys = [classify_module._census_key(classify_module._side(data, v), DEFAULT_ORDER_CAP) for v in vecs]
+    for (k1, p1), (k2, p2) in itertools.combinations(zip(keys, profiles), 2):
+        assert (k1 == k2) == (p1 == p2)
+    assert yc_classes(m, vecs) == _census_oracle(m, vecs, profiles)
+
+
+@st.composite
+def nondegenerate_forms(draw):
+    n = draw(st.integers(1, 3))
+    m = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            m[i][j] = m[j][i] = draw(st.integers(-4, 4))
+    det = determinant(intmatrix(m))
+    assume(det != 0 and abs(det) <= 60)
+    return m
+
+
+@settings(max_examples=60, deadline=None)
+@given(nondegenerate_forms())
+@example([[9, 0], [0, 3]])
+@example([[3, 0, 0], [0, 3, 0], [0, 0, 3]])
+def test_census_matches_the_pairwise_oracle_on_canonical_decorations(m):
+    _check_census_against_oracle(m, canonical_chern_vectors(m))
+
+
+@pytest.mark.parametrize(
+    "m, vecs",
+    [
+        ([[0]], [(s,) for s in range(-8, 9, 2)]),
+        ([[3, 0], [0, 0]], [(a, 2 * b) for a in (-3, -1, 1, 3) for b in range(-2, 3)]),
+        ([[0, 1], [1, 0]], [(2 * a, 2 * b) for a in range(-2, 3) for b in range(-2, 3)]),
+    ],
+)
+def test_census_matches_the_pairwise_oracle_on_explicit_decorations(m, vecs):
+    _check_census_against_oracle(m, vecs)
 
 
 # --- lens counting rules --------------------------------------------------
@@ -472,10 +571,15 @@ def test_report_checks_the_duality_identity(monkeypatch):
 
 
 def test_canonical_decorations_check_their_count(monkeypatch):
-    # zero cokernel covectors collapse all decorations onto the diagonal
-    monkeypatch.setattr(
-        SmithDecomposition, "uinv_columns", lambda self, idx: tuple((0,) * self.matrix.rows for _ in idx)
-    )
+    # zero cokernel covectors collapse all decorations onto the diagonal;
+    # they are corrupted after discriminant, whose own checks would refuse them
+    original = classify_module.discriminant
+
+    def zeroed(m):
+        data = original(m)
+        return dataclasses.replace(data, cok_tors_covectors=tuple((0,) * data.size for _ in data.torsion_factors))
+
+    monkeypatch.setattr(classify_module, "discriminant", zeroed)
     with pytest.raises(RuntimeError, match="distinct decorations"):
         canonical_chern_vectors([[3]])
 
