@@ -34,7 +34,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 from .exact import CyclotomicSum, QmodZ, cyclo_from_residues, residue_multiset
 from .lattice import (
@@ -102,13 +102,23 @@ class _Budget:
         return not self.exhausted
 
 
-class _Side(NamedTuple):
-    """One presentation's data for a decision, computed once."""
+@dataclass
+class _Side:
+    """One presentation's data for a decision, computed once; its value tables on first use."""
 
     data: DiscriminantData
     chern: tuple[int, ...]
     free: tuple[int, ...]
     tors: tuple[int, ...]
+    _tables: tuple[list[int], list[int]] | None = None
+
+    def tables(self, cap: int) -> tuple[list[int], list[int]]:
+        """phi_table of the decoration behind the order cap, built once per side."""
+        if self._tables is None:
+            if self.data.torsion_order > cap:
+                raise OrderCapExceeded(self.data.torsion_order, cap)
+            self._tables = phi_table(self.data, self.chern)
+        return self._tables
 
 
 def _side(data: DiscriminantData, c: Sequence[int]) -> _Side:
@@ -131,13 +141,6 @@ def _integral_slopes(data: DiscriminantData, c: Sequence[int], free: Sequence[in
         if 2 * slopes[j] != sum(w[m][j] * free[m] for m in range(data.free_rank)):
             raise RuntimeError(f"slope {j} breaks the duality identity with the free decoration part")
     return slopes
-
-
-def _value_tables(data: DiscriminantData, c: Sequence[int], cap: int) -> tuple[list[int], list[int]]:
-    """phi_table behind the order cap."""
-    if data.torsion_order > cap:
-        raise OrderCapExceeded(data.torsion_order, cap)
-    return phi_table(data, c)
 
 
 @dataclass(frozen=True)
@@ -175,10 +178,10 @@ class InvariantReport:
 
 def invariants_report(p: DecoratedPresentation, *, cap: int = DEFAULT_ORDER_CAP) -> InvariantReport:
     """Assemble the discriminant invariants of one decorated presentation."""
-    data = discriminant(p.matrix)
+    data = discriminant(p.matrix, cap=cap)
     free, tors = chern_coordinates(data, p.chern)
     slopes = _integral_slopes(data, p.chern, free)
-    values, defect_gen = _value_tables(data, p.chern, cap)
+    values, defect_gen = phi_table(data, p.chern)
     modulus = data.value_modulus
     defects = _linear_table(defect_gen, data.torsion_factors, modulus)
     fp = table_fingerprint(data.torsion_factors, modulus, values, defects, slopes)
@@ -215,8 +218,8 @@ def _torsion_map_verdict(
     data1, data2 = side1.data, side2.data
     factors = data1.torsion_factors
     modulus = data1.value_modulus
-    values1, _ = _value_tables(data1, side1.chern, cap)
-    values2, _ = _value_tables(data2, side2.chern, cap)
+    values1, _ = side1.tables(cap)
+    values2, _ = side2.tables(cap)
     group = FiniteAbelianGroup(factors)
     link1, link2 = data1.linking, data2.linking
     no_map, equivalent, gauss_differ = reasons
@@ -273,8 +276,8 @@ def _mixed_verdict(side1: _Side, side2: _Side, cap: int, budget: _Budget) -> Equ
 
     factors = data1.torsion_factors
     modulus = data1.value_modulus
-    q1, _ = _value_tables(data1, side1.chern, cap)
-    q2, _ = _value_tables(data2, side2.chern, cap)
+    q1, _ = side1.tables(cap)
+    q2, _ = side2.tables(cap)
     group = FiniteAbelianGroup(factors)
     elements = list(group.elements())
     free1 = side1.free
@@ -398,8 +401,8 @@ def _decide(side1: _Side, side2: _Side, cap: int, budget: int) -> EquivalenceVer
             INEQUIVALENT, f"free decoration orbits differ: gcd {g1} vs {g2}"
         )
     if d1.free_rank == 0:
-        values1, _ = _value_tables(d1, side1.chern, cap)
-        values2, _ = _value_tables(d2, side2.chern, cap)
+        values1, _ = side1.tables(cap)
+        values2, _ = side2.tables(cap)
         iso = _table_isomorphism(d1.torsion_factors, d1.value_modulus, values1, values2)
         if iso is not None:
             return EquivalenceVerdict(
@@ -481,7 +484,7 @@ def _canonical_chern_vectors(data: DiscriminantData, count: int) -> tuple[tuple[
 def _census_key(side: _Side, cap: int) -> tuple:
     """An integer key splitting decorations of one form as stable_profile() does; runs the report's checks."""
     _integral_slopes(side.data, side.chern, side.free)
-    values, defect_gen = _value_tables(side.data, side.chern, cap)
+    values, defect_gen = side.tables(cap)
     g = math.gcd(*side.free)
     if g:
         return (g,)

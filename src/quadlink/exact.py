@@ -11,12 +11,25 @@ against the basis 1, z, ..., z^(N-1) with z = exp(2*pi*i/N).  That
 representation is redundant (the ring Z[x]/(x^N - 1) maps onto Z[z]),
 so equality is decided by reducing the difference modulo the N-th
 cyclotomic polynomial, which is exactly the kernel of that map.
+
+The reduction never expands Phi_N.  For N >= 2,
+Phi_N(x) = prod over d | N of (1 - x^d)^mu(N/d), a product of
+2^omega(N) binomials (omega counts distinct primes), each of which
+multiplies or divides a truncated power series in one strided pass.
+Phi_N is palindromic, so the quotient of f by Phi_N is the reversed f
+divided by that product, and the remainder follows by multiplying back:
+O(2^omega(N) len(f)) integer additions, against the
+(len(f) - phi(N)) |supp Phi_N| of long division (about 8 million for
+N = 7996).  The remainder modulo Phi_N is unique, so the result does
+not depend on the method.
 """
 
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
+import operator
 from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Mapping, Union
@@ -32,6 +45,13 @@ class QmodZ:
     def __init__(self, value: RationalLike) -> None:
         f = Fraction(value)
         object.__setattr__(self, "value", f - (f // 1))
+
+    @classmethod
+    def _reduced(cls, value: Fraction) -> "QmodZ":
+        """A QmodZ holding a Fraction the caller knows is in [0, 1), taken as is."""
+        q = object.__new__(cls)
+        object.__setattr__(q, "value", value)
+        return q
 
     @property
     def numerator(self) -> int:
@@ -147,6 +167,49 @@ def _poly_div_xm_minus_1(p: list[int], m: int) -> list[int]:
 
 
 @lru_cache(maxsize=None)
+def _binomial_factors(n: int) -> tuple[tuple[int, bool], ...]:
+    """The binomials 1 - x^d of Phi_n = prod over d | n of (1 - x^d)^mu(n/d), n >= 2.
+
+    One pair (d, mu(n/d) == 1) per squarefree cofactor n/d: 2^omega(n)
+    pairs.  The signs of the (x^d - 1) form cancel because the Moebius
+    function sums to 0 over the divisors of n > 1.
+    """
+    primes = _prime_factors(n)
+    out = []
+    for mask in range(1 << len(primes)):
+        s = math.prod(p for k, p in enumerate(primes) if mask >> k & 1)
+        out.append((n // s, bin(mask).count("1") % 2 == 0))
+    return tuple(out)
+
+
+def _times_binomial(a: list[int], d: int) -> None:
+    """a <- a * (1 - x^d) mod x^len(a), in place."""
+    a[d:] = list(map(operator.sub, a[d:], a))
+
+
+def _over_binomial(a: list[int], d: int) -> None:
+    """a <- a / (1 - x^d) mod x^len(a), in place: a prefix sum with stride d.
+
+    Runs min(d, len/d) slice operations: one accumulate per residue
+    class mod d when d is small, one block addition per block of d
+    otherwise.
+    """
+    size = len(a)
+    if d * d < size:
+        for j in range(d):
+            a[j::d] = itertools.accumulate(a[j::d])
+    else:
+        for s in range(d, size, d):
+            a[s : s + d] = map(operator.add, a[s : s + d], a[s - d : s])
+
+
+def _apply_binomials(a: list[int], n: int, inverse: bool) -> None:
+    """a <- a * Phi_n (or a / Phi_n when inverse) mod x^len(a), in place; n >= 2."""
+    for d, even in _binomial_factors(n):
+        (_over_binomial if even == inverse else _times_binomial)(a, d)
+
+
+@lru_cache(maxsize=None)
 def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
     """Coefficients of the n-th cyclotomic polynomial, ascending degree.
 
@@ -188,24 +251,29 @@ def _totient(n: int) -> int:
 
 
 def _reduce_mod_cyclotomic(coeffs: list[int], n: int) -> list[int]:
-    """Remainder of the given polynomial modulo Phi_n, as a list of length < deg Phi_n padded to it.
+    """Remainder of the given polynomial modulo Phi_n, as a list of length min(len(coeffs), phi(n)).
 
-    Phi_n is monic and mostly zero (Phi_4095 has 1729 coefficients, 423
-    of them nonzero), so each elimination step touches only its support.
+    An exact division that never reads the coefficients of Phi_n.  With
+    f of length L > phi = deg Phi_n, f = q Phi_n + r and deg r < phi.
+    Phi_n (n >= 2) is palindromic with constant term 1, so reversing
+    gives rev(q) = rev(f) / Phi_n mod x^(L - phi), and then
+    r = f - (q Phi_n mod x^phi).  Both products run over the 2^omega(n)
+    binomials of _binomial_factors, one strided pass each, so the cost
+    is O(2^omega(n) L) rather than the (L - phi) |supp Phi_n| of long
+    division.  For n = 1, Phi_1 = x - 1 and r = f(1).
     """
-    f = cyclotomic_polynomial(n)
-    df = len(f) - 1
-    terms = [(i, fi) for i, fi in enumerate(f[:df]) if fi]
-    r = list(coeffs)
-    for k in range(len(r) - 1, df - 1, -1):
-        c = r[k]
-        if c:
-            r[k] = 0
-            base = k - df
-            for i, fi in terms:
-                r[base + i] -= c * fi
-    del r[df:]
-    return r
+    phi = _totient(n)
+    if len(coeffs) <= phi:
+        return list(coeffs)
+    if n == 1:
+        return [sum(coeffs)]
+    quotient = coeffs[: phi - 1 : -1]
+    _apply_binomials(quotient, n, inverse=True)
+    quotient.reverse()
+    del quotient[phi:]
+    quotient += [0] * (phi - len(quotient))
+    _apply_binomials(quotient, n, inverse=False)
+    return list(map(operator.sub, coeffs[:phi], quotient))
 
 
 class CyclotomicSum:
@@ -384,12 +452,16 @@ def cyclo_from_angles(angles: Iterable[Union[QmodZ, RationalLike]]) -> Cyclotomi
 def residue_multiset(histogram: Mapping[int, int], modulus: int) -> tuple[QmodZ, ...]:
     """The sorted multiset of angles r/modulus, r taken histogram[r] times.
 
-    Residues are in [0, modulus), so ascending residue is ascending
-    QmodZ; one QmodZ is made per residue, not per occurrence.
+    Residues must lie in [0, modulus); then ascending residue is
+    ascending QmodZ, each r/modulus is already reduced mod 1, and one
+    QmodZ is made per residue, not per occurrence.
     """
+    residues = sorted(histogram)
+    if residues and (residues[0] < 0 or residues[-1] >= modulus):
+        raise ValueError(f"residues must lie in [0, {modulus}), got {residues[0]}..{residues[-1]}")
     out: list[QmodZ] = []
-    for r in sorted(histogram):
-        out += [QmodZ(Fraction(r, modulus))] * histogram[r]
+    for r in residues:
+        out += [QmodZ._reduced(Fraction(r, modulus))] * histogram[r]
     return tuple(out)
 
 

@@ -42,7 +42,7 @@ from math import prod
 from typing import Sequence
 
 from quadlink.exact import QmodZ
-from quadlink.quadfun import _quadratic_table
+from quadlink.quadfun import OrderCapExceeded, _quadratic_table
 from quadlink.zlinalg import IntMatrix, determinant, intmatrix, smith_normal_form, solve_mod2
 
 RationalVector = tuple[Fraction, ...]
@@ -196,8 +196,13 @@ def _value_modulus(factors: Sequence[int]) -> int:
     return 2 * (factors[-1] if factors else 1)
 
 
-def discriminant(matrix: IntMatrix) -> DiscriminantData:
-    """Compute and freeze the discriminant data of a symmetric form."""
+def discriminant(matrix: IntMatrix, *, cap: int | None = None) -> DiscriminantData:
+    """Compute and freeze the discriminant data of a symmetric form.
+
+    With a cap, a torsion part of larger order raises OrderCapExceeded
+    as soon as the Smith diagonal is known, before any transform vector
+    is replayed.
+    """
     matrix = intmatrix(matrix)
     if not matrix.is_symmetric():
         raise ValueError("discriminant construction needs a symmetric matrix")
@@ -207,8 +212,11 @@ def discriminant(matrix: IntMatrix) -> DiscriminantData:
     tors_idx = [i for i in range(n) if diag[i] > 1]
     free_idx = [i for i in range(n) if diag[i] == 0]
     factors = tuple(diag[i] for i in tors_idx)
-    if not free_idx and prod(factors) != abs(determinant(matrix)):
-        raise RuntimeError(f"torsion order {prod(factors)} differs from |det| = {abs(determinant(matrix))}")
+    order = prod(factors)
+    if not free_idx and order != abs(determinant(matrix)):
+        raise RuntimeError(f"torsion order {order} differs from |det| = {abs(determinant(matrix))}")
+    if cap is not None and order > cap:
+        raise OrderCapExceeded(order, cap)
 
     idx = tors_idx + free_idx
     k = len(tors_idx)

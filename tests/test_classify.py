@@ -26,7 +26,7 @@ from quadlink.classify import (
     yc_equivalent_by_pairing,
 )
 import quadlink.classify as classify_module
-from quadlink.exact import cyclo_from_angles
+from quadlink.exact import CyclotomicSum, QmodZ, cyclo_equals, cyclo_from_angles
 from quadlink.lattice import (
     chern_coordinates,
     discriminant,
@@ -37,7 +37,7 @@ from quadlink.lattice import (
 )
 from quadlink.presentation import HandleSlide, apply_move, chern_equal, presentation, random_walk
 from quadlink.quadfun import DEFAULT_ORDER_CAP, FiniteAbelianGroup, Fingerprint, OrderCapExceeded, QuadraticFunction
-from quadlink.zlinalg import IntMatrix, determinant, intmatrix, solve_integer
+from quadlink.zlinalg import IntMatrix, SmithDecomposition, determinant, intmatrix, solve_integer
 
 
 # --- the gcd fact behind the free regime -------------------------------
@@ -209,6 +209,21 @@ def test_order_cap_propagates():
         yc_equivalent(presentation([[7]], (7,)), presentation([[7]], (7,)), cap=5)
 
 
+def test_report_refuses_oversized_torsion_before_the_replays(monkeypatch):
+    # the cap is checked on the Smith diagonal, so a refused form replays
+    # no transform vector; a form within the cap must still replay
+    def refuse(self, idx):
+        raise AssertionError("replayed a transform of a refused form")
+
+    rows = [[2, 1, 0], [1, 5, 1], [0, 1, 7]]  # |det| = 61
+    monkeypatch.setattr(SmithDecomposition, "uinv_columns", refuse)
+    with pytest.raises(OrderCapExceeded) as caught:
+        invariants_report(presentation(rows, (0, 1, 1)), cap=60)
+    assert (caught.value.order, caught.value.cap) == (61, 60)
+    with pytest.raises(AssertionError, match="replayed"):
+        invariants_report(presentation(rows, (0, 1, 1)), cap=61)
+
+
 def test_verdicts_are_symmetric():
     pairs = [
         (presentation([[2]], (0,)), presentation([[2]], (2,))),
@@ -319,6 +334,22 @@ def test_census_computes_the_determinant_once(monkeypatch):
     calls.clear()
     assert len(canonical_chern_vectors([[9]])) == 9
     assert calls == {"determinant": 1, "discriminant": 1}
+
+
+def test_census_builds_each_value_table_once(monkeypatch):
+    # every comparison reads the tables the census keys were built from
+    calls = Counter()
+    original = classify_module.phi_table
+
+    def counted(*args):
+        calls["phi_table"] += 1
+        return original(*args)
+
+    monkeypatch.setattr(classify_module, "phi_table", counted)
+    for rows in ([[9]], [[2, 1], [1, 2]], [[3, 0], [0, 3]], [[9, 0], [0, 9]], [[4, 0], [0, 8]]):
+        calls.clear()
+        yc_classes(rows)
+        assert calls["phi_table"] == abs(determinant(IntMatrix(rows))), rows
 
 
 def test_census_budget_edge_and_empty_list(monkeypatch):
@@ -553,9 +584,91 @@ def test_report_matches_the_phi_eval_oracle(form):
     assert r.radical_slopes == tuple(int(s) for s in radical_slope(discriminant(IntMatrix(m)), chern))
 
 
+# --- Gauss sums against Milgram's formula -----------------------------------
+#
+# For nondegenerate B and characteristic c, the Gauss sum of phi_c over
+# the discriminant group satisfies gauss^2 = |det B| e((sigma(B) - c^T B^-1 c) / 4),
+# e(t) = exp(2 pi i t).  Signature and B^-1 c come from exact elimination
+# in Fraction, independent of the Smith data the report is built from.
+
+
+def _signature(m):
+    """sigma(B) by congruence diagonalization over Q."""
+    a = [[Fraction(x) for x in row] for row in m]
+    n = len(a)
+    sigma = 0
+    for k in range(n):
+        if a[k][k] == 0:
+            j = next((j for j in range(k + 1, n) if a[j][j]), None)
+            if j is None:
+                j = next((j for j in range(k + 1, n) if a[k][j]), None)
+                if j is None:
+                    continue
+                # x_k -> x_k + x_j makes the pivot 2 a_kj
+                for i in range(n):
+                    a[k][i] += a[j][i]
+                for i in range(n):
+                    a[i][k] += a[i][j]
+            else:
+                a[k], a[j] = a[j], a[k]
+                for row in a:
+                    row[k], row[j] = row[j], row[k]
+        pivot = a[k][k]
+        sigma += 1 if pivot > 0 else -1
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                a[i][j] -= a[i][k] * a[k][j] / pivot
+    return sigma
+
+
+def _inverse_form_value(m, c):
+    """c^T B^-1 c by Gauss-Jordan elimination over Q."""
+    n = len(m)
+    a = [[Fraction(x) for x in row] + [Fraction(ci)] for row, ci in zip(m, c)]
+    for k in range(n):
+        p = next(i for i in range(k, n) if a[i][k])
+        a[k], a[p] = a[p], a[k]
+        for i in range(n):
+            if i != k and a[i][k]:
+                f = a[i][k] / a[k][k]
+                a[i] = [x - f * y for x, y in zip(a[i], a[k])]
+    return sum(ci * a[i][n] / a[i][i] for i, ci in enumerate(c))
+
+
+@st.composite
+def milgram_forms(draw):
+    n = draw(st.integers(1, 4))
+    m = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            m[i][j] = m[j][i] = draw(st.integers(-5, 5))
+    det = determinant(intmatrix(m))
+    assume(det != 0 and abs(det) <= 300)
+    chern = tuple(m[i][i] + 2 * draw(st.integers(-3, 3)) for i in range(n))
+    return m, chern
+
+
+@settings(max_examples=80, deadline=None)
+@given(milgram_forms())
+@example(([[1]], (1,)))
+@example(([[2, 1], [1, 2]], (0, 0)))
+@example(([[-4, 1, 0], [1, 0, 3], [0, 3, 2]], (0, 2, 0)))
+@example(([[0, 3], [3, 0]], (0, 2)))
+@example(([[0, 1, 1], [1, 0, 1], [1, 1, 0]], (2, 0, 0)))
+def test_gauss_sum_squares_to_milgrams_formula(form):
+    m, chern = form
+    gauss = invariants_report(presentation(m, chern)).gauss
+    angle = (_signature(m) - _inverse_form_value(m, chern)) / 4
+    order = abs(determinant(intmatrix(m)))
+    want = CyclotomicSum.integer(order) * CyclotomicSum.root_of_unity(QmodZ(angle))
+    assert cyclo_equals(gauss * gauss, want)
+
+
 def _report_on_corrupted_data(monkeypatch, p, **fields):
     original = classify_module.discriminant
-    monkeypatch.setattr(classify_module, "discriminant", lambda m: dataclasses.replace(original(m), **fields))
+    monkeypatch.setattr(
+        classify_module, "discriminant", lambda m, **kw: dataclasses.replace(original(m, **kw), **fields)
+    )
     return invariants_report(p)
 
 

@@ -103,6 +103,13 @@ def test_compare_cap_exceeded(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+def test_invariants_cap_exceeded(tmp_path, capsys):
+    a = write_doc(tmp_path, "a.json", {"matrix": [[2, 1], [1, 5]], "chern": [0, 1]})
+    assert main(["invariants", a, "--cap", "8"]) == EXIT_CAP
+    assert "group order 9 exceeds the cap 8" in capsys.readouterr().err
+    assert main(["invariants", a, "--cap", "9"]) == EXIT_OK
+
+
 def test_walk_certificate(tmp_path, capsys):
     path = write_doc(tmp_path, "p.json", {"matrix": [[2]], "chern": [0], "name": "rp"})
     out_path = tmp_path / "walked.json"

@@ -4,7 +4,7 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from quadlink.exact import (
@@ -18,7 +18,7 @@ from quadlink.exact import (
     qmodz_reduce,
     residue_multiset,
 )
-from quadlink.exact import _reduce_mod_cyclotomic
+from quadlink.exact import _reduce_mod_cyclotomic, _totient
 
 # ---------------------------------------------------------------------------
 # independent oracle: cyclotomic polynomials by recursive long division over Q
@@ -243,7 +243,7 @@ def test_approx_is_display_only_float():
 
 
 def _dense_reduce(coeffs, n):
-    """Long division by Phi_n touching every coefficient, the reference for the sparse loop."""
+    """Long division by Phi_n touching every coefficient."""
     f = cyclotomic_polynomial(n)
     df = len(f) - 1
     r = list(coeffs)
@@ -258,11 +258,59 @@ def _dense_reduce(coeffs, n):
     return r
 
 
+def _sparse_reduce(coeffs, n):
+    """Long division by Phi_n touching only its nonzero coefficients."""
+    f = cyclotomic_polynomial(n)
+    df = len(f) - 1
+    terms = [(i, fi) for i, fi in enumerate(f[:df]) if fi]
+    r = list(coeffs)
+    for k in range(len(r) - 1, df - 1, -1):
+        c = r[k]
+        if c:
+            r[k] = 0
+            base = k - df
+            for i, fi in terms:
+                r[base + i] -= c * fi
+    del r[df:]
+    return r
+
+
 def test_sparse_reduction_matches_dense_division():
     rng = random.Random(20020701)
     for n in range(1, 401):
         coeffs = [rng.randint(-3, 3) for _ in range(n)]
-        assert _reduce_mod_cyclotomic(coeffs, n) == _dense_reduce(coeffs, n), n
+        want = _dense_reduce(coeffs, n)
+        assert _sparse_reduce(coeffs, n) == want, n
+        assert _reduce_mod_cyclotomic(coeffs, n) == want, n
+
+
+def _length(n, where, offset):
+    phi = _totient(n)
+    return {"below": max(0, phi - offset), "phi": phi, "n": n, "above": n + offset}[where]
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.integers(1, 1200),
+    st.sampled_from(["below", "phi", "n", "above"]),
+    st.integers(1, 40),
+    st.randoms(use_true_random=False),
+)
+def test_binomial_reduction_matches_long_division(n, where, offset, rng):
+    coeffs = [rng.randint(-5, 5) for _ in range(_length(n, where, offset))]
+    got = _reduce_mod_cyclotomic(coeffs, n)
+    assert got == _sparse_reduce(coeffs, n)
+    assert len(got) == min(len(coeffs), _totient(n))
+
+
+@pytest.mark.parametrize("n", [1, 2, 6006, 7996, 8188, 8190, 8192])
+def test_binomial_reduction_at_large_moduli(n):
+    # 6006 and 8190 have five prime factors, 7996 = 4 * 1999 a long dense
+    # Phi_n, 8188 = 4 * 23 * 89, 8192 a prime power; lengths run past n
+    rng = random.Random(n)
+    for length in (_totient(n) + 1, n + 3):
+        coeffs = [rng.randint(-3, 3) for _ in range(length)]
+        assert _reduce_mod_cyclotomic(coeffs, n) == _sparse_reduce(coeffs, n), (n, length)
 
 
 @given(st.integers(min_value=1, max_value=60).flatmap(
@@ -272,7 +320,17 @@ def test_residue_histograms_match_angle_lists(modulus_and_residues):
     modulus, residues = modulus_and_residues
     histogram = Counter(residues)
     angles = [QmodZ(Fraction(r, modulus)) for r in residues]
-    assert residue_multiset(histogram, modulus) == tuple(sorted(angles))
+    multiset = residue_multiset(histogram, modulus)
+    assert multiset == tuple(sorted(angles))
+    assert hash(multiset) == hash(tuple(sorted(angles)))
     direct = cyclo_from_angles(angles)
     via_histogram = cyclo_from_residues(histogram, modulus)
     assert (via_histogram.modulus, via_histogram.coeffs) == (direct.modulus, direct.coeffs)
+
+
+def test_residue_multiset_refuses_residues_outside_the_modulus():
+    assert residue_multiset({}, 5) == ()
+    assert residue_multiset({0: 2, 4: 1}, 5) == (QmodZ(0), QmodZ(0), QmodZ(Fraction(4, 5)))
+    for bad in ({5: 1}, {-1: 1, 2: 1}, {0: 1, 7: 3}):
+        with pytest.raises(ValueError, match="must lie in"):
+            residue_multiset(bad, 5)
