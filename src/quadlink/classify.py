@@ -15,16 +15,19 @@ Three regimes apply, ordered by how much structure survives:
 * free first homology: the gcd of the decoration vector is a complete
   invariant (the unimodular orbit of an integer vector is its gcd);
 * mixed: a sweep over pairing-preserving torsion maps, couplings of
-  the free part into torsion, and section shifts, comparing exact
-  Gauss sums for each candidate.
+  the free part into torsion, and section shifts, deciding for each
+  candidate whether the Gauss sums agree.
 
 The mixed sweep exploits one structural collapse: once the free
 decoration parts are in the same unimodular orbit, the free-part
 matrix of a candidate map drops out of the Gauss comparison entirely
 (it acts on the slope functional through the duality matrix as the
-identity), so no matrix family is enumerated.  The sweep is finite;
-verdicts are definite unless the step budget runs out, in which case
-the honest answer is unknown.
+identity), so no matrix family is enumerated.  Nor is any Gauss sum:
+the linking pairing b is nondegenerate, so every character is b(., t)
+for one t, and gamma(q + b(., t)) = e(-q(t)) gamma(q) != 0
+(Milnor-Husemoller, App. 4) makes each comparison one congruence on
+q.  The sweep is finite; verdicts are definite unless the step budget
+runs out, in which case the honest answer is unknown.
 """
 
 from __future__ import annotations
@@ -36,9 +39,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .exact import CyclotomicSum, QmodZ, cyclo_from_residues, residue_multiset
+from .exact import CyclotomicSum, QmodZ, residue_multiset
 from .lattice import (
     DiscriminantData,
+    _int_dot,
     chern_coordinates,
     discriminant,
     phi_table,
@@ -201,6 +205,18 @@ def invariants_report(p: DecoratedPresentation, *, cap: int = DEFAULT_ORDER_CAP)
     )
 
 
+def _character_positions(factors: Sequence[int], modulus: int, link: Sequence[Sequence[int]]) -> dict[tuple, int]:
+    """Position of every torsion element t, keyed by (b(g_i, t))_i in units of 1/modulus, b given by link.
+
+    Raises unless the keys differ, i.e. unless b is nondegenerate.
+    """
+    columns = [_linear_table(row, factors, modulus) for row in link]
+    positions = {key: pos for pos, key in enumerate(zip(*columns))} if columns else {(): 0}
+    if len(positions) != math.prod(factors):
+        raise RuntimeError(f"the linking pairing on {tuple(factors)} is degenerate")
+    return positions
+
+
 def _torsion_map_verdict(
     side1: _Side,
     side2: _Side,
@@ -211,15 +227,18 @@ def _torsion_map_verdict(
     """Match decoration classes by a pairing-preserving torsion map, then compare Gauss sums.
 
     Sound when the Gauss sums do not depend on the section, i.e. when
-    the decorations are blind to the radical.  reasons holds the prose
-    for: no matching map, equivalence (formatted with the map), and a
-    Gauss sum mismatch.
+    the decorations are blind to the radical.  For the matching map
+    Psi, q1 - q2 o Psi is a character b1(., t1), so
+    gamma(q1) = e(-q2(Psi t1)) gamma(q2) and the sums agree exactly
+    when q2(Psi t1) = 0.  reasons holds the prose for: no matching map,
+    equivalence (formatted with the map), and a Gauss sum mismatch.
     """
     data1, data2 = side1.data, side2.data
     factors = data1.torsion_factors
     modulus = data1.value_modulus
     values1, _ = side1.tables(cap)
     values2, _ = side2.tables(cap)
+    characters = _character_positions(factors, modulus, data1.linking)
     group = FiniteAbelianGroup(factors)
     link1, link2 = data1.linking, data2.linking
     no_map, equivalent, gauss_differ = reasons
@@ -232,7 +251,11 @@ def _torsion_map_verdict(
         if budget.exhausted:
             return EquivalenceVerdict(UNKNOWN, "budget ran out while sweeping torsion maps")
         return EquivalenceVerdict(INEQUIVALENT, no_map)
-    if cyclo_from_residues(Counter(values1), modulus) == cyclo_from_residues(Counter(values2), modulus):
+    dmap = _image_positions(factors, images)
+    # positions of the generators g_i in itertools.product order
+    gens = [math.prod(factors[i + 1 :]) for i in range(k)]
+    t1 = characters[tuple((values1[p] - values2[dmap[p]]) % modulus for p in gens)]
+    if values2[dmap[t1]] == 0:
         return EquivalenceVerdict(EQUIVALENT, equivalent.format(images))
     return EquivalenceVerdict(INEQUIVALENT, gauss_differ)
 
@@ -252,13 +275,15 @@ _PAIRING_REASONS = (
 def _mixed_verdict(side1: _Side, side2: _Side, cap: int, budget: _Budget) -> EquivalenceVerdict:
     """Sweep candidate maps when both free rank and torsion are present.
 
-    A candidate consists of a pairing-preserving torsion map d, a
+    A candidate consists of a pairing-preserving torsion map Psi, a
     coupling of the free part into torsion, and a section shift; the
     coupling enters the Gauss comparison only through its contraction
     mu against the slope covector, and the section shift only through
     a character chi ranging over the subgroup the slopes generate.
-    For each candidate the sum on one side is re-expressed over the
-    matched section and compared exactly with the other side.
+    For each candidate, side 1's function over the matched section is
+    q2 + b2(., t), t = Psi(t1) read off the character b1(., t1) by
+    which it differs from q2 o Psi; the Gauss sums shifted by chi agree
+    exactly when q2(t) = chi(t).
 
     Every table holds residues in units of 1/M, M the value modulus,
     as do data.linking and data.eval_free_lift; tables are indexed by
@@ -278,8 +303,10 @@ def _mixed_verdict(side1: _Side, side2: _Side, cap: int, budget: _Budget) -> Equ
     modulus = data1.value_modulus
     q1, _ = side1.tables(cap)
     q2, _ = side2.tables(cap)
+    characters = _character_positions(factors, modulus, data1.linking)
     group = FiniteAbelianGroup(factors)
     elements = list(group.elements())
+    gens = [math.prod(factors[i + 1 :]) for i in range(len(factors))]
     free1 = side1.free
     b = data1.free_rank
     link1, link2 = data1.linking, data2.linking
@@ -292,26 +319,12 @@ def _mixed_verdict(side1: _Side, side2: _Side, cap: int, budget: _Budget) -> Equ
         # ell against the free-covector evaluations: one angle per torsion generator
         return [sum(e * row[i] for e, row in zip(ell, data.eval_free_lift)) % modulus for i in range(len(factors))]
 
-    # side-1 angles against the stored section, slope-corrected; the
-    # candidate-dependent remainder is subtracted per sweep step
-    base1 = [(q + p) % modulus for q, p in zip(q1, _linear_table(contraction(data1, ell1), factors, modulus))]
+    # side-1 angles on the generators against the stored section, slope-corrected;
+    # the candidate-dependent remainder is subtracted per sweep step
+    base1 = [(q1[p] + r) % modulus for p, r in zip(gens, contraction(data1, ell1))]
     row2 = contraction(data2, ell2)
 
     char_axes = [range(0, d, math.gcd(g, d)) for d in factors]
-    chi_cache: dict[tuple[int, ...], list[int]] = {}
-    gamma2_cache: dict[tuple[int, ...], CyclotomicSum] = {}
-
-    def chi_of(avec: tuple[int, ...]) -> list[int]:
-        if avec not in chi_cache:
-            chi_cache[avec] = _linear_table([a * (modulus // d) for a, d in zip(avec, factors)], factors, modulus)
-        return chi_cache[avec]
-
-    def gamma2_of(avec: tuple[int, ...]) -> CyclotomicSum:
-        if avec not in gamma2_cache:
-            shifted = Counter((x - c) % modulus for x, c in zip(q2, chi_of(avec)))
-            gamma2_cache[avec] = cyclo_from_residues(shifted, modulus)
-        return gamma2_cache[avec]
-
     mu_cache: dict[tuple[int, int], tuple[int, ...]] = {}
 
     def mu_choices(d_l: int, v_l: int) -> tuple[int, ...]:
@@ -338,21 +351,20 @@ def _mixed_verdict(side1: _Side, side2: _Side, cap: int, budget: _Budget) -> Equ
         if any(not axis for axis in axes):
             continue
         dmap = _image_positions(factors, images)
+        q2_gen = [q2[dmap[p]] for p in gens]
         for mu in itertools.product(*axes):
             # side-2 slope correction plus the pairing with the coupling, linear in u
             row = [(r + sum(ml * link2[l][i] for l, ml in enumerate(mu))) % modulus for i, r in enumerate(row2)]
-            drop2 = _linear_table(row, factors, modulus)
-            angles = [0] * len(elements)
-            for w, u in enumerate(dmap):
-                angles[u] = base1[w] - drop2[u]
+            # the character b1(., t1) by which side 1 differs from q2 o Psi, on the generators
+            char1 = tuple((a - _int_dot(row, img) - q) % modulus for a, img, q in zip(base1, images, q2_gen))
+            t = dmap[characters[char1]]
+            phase, coords = q2[t], elements[t]
             for avec in itertools.product(*char_axes):
                 if not budget.charge(len(elements)):
                     return EquivalenceVerdict(
                         UNKNOWN, "budget ran out while comparing Gauss sums over matched sections"
                     )
-                shifted = Counter((a - c) % modulus for a, c in zip(angles, chi_of(avec)))
-                gamma1 = cyclo_from_residues(shifted, modulus)
-                if gamma1 == gamma2_of(avec):
+                if (phase - sum(a * x * (modulus // d) for a, x, d in zip(avec, coords, factors))) % modulus == 0:
                     return EquivalenceVerdict(
                         EQUIVALENT,
                         f"torsion map {images} with coupling contraction {mu} and section character {avec} matches the Gauss sums",
@@ -430,9 +442,10 @@ def yc_equivalent_by_pairing(
 
     Instead of searching for an isomorphism of the quadratic functions
     directly, look for a pairing-preserving torsion map matching the
-    decoration classes and then compare the two Gauss sums.  Both
-    routes decide the same relation; keeping them separate lets tests
-    confront one with the other.
+    decoration classes and then compare the two Gauss sums, by the
+    phase of one at the point where the functions differ by a
+    character.  Both routes decide the same relation; keeping them
+    separate lets tests confront one with the other.
     """
     d1 = discriminant(p1.matrix)
     d2 = discriminant(p2.matrix)

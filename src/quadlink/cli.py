@@ -25,7 +25,8 @@ Exit codes:
     0  success (compare: equivalent)
     1  bad input, with a file/line/field diagnostic; a matrix over
        MAX_COMPONENTS components or MAX_ENTRY_BITS bits per entry is
-       bad input
+       bad input, and so, for spins, is one with more than
+       MAX_SPIN_STRUCTURES spin structures
     2  torsion group larger than the order cap
     3  compare: inequivalent
     4  compare: unknown within the search budget
@@ -60,11 +61,10 @@ from .presentation import (
     PresentationError,
     presentation,
     random_walk,
-    spin_structures,
 )
 from .lattice import wu_classes
 from .quadfun import DEFAULT_ORDER_CAP, OrderCapExceeded
-from .zlinalg import intmatrix
+from .zlinalg import intmatrix, solve_mod2
 
 EXIT_OK = 0
 EXIT_INVALID = 1
@@ -80,6 +80,9 @@ EXIT_EVEN_ORDER = 5
 # of up to 32 bits takes about 3 s (2-core x86_64, CPython 3.11).
 MAX_COMPONENTS = 64
 MAX_ENTRY_BITS = 32
+# spins lists 2^dim decorations, dim <= MAX_COMPONENTS the mod-2 kernel
+# dimension, checked first; 12 zero components give 4,096 in about 0.3 s
+MAX_SPIN_STRUCTURES = 4096
 
 
 class InputError(Exception):
@@ -325,21 +328,24 @@ def cmd_walk(args: argparse.Namespace) -> int:
 
 def cmd_spins(args: argparse.Namespace) -> int:
     p, name = load_presentation_file(args.file)
+    _, kernel = solve_mod2(p.matrix, p.matrix.diagonal())
+    if 1 << len(kernel) > MAX_SPIN_STRUCTURES:
+        raise InputError(f"{args.file}: 2^{len(kernel)} spin structures, more than the limit {MAX_SPIN_STRUCTURES}")
     wu = wu_classes(p.matrix)
-    decorated = spin_structures(p)
+    decorations = [p.matrix.matvec(w) for w in wu]  # those of spin_structures, in its order
     if args.json:
         doc = {
             "count": len(wu),
             "spins": [
-                {"wu_class": list(w), "chern": list(d.chern)}
-                for w, d in zip(wu, decorated)
+                {"wu_class": list(w), "chern": list(d)}
+                for w, d in zip(wu, decorations)
             ],
         }
         sys.stdout.write(dump_document(doc))
     else:
         print(f"{len(wu)} spin structure(s)")
-        for w, d in zip(wu, decorated):
-            print(f"  wu class {list(w)} -> decoration {list(d.chern)}")
+        for w, d in zip(wu, decorations):
+            print(f"  wu class {list(w)} -> decoration {list(d)}")
     return EXIT_OK
 
 

@@ -147,25 +147,6 @@ def _mobius(n: int) -> int:
     return mu
 
 
-def _poly_mul_xm_minus_1(p: list[int], m: int) -> list[int]:
-    # multiply by (x^m - 1)
-    out = [0] * (len(p) + m)
-    for i, c in enumerate(p):
-        out[i + m] += c
-        out[i] -= c
-    return out
-
-
-def _poly_div_xm_minus_1(p: list[int], m: int) -> list[int]:
-    # exact division by (x^m - 1); caller guarantees divisibility
-    dq = len(p) - 1 - m
-    q = [0] * (dq + 1)
-    for i in range(dq + 1):
-        above = q[i - m] if i >= m else 0
-        q[i] = above - p[i]
-    return q
-
-
 @lru_cache(maxsize=None)
 def _binomial_factors(n: int) -> tuple[tuple[int, bool], ...]:
     """The binomials 1 - x^d of Phi_n = prod over d | n of (1 - x^d)^mu(n/d), n >= 2.
@@ -211,35 +192,16 @@ def _apply_binomials(a: list[int], n: int, inverse: bool) -> None:
 
 @lru_cache(maxsize=None)
 def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
-    """Coefficients of the n-th cyclotomic polynomial, ascending degree.
-
-    Computed by Moebius inclusion-exclusion over the squarefree part:
-    Phi_rad(x) = prod over d | rad of (x^(rad/d) - 1)^mu(d), with all
-    multiplications done before the (then exact) divisions, followed by
-    the substitution x -> x^(n/rad).
-    """
+    """Coefficients of the n-th cyclotomic polynomial, ascending degree: the binomials times 1, mod x^(phi(n) + 1)."""
     if n < 1:
         raise ValueError("modulus must be >= 1")
     if n == 1:
         return (-1, 1)
-    primes = _prime_factors(n)
-    rad = math.prod(primes)
-    mul_steps, div_steps = [], []
-    for mask in range(1 << len(primes)):
-        d = math.prod(p for k, p in enumerate(primes) if mask >> k & 1)
-        (mul_steps if _mobius(d) == 1 else div_steps).append(rad // d)
-    poly = [1]
-    for m in mul_steps:
-        poly = _poly_mul_xm_minus_1(poly, m)
-    for m in div_steps:
-        poly = _poly_div_xm_minus_1(poly, m)
-    stretch = n // rad
-    out = [0] * ((len(poly) - 1) * stretch + 1)
-    for i, c in enumerate(poly):
-        out[i * stretch] = c
-    if len(out) - 1 != _totient(n):
-        raise RuntimeError(f"Phi_{n} came out with degree {len(out) - 1}, not phi({n})")
-    return tuple(out)
+    poly = [1] + [0] * _totient(n)
+    _apply_binomials(poly, n, inverse=False)
+    if poly[-1] != 1:
+        raise RuntimeError(f"Phi_{n} came out with coefficient {poly[-1]} at degree phi({n}), not 1")
+    return tuple(poly)
 
 
 @lru_cache(maxsize=None)

@@ -6,6 +6,7 @@ import math
 import random
 from collections import Counter, deque
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -26,17 +27,30 @@ from quadlink.classify import (
     yc_equivalent_by_pairing,
 )
 import quadlink.classify as classify_module
-from quadlink.exact import CyclotomicSum, QmodZ, cyclo_equals, cyclo_from_angles
+from quadlink.classify import _MIXED_BLIND_REASONS, _Budget, _integral_slopes, _Side
+from quadlink.exact import CyclotomicSum, QmodZ, cyclo_equals, cyclo_from_angles, cyclo_from_residues
 from quadlink.lattice import (
+    DiscriminantData,
     chern_coordinates,
     discriminant,
     evaluation_pairing,
     linking_pairing,
     phi_eval,
+    phi_table,
     radical_slope,
 )
 from quadlink.presentation import HandleSlide, apply_move, chern_equal, presentation, random_walk
-from quadlink.quadfun import DEFAULT_ORDER_CAP, FiniteAbelianGroup, Fingerprint, OrderCapExceeded, QuadraticFunction
+from quadlink.quadfun import (
+    DEFAULT_ORDER_CAP,
+    FiniteAbelianGroup,
+    Fingerprint,
+    GroupIso,
+    OrderCapExceeded,
+    QuadraticFunction,
+    _image_positions,
+    _isometries,
+    _linear_table,
+)
 from quadlink.zlinalg import IntMatrix, SmithDecomposition, determinant, intmatrix, solve_integer
 
 
@@ -845,3 +859,358 @@ def test_sweep_checks_the_second_sides_duality_identity(monkeypatch):
     monkeypatch.setattr(classify_module, "discriminant", corrupt_second)
     with pytest.raises(RuntimeError, match="duality identity"):
         yc_equivalent(presentation(m1, c1), presentation(m2, c2))
+
+
+# --- the phase lookup against the cyclotomic sweep --------------------------
+#
+# The mixed sweep and the torsion-map route decide Gauss-sum agreement by
+# gamma(q + b(., t)) = e(-q(t)) gamma(q): one integer congruence per
+# comparison.  The route they replace, which built and compared exact
+# cyclotomic Gauss sums for every candidate, is kept below verbatim as the
+# oracle; patched into the module, it must give the same status, reason
+# and witness at every budget.
+
+
+def _oracle_torsion_map_verdict(
+    side1: _Side,
+    side2: _Side,
+    cap: int,
+    budget: _Budget,
+    reasons: tuple[str, str, str],
+) -> EquivalenceVerdict:
+    """Match decoration classes by a pairing-preserving torsion map, then compare Gauss sums.
+
+    Sound when the Gauss sums do not depend on the section, i.e. when
+    the decorations are blind to the radical.  reasons holds the prose
+    for: no matching map, equivalence (formatted with the map), and a
+    Gauss sum mismatch.
+    """
+    data1, data2 = side1.data, side2.data
+    factors = data1.torsion_factors
+    modulus = data1.value_modulus
+    values1, _ = side1.tables(cap)
+    values2, _ = side2.tables(cap)
+    group = FiniteAbelianGroup(factors)
+    link1, link2 = data1.linking, data2.linking
+    no_map, equivalent, gauss_differ = reasons
+    elements = list(group.elements())
+    k = len(factors)
+    for images in _isometries(factors, modulus, link1, link2, range(k), [elements] * k, budget.charge):
+        if GroupIso(group, group, images).apply(side1.tors) == side2.tors:
+            break
+    else:
+        if budget.exhausted:
+            return EquivalenceVerdict(UNKNOWN, "budget ran out while sweeping torsion maps")
+        return EquivalenceVerdict(INEQUIVALENT, no_map)
+    if cyclo_from_residues(Counter(values1), modulus) == cyclo_from_residues(Counter(values2), modulus):
+        return EquivalenceVerdict(EQUIVALENT, equivalent.format(images))
+    return EquivalenceVerdict(INEQUIVALENT, gauss_differ)
+
+
+def _oracle_mixed_verdict(side1: _Side, side2: _Side, cap: int, budget: _Budget) -> EquivalenceVerdict:
+    """Sweep candidate maps when both free rank and torsion are present.
+
+    A candidate consists of a pairing-preserving torsion map d, a
+    coupling of the free part into torsion, and a section shift; the
+    coupling enters the Gauss comparison only through its contraction
+    mu against the slope covector, and the section shift only through
+    a character chi ranging over the subgroup the slopes generate.
+    For each candidate the sum on one side is re-expressed over the
+    matched section and compared exactly with the other side.
+
+    Every table holds residues in units of 1/M, M the value modulus,
+    as do data.linking and data.eval_free_lift; tables are indexed by
+    element position in itertools.product order.
+    """
+    data1, data2 = side1.data, side2.data
+    g = math.gcd(*_integral_slopes(data1, side1.chern, side1.free))
+    # side 2's slopes enter nowhere, but its duality check must run
+    _integral_slopes(data2, side2.chern, side2.free)
+    if g == 0:
+        # decoration is blind to the radical: the Gauss sums are section
+        # independent and the candidate map only has to match the
+        # torsion decoration classes
+        return _oracle_torsion_map_verdict(side1, side2, cap, budget, _MIXED_BLIND_REASONS)
+
+    factors = data1.torsion_factors
+    modulus = data1.value_modulus
+    q1, _ = side1.tables(cap)
+    q2, _ = side2.tables(cap)
+    group = FiniteAbelianGroup(factors)
+    elements = list(group.elements())
+    free1 = side1.free
+    b = data1.free_rank
+    link1, link2 = data1.linking, data2.linking
+    # the slope covector W^-T slopes is free/2, since _integral_slopes
+    # checked 2 slopes = W^T free and discriminant checked W unimodular
+    ell1 = tuple(f // 2 for f in free1)
+    ell2 = tuple(f // 2 for f in side2.free)
+
+    def contraction(data: DiscriminantData, ell: tuple[int, ...]) -> list[int]:
+        # ell against the free-covector evaluations: one angle per torsion generator
+        return [sum(e * row[i] for e, row in zip(ell, data.eval_free_lift)) % modulus for i in range(len(factors))]
+
+    # side-1 angles against the stored section, slope-corrected; the
+    # candidate-dependent remainder is subtracted per sweep step
+    base1 = [(q + p) % modulus for q, p in zip(q1, _linear_table(contraction(data1, ell1), factors, modulus))]
+    row2 = contraction(data2, ell2)
+
+    char_axes = [range(0, d, math.gcd(g, d)) for d in factors]
+    chi_cache: dict[tuple[int, ...], list[int]] = {}
+    gamma2_cache: dict[tuple[int, ...], CyclotomicSum] = {}
+
+    def chi_of(avec: tuple[int, ...]) -> list[int]:
+        if avec not in chi_cache:
+            chi_cache[avec] = _linear_table([a * (modulus // d) for a, d in zip(avec, factors)], factors, modulus)
+        return chi_cache[avec]
+
+    def gamma2_of(avec: tuple[int, ...]) -> CyclotomicSum:
+        if avec not in gamma2_cache:
+            shifted = Counter((x - c) % modulus for x, c in zip(q2, chi_of(avec)))
+            gamma2_cache[avec] = cyclo_from_residues(shifted, modulus)
+        return gamma2_cache[avec]
+
+    mu_cache: dict[tuple[int, int], tuple[int, ...]] = {}
+
+    def mu_choices(d_l: int, v_l: int) -> tuple[int, ...]:
+        # contractions of an admissible coupling row against the slope
+        # covector; the row itself is never needed beyond this value
+        key = (d_l, v_l)
+        if key not in mu_cache:
+            out = set()
+            for rho in itertools.product(range(d_l), repeat=b):
+                if not budget.charge():
+                    break
+                if sum(f * r for f, r in zip(free1, rho)) % d_l == v_l:
+                    out.add(sum(e * r for e, r in zip(ell1, rho)) % d_l)
+            mu_cache[key] = tuple(sorted(out))
+        return mu_cache[key]
+
+    k = len(factors)
+    for images in _isometries(factors, modulus, link1, link2, range(k), [elements] * k, budget.charge):
+        mapped = GroupIso(group, group, images).apply(side1.tors)
+        v = tuple((t - s) % d for t, s, d in zip(side2.tors, mapped, factors))
+        if any(vl % math.gcd(g, dl) for vl, dl in zip(v, factors)):
+            continue
+        axes = [mu_choices(dl, vl) for dl, vl in zip(factors, v)]
+        if any(not axis for axis in axes):
+            continue
+        dmap = _image_positions(factors, images)
+        for mu in itertools.product(*axes):
+            # side-2 slope correction plus the pairing with the coupling, linear in u
+            row = [(r + sum(ml * link2[l][i] for l, ml in enumerate(mu))) % modulus for i, r in enumerate(row2)]
+            drop2 = _linear_table(row, factors, modulus)
+            angles = [0] * len(elements)
+            for w, u in enumerate(dmap):
+                angles[u] = base1[w] - drop2[u]
+            for avec in itertools.product(*char_axes):
+                if not budget.charge(len(elements)):
+                    return EquivalenceVerdict(
+                        UNKNOWN, "budget ran out while comparing Gauss sums over matched sections"
+                    )
+                shifted = Counter((a - c) % modulus for a, c in zip(angles, chi_of(avec)))
+                gamma1 = cyclo_from_residues(shifted, modulus)
+                if gamma1 == gamma2_of(avec):
+                    return EquivalenceVerdict(
+                        EQUIVALENT,
+                        f"torsion map {images} with coupling contraction {mu} and section character {avec} matches the Gauss sums",
+                    )
+    if budget.exhausted:
+        return EquivalenceVerdict(UNKNOWN, "budget ran out before the sweep finished")
+    return EquivalenceVerdict(
+        INEQUIVALENT,
+        "no pairing-preserving map, coupling, and section shift reproduce the Gauss sums",
+    )
+
+
+def _verdicts(decide, p1, p2):
+    out = []
+    for budget in (1, 5, 50, classify_module.DEFAULT_SEARCH_BUDGET):
+        v = decide(p1, p2, budget=budget)
+        out.append((v.status, v.reason, v.witness))
+    return out
+
+
+def _oracle_verdicts(decide, p1, p2):
+    with mock.patch.object(classify_module, "_mixed_verdict", _oracle_mixed_verdict), mock.patch.object(
+        classify_module, "_torsion_map_verdict", _oracle_torsion_map_verdict
+    ):
+        return _verdicts(decide, p1, p2)
+
+
+def _slid_mixed_pair(pick):
+    """Two decorations of [A] + 0_b, each moved by its own handle slides; pick(lo, hi) draws an integer."""
+    k, b = pick(1, 2), pick(1, 2)
+    n = k + b
+    m = [[0] * n for _ in range(n)]
+    for i in range(k):
+        for j in range(i, k):
+            m[i][j] = m[j][i] = pick(-4, 4)
+    c1 = [m[i][i] + 2 * pick(-3, 3) for i in range(n)]
+    if pick(0, 4) == 0:
+        # vanishing free part: the radical-blind branch
+        c1 = [x if i < k else 0 for i, x in enumerate(c1)]
+    c2 = c1 if pick(0, 1) else [m[i][i] + 2 * pick(-3, 3) for i in range(n)]
+    out = []
+    for c in (c1, c2):
+        p = presentation(m, c)
+        for _ in range(pick(0, 8)):
+            i = pick(0, n - 1)
+            j = (i + pick(1, n - 1)) % n
+            p = apply_move(p, HandleSlide(i, j, 2 * pick(0, 1) - 1))
+        out.append(p)
+    return tuple(out)
+
+
+def _contraction_is_nonzero(p):
+    # the slope correction of the sweep, f/2 against the free-covector evaluations
+    data = discriminant(p.matrix)
+    free, _ = chern_coordinates(data, p.chern)
+    rows = [sum(f // 2 * row[i] for f, row in zip(free, data.eval_free_lift)) for i in range(len(data.torsion_factors))]
+    return any(r % data.value_modulus for r in rows)
+
+
+@st.composite
+def slid_mixed_pairs(draw):
+    p1, p2 = _slid_mixed_pair(lambda lo, hi: draw(st.integers(lo, hi)))
+    assume(2 <= discriminant(p1.matrix).torsion_order <= 64)
+    return p1.matrix.data, p1.chern, p2.matrix.data, p2.chern
+
+
+@settings(max_examples=60, deadline=None)
+@given(slid_mixed_pairs())
+@example((TWISTED_A, (1, -4, -2, 5), TWISTED_A, (3, 4, 2, -1)))
+@example((TWISTED_B, (5, 4, -4, 3), TWISTED_B, (1, -2, 4, 3)))
+@example((TWO_GENERATORS, (2, -2, -4, -2), TWO_GENERATORS, (0, -4, -2, -4)))
+@example((MIXED, (4, 0), MIXED, (4, 2)))
+def test_phase_lookup_matches_the_cyclotomic_sweep(pair):
+    m1, c1, m2, c2 = pair
+    p1, p2 = presentation(m1, c1), presentation(m2, c2)
+    assert _verdicts(yc_equivalent, p1, p2) == _oracle_verdicts(yc_equivalent, p1, p2)
+
+
+def test_phase_lookup_matches_the_sweep_on_seeded_twisted_pairs():
+    # slides of [A] + 0_b give free covectors that pair nontrivially with
+    # the torsion lifts on some pairs; the floor keeps those in the corpus
+    rng = random.Random(20261018)
+    twisted = swept = 0
+    while swept < 240:
+        p1, p2 = _slid_mixed_pair(rng.randint)
+        data1, data2 = discriminant(p1.matrix), discriminant(p2.matrix)
+        if not 2 <= data1.torsion_order <= 64:
+            continue
+        free1, _ = chern_coordinates(data1, p1.chern)
+        free2, _ = chern_coordinates(data2, p2.chern)
+        if math.gcd(*free1) == 0 or math.gcd(*free1) != math.gcd(*free2):
+            continue
+        swept += 1
+        twisted += _contraction_is_nonzero(p1) or _contraction_is_nonzero(p2)
+        assert _verdicts(yc_equivalent, p1, p2) == _oracle_verdicts(yc_equivalent, p1, p2), (p1, p2)
+    assert twisted >= 20, twisted
+
+
+def _shifted_table(data, chern, s):
+    """phi_table of the decoration plus the character b(., s), s given by coordinates."""
+    factors, modulus = data.torsion_factors, data.value_modulus
+    values, defect_gen = phi_table(data, chern)
+    # b(g_j, s) on each generator, then b(., s) on every element
+    row = [sum(x * data.linking[j][i] for i, x in enumerate(s)) % modulus for j in range(len(factors))]
+    return [(v + w) % modulus for v, w in zip(values, _linear_table(row, factors, modulus))], defect_gen
+
+
+def test_phase_lookup_matches_the_sweep_on_shifted_refinements():
+    # q2 + b2(., s) refines the same pairing as q2 but need not come from
+    # a decoration, so matches land on arbitrary phases q2(t)
+    rng = random.Random(20261020)
+    swept = 0
+    while swept < 120:
+        p1, p2 = _slid_mixed_pair(rng.randint)
+        data1, data2 = discriminant(p1.matrix), discriminant(p2.matrix)
+        if not 2 <= data1.torsion_order <= 64:
+            continue
+        side1, side2 = classify_module._side(data1, p1.chern), classify_module._side(data2, p2.chern)
+        if math.gcd(*side1.free) == 0 or math.gcd(*side1.free) != math.gcd(*side2.free):
+            continue
+        swept += 1
+        s = [rng.randrange(d) for d in data2.torsion_factors]
+        tables = _shifted_table(data2, p2.chern, s)
+        for budget in (5, 50, classify_module.DEFAULT_SEARCH_BUDGET):
+            verdicts = [
+                decide(side1, dataclasses.replace(side2, _tables=tables), DEFAULT_ORDER_CAP, _Budget(budget))
+                for decide in (classify_module._mixed_verdict, _oracle_mixed_verdict)
+            ]
+            assert verdicts[0] == verdicts[1], (p1, p2, s)
+
+
+def test_torsion_map_route_matches_the_oracle_on_shifted_refinements():
+    rng = random.Random(20261021)
+    done = 0
+    while done < 60:
+        n = rng.randint(1, 3)
+        rows = [[0] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i, n):
+                rows[i][j] = rows[j][i] = rng.randint(-4, 4)
+        if not 2 <= abs(determinant(intmatrix(rows))) <= 60:
+            continue
+        done += 1
+        c1, c2 = rng.choice(canonical_chern_vectors(rows)), rng.choice(canonical_chern_vectors(rows))
+        p2, _ = random_walk(presentation(rows, c2), rng.randint(0, 6), seed=rng.randint(0, 10**6))
+        data1, data2 = discriminant(intmatrix(rows)), discriminant(p2.matrix)
+        s = [rng.randrange(d) for d in data2.torsion_factors]
+        side2 = dataclasses.replace(classify_module._side(data2, p2.chern), _tables=_shifted_table(data2, p2.chern, s))
+        verdicts = [
+            decide(classify_module._side(data1, c1), side2, DEFAULT_ORDER_CAP, _Budget(10**6), classify_module._PAIRING_REASONS)
+            for decide in (classify_module._torsion_map_verdict, _oracle_torsion_map_verdict)
+        ]
+        assert verdicts[0] == verdicts[1], (rows, c1, p2, s)
+
+
+def test_pairing_route_matches_the_cyclotomic_oracle():
+    rng = random.Random(20261019)
+    pool = _random_finite_presentations(rng, 12)
+    pool.append(presentation([[1]], (1,)))
+    pool.append(presentation([[-1]], (1,)))
+    pairs = [(a, b) for i, a in enumerate(pool) for b in pool[i:]]
+    for a, b in pairs:
+        assert _verdicts(yc_equivalent_by_pairing, a, b) == _oracle_verdicts(yc_equivalent_by_pairing, a, b), (a, b)
+
+
+@settings(max_examples=60, deadline=None)
+@given(decorated_symmetric_forms(), st.integers(0, 10**6))
+@example(([[2]], (0,)), 1)
+@example((TWO_GENERATORS, (2, -2, -4, -2)), 11)
+def test_gauss_sum_of_a_shifted_function(form, index):
+    # gamma(q + b(., t)) = e(-q(t)) gamma(q) for every torsion element t
+    m, chern = form
+    data = discriminant(IntMatrix(m))
+    assume(data.torsion_order <= 400)
+    modulus = data.value_modulus
+    q, _ = phi_table(data, chern)
+    t = index % len(q)
+    shifted, _ = _shifted_table(data, chern, list(FiniteAbelianGroup(data.torsion_factors).elements())[t])
+    gamma = cyclo_from_residues(Counter(q), modulus)
+    phase = CyclotomicSum.root_of_unity(QmodZ(Fraction(-q[t], modulus)))
+    assert cyclo_equals(cyclo_from_residues(Counter(shifted), modulus), phase * gamma)
+
+
+@pytest.mark.parametrize(
+    "decide, m1, c1, m2, c2",
+    [
+        (yc_equivalent_by_pairing, [[2]], (0,), [[2]], (2,)),
+        (yc_equivalent, *BLIND_PAIR),
+        (yc_equivalent, *SWEEP_PAIR),
+    ],
+)
+def test_degenerate_linking_is_refused(monkeypatch, decide, m1, c1, m2, c2):
+    # a zero pairing has every element in its radical; the phase lookup
+    # needs every character to be b(., t) for exactly one t
+    original = classify_module.discriminant
+
+    def degenerate(matrix):
+        data = original(matrix)
+        return dataclasses.replace(data, linking=tuple((0,) * len(row) for row in data.linking))
+
+    monkeypatch.setattr(classify_module, "discriminant", degenerate)
+    with pytest.raises(RuntimeError, match="degenerate"):
+        decide(presentation(m1, c1), presentation(m2, c2))

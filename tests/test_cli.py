@@ -16,6 +16,7 @@ from quadlink.cli import (
     EXIT_UNKNOWN,
     MAX_COMPONENTS,
     MAX_ENTRY_BITS,
+    MAX_SPIN_STRUCTURES,
     dump_document,
     first_differing_field,
     load_presentation_file,
@@ -23,8 +24,10 @@ from quadlink.cli import (
     presentation_payload,
 )
 import quadlink.classify as classify_module
+import quadlink.cli as cli_module
 from quadlink.classify import invariants_report
-from quadlink.presentation import presentation
+from quadlink.lattice import wu_classes
+from quadlink.presentation import presentation, spin_structures
 
 
 def write_doc(tmp_path, name, doc):
@@ -151,6 +154,55 @@ def test_spins_text_output(tmp_path, capsys):
     path = write_doc(tmp_path, "p.json", {"matrix": [[3]], "chern": [1]})
     assert main(["spins", path]) == EXIT_OK
     assert "1 spin structure" in capsys.readouterr().out
+
+
+def test_spins_lists_the_library_decorations(tmp_path, capsys):
+    rows = [[0, 2, 0, 0], [2, 0, 0, 0], [0, 0, 2, 1], [0, 0, 1, 0]]
+    path = write_doc(tmp_path, "p.json", {"matrix": rows, "chern": [0, 0, 0, 0]})
+    assert main(["spins", path, "--json"]) == EXIT_OK
+    doc = json.loads(capsys.readouterr().out)
+    p = presentation(rows, [0, 0, 0, 0])
+    assert doc["spins"] == [
+        {"wu_class": list(w), "chern": list(d.chern)} for w, d in zip(wu_classes(p.matrix), spin_structures(p))
+    ]
+    assert doc["count"] == 4
+
+
+def _zero_matrix_doc(components):
+    # every vector is in the mod-2 kernel of the zero form: 2^components spin structures
+    return {"matrix": [[0] * components for _ in range(components)], "chern": [0] * components}
+
+
+@pytest.mark.parametrize("components, accepted", [(12, True), (13, False)])
+def test_spins_limit(tmp_path, capsys, monkeypatch, components, accepted):
+    assert 1 << 12 == MAX_SPIN_STRUCTURES
+    calls = []
+    monkeypatch.setattr(cli_module, "wu_classes", lambda m: calls.append(m) or wu_classes(m))
+    path = write_doc(tmp_path, "p.json", _zero_matrix_doc(components))
+    if accepted:
+        assert main(["spins", path, "--json"]) == EXIT_OK
+        assert json.loads(capsys.readouterr().out)["count"] == MAX_SPIN_STRUCTURES
+        assert len(calls) == 1
+    else:
+        assert main(["spins", path]) == EXIT_INVALID
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {path}: 2^13 spin structures, more than the limit {MAX_SPIN_STRUCTURES}\n"
+        assert calls == []
+
+
+def test_spins_refuses_the_largest_accepted_matrix_quickly(tmp_path):
+    # 64 components of zeros would list 2^64 decorations; the timeout
+    # turns a regression into a failure instead of a hang
+    path = write_doc(tmp_path, "p.json", _zero_matrix_doc(MAX_COMPONENTS))
+    proc = subprocess.run(
+        [sys.executable, "-m", "quadlink.cli", "spins", path],
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert (proc.returncode, proc.stdout) == (EXIT_INVALID, "")
+    assert "2^64 spin structures" in proc.stderr
 
 
 def test_lens_census_output(capsys):
@@ -336,7 +388,8 @@ def test_installed_entry_point_runs():
 # byte for byte: one input per regime (finite cyclic, finite with two
 # generators, mixed with nonzero free-covector evaluations, mixed with a
 # vanishing free decoration), a mixed sweep pair at the default budget
-# and at one the sweep exhausts, and a census.
+# and at one the sweep exhausts, an inequivalent pair from the sweep and
+# one from its radical-blind branch, and a census.
 EXPECTED_CLI = Path(__file__).parent / "expected_cli"
 TWISTED_A = [[-3, 1, 2, 1], [1, 2, 0, 1], [2, 0, -2, -2], [1, 1, -2, -3]]
 MIXED = [[0, 0], [0, 2]]
@@ -355,6 +408,13 @@ PINNED_CLI = [
         {"a.json": (MIXED, [2, 0]), "b.json": (MIXED, [2, 2])},
         ["compare", "a.json", "b.json", "--budget", "5"],
         EXIT_UNKNOWN,
+    ),
+    ("compare_mixed_split", {"a.json": (MIXED, [4, 0]), "b.json": (MIXED, [4, 2])}, ["compare", "a.json", "b.json"], EXIT_INEQUIVALENT),
+    (
+        "compare_mixed_blind_gauss",
+        {"a.json": ([[0, 0], [0, 4]], [0, 0]), "b.json": ([[0, 0], [0, 4]], [0, 4])},
+        ["compare", "a.json", "b.json"],
+        EXIT_INEQUIVALENT,
     ),
     ("classes_z3_z15", {"m.json": ([[9, 3], [3, 6]], None)}, ["classes", "m.json"], EXIT_OK),
 ]
