@@ -77,7 +77,9 @@ EXIT_EVEN_ORDER = 5
 # The largest matrix the commands accept.  Both limits are checked before
 # any Smith elimination, whose cost grows steeply with size and entry
 # length: invariants on a slide-scrambled 64-component form with entries
-# of up to 32 bits takes about 3 s (2-core x86_64, CPython 3.11).
+# of up to 32 bits takes about 1 s, and on a random symmetric one with
+# 32-bit entries about 2.5 s to its order-cap exit (2-core x86_64,
+# CPython 3.11).
 MAX_COMPONENTS = 64
 MAX_ENTRY_BITS = 32
 # spins lists 2^dim decorations, dim <= MAX_COMPONENTS the mod-2 kernel

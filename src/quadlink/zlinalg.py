@@ -10,7 +10,10 @@ smith_normal_form eliminates on the matrix alone and logs its row and
 column operations (Cohen, GTM 138, section 2.4); SmithDecomposition
 rebuilds from the log only the transform rows and columns a caller
 reads.  Transform entries far outgrow the matrix entries, so updating
-whole transforms during elimination would dominate its cost.
+whole transforms during elimination would dominate its cost.  The
+pivot is the least nonzero |entry| of the block at each new index;
+after that, centred remainders and a pivot taken from them in the
+pivot row and column alone keep the log short and its quotients small.
 """
 
 from __future__ import annotations
@@ -189,8 +192,10 @@ class SmithDecomposition:
 
     The elimination sequence is frozen: discriminant freezes its torsion
     section out of V's columns, and the Smith-basis radical slopes and
-    torsion coordinates that the CLI invariants command prints depend on
-    which U and V the sequence picks, not on D alone.
+    torsion coordinates that the CLI invariants command prints, and the
+    generator images of a finite-regime witness, depend on which U and V
+    the sequence picks, not on D alone.  Any change to the pivot rule
+    (smith_normal_form) moves them on some inputs; D does not move.
     """
 
     matrix: IntMatrix
@@ -235,7 +240,8 @@ class SmithDecomposition:
 def _pivot(a: list[list[int]], t: int) -> tuple[int, int] | None:
     """The first entry of least nonzero |value| in row-major order of a[t:, t:].
 
-    A unit is that minimum as soon as it is seen, so the scan stops there.
+    This is the pivot at a fresh index t.  A unit is that minimum as soon
+    as it is seen, so the scan stops there.
     """
     best = 0
     piv = None
@@ -251,13 +257,40 @@ def _pivot(a: list[list[int]], t: int) -> tuple[int, int] | None:
     return piv
 
 
+def _cross_pivot(a: list[list[int]], t: int) -> tuple[int, int]:
+    """The first entry of least nonzero |value| in column t (rows >= t), then row t (columns > t).
+
+    This is the pivot after a pass that left remainders: they lie in
+    column and row t only, each smaller than the old pivot a[t][t].
+    """
+    best, piv = abs(a[t][t]), (t, t)
+    for i in range(t + 1, len(a)):
+        x = abs(a[i][t])
+        if x and x < best:
+            best, piv = x, (i, t)
+    row = a[t]
+    for j in range(t + 1, len(row)):
+        x = abs(row[j])
+        if x and x < best:
+            best, piv = x, (t, j)
+    return piv
+
+
 def smith_normal_form(m: IntMatrix) -> SmithDecomposition:
     """Smith normal form with deterministic pivoting.
 
-    Pivot choice: smallest nonzero absolute value, ties broken by lowest
-    row index then lowest column index.  Determinism matters because the
-    discriminant construction freezes a section out of V's columns and
-    every downstream Gauss sum refers to it.
+    At a fresh index t the pivot is the entry of smallest nonzero absolute
+    value in the remaining block, ties broken by lowest row index then
+    lowest column index (_pivot).  The pivot p clears its column and row
+    by centred quotients q = (x + p // 2) // p, so remainders lie in
+    [-(p // 2), p - p // 2).  When a remainder is left, the next pivot is
+    the smallest of them, found in column and row t alone (_cross_pivot)
+    rather than by rescanning the block.  Both choices keep pivots and
+    transform entries small (Cohen, GTM 138, section 2.4; Havas, Majewski
+    and Matthews, Exp. Math. 7, 1998).
+    Determinism matters because the discriminant construction freezes a
+    section out of V's columns and every downstream Gauss sum refers to
+    it.
 
     Only the matrix is eliminated; each operation is logged (see
     SmithDecomposition).  Rows and columns before the pivot index t are
@@ -273,8 +306,9 @@ def smith_normal_form(m: IntMatrix) -> SmithDecomposition:
 
     t = 0
     size = min(r, c)
+    dirty = False
     while t < size:
-        piv = _pivot(a, t)
+        piv = _cross_pivot(a, t) if dirty else _pivot(a, t)
         if piv is None:
             break
         pi, pj = piv
@@ -290,12 +324,13 @@ def smith_normal_form(m: IntMatrix) -> SmithDecomposition:
             a[t] = pivot_row = [-x for x in pivot_row]
             row_ops.append((NEGATE, t, t, 0))
         p = pivot_row[t]
+        h = p // 2
         dirty = False
         for i in range(t + 1, r):
             x = a[i][t]
             if x:
-                q, rem = divmod(x, p)
-                if rem:
+                q, rem = divmod(x + h, p)  # x == q * p + (rem - h)
+                if rem != h:
                     dirty = True
                 if q:
                     a[i] = [y - q * z for y, z in zip(a[i], pivot_row)]
@@ -305,8 +340,8 @@ def smith_normal_form(m: IntMatrix) -> SmithDecomposition:
         for j in range(t + 1, c):
             x = pivot_row[j]
             if x:
-                q, rem = divmod(x, p)
-                if rem:
+                q, rem = divmod(x + h, p)
+                if rem != h:
                     dirty = True
                 if q:
                     for row in live:

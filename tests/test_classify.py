@@ -136,24 +136,38 @@ def _walked(rows, chern, seed, size_cap):
     return random_walk(presentation(rows, chern), 24, seed, size_cap=size_cap)[0]
 
 
+def _assert_carries_values(p1, p2, images):
+    """The map x -> sum x_i images[i] is bijective and phi_2(map x) == phi_1(x) on every x."""
+    data1, data2 = discriminant(p1.matrix), discriminant(p2.matrix)
+    assert data1.torsion_factors == data2.torsion_factors and data1.value_modulus == data2.value_modulus
+    values1, _ = phi_table(data1, p1.chern)
+    values2, _ = phi_table(data2, p2.chern)
+    group = FiniteAbelianGroup(data1.torsion_factors)
+    position = {x: n for n, x in enumerate(group.elements())}
+    iso = GroupIso(group, group, tuple(images))
+    mapped = [iso.apply(x) for x in position]
+    assert len(set(mapped)) == len(position)
+    assert [values2[position[y]] for y in mapped] == values1
+
+
 _ISOMORPHIC = "the finite quadratic functions are isomorphic"
 _NOT_ISOMORPHIC = "no isomorphism carries one finite quadratic function to the other"
 PINNED_FINITE = [
     (lambda: (presentation([[5]], (5,)), presentation([[-5]], (-5,))), EQUIVALENT, _ISOMORPHIC, ((2,),)),
     (
         lambda: (presentation(_diagonal(45, 45), (-3, 1)), _walked(_diagonal(45, 45), (-3, 1), 753161180, 2)),
-        EQUIVALENT, _ISOMORPHIC, ((1, 0), (44, 44)),
+        EQUIVALENT, _ISOMORPHIC, ((0, 1), (44, 1)),
     ),
     (
         lambda: (
             presentation(_diagonal(5, 5, 5, 5), (-3, 3, 1, -3)),
             _walked(_diagonal(5, 5, 5, 5), (-3, 3, 1, -3), 1180710293, 4),
         ),
-        EQUIVALENT, _ISOMORPHIC, ((0, 1, 1, 1), (0, 1, 2, 1), (4, 0, 0, 3), (4, 1, 1, 0)),
+        EQUIVALENT, _ISOMORPHIC, ((0, 0, 0, 1), (0, 0, 1, 4), (1, 1, 4, 0), (0, 1, 1, 4)),
     ),
     (
         lambda: (presentation(_diagonal(9, 27), (3, -3)), _walked(_diagonal(9, 27), (3, -3), 985796255, 2)),
-        EQUIVALENT, _ISOMORPHIC, ((2, 15), (0, 14)),
+        EQUIVALENT, _ISOMORPHIC, ((1, 24), (0, 26)),
     ),
     (lambda: (presentation([[2]], (0,)), presentation([[2]], (2,))), INEQUIVALENT, _NOT_ISOMORPHIC, None),
     (lambda: (presentation([[3]], (3,)), presentation([[-3]], (-3,))), INEQUIVALENT, _NOT_ISOMORPHIC, None),
@@ -169,8 +183,11 @@ PINNED_FINITE = [
     ids=["mirror-five", "z45-walk", "z5x4-walk", "z9-z27-walk", "projective", "mirror-three", "empty", "swap", "orbit"],
 )
 def test_finite_verdicts_are_pinned(pair, status, reason, images):
-    v = yc_equivalent(*pair())
+    p1, p2 = pair()
+    v = yc_equivalent(p1, p2)
     assert (v.status, v.reason, None if v.witness is None else v.witness.images) == (status, reason, images)
+    if images is not None:
+        _assert_carries_values(p1, p2, images)
 
 
 def test_verdict_status_is_validated():
