@@ -26,7 +26,15 @@ identity), so no matrix family is enumerated.  Nor is any Gauss sum:
 the linking pairing b is nondegenerate, so every character is b(., t)
 for one t, and gamma(q + b(., t)) = e(-q(t)) gamma(q) != 0
 (Milnor-Husemoller, App. 4) makes each comparison one congruence on
-q.  The sweep is finite; verdicts are definite unless the step budget
+q.
+
+The sweep is finite, and a step budget bounds it: one step per
+pairing-preserving torsion map tried, one per coupling row of
+(Z/d)^b for each torsion order d and decoration difference v the
+sweep meets, and |G| per section character compared.  These steps
+are a deterministic work measure, charged whether or not the work is
+done row by row: the coupling contractions come from a 2x2 Hermite
+form, so no row is built.  Verdicts are definite unless the budget
 runs out, in which case the honest answer is unknown.
 """
 
@@ -90,7 +98,15 @@ class EquivalenceVerdict:
 
 
 class _Budget:
-    """Step counter shared across the stages of one decision."""
+    """Step counter shared across the stages of one decision.
+
+    charge(cost) adds cost to spent and reports whether spent is still
+    within limit; once it is not, exhausted stays set and every later
+    charge is refused.  The mixed sweep charges one step per torsion map
+    tried, one per coupling row of (Z/d)^b for each new (d, v) pair and
+    |G| per section character: a deterministic work measure, charged
+    whether or not any row is built (see _coupling_contractions).
+    """
 
     __slots__ = ("limit", "spent", "exhausted")
 
@@ -260,6 +276,64 @@ def _torsion_map_verdict(
     return EquivalenceVerdict(INEQUIVALENT, gauss_differ)
 
 
+def _coupling_contractions(
+    free: Sequence[int], ell: Sequence[int], d: int, v: int, budget: _Budget
+) -> tuple[int, ...]:
+    """The sorted values ell.rho mod d over the coupling rows rho of (Z/d)^b with free.rho = v (mod d).
+
+    The budget pays one step per row, as a walk over the rows in
+    itertools.product order would: all d^b steps when they fit, else
+    the steps up to and including the first refused one, and only the
+    rows before that step count.  No row is built.  Over the rows
+    with their first i coordinates fixed, the pairs (free.rho, ell.rho)
+    sweep a coset of the subgroup of (Z/d)^2 spanned by the later
+    (free_j, ell_j); with its Hermite form (a, beta, c), (F, E) lies in
+    it iff a | F and E = (F / a) beta (mod c), so each block of rows
+    contributes one coset of cZ/d.  The first N rows split along the
+    base-d digits of N into at most b(d - 1) such blocks, which keeps
+    the cost at O(b d) whatever the budget.
+    """
+    b = len(free)
+    f = [x % d for x in free]
+    e = [x % d for x in ell]
+    # hermite[i] describes span{(f_j, e_j) : j >= i} + dZ^2, built from the back
+    hermite = [(d, 0, d)]
+    for fj, ej in zip(reversed(f), reversed(e)):
+        a, beta, c = hermite[-1]
+        # (g, s beta + t ej) and (0, (fj/g) beta - (a/g) ej) span what (a, beta) and (fj, ej) span
+        g = math.gcd(a, fj)
+        t = pow(fj // g, -1, a // g)
+        s = (g - t * fj) // a
+        c = math.gcd(c, fj // g * beta - a // g * ej)
+        hermite.append((g, (s * beta + t * ej) % c, c))
+    hermite.reverse()
+    rows = d**b
+    if budget.spent + rows <= budget.limit:
+        budget.charge(rows)
+        blocks = [(0, 0, 0)]
+    else:
+        rows = max(0, budget.limit - budget.spent)
+        budget.charge(rows + 1)
+        digits = []
+        for _ in range(b):
+            rows, digit = divmod(rows, d)
+            digits.append(digit)
+        # (free.rho, ell.rho) on the fixed coordinates of a block, and its first free coordinate
+        blocks = []
+        fixed_f = fixed_e = 0
+        for i, digit in enumerate(reversed(digits)):
+            blocks.extend((fixed_f + x * f[i], fixed_e + x * e[i], i + 1) for x in range(digit))
+            fixed_f += digit * f[i]
+            fixed_e += digit * e[i]
+    bases: dict[int, set[int]] = {}
+    for fixed_f, fixed_e, i in blocks:
+        a, beta, c = hermite[i]
+        rest = (v - fixed_f) % d
+        if rest % a == 0:
+            bases.setdefault(c, set()).add((fixed_e + rest // a * beta) % c)
+    return tuple(sorted({x for c, residues in bases.items() for r in residues for x in range(r, d, c)}))
+
+
 _MIXED_BLIND_REASONS = (
     "no pairing-preserving map matches the torsion decoration classes",
     "vanishing free decoration part; torsion map {} matches the decorations and the Gauss sums agree",
@@ -308,7 +382,6 @@ def _mixed_verdict(side1: _Side, side2: _Side, cap: int, budget: _Budget) -> Equ
     elements = list(group.elements())
     gens = [math.prod(factors[i + 1 :]) for i in range(len(factors))]
     free1 = side1.free
-    b = data1.free_rank
     link1, link2 = data1.linking, data2.linking
     # the slope covector W^-T slopes is free/2, since _integral_slopes
     # checked 2 slopes = W^T free and discriminant checked W unimodular
@@ -329,16 +402,13 @@ def _mixed_verdict(side1: _Side, side2: _Side, cap: int, budget: _Budget) -> Equ
 
     def mu_choices(d_l: int, v_l: int) -> tuple[int, ...]:
         # contractions of an admissible coupling row against the slope
-        # covector; the row itself is never needed beyond this value
+        # covector, the only use of the row.  The first call per key
+        # charges one step per coupling row of (Z/d_l)^b, as the sweep
+        # below charges |G| per section character: a deterministic work
+        # measure, whether or not any row is built
         key = (d_l, v_l)
         if key not in mu_cache:
-            out = set()
-            for rho in itertools.product(range(d_l), repeat=b):
-                if not budget.charge():
-                    break
-                if sum(f * r for f, r in zip(free1, rho)) % d_l == v_l:
-                    out.add(sum(e * r for e, r in zip(ell1, rho)) % d_l)
-            mu_cache[key] = tuple(sorted(out))
+            mu_cache[key] = _coupling_contractions(free1, ell1, d_l, v_l, budget)
         return mu_cache[key]
 
     k = len(factors)

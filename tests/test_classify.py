@@ -123,6 +123,13 @@ def test_finite_regime_witness_is_checked_pointwise():
     b = presentation([[-5]], (-5,))
     v = yc_equivalent(a, b)
     assert v.status == EQUIVALENT and v.witness is not None
+    data_a, data_b = discriminant(a.matrix), discriminant(b.matrix)
+    values_a, _ = phi_table(data_a, a.chern)
+    values_b, _ = phi_table(data_b, b.chern)
+    # position of the witness's image of every element, in the order of values_a
+    image = _image_positions(data_a.torsion_factors, v.witness.images)
+    assert sorted(image) == list(range(len(values_a)))
+    assert [values_b[u] for u in image] == values_a
 
 
 # Verdicts of the finite regime with their witnesses: the CLI prints the
@@ -233,6 +240,37 @@ def test_budget_exhaustion_is_reported_not_guessed():
     v = yc_equivalent(presentation(MIXED, (2, 0)), presentation(MIXED, (2, 2)), budget=1)
     assert v.status == UNKNOWN
     assert not v.is_definite
+
+
+# The two pairs of the benchmark's decide workload (seed 1) that exhaust
+# the default budget: c0 vs c0 + 2 on [d] + 0_b, one handle slide apart.
+BUDGET_PAIRS = [
+    (_diagonal(27, 0, 0, 0, 0), (-1, 2, 4, 4, 2), (1, 2, 4, 4, 2)),
+    (_diagonal(16, 0, 0, 0, 0, 0), (2, 2, -4, -4, -2, 4), (4, 2, -4, -4, -2, 4)),
+]
+_SECTIONS_RAN_OUT = "budget ran out while comparing Gauss sums over matched sections"
+
+
+@pytest.mark.parametrize("m, c1, c2", BUDGET_PAIRS, ids=["z27-z4", "z16-z5"])
+def test_benchmark_budget_pairs_run_out_at_the_default_budget(m, c1, c2):
+    v = yc_equivalent(presentation(m, c1), presentation(m, c2))
+    assert (v.status, v.reason, v.witness) == (UNKNOWN, _SECTIONS_RAN_OUT, None)
+
+
+def test_budget_edge_of_the_z27_pair():
+    # 27^4 = 531,441 coupling rows for the one (d, v) pair the sweep
+    # meets, 27 steps for its first section character, and the torsion
+    # maps tried before it
+    m, c1, c2 = BUDGET_PAIRS[0]
+    p1, p2 = presentation(m, c1), presentation(m, c2)
+    v = yc_equivalent(p1, p2, budget=531_470)
+    assert (v.status, v.reason, v.witness) == (
+        EQUIVALENT,
+        "torsion map ((1,),) with coupling contraction (1,) and section character (0,) matches the Gauss sums",
+        None,
+    )
+    v = yc_equivalent(p1, p2, budget=531_469)
+    assert (v.status, v.reason, v.witness) == (UNKNOWN, _SECTIONS_RAN_OUT, None)
 
 
 def test_order_cap_propagates():
@@ -1038,6 +1076,83 @@ def _oracle_mixed_verdict(side1: _Side, side2: _Side, cap: int, budget: _Budget)
         INEQUIVALENT,
         "no pairing-preserving map, coupling, and section shift reproduce the Gauss sums",
     )
+
+
+# --- coupling contractions against the row walk ---------------------------
+#
+# _coupling_contractions reads the contractions off a 2x2 Hermite form and
+# charges the budget as the walk over coupling rows did.  The walk is kept
+# here as the oracle, one walk serving every v: its charges do not depend on v.
+
+
+def _walked_contractions(free, ell, d, budget):
+    """For every v, the sorted ell.rho mod d over the rows rho with free.rho = v that the walk counts."""
+    out = {}
+    for rho in itertools.product(range(d), repeat=len(free)):
+        if not budget.charge():
+            break
+        out.setdefault(sum(f * r for f, r in zip(free, rho)) % d, set()).add(sum(e * r for e, r in zip(ell, rho)) % d)
+    return {v: tuple(sorted(out.get(v, ()))) for v in range(d)}
+
+
+# rows the oracle may walk in one example; larger d^b get small budgets only
+_WALK_CAP = 4000
+
+
+@st.composite
+def coupling_cases(draw):
+    """(free, ell, d, limit, spent): a budget of limit on which spent is charged before the call."""
+    d, b = draw(st.integers(2, 30)), draw(st.integers(1, 5))
+    free = draw(st.lists(st.integers(-60, 60), min_size=b, max_size=b))
+    ell = draw(st.one_of(st.just([f // 2 for f in free]), st.lists(st.integers(-60, 60), min_size=b, max_size=b)))
+    rows = d**b
+    edges = [rows - 1, rows, rows + 1] if rows <= _WALK_CAP else []
+    allowance = draw(st.sampled_from([0, 1, 5, 50] + edges) | st.integers(0, min(rows + 1, _WALK_CAP)))
+    entry = draw(st.sampled_from(["fresh", "partly spent", "exhausted"]))
+    if entry == "fresh":
+        return free, ell, d, allowance, 0
+    extra = draw(st.integers(1, 100))
+    if entry == "partly spent":
+        return free, ell, d, extra + allowance, extra
+    return free, ell, d, allowance, allowance + extra
+
+
+@settings(max_examples=300, deadline=None)
+@given(coupling_cases())
+@example(([1, -2, 2, 1, -1], [0, -1, 1, 0, -1], 30, 50, 0))
+@example(([1, -2, 2, 1, -1], [0, -1, 1, 0, -1], 30, 5, 3))
+@example(([2, 4, 4, 2], [1, 2, 2, 1], 27, 0, 0))
+@example(([3, 0, 6], [1, 1, 0], 9, 9**3, 0))
+@example(([3, 0, 6], [1, 1, 0], 9, 9**3 - 1, 0))
+@example(([3, 0, 6], [1, 1, 0], 9, 9**3 + 1, 0))
+@example(([5, 2], [2, 1], 10, 10, 11))
+def test_coupling_contractions_match_the_row_walk(case):
+    free, ell, d, limit, spent = case
+
+    def budget():
+        out = _Budget(limit)
+        out.charge(spent)
+        return out
+
+    walk = budget()
+    walked = _walked_contractions(free, ell, d, walk)
+    for v in range(d):
+        closed = budget()
+        assert classify_module._coupling_contractions(free, ell, d, v, closed) == walked[v], v
+        assert (closed.exhausted, closed.spent) == (walk.exhausted, walk.spent), v
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(2, 5000), st.lists(st.integers(-10**6, 10**6), min_size=1, max_size=8), st.integers(0, 10**6))
+def test_coupling_contractions_at_full_budget_follow_the_closed_form(d, ell, v):
+    # with free = 2 ell the pairs (free.rho, ell.rho) are (2x, x) for x in
+    # the multiples of gcd(ell, d), so no walk is needed to know the set
+    v %= d
+    budget = _Budget(d ** len(ell))
+    got = classify_module._coupling_contractions([2 * e for e in ell], ell, d, v, budget)
+    step = math.gcd(d, *ell)
+    assert got == tuple(x for x in range(0, d, step) if (2 * x - v) % d == 0)
+    assert (budget.spent, budget.exhausted) == (d ** len(ell), False)
 
 
 def _verdicts(decide, p1, p2):
