@@ -12,8 +12,10 @@ rebuilds from the log only the transform rows and columns a caller
 reads.  Transform entries far outgrow the matrix entries, so updating
 whole transforms during elimination would dominate its cost.  The
 pivot is the least nonzero |entry| of the block at each new index;
-after that, centred remainders and a pivot taken from them in the
-pivot row and column alone keep the log short and its quotients small.
+after that, its column is cleared by row operations before its row is
+cleared by column operations, each by centred quotients with the least
+remainder as the next pivot.  With the column cleared first, a column
+addition changes one entry, and the log stays short.
 """
 
 from __future__ import annotations
@@ -146,6 +148,8 @@ def _act(ops: Iterable[tuple[str, int, int, int]], vectors: list[list[int]], tra
     (transposed); a column operation col a += q col b is y -> F y with
     F = E^T of the same tuple, hence transposed.
     """
+    if not vectors:
+        return  # discriminant of a unimodular form asks for no vector
     for kind, i, k, q in ops:
         if kind == ADD:
             if transposed:
@@ -190,12 +194,14 @@ class SmithDecomposition:
     and free indices, so most of U, U^-1 and V is never built.  u, uinv
     and v are the full matrices, replayed on first access and cached.
 
-    The elimination sequence is frozen: discriminant freezes its torsion
-    section out of V's columns, and the Smith-basis radical slopes and
-    torsion coordinates that the CLI invariants command prints, and the
-    generator images of a finite-regime witness, depend on which U and V
-    the sequence picks, not on D alone.  Any change to the pivot rule
-    (smith_normal_form) moves them on some inputs; D does not move.
+    The elimination sequence is frozen: it is the column-first rule of
+    smith_normal_form, pivot column before pivot row at every index.
+    discriminant freezes its torsion section out of V's columns, and the
+    Smith-basis radical slopes and torsion coordinates that the CLI
+    invariants command prints, and the generator images of a
+    finite-regime witness, depend on which U and V the sequence picks,
+    not on D alone.  Any change to the pivot rule or to the order of the
+    two phases moves them on some inputs; D does not move.
     """
 
     matrix: IntMatrix
@@ -237,128 +243,112 @@ class SmithDecomposition:
         return IntMatrix(zip(*self.v_columns(range(self.matrix.cols))), cols=self.matrix.cols)
 
 
-def _pivot(a: list[list[int]], t: int) -> tuple[int, int] | None:
-    """The first entry of least nonzero |value| in row-major order of a[t:, t:].
+def _pivot(a: list[list[int]]) -> tuple[int, int] | None:
+    """The first entry of least nonzero |value| in row-major order of the block a.
 
-    This is the pivot at a fresh index t.  A unit is that minimum as soon
+    This is the pivot at a fresh index.  A unit is that minimum as soon
     as it is seen, so the scan stops there.
     """
     best = 0
     piv = None
-    for i in range(t, len(a)):
-        sizes = list(map(abs, a[i][t:]))
+    for i, row in enumerate(a):
+        sizes = list(map(abs, row))
         nonzero = [x for x in sizes if x]
         if nonzero:
             x = min(nonzero)
             if not best or x < best:
-                best, piv = x, (i, t + sizes.index(x))
+                best, piv = x, (i, sizes.index(x))
                 if x == 1:
                     break
     return piv
 
 
-def _cross_pivot(a: list[list[int]], t: int) -> tuple[int, int]:
-    """The first entry of least nonzero |value| in column t (rows >= t), then row t (columns > t).
-
-    This is the pivot after a pass that left remainders: they lie in
-    column and row t only, each smaller than the old pivot a[t][t].
-    """
-    best, piv = abs(a[t][t]), (t, t)
-    for i in range(t + 1, len(a)):
-        x = abs(a[i][t])
-        if x and x < best:
-            best, piv = x, (i, t)
-    row = a[t]
-    for j in range(t + 1, len(row)):
-        x = abs(row[j])
-        if x and x < best:
-            best, piv = x, (t, j)
-    return piv
-
-
 def smith_normal_form(m: IntMatrix) -> SmithDecomposition:
-    """Smith normal form with deterministic pivoting.
+    """Smith normal form with deterministic pivoting, pivot column first.
 
     At a fresh index t the pivot is the entry of smallest nonzero absolute
     value in the remaining block, ties broken by lowest row index then
-    lowest column index (_pivot).  The pivot p clears its column and row
-    by centred quotients q = (x + p // 2) // p, so remainders lie in
-    [-(p // 2), p - p // 2).  When a remainder is left, the next pivot is
-    the smallest of them, found in column and row t alone (_cross_pivot)
-    rather than by rescanning the block.  Both choices keep pivots and
-    transform entries small (Cohen, GTM 138, section 2.4; Havas, Majewski
-    and Matthews, Exp. Math. 7, 1998).
-    Determinism matters because the discriminant construction freezes a
-    section out of V's columns and every downstream Gauss sum refers to
-    it.
+    lowest column index (_pivot).  The pivot p clears its column before
+    its row (Cohen, GTM 138, Algorithm 2.4.14; Havas, Majewski and
+    Matthews, Exp. Math. 7, 1998).  Column phase: each row below t loses
+    q times row t, with the centred quotient q = (x + p // 2) // p, so
+    remainders lie in [-(p // 2), p - p // 2); while one is left, the
+    least |remainder| (first row on ties) is swapped in as the pivot and
+    the phase repeats, until column t is (p, 0, ..., 0).  Row phase: each
+    entry of row t is reduced the same way by a column addition, which
+    changes that entry alone as column t is zero below p; if a remainder
+    is left, the least (first column on ties) is swapped into column t
+    and the column phase starts again.  If p does not divide the
+    remaining block, the first offending row is added to row t and the
+    pivot is chosen afresh.  Determinism matters because the
+    discriminant construction freezes a section out of V's columns and
+    every downstream Gauss sum refers to it.
 
     Only the matrix is eliminated; each operation is logged (see
-    SmithDecomposition).  Rows and columns before the pivot index t are
-    finished, zero outside the diagonal, so row operations and swaps
-    never need them and a column operation touches only the rows with a
-    nonzero entry in the pivot column.
+    SmithDecomposition).  Rows and columns before t are finished, so only
+    the block of rows and columns t, t + 1, ... is kept, and D is built
+    from the pivots.
     """
     m = intmatrix(m)
     r, c = m.rows, m.cols
-    a = [list(row) for row in m.data]
+    a = [list(row) for row in m.data]  # the active block: rows and columns t, t + 1, ...
     row_ops: list[tuple[str, int, int, int]] = []
     col_ops: list[tuple[str, int, int, int]] = []
+    pivots: list[int] = []
 
-    t = 0
-    size = min(r, c)
-    dirty = False
-    while t < size:
-        piv = _cross_pivot(a, t) if dirty else _pivot(a, t)
-        if piv is None:
-            break
+    while (piv := _pivot(a)) is not None:
+        t = len(pivots)
         pi, pj = piv
-        if pi != t:
-            a[t], a[pi] = a[pi], a[t]
-            row_ops.append((SWAP, t, pi, 0))
-        if pj != t:
-            for row in a[t:]:
-                row[t], row[pj] = row[pj], row[t]
-            col_ops.append((SWAP, t, pj, 0))
-        pivot_row = a[t]
-        if pivot_row[t] < 0:
-            a[t] = pivot_row = [-x for x in pivot_row]
-            row_ops.append((NEGATE, t, t, 0))
-        p = pivot_row[t]
-        h = p // 2
-        dirty = False
-        for i in range(t + 1, r):
-            x = a[i][t]
-            if x:
-                q, rem = divmod(x + h, p)  # x == q * p + (rem - h)
-                if rem != h:
-                    dirty = True
-                if q:
-                    a[i] = [y - q * z for y, z in zip(a[i], pivot_row)]
-                    row_ops.append((ADD, i, t, -q))
-        # col j += q col t changes only the rows nonzero in column t
-        live = [row for row in a[t:] if row[t]]
-        for j in range(t + 1, c):
-            x = pivot_row[j]
-            if x:
-                q, rem = divmod(x + h, p)
-                if rem != h:
-                    dirty = True
-                if q:
-                    for row in live:
-                        row[j] -= q * row[t]
-                    col_ops.append((ADD, j, t, -q))
-        if dirty:
-            continue  # remainders became new, smaller candidates
+        while True:
+            if pj:
+                for row in a:
+                    row[0], row[pj] = row[pj], row[0]
+                col_ops.append((SWAP, t, t + pj, 0))
+            if pi:
+                a[0], a[pi] = a[pi], a[0]
+                row_ops.append((SWAP, t, t + pi, 0))
+            pivot_row = a[0]
+            if pivot_row[0] < 0:
+                a[0] = pivot_row = [-x for x in pivot_row]
+                row_ops.append((NEGATE, t, t, 0))
+            p = best = pivot_row[0]
+            h = p // 2
+            pi = pj = 0
+            for i in range(1, len(a)):  # column phase
+                x = a[i][0]
+                if x:
+                    q = (x + h) // p
+                    if q:
+                        a[i] = [y - q * z for y, z in zip(a[i], pivot_row)]
+                        row_ops.append((ADD, t + i, t, -q))
+                        x -= q * p
+                    if x and abs(x) < best:
+                        best, pi = abs(x), i
+            if pi:
+                continue
+            for j in range(1, len(pivot_row)):  # row phase: col j += q col t changes pivot_row[j] alone
+                x = pivot_row[j]
+                if x:
+                    q = (x + h) // p
+                    if q:
+                        pivot_row[j] = x = x - q * p
+                        col_ops.append((ADD, t + j, t, -q))
+                    if x and abs(x) < best:
+                        best, pj = abs(x), j
+            if not pj:
+                break
         # pivot must divide the remaining block for the invariant-factor chain
         if p != 1:
-            offender = next((i for i in range(t + 1, r) if any(x % p for x in a[i][t + 1 :])), None)
+            offender = next((i for i in range(1, len(a)) if any(x % p for x in a[i][1:])), None)
             if offender is not None:
-                a[t] = [y + z for y, z in zip(pivot_row, a[offender])]
-                row_ops.append((ADD, t, offender, 1))
+                a[0] = [y + z for y, z in zip(pivot_row, a[offender])]
+                row_ops.append((ADD, t, t + offender, 1))
                 continue
-        t += 1
+        pivots.append(p)
+        a = [row[1:] for row in a[1:]]
 
-    return SmithDecomposition(matrix=m, d=IntMatrix(a, cols=c), row_ops=tuple(row_ops), col_ops=tuple(col_ops))
+    d = [[p if j == i else 0 for j in range(c)] for i, p in enumerate(pivots + [0] * (r - len(pivots)))]
+    return SmithDecomposition(matrix=m, d=IntMatrix(d, cols=c), row_ops=tuple(row_ops), col_ops=tuple(col_ops))
 
 
 def solve_integer(m: IntMatrix, rhs: Sequence[int]) -> tuple[int, ...] | None:

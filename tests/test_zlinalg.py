@@ -1,5 +1,6 @@
 import itertools
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -10,6 +11,7 @@ from quadlink.spaces import e8
 from quadlink.zlinalg import (
     DimensionError,
     IntMatrix,
+    SmithDecomposition,
     determinant,
     intmatrix,
     kernel_basis,
@@ -121,9 +123,12 @@ def test_smith_empty_matrix():
 
 
 # reference: the dense elimination that updates U, U^-1 and V alongside
-# the matrix.  smith_normal_form must replay exactly this sequence.  With
-# centred=False it follows the earlier rule instead, floor quotients and
-# a scan of the whole block for every pivot, which must reach the same D.
+# the matrix.  smith_normal_form must replay exactly this sequence: the
+# column-first rule, which clears the pivot column by row additions
+# before it clears the pivot row by column additions.  With centred=False
+# it follows an earlier rule instead, floor quotients on column and row
+# together and a scan of the whole block for every pivot, which must
+# reach the same D.
 def dense_smith(m, centred=True):
     r, c = m.rows, m.cols
     a = [list(row) for row in m.data]
@@ -157,28 +162,25 @@ def dense_smith(m, centred=True):
             row[j], row[l] = row[l], row[j]
 
     def col_add(j, l, q):
-        # col j += q * col l
+        # col j += q * col l; column first, col l is zero below the pivot
+        if centred:
+            assert not any(a[i][l] for i in range(l + 1, r))
         for row in a:
             row[j] += q * row[l]
         for row in v:
             row[j] += q * row[l]
 
+    def least(cells):
+        # first cell of least nonzero |value|, or None
+        cells = [(i, j) for i, j in cells if a[i][j]]
+        return min(cells, key=lambda ij: abs(a[ij[0]][ij[1]]), default=None)
+
     t = 0
     size = min(r, c)
-    dirty = False
     while t < size:
-        # deterministic pivot: min |value|, then min row, then min column,
-        # over the block at a fresh t, over column t then row t after a
-        # pass that left remainders
-        if dirty and centred:
-            cells = [(i, t) for i in range(t, r)] + [(t, j) for j in range(t + 1, c)]
-        else:
-            cells = [(i, j) for i in range(t, r) for j in range(t, c)]
-        piv = None
-        for i, j in cells:
-            val = a[i][j]
-            if val and (piv is None or abs(val) < abs(a[piv[0]][piv[1]])):
-                piv = (i, j)
+        # deterministic pivot at a fresh t: min |value| over the block,
+        # then min row, then min column
+        piv = least((i, j) for i in range(t, r) for j in range(t, c))
         if piv is None:
             break
         if piv[0] != t:
@@ -187,25 +189,41 @@ def dense_smith(m, centred=True):
             col_swap(t, piv[1])
         if a[t][t] < 0:
             row_negate(t)
+        if centred:
+            while True:
+                p = a[t][t]
+                for i in range(t + 1, r):
+                    q = (a[i][t] + p // 2) // p
+                    if q:
+                        row_add(i, t, -q)
+                piv = least((i, t) for i in range(t + 1, r))
+                if piv is None:
+                    for j in range(t + 1, c):
+                        q = (a[t][j] + p // 2) // p
+                        if q:
+                            col_add(j, t, -q)
+                    piv = least((t, j) for j in range(t + 1, c))
+                    if piv is None:
+                        break
+                    col_swap(t, piv[1])
+                else:
+                    row_swap(t, piv[0])
+                if a[t][t] < 0:
+                    row_negate(t)
+        else:
+            p = a[t][t]
+            dirty = False
+            for i in range(t + 1, r):
+                if a[i][t]:
+                    dirty |= a[i][t] % p != 0
+                    row_add(i, t, -(a[i][t] // p))
+            for j in range(t + 1, c):
+                if a[t][j]:
+                    dirty |= a[t][j] % p != 0
+                    col_add(j, t, -(a[t][j] // p))
+            if dirty:
+                continue
         p = a[t][t]
-        shift = p // 2 if centred else 0
-        dirty = False
-        for i in range(t + 1, r):
-            if a[i][t]:
-                if a[i][t] % p:
-                    dirty = True
-                q = (a[i][t] + shift) // p
-                if q:
-                    row_add(i, t, -q)
-        for j in range(t + 1, c):
-            if a[t][j]:
-                if a[t][j] % p:
-                    dirty = True
-                q = (a[t][j] + shift) // p
-                if q:
-                    col_add(j, t, -q)
-        if dirty:
-            continue
         offender = None
         for i in range(t + 1, r):
             if any(a[i][j] % p for j in range(t + 1, c)):
@@ -367,21 +385,63 @@ def _work_counter_form():
     return IntMatrix(rows)
 
 
+def _bits(vectors):
+    return max(abs(x).bit_length() for v in vectors for x in v)
+
+
 def test_smith_work_counters_are_pinned():
     # deterministic cost of one elimination: the log lengths and the
     # largest transform entries that discriminant replays at the free
     # indices (the floor rule with a scan of the whole block gave 5,977
-    # and 5,939 operations, 1,402 and 7 bits)
+    # and 5,939 operations, 1,402 and 7 bits; centred quotients on column
+    # and row together, with the next pivot from them, gave 5,459 and
+    # 5,416 operations, 1,644 and 9 bits)
     m = _work_counter_form()
     snf = smith_normal_form(m)
     free = [i for i, x in enumerate(snf.diagonal()) if x == 0]
     assert free == [46, 47]
+    assert (len(snf.row_ops), len(snf.col_ops)) == (4460, 1202)
+    assert (_bits(snf.uinv_columns(free)), _bits(snf.v_columns(free))) == (928, 7)
 
-    def bits(vectors):
-        return max(abs(x).bit_length() for v in vectors for x in v)
 
-    assert (len(snf.row_ops), len(snf.col_ops)) == (5459, 5416)
-    assert (bits(snf.uinv_columns(free)), bits(snf.v_columns(free))) == (1644, 9)
+def _dense_form(n, seed=1, bound=2**32 - 1):
+    # a random symmetric form with 32-bit entries, built like the dense
+    # 64-component form at the CLI limits that CI runs
+    rng = random.Random(seed)
+    rows = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            rows[i][j] = rows[j][i] = rng.randint(-bound, bound)
+    return IntMatrix(rows)
+
+
+def test_smith_transform_growth_on_a_dense_form_is_pinned():
+    # the transform entries at the torsion index that discriminant
+    # replays; clearing column and row together gave U^-1, V and U
+    # entries of 40,686, 41,444 and 39,609 bits here
+    snf = smith_normal_form(_dense_form(24))
+    tors = [i for i, x in enumerate(snf.diagonal()) if x > 1]
+    assert tors == [23]
+    assert (_bits(snf.uinv_columns(tors)), _bits(snf.v_columns(tors)), _bits(snf.u_rows(tors))) == (5179, 5937, 757)
+
+
+class _UnreadLog:
+    """A stand-in operation log that fails the test if it is walked."""
+
+    def __reversed__(self):
+        return self
+
+    def __iter__(self):
+        return self
+
+    def __next__(self):
+        raise AssertionError("the log was walked for no vector")
+
+
+def test_smith_accessors_skip_the_log_when_no_vector_is_requested():
+    m = IntMatrix([[2, 1], [1, 1]])
+    snf = SmithDecomposition(matrix=m, d=IntMatrix.identity(2), row_ops=_UnreadLog(), col_ops=_UnreadLog())
+    assert snf.u_rows([]) == snf.uinv_columns([]) == snf.v_columns(iter(())) == ()
 
 
 def test_smith_full_transforms_are_built_once():
