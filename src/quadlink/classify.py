@@ -33,8 +33,10 @@ pairing-preserving torsion map tried, one per coupling row of
 (Z/d)^b for each torsion order d and decoration difference v the
 sweep meets, and |G| per section character compared.  These steps
 are a deterministic work measure, charged whether or not the work is
-done row by row: the coupling contractions come from a 2x2 Hermite
-form, so no row is built.  Verdicts are definite unless the budget
+done row by row: the free decoration part is twice the slope
+covector ell, so the contractions of the admissible rows are the
+solutions of 2x = v (mod d) among the multiples of gcd(d, ell), and
+no row is built.  Verdicts are definite unless the budget
 runs out, in which case the honest answer is unknown.
 """
 
@@ -104,8 +106,9 @@ class _Budget:
     within limit; once it is not, exhausted stays set and every later
     charge is refused.  The mixed sweep charges one step per torsion map
     tried, one per coupling row of (Z/d)^b for each new (d, v) pair and
-    |G| per section character: a deterministic work measure, charged
-    whether or not any row is built (see _coupling_contractions).
+    |G| per section character: a deterministic work measure.  No row is
+    built: the contractions solve 2x = v (mod d), and the rows are
+    charged as a walk would count them (see _coupling_contractions).
     """
 
     __slots__ = ("limit", "spent", "exhausted")
@@ -124,12 +127,13 @@ class _Budget:
 
 @dataclass
 class _Side:
-    """One presentation's data for a decision, computed once; its value tables on first use."""
+    """One presentation's data for a decision, slopes checked, computed once; its value tables on first use."""
 
     data: DiscriminantData
     chern: tuple[int, ...]
     free: tuple[int, ...]
     tors: tuple[int, ...]
+    slopes: tuple[int, ...]
     _tables: tuple[list[int], list[int]] | None = None
 
     def tables(self, cap: int) -> tuple[list[int], list[int]]:
@@ -143,7 +147,7 @@ class _Side:
 
 def _side(data: DiscriminantData, c: Sequence[int]) -> _Side:
     free, tors = chern_coordinates(data, c)
-    return _Side(data, tuple(c), free, tors)
+    return _Side(data, tuple(c), free, tors, _integral_slopes(data, c, free))
 
 
 def _integral_slopes(data: DiscriminantData, c: Sequence[int], free: Sequence[int]) -> tuple[int, ...]:
@@ -199,20 +203,19 @@ class InvariantReport:
 def invariants_report(p: DecoratedPresentation, *, cap: int = DEFAULT_ORDER_CAP) -> InvariantReport:
     """Assemble the discriminant invariants of one decorated presentation."""
     data = discriminant(p.matrix, cap=cap)
-    free, tors = chern_coordinates(data, p.chern)
-    slopes = _integral_slopes(data, p.chern, free)
-    values, defect_gen = phi_table(data, p.chern)
+    side = _side(data, p.chern)
+    values, defect_gen = side.tables(cap)
     modulus = data.value_modulus
     defects = _linear_table(defect_gen, data.torsion_factors, modulus)
-    fp = table_fingerprint(data.torsion_factors, modulus, values, defects, slopes)
+    fp = table_fingerprint(data.torsion_factors, modulus, values, defects, side.slopes)
     # b(w, w) = 2 q(w) - delta(w)
     diag = residue_multiset(Counter((2 * v - d) % modulus for v, d in zip(values, defects)), modulus)
     return InvariantReport(
         free_rank=data.free_rank,
         torsion_factors=data.torsion_factors,
-        chern_free_gcd=math.gcd(*free),
-        chern_torsion=tors,
-        radical_slopes=slopes,
+        chern_free_gcd=math.gcd(*side.free),
+        chern_torsion=side.tors,
+        radical_slopes=side.slopes,
         value_multiset=fp.value_multiset,
         defect_multiset=fp.defect_multiset,
         linking_diagonal=diag,
@@ -276,62 +279,43 @@ def _torsion_map_verdict(
     return EquivalenceVerdict(INEQUIVALENT, gauss_differ)
 
 
-def _coupling_contractions(
-    free: Sequence[int], ell: Sequence[int], d: int, v: int, budget: _Budget
-) -> tuple[int, ...]:
-    """The sorted values ell.rho mod d over the coupling rows rho of (Z/d)^b with free.rho = v (mod d).
+def _coupling_contractions(ell: Sequence[int], d: int, v: int, budget: _Budget) -> tuple[int, ...]:
+    """The sorted values x = ell.rho mod d over the coupling rows rho of (Z/d)^b with 2x = v (mod d).
 
-    The budget pays one step per row, as a walk over the rows in
-    itertools.product order would: all d^b steps when they fit, else
-    the steps up to and including the first refused one, and only the
-    rows before that step count.  No row is built.  Over the rows
-    with their first i coordinates fixed, the pairs (free.rho, ell.rho)
-    sweep a coset of the subgroup of (Z/d)^2 spanned by the later
-    (free_j, ell_j); with its Hermite form (a, beta, c), (F, E) lies in
-    it iff a | F and E = (F / a) beta (mod c), so each block of rows
-    contributes one coset of cZ/d.  The first N rows split along the
-    base-d digits of N into at most b(d - 1) such blocks, which keeps
-    the cost at O(b d) whatever the budget.
+    The sweep's free part is 2 ell, so a row is admissible exactly when
+    its contraction x solves 2x = v.  The budget pays one step per row,
+    as a walk over the rows in itertools.product order would: all d^b
+    steps when they fit, else the steps up to and including the first
+    refused one, and only the rows before that step count.  No row is
+    built.  The rows whose first i coordinates are zero contract to the
+    multiples of span[i] = gcd(d, ell_i, ..., ell_{b-1}); so x ranges
+    over the at most two solutions in span[0] Z/d, and a cut walk keeps
+    x only if the first row contracting to x, found digit by digit, is
+    among the rows it counted.
     """
-    b = len(free)
-    f = [x % d for x in free]
-    e = [x % d for x in ell]
-    # hermite[i] describes span{(f_j, e_j) : j >= i} + dZ^2, built from the back
-    hermite = [(d, 0, d)]
-    for fj, ej in zip(reversed(f), reversed(e)):
-        a, beta, c = hermite[-1]
-        # (g, s beta + t ej) and (0, (fj/g) beta - (a/g) ej) span what (a, beta) and (fj, ej) span
-        g = math.gcd(a, fj)
-        t = pow(fj // g, -1, a // g)
-        s = (g - t * fj) // a
-        c = math.gcd(c, fj // g * beta - a // g * ej)
-        hermite.append((g, (s * beta + t * ej) % c, c))
-    hermite.reverse()
-    rows = d**b
+    span = [d]
+    for e in reversed(ell):
+        span.append(math.gcd(span[-1], e))
+    span.reverse()
+    rows = d ** len(ell)
     if budget.spent + rows <= budget.limit:
         budget.charge(rows)
-        blocks = [(0, 0, 0)]
     else:
         rows = max(0, budget.limit - budget.spent)
         budget.charge(rows + 1)
-        digits = []
-        for _ in range(b):
-            rows, digit = divmod(rows, d)
-            digits.append(digit)
-        # (free.rho, ell.rho) on the fixed coordinates of a block, and its first free coordinate
-        blocks = []
-        fixed_f = fixed_e = 0
-        for i, digit in enumerate(reversed(digits)):
-            blocks.extend((fixed_f + x * f[i], fixed_e + x * e[i], i + 1) for x in range(digit))
-            fixed_f += digit * f[i]
-            fixed_e += digit * e[i]
-    bases: dict[int, set[int]] = {}
-    for fixed_f, fixed_e, i in blocks:
-        a, beta, c = hermite[i]
-        rest = (v - fixed_f) % d
-        if rest % a == 0:
-            bases.setdefault(c, set()).add((fixed_e + rest // a * beta) % c)
-    return tuple(sorted({x for c, residues in bases.items() for r in residues for x in range(r, d, c)}))
+    out = []
+    for x in range(0, d, span[0]):
+        if (2 * x - v) % d:
+            continue
+        # the least digit at each coordinate that leaves the rest reachable
+        first, rest = 0, x
+        for e, s in zip(ell, span[1:]):
+            digit = next(r for r in range(d) if (rest - e * r) % s == 0)
+            first = first * d + digit
+            rest -= e * digit
+        if first < rows:
+            out.append(x)
+    return tuple(out)
 
 
 _MIXED_BLIND_REASONS = (
@@ -364,9 +348,7 @@ def _mixed_verdict(side1: _Side, side2: _Side, cap: int, budget: _Budget) -> Equ
     element position in itertools.product order.
     """
     data1, data2 = side1.data, side2.data
-    g = math.gcd(*_integral_slopes(data1, side1.chern, side1.free))
-    # side 2's slopes enter nowhere, but its duality check must run
-    _integral_slopes(data2, side2.chern, side2.free)
+    g = math.gcd(*side1.slopes)
     if g == 0:
         # decoration is blind to the radical: the Gauss sums are section
         # independent and the candidate map only has to match the
@@ -381,11 +363,10 @@ def _mixed_verdict(side1: _Side, side2: _Side, cap: int, budget: _Budget) -> Equ
     group = FiniteAbelianGroup(factors)
     elements = list(group.elements())
     gens = [math.prod(factors[i + 1 :]) for i in range(len(factors))]
-    free1 = side1.free
     link1, link2 = data1.linking, data2.linking
     # the slope covector W^-T slopes is free/2, since _integral_slopes
     # checked 2 slopes = W^T free and discriminant checked W unimodular
-    ell1 = tuple(f // 2 for f in free1)
+    ell1 = tuple(f // 2 for f in side1.free)
     ell2 = tuple(f // 2 for f in side2.free)
 
     def contraction(data: DiscriminantData, ell: tuple[int, ...]) -> list[int]:
@@ -408,7 +389,7 @@ def _mixed_verdict(side1: _Side, side2: _Side, cap: int, budget: _Budget) -> Equ
         # measure, whether or not any row is built
         key = (d_l, v_l)
         if key not in mu_cache:
-            mu_cache[key] = _coupling_contractions(free1, ell1, d_l, v_l, budget)
+            mu_cache[key] = _coupling_contractions(ell1, d_l, v_l, budget)
         return mu_cache[key]
 
     k = len(factors)
@@ -565,8 +546,7 @@ def _canonical_chern_vectors(data: DiscriminantData, count: int) -> tuple[tuple[
 
 
 def _census_key(side: _Side, cap: int) -> tuple:
-    """An integer key splitting decorations of one form as stable_profile() does; runs the report's checks."""
-    _integral_slopes(side.data, side.chern, side.free)
+    """An integer key splitting decorations of one form as stable_profile() does; _side ran the report's checks."""
     values, defect_gen = side.tables(cap)
     g = math.gcd(*side.free)
     if g:

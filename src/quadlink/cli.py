@@ -145,6 +145,8 @@ def _read_document(path: str) -> dict[str, Any]:
         raise InputError(f"{path}: {exc.strerror or exc}") from exc
     except json.JSONDecodeError as exc:
         raise InputError(f"{path}:{exc.lineno}: {exc.msg}") from exc
+    except RecursionError as exc:
+        raise InputError(f"{path}: JSON nested too deeply") from exc
     except ValueError as exc:
         # text that is not UTF-8, or an integer literal beyond the
         # interpreter's digit limit
@@ -204,14 +206,16 @@ def load_matrix_file(path: str) -> list[list[int]]:
     return _int_matrix_field(doc, path)
 
 
+# (name, getter, stable_only) in the order first_differing_field consults them;
+# a stable_only field is decoration sensitive, see InvariantReport.stable_profile
 _REPORT_FIELDS = (
-    "free_rank",
-    "torsion_factors",
-    "chern_free_gcd",
-    "linking_diagonal",
-    "gauss_sum",
-    "value_multiset",
-    "defect_multiset",
+    ("free_rank", lambda r: r.free_rank, False),
+    ("torsion_factors", lambda r: r.torsion_factors, False),
+    ("chern_free_gcd", lambda r: r.chern_free_gcd, False),
+    ("linking_diagonal", lambda r: tuple(sorted(r.linking_diagonal)), False),
+    ("gauss_sum", lambda r: r.gauss, True),
+    ("value_multiset", lambda r: r.value_multiset, True),
+    ("defect_multiset", lambda r: r.defect_multiset, True),
 )
 
 
@@ -222,20 +226,10 @@ def first_differing_field(r1: InvariantReport, r2: InvariantReport) -> str | Non
     decoration sensitive ones only once both free parts contribute
     nothing (gcd zero); see InvariantReport.stable_profile.
     """
-    plain = {
-        "free_rank": lambda r: r.free_rank,
-        "torsion_factors": lambda r: r.torsion_factors,
-        "chern_free_gcd": lambda r: r.chern_free_gcd,
-        "linking_diagonal": lambda r: tuple(sorted(r.linking_diagonal)),
-        "gauss_sum": lambda r: r.gauss,
-        "value_multiset": lambda r: r.value_multiset,
-        "defect_multiset": lambda r: r.defect_multiset,
-    }
-    stable_only = ("gauss_sum", "value_multiset", "defect_multiset")
-    for field in _REPORT_FIELDS:
-        if field in stable_only and (r1.chern_free_gcd or r2.chern_free_gcd):
+    for field, get, stable_only in _REPORT_FIELDS:
+        if stable_only and (r1.chern_free_gcd or r2.chern_free_gcd):
             continue
-        if plain[field](r1) != plain[field](r2):
+        if get(r1) != get(r2):
             return field
     return None
 

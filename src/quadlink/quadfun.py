@@ -136,9 +136,6 @@ class FiniteAbelianGroup:
     def element_order(self, x: Element) -> int:
         return math.lcm(1, *(d // math.gcd(d, a) for a, d in zip(x, self.invariant_factors)))
 
-    def generator(self, i: int) -> Element:
-        return tuple(int(j == i) for j in range(len(self.invariant_factors)))
-
 
 class QuadraticFunction:
     """A quadratic function on a finite abelian group, as a full value table."""

@@ -350,6 +350,14 @@ def test_non_utf8_file_diagnostic(tmp_path, capsys):
     assert capsys.readouterr().err.startswith(f"error: {path}: 'utf-8' codec can't decode byte 0xe9")
 
 
+@pytest.mark.parametrize("command", ["invariants", "classes"])
+def test_deeply_nested_json_diagnostic(tmp_path, capsys, command):
+    # the decoder recurses once per level, so this nesting exceeds the interpreter's limit
+    path = write_doc(tmp_path, "deep.json", "[" * 100_000 + "]" * 100_000)
+    assert main([command, path]) == EXIT_INVALID
+    assert capsys.readouterr().err == f"error: {path}: JSON nested too deeply\n"
+
+
 def test_walk_to_a_missing_directory(tmp_path, capsys):
     path = write_doc(tmp_path, "p.json", {"matrix": [[2]], "chern": [0]})
     out_path = tmp_path / "missing" / "walked.json"
