@@ -29,15 +29,15 @@ for one t, and gamma(q + b(., t)) = e(-q(t)) gamma(q) != 0
 q.
 
 The sweep is finite, and a step budget bounds it: one step per
-pairing-preserving torsion map tried, one per coupling row of
-(Z/d)^b for each torsion order d and decoration difference v the
-sweep meets, and |G| per section character compared.  These steps
-are a deterministic work measure, charged whether or not the work is
-done row by row: the free decoration part is twice the slope
-covector ell, so the contractions of the admissible rows are the
-solutions of 2x = v (mod d) among the multiples of gcd(d, ell), and
-no row is built.  Verdicts are definite unless the budget
-runs out, in which case the honest answer is unknown.
+pairing-preserving torsion map tried, d^b at once for the coupling
+rows of (Z/d)^b at each torsion order d and decoration difference v
+the sweep meets, and |G| per section character compared.  These steps
+are a deterministic work measure, charged although no row is built:
+the free decoration part is twice the slope covector ell, so the
+contractions of the admissible rows are the solutions of 2x = v
+(mod d) among the multiples of gcd(d, ell).  Verdicts are definite
+unless the budget runs out, in which case the honest answer is
+unknown.
 """
 
 from __future__ import annotations
@@ -105,10 +105,10 @@ class _Budget:
     charge(cost) adds cost to spent and reports whether spent is still
     within limit; once it is not, exhausted stays set and every later
     charge is refused.  The mixed sweep charges one step per torsion map
-    tried, one per coupling row of (Z/d)^b for each new (d, v) pair and
-    |G| per section character: a deterministic work measure.  No row is
-    built: the contractions solve 2x = v (mod d), and the rows are
-    charged as a walk would count them (see _coupling_contractions).
+    tried, d^b in one charge for the coupling rows of (Z/d)^b at each
+    new (d, v) pair, and |G| per section character: a deterministic
+    work measure.  No row is built: the contractions solve 2x = v
+    (mod d) (see _coupling_contractions).
     """
 
     __slots__ = ("limit", "spent", "exhausted")
@@ -279,43 +279,15 @@ def _torsion_map_verdict(
     return EquivalenceVerdict(INEQUIVALENT, gauss_differ)
 
 
-def _coupling_contractions(ell: Sequence[int], d: int, v: int, budget: _Budget) -> tuple[int, ...]:
+def _coupling_contractions(ell: Sequence[int], d: int, v: int) -> tuple[int, ...]:
     """The sorted values x = ell.rho mod d over the coupling rows rho of (Z/d)^b with 2x = v (mod d).
 
     The sweep's free part is 2 ell, so a row is admissible exactly when
-    its contraction x solves 2x = v.  The budget pays one step per row,
-    as a walk over the rows in itertools.product order would: all d^b
-    steps when they fit, else the steps up to and including the first
-    refused one, and only the rows before that step count.  No row is
-    built.  The rows whose first i coordinates are zero contract to the
-    multiples of span[i] = gcd(d, ell_i, ..., ell_{b-1}); so x ranges
-    over the at most two solutions in span[0] Z/d, and a cut walk keeps
-    x only if the first row contracting to x, found digit by digit, is
-    among the rows it counted.
+    its contraction x solves 2x = v; the rows contract to the multiples
+    of gcd(d, ell), so x ranges over the at most two solutions among
+    them, and no row is built.
     """
-    span = [d]
-    for e in reversed(ell):
-        span.append(math.gcd(span[-1], e))
-    span.reverse()
-    rows = d ** len(ell)
-    if budget.spent + rows <= budget.limit:
-        budget.charge(rows)
-    else:
-        rows = max(0, budget.limit - budget.spent)
-        budget.charge(rows + 1)
-    out = []
-    for x in range(0, d, span[0]):
-        if (2 * x - v) % d:
-            continue
-        # the least digit at each coordinate that leaves the rest reachable
-        first, rest = 0, x
-        for e, s in zip(ell, span[1:]):
-            digit = next(r for r in range(d) if (rest - e * r) % s == 0)
-            first = first * d + digit
-            rest -= e * digit
-        if first < rows:
-            out.append(x)
-    return tuple(out)
+    return tuple(x for x in range(0, d, math.gcd(d, *ell)) if (2 * x - v) % d == 0)
 
 
 _MIXED_BLIND_REASONS = (
@@ -384,12 +356,15 @@ def _mixed_verdict(side1: _Side, side2: _Side, cap: int, budget: _Budget) -> Equ
     def mu_choices(d_l: int, v_l: int) -> tuple[int, ...]:
         # contractions of an admissible coupling row against the slope
         # covector, the only use of the row.  The first call per key
-        # charges one step per coupling row of (Z/d_l)^b, as the sweep
-        # below charges |G| per section character: a deterministic work
-        # measure, whether or not any row is built
+        # charges the d_l^b coupling rows of (Z/d_l)^b in one charge, as
+        # the sweep below charges |G| per section character: a deterministic
+        # work measure, though no row is built.  A refused charge leaves
+        # the budget exhausted, so the sweep answers unknown at its next
+        # charge, and the contractions are returned whole either way
         key = (d_l, v_l)
         if key not in mu_cache:
-            mu_cache[key] = _coupling_contractions(ell1, d_l, v_l, budget)
+            budget.charge(d_l ** len(ell1))
+            mu_cache[key] = _coupling_contractions(ell1, d_l, v_l)
         return mu_cache[key]
 
     k = len(factors)

@@ -1,6 +1,7 @@
 """Decision layer: regimes, censuses, and the two lens counting rules."""
 
 import dataclasses
+import functools
 import itertools
 import math
 import random
@@ -810,8 +811,9 @@ TWISTED_B = [[-3, -3, 2, -1], [-3, 0, 0, -3], [2, 0, -2, 2], [-1, -3, 2, 1]]
 # Z/4 + Z/8 + Z^2: two torsion generators, so the coupling contraction
 # reaches the off-diagonal linking terms
 TWO_GENERATORS = [[12, -16, 0, 4], [-16, 24, 0, -8], [0, 0, 0, 0], [4, -8, 0, 4]]
-# Z/4 + Z^2: its sweep charges 16 coupling rows, so a small budget cuts the
-# walk; at 3 the counted rows give no contraction, at 7 they give (1,)
+# Z/4 + Z^2: its sweep charges its 16 coupling rows in one charge, so a small
+# budget refuses that charge, and the sweep stops at its first section
+# character; at 3 and at 7 the contraction (1,) reaches it
 CUT_COUPLING = [[4, 0, 0], [0, 0, 0], [0, 0, 0]]
 PINNED_MIXED = [
     (MIXED, (0, 0), MIXED, (0, 0), {}, EQUIVALENT,
@@ -837,9 +839,12 @@ PINNED_MIXED = [
     (TWO_GENERATORS, (2, -2, -4, -2), TWO_GENERATORS, (0, -4, -2, -4), {}, EQUIVALENT,
      "torsion map ((1, 0), (0, 1)) with coupling contraction (1, 3) and section character (1, 0) matches the Gauss sums"),
     (CUT_COUPLING, (0, 2, 4), CUT_COUPLING, (2, 2, 4), {"budget": 3}, UNKNOWN,
-     "budget ran out before the sweep finished"),
+     "budget ran out while comparing Gauss sums over matched sections"),
     (CUT_COUPLING, (0, 2, 4), CUT_COUPLING, (2, 2, 4), {"budget": 7}, UNKNOWN,
      "budget ran out while comparing Gauss sums over matched sections"),
+    # no candidate of this pair reaches a section character
+    ([[0, 0], [0, 4]], (4, 0), [[0, 0], [0, 4]], (4, 2), {"budget": 5}, UNKNOWN,
+     "budget ran out before the sweep finished"),
 ]
 
 
@@ -984,7 +989,9 @@ def _oracle_torsion_map_verdict(
     return EquivalenceVerdict(INEQUIVALENT, gauss_differ)
 
 
-def _oracle_mixed_verdict(side1: _Side, side2: _Side, cap: int, budget: _Budget) -> EquivalenceVerdict:
+def _oracle_mixed_verdict(
+    side1: _Side, side2: _Side, cap: int, budget: _Budget, *, truncating_walk: bool = False
+) -> EquivalenceVerdict:
     """Sweep candidate maps when both free rank and torsion are present.
 
     A candidate consists of a pairing-preserving torsion map d, a
@@ -993,7 +1000,9 @@ def _oracle_mixed_verdict(side1: _Side, side2: _Side, cap: int, budget: _Budget)
     mu against the slope covector, and the section shift only through
     a character chi ranging over the subgroup the slopes generate.
     For each candidate the sum on one side is re-expressed over the
-    matched section and compared exactly with the other side.
+    matched section and compared exactly with the other side.  The
+    coupling rows are walked one by one; truncating_walk charges them
+    one step each, as the sweep once did, instead of all at once.
 
     Every table holds residues in units of 1/M, M the value modulus,
     as do data.linking and data.eval_free_lift; tables are indexed by
@@ -1051,16 +1060,17 @@ def _oracle_mixed_verdict(side1: _Side, side2: _Side, cap: int, budget: _Budget)
 
     def mu_choices(d_l: int, v_l: int) -> tuple[int, ...]:
         # contractions of an admissible coupling row against the slope
-        # covector; the row itself is never needed beyond this value
+        # covector; the row itself is never needed beyond this value.  The
+        # rows are charged at once; a truncating walk stops at the first
+        # refused step and keeps only the rows it counted
         key = (d_l, v_l)
         if key not in mu_cache:
-            out = set()
-            for rho in itertools.product(range(d_l), repeat=b):
-                if not budget.charge():
-                    break
-                if sum(f * r for f, r in zip(free1, rho)) % d_l == v_l:
-                    out.add(sum(e * r for e, r in zip(ell1, rho)) % d_l)
-            mu_cache[key] = tuple(sorted(out))
+            if truncating_walk:
+                walk = budget
+            else:
+                budget.charge(d_l**b)
+                walk = _Budget(d_l**b)
+            mu_cache[key] = _walked_contractions(free1, ell1, d_l, walk)[v_l]
         return mu_cache[key]
 
     k = len(factors)
@@ -1103,9 +1113,8 @@ def _oracle_mixed_verdict(side1: _Side, side2: _Side, cap: int, budget: _Budget)
 # --- coupling contractions against the row walk ---------------------------
 #
 # _coupling_contractions reads the contractions off 2x = v (mod d), the sweep's
-# free part being 2 ell, and charges the budget as the walk over coupling rows
-# did.  The walk is kept here as the oracle, on that domain, one walk serving
-# every v: its charges do not depend on v.
+# free part being 2 ell.  The walk over the coupling rows is kept here as the
+# oracle, on that domain, one walk serving every v.
 
 
 def _walked_contractions(free, ell, d, budget):
@@ -1118,63 +1127,19 @@ def _walked_contractions(free, ell, d, budget):
     return {v: tuple(sorted(out.get(v, ()))) for v in range(d)}
 
 
-# rows the oracle may walk in one example; larger d^b get small budgets only
-_WALK_CAP = 4000
-
-
-@st.composite
-def coupling_cases(draw):
-    """(ell, d, limit, spent): a budget of limit on which spent is charged before the call."""
-    d, b = draw(st.integers(2, 30)), draw(st.integers(1, 5))
-    ell = draw(st.lists(st.integers(-60, 60), min_size=b, max_size=b))
-    rows = d**b
-    edges = [rows - 1, rows, rows + 1] if rows <= _WALK_CAP else []
-    allowance = draw(st.sampled_from([0, 1, 5, 50] + edges) | st.integers(0, min(rows + 1, _WALK_CAP)))
-    entry = draw(st.sampled_from(["fresh", "partly spent", "exhausted"]))
-    if entry == "fresh":
-        return ell, d, allowance, 0
-    extra = draw(st.integers(1, 100))
-    if entry == "partly spent":
-        return ell, d, extra + allowance, extra
-    return ell, d, allowance, allowance + extra
-
-
 @settings(max_examples=300, deadline=None)
-@given(coupling_cases())
-@example(([0, -1, 1, 0, -1], 30, 50, 0))
-@example(([0, -1, 1, 0, -1], 30, 5, 3))
-@example(([1, 2, 2, 1], 27, 0, 0))
-@example(([3, 0, 6], 9, 9**3, 0))
-@example(([3, 0, 6], 9, 9**3 - 1, 0))
-@example(([3, 0, 6], 9, 9**3 + 1, 0))
-@example(([2, 1], 10, 10, 11))
-def test_coupling_contractions_match_the_row_walk(case):
-    ell, d, limit, spent = case
-
-    def budget():
-        out = _Budget(limit)
-        out.charge(spent)
-        return out
-
-    walk = budget()
-    walked = _walked_contractions([2 * e for e in ell], ell, d, walk)
-    for v in range(d):
-        closed = budget()
-        assert classify_module._coupling_contractions(ell, d, v, closed) == walked[v], v
-        assert (closed.exhausted, closed.spent) == (walk.exhausted, walk.spent), v
-
-
-@settings(max_examples=60, deadline=None)
-@given(st.integers(2, 5000), st.lists(st.integers(-10**6, 10**6), min_size=1, max_size=8), st.integers(0, 10**6))
-def test_coupling_contractions_at_full_budget_follow_the_closed_form(d, ell, v):
-    # with free = 2 ell the pairs (free.rho, ell.rho) are (2x, x) for x in
-    # the multiples of gcd(ell, d), so no walk is needed to know the set
-    v %= d
-    budget = _Budget(d ** len(ell))
-    got = classify_module._coupling_contractions(ell, d, v, budget)
-    step = math.gcd(d, *ell)
-    assert got == tuple(x for x in range(0, d, step) if (2 * x - v) % d == 0)
-    assert (budget.spent, budget.exhausted) == (d ** len(ell), False)
+@given(st.integers(2, 30), st.lists(st.integers(-60, 60), min_size=1, max_size=5))
+@example(30, [0, -1, 1, 0, -1])
+@example(27, [1, 2, 2])
+@example(9, [3, 0, 6])
+@example(10, [2, 1])
+@example(8, [0, 0])
+def test_coupling_contractions_match_the_row_walk(d, ell):
+    # the walk may visit at most 20,000 rows in one example
+    while d ** len(ell) > 20_000:
+        ell = ell[:-1]
+    walked = _walked_contractions([2 * e for e in ell], ell, d, _Budget(d ** len(ell)))
+    assert {v: classify_module._coupling_contractions(ell, d, v) for v in range(d)} == walked
 
 
 def _verdicts(decide, p1, p2):
@@ -1261,6 +1226,43 @@ def test_phase_lookup_matches_the_sweep_on_seeded_twisted_pairs():
         twisted += _contraction_is_nonzero(p1) or _contraction_is_nonzero(p2)
         assert _verdicts(yc_equivalent, p1, p2) == _oracle_verdicts(yc_equivalent, p1, p2), (p1, p2)
     assert twisted >= 20, twisted
+
+
+# Charging the coupling rows at once, where the sweep once walked them one
+# step each and kept the rows it counted, moves no status or witness: a
+# refused charge exhausts the budget either way, and the sweep charges each
+# section character before it tests it.  Only the unknown reason may move,
+# when the cut walk left a coupling axis empty that the full set fills.
+_CUT_BUDGETS = (0, 1, 2, 3, 5, 7, 10, 20, 50, 200, 1_000, classify_module.DEFAULT_SEARCH_BUDGET)
+_SWEEP_RAN_OUT = "budget ran out before the sweep finished"
+
+
+def test_one_step_coupling_charge_keeps_the_truncating_walks_verdicts():
+    rng = random.Random(20261019)
+    truncating = functools.partial(_oracle_mixed_verdict, truncating_walk=True)
+    swept = moved = 0
+    while swept < 100:
+        p1, p2 = _slid_mixed_pair(rng.randint)
+        data1, data2 = discriminant(p1.matrix), discriminant(p2.matrix)
+        if not 2 <= data1.torsion_order <= 64:
+            continue
+        free1, _ = chern_coordinates(data1, p1.chern)
+        free2, _ = chern_coordinates(data2, p2.chern)
+        if math.gcd(*free1) != math.gcd(*free2):
+            continue
+        swept += 1
+        for budget in _CUT_BUDGETS:
+            new = yc_equivalent(p1, p2, budget=budget)
+            with mock.patch.object(classify_module, "_mixed_verdict", truncating), mock.patch.object(
+                classify_module, "_torsion_map_verdict", _oracle_torsion_map_verdict
+            ):
+                old = yc_equivalent(p1, p2, budget=budget)
+            assert (new.status, new.witness) == (old.status, old.witness), (p1, p2, budget)
+            if new.reason != old.reason:
+                assert (old.reason, new.reason) == (_SWEEP_RAN_OUT, _SECTIONS_RAN_OUT), (p1, p2, budget)
+                assert budget < classify_module.DEFAULT_SEARCH_BUDGET
+                moved += 1
+    assert moved >= 50, moved
 
 
 def _shifted_table(data, chern, s):

@@ -16,6 +16,7 @@ from quadlink.cli import (
     EXIT_UNKNOWN,
     MAX_COMPONENTS,
     MAX_ENTRY_BITS,
+    MAX_LENS_ORDER,
     MAX_SPIN_STRUCTURES,
     dump_document,
     first_differing_field,
@@ -225,6 +226,49 @@ def test_lens_census_argument_errors(capsys):
     assert main(["lens-census", "--p", "1"]) == EXIT_INVALID
     assert main(["lens-census", "--p", "15", "--q1", "5", "--q2", "1"]) == EXIT_INVALID
     capsys.readouterr()
+
+
+def test_lens_census_order_limit(capsys, monkeypatch):
+    # refused before counting, which takes O(p) time and memory
+    counted = []
+    monkeypatch.setattr(cli_module, "lens_yc_count", lambda p: counted.append(p) or 1)
+    monkeypatch.setattr(cli_module, "lens_diffeo_count", lambda p, q1, q2: 1)
+    for p in (MAX_LENS_ORDER + 1, 10**12, 2 * MAX_LENS_ORDER):
+        assert main(["lens-census", "--p", str(p)]) == EXIT_INVALID
+        assert f"more than the limit {MAX_LENS_ORDER}" in capsys.readouterr().err
+    assert counted == []
+    assert main(["lens-census", "--p", str(MAX_LENS_ORDER)]) == EXIT_OK
+    assert counted == [MAX_LENS_ORDER]
+    capsys.readouterr()
+
+
+# A command line that does not parse is bad input (1); argparse's own 2 is
+# the order-cap exit here.  The usage text is argparse's.
+@pytest.mark.parametrize(
+    "argv, needle",
+    [
+        (["compare", "a.json"], "the following arguments are required: second"),
+        (["frobnicate"], "invalid choice: 'frobnicate'"),
+        ([], "the following arguments are required: command"),
+        (["lens-census", "--p", "x"], "invalid int value: 'x'"),
+        (["compare", "a.json", "b.json", "--budget"], "expected one argument"),
+    ],
+)
+def test_usage_errors_are_bad_input(capsys, argv, needle):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == EXIT_INVALID
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("usage: quadlink")
+    assert needle in captured.err
+
+
+def test_help_exits_zero(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["compare", "--help"])
+    assert exc.value.code == EXIT_OK
+    assert capsys.readouterr().out.startswith("usage: quadlink compare")
 
 
 def test_classes_command(tmp_path, capsys):
