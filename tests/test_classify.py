@@ -1142,6 +1142,19 @@ def test_coupling_contractions_match_the_row_walk(d, ell):
     assert {v: classify_module._coupling_contractions(ell, d, v) for v in range(d)} == walked
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.integers(2, 5000), st.lists(st.integers(-10**6, 10**6), min_size=1, max_size=8), st.integers(0, 10**6))
+def test_coupling_contractions_at_full_budget_follow_the_closed_form(d, ell, v):
+    # with free = 2 ell the pairs (free.rho, ell.rho) are (2x, x) for x in
+    # the multiples of gcd(ell, d), so no walk is needed to know the set;
+    # d^b here is far past what the row walk above can visit
+    v %= d
+    got = classify_module._coupling_contractions(ell, d, v)
+    step = math.gcd(d, *ell)
+    assert got == tuple(x for x in range(0, d, step) if (2 * x - v) % d == 0)
+    assert len(got) <= 2 and all((2 * x - v) % d == 0 and x % step == 0 for x in got)
+
+
 def _verdicts(decide, p1, p2):
     out = []
     for budget in (1, 5, 50, classify_module.DEFAULT_SEARCH_BUDGET):
