@@ -10,8 +10,12 @@ into verdicts.
 Three regimes apply, ordered by how much structure survives:
 
 * finite first homology: the finite quadratic function is a complete
-  invariant, and an exhaustive isomorphism search on the two integer
-  value tables settles the question outright;
+  invariant.  Parts of coprime order pair to zero, so it is the
+  orthogonal sum of its p-primary parts, and two functions are
+  isomorphic exactly when their p-parts are, for every prime p (Wall,
+  Topology 2, 1963; Kawauchi-Kojima, Math. Ann. 253, 1980).  An
+  exhaustive isomorphism search on the integer value tables of each
+  p-part settles the question outright;
 * free first homology: the gcd of the decoration vector is a complete
   invariant (the unimodular orbit of an integer vector is its gcd);
 * mixed: a sweep over pairing-preserving torsion maps, couplings of
@@ -55,6 +59,7 @@ from .lattice import (
     _int_dot,
     chern_coordinates,
     discriminant,
+    phi_generators,
     phi_table,
     radical_slope,
 )
@@ -65,10 +70,11 @@ from .quadfun import (
     Fingerprint,
     GroupIso,
     OrderCapExceeded,
+    _generator_isomorphism,
     _image_positions,
     _isometries,
     _linear_table,
-    _table_isomorphism,
+    _quadratic_table,
     table_fingerprint,
 )
 from .zlinalg import IntMatrix, determinant, intmatrix
@@ -439,9 +445,7 @@ def _decide(side1: _Side, side2: _Side, cap: int, budget: int) -> EquivalenceVer
             INEQUIVALENT, f"free decoration orbits differ: gcd {g1} vs {g2}"
         )
     if d1.free_rank == 0:
-        values1, _ = side1.tables(cap)
-        values2, _ = side2.tables(cap)
-        iso = _table_isomorphism(d1.torsion_factors, d1.value_modulus, values1, values2)
+        iso = _finite_isomorphism(side1, side2, cap)
         if iso is not None:
             return EquivalenceVerdict(
                 EQUIVALENT, "the finite quadratic functions are isomorphic", witness=iso
@@ -455,6 +459,93 @@ def _decide(side1: _Side, side2: _Side, cap: int, budget: int) -> EquivalenceVer
             f"free first homology of rank {d1.free_rank} with matching decoration gcd {g1}",
         )
     return _mixed_verdict(side1, side2, cap, _Budget(budget))
+
+
+@dataclass(frozen=True)
+class _Primary:
+    """The p-primary part of Z/d_1 + ... + Z/d_k, generated by h_i = scales[i] g_i for the i in indices.
+
+    With d_i = p^v_i s_i and p coprime to s_i, the h_i with v_i > 0
+    have orders factors[i] = p^v_i and split G_p into cyclic summands;
+    the scales are the s_i.
+    """
+
+    indices: tuple[int, ...]
+    scales: tuple[int, ...]
+    factors: tuple[int, ...]
+
+    def pairing(self, modulus: int, link: Sequence[Sequence[int]]) -> list[list[int]]:
+        """b(h_i, h_j) = s_i s_j b(g_i, g_j) from b on the g_i, residues mod modulus."""
+        gens = list(zip(self.indices, self.scales))
+        return [[s * t * link[i][j] % modulus for j, t in gens] for i, s in gens]
+
+    def quadratic(self, modulus: int, q_gen: Sequence[int], link: Sequence[Sequence[int]]) -> tuple[int, ...]:
+        """q(h_i) = s_i q(g_i) + C(s_i, 2) b(g_i, g_i) from q and b on the g_i, residues mod modulus."""
+        return tuple((s * q_gen[i] + s * (s - 1) // 2 * link[i][i]) % modulus for i, s in zip(self.indices, self.scales))
+
+
+def _primary_parts(factors: Sequence[int]) -> list[_Primary]:
+    """The primary parts of the group with these invariant factors, one per prime dividing the last, ascending."""
+    n = factors[-1] if factors else 1
+    primes = []
+    p = 2
+    while p * p <= n:
+        if n % p == 0:
+            primes.append(p)
+            while n % p == 0:
+                n //= p
+        p += 1
+    if n > 1:
+        primes.append(n)
+    parts = []
+    for p in primes:
+        # v_p(d) <= log2(d) < d.bit_length(), so the gcd is the p-part of d
+        powers = [math.gcd(d, p ** d.bit_length()) for d in factors]
+        indices = tuple(i for i, power in enumerate(powers) if power > 1)
+        parts.append(_Primary(indices, tuple(factors[i] // powers[i] for i in indices), tuple(powers[i] for i in indices)))
+    return parts
+
+
+def _finite_isomorphism(side1: _Side, side2: _Side, cap: int) -> GroupIso | None:
+    """An isomorphism of the finite quadratic functions of two sides with equal torsion factors, or None.
+
+    Summands of coprime order pair to zero under b, so q is the
+    orthogonal sum of its p-primary parts q_p, any homomorphism keeps
+    the p-parts, and q1 is isomorphic to q2 exactly when q1_p is to q2_p
+    for every prime p (Wall 1963).  Every p-part's value histograms are
+    compared before any search; the searches then run on the p-tables,
+    sum_p |G_p| elements instead of |G|.  The witness is assembled by
+    the Chinese remainder theorem: the p-component of g_i is
+    (s_i^-1 mod p^v_i) h_i, so Psi(g_i) = sum_p (s_i^-1 mod p^v_i) Psi_p(h_i).
+    """
+    data1, data2 = side1.data, side2.data
+    factors = data1.torsion_factors
+    if data1.torsion_order > cap:
+        raise OrderCapExceeded(data1.torsion_order, cap)
+    modulus = data1.value_modulus
+    q1, _ = phi_generators(data1, side1.chern)
+    q2, _ = phi_generators(data2, side2.chern)
+    parts = _primary_parts(factors)
+    restricted = []
+    for part in parts:
+        h1 = part.quadratic(modulus, q1, data1.linking), part.pairing(modulus, data1.linking)
+        h2 = part.quadratic(modulus, q2, data2.linking), part.pairing(modulus, data2.linking)
+        values1 = _quadratic_table(part.factors, modulus, *h1)
+        values2 = _quadratic_table(part.factors, modulus, *h2)
+        if Counter(values1) != Counter(values2):
+            return None
+        restricted.append((*h1, values1, *h2, values2))
+    images = [[0] * len(factors) for _ in factors]
+    for part, args in zip(parts, restricted):
+        found = _generator_isomorphism(part.factors, modulus, *args)
+        if found is None:
+            return None
+        for i, s, order, y in zip(part.indices, part.scales, part.factors, found):
+            u = pow(s, -1, order)
+            for j, t, yj in zip(part.indices, part.scales, y):
+                images[i][j] = (images[i][j] + u * t * yj) % factors[j]
+    group = FiniteAbelianGroup(factors)
+    return GroupIso(group, group, tuple(map(tuple, images)))
 
 
 def yc_equivalent_by_pairing(
@@ -521,13 +612,54 @@ def _canonical_chern_vectors(data: DiscriminantData, count: int) -> tuple[tuple[
 
 
 def _census_key(side: _Side, cap: int) -> tuple:
-    """An integer key splitting decorations of one form as stable_profile() does; _side ran the report's checks."""
+    """An integer key splitting decorations of a degenerate form as stable_profile() does; _side ran the report's checks."""
     values, defect_gen = side.tables(cap)
     g = math.gcd(*side.free)
     if g:
         return (g,)
     # the Gauss sum is read off the value histogram; the defect is a character, whose image fixes its histogram
     return (0, frozenset(Counter(values).items()), math.gcd(side.data.value_modulus, *defect_gen))
+
+
+def _finite_census_keys(data: DiscriminantData, vecs: Sequence[Sequence[int]], cap: int) -> list[tuple[int, ...]]:
+    """Per decoration of a form with finite homology, its class id at each prime: equal keys, equal classes.
+
+    By the orthogonal split (see _finite_isomorphism) two decorations
+    are equivalent exactly when their p-parts are isomorphic for every
+    p, so each prime is a census of its own.  b does not depend on the
+    decoration, so equal q on the h_i means the same p-class with no
+    search; new data is searched against the class representatives
+    whose p-table has the same value histogram, and ids count up in
+    first-occurrence order.
+    """
+    if data.torsion_order > cap:
+        raise OrderCapExceeded(data.torsion_order, cap)
+    modulus = data.value_modulus
+    q_gens = [phi_generators(data, c)[0] for c in vecs]
+    columns = []
+    for part in _primary_parts(data.torsion_factors):
+        ids: dict[tuple[int, ...], int] = {}
+        representatives: list[tuple[tuple[int, ...], list[int]]] = []
+        by_histogram: dict[frozenset, list[int]] = {}
+        b = part.pairing(modulus, data.linking)
+        column = []
+        for q_gen in q_gens:
+            q = part.quadratic(modulus, q_gen, data.linking)
+            if q not in ids:
+                values = _quadratic_table(part.factors, modulus, q, b)
+                same = by_histogram.setdefault(frozenset(Counter(values).items()), [])
+                for cid in same:
+                    rep_q, rep_values = representatives[cid]
+                    if _generator_isomorphism(part.factors, modulus, rep_q, b, rep_values, q, b, values) is not None:
+                        ids[q] = cid
+                        break
+                else:
+                    ids[q] = len(representatives)
+                    same.append(ids[q])
+                    representatives.append((q, values))
+            column.append(ids[q])
+        columns.append(column)
+    return list(zip(*columns)) if columns else [()] * len(vecs)
 
 
 def yc_classes(
@@ -541,11 +673,21 @@ def yc_classes(
 
     Without an explicit list the canonical decorations are used, which
     needs det != 0 and |det| within the order cap, checked before any
-    decoration is enumerated.  One discriminant serves all decorations,
-    bucketed on integer keys that split them as stable_profile() does;
-    each, in input order, joins the first class in its bucket whose first
-    member is equivalent to it, else opens one.  An undecided comparison
-    aborts, naming its pair, rather than guess; an empty list gives ().
+    decoration is enumerated.  One discriminant serves all decorations.
+    Classes come in order of first occurrence, members in input order;
+    an empty list gives ().
+
+    With finite homology the quadratic function is the orthogonal sum
+    of its p-primary parts, and two functions are isomorphic exactly
+    when their p-parts are for every prime p (Wall 1963;
+    Kawauchi-Kojima 1980).  The census is then one census per prime on
+    |G_p|-element tables, and a decoration's class is its tuple of
+    per-prime classes; the order cap still applies to |G|.  Otherwise
+    decorations are bucketed on integer keys that split them as
+    stable_profile() does; each, in input order, joins the first class
+    in its bucket whose first member is equivalent to it, else opens
+    one.  An undecided comparison aborts, naming its pair, rather than
+    guess.
     """
     m = intmatrix(matrix)
     if chern_vectors is None:
@@ -559,6 +701,11 @@ def yc_classes(
         if not vecs:
             return ()
         data = discriminant(m)
+    if not data.free_rank:
+        grouped: dict[tuple[int, ...], list[int]] = {}
+        for i, key in enumerate(_finite_census_keys(data, vecs, cap)):
+            grouped.setdefault(key, []).append(i)
+        return tuple(tuple(vecs[i] for i in members) for members in grouped.values())
     sides = [_side(data, v) for v in vecs]
     buckets: dict[tuple, list[list[int]]] = {}
     classes: list[list[int]] = []
@@ -598,16 +745,21 @@ def lens_yc_count(p: int) -> int:
     return count
 
 
+def _twisting_parameters(p: int, q1: int, q2: int) -> tuple[int, int]:
+    """q1 and q2 reduced mod p >= 2, refused unless both are invertible mod p."""
+    q1, q2 = int(q1) % p, int(q2) % p
+    if math.gcd(q1, p) != 1 or math.gcd(q2, p) != 1:
+        raise ValueError("twisting parameters must be invertible mod p")
+    return q1, q2
+
+
 def lens_diffeo_count(p: int, q1: int, q2: int) -> int:
     """Orbit count for the two-parameter lens family under its full
     symmetry group, by direct enumeration of the fixed-point data."""
     p = int(p)
     if p < 2:
         raise ValueError(f"need p >= 2, got {p}")
-    q1 = int(q1) % p
-    q2 = int(q2) % p
-    if math.gcd(q1, p) != 1 or math.gcd(q2, p) != 1:
-        raise ValueError("twisting parameters must be invertible mod p")
+    q1, q2 = _twisting_parameters(p, q1, q2)
     if (q1 * q1 - q2 * q2) % p or q1 == q2 or (q1 + q2) % p == 0:
         return p // 2 + 1
     ratio = q2 * pow(q1, -1, p) % p

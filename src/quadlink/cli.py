@@ -50,6 +50,7 @@ from .classify import (
     UNKNOWN,
     EvenOrderError,
     InvariantReport,
+    _twisting_parameters,
     invariants_report,
     lens_diffeo_count,
     lens_yc_count,
@@ -362,14 +363,18 @@ def cmd_lens_census(args: argparse.Namespace) -> int:
         raise InputError("--q1 and --q2 must be given together")
     if args.p > MAX_LENS_ORDER:
         raise InputError(f"--p {args.p} is more than the limit {MAX_LENS_ORDER}")
+    q1 = 1 if args.q1 is None else args.q1
+    q2 = 1 if args.q2 is None else args.q2
     try:
+        # on an order lens_yc_count accepts, refuse the twists before its
+        # O(p) count; an even or too small order keeps its own error
+        if args.p % 2 and args.p >= 3:
+            _twisting_parameters(args.p, q1, q2)
         yc = lens_yc_count(args.p)
     except EvenOrderError:
         raise
     except ValueError as exc:
         raise InputError(str(exc)) from exc
-    q1 = 1 if args.q1 is None else args.q1
-    q2 = 1 if args.q2 is None else args.q2
     try:
         diffeo = lens_diffeo_count(args.p, q1, q2)
     except ValueError as exc:

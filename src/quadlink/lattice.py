@@ -27,11 +27,13 @@ discriminant stores the section in integers: the Smith columns
 V_i = d_i g_i, and the linking pairing and the free covectors on the
 g_i as integer residues in units of 1/(2N), N the last invariant factor:
 every value of phi_c, of its defect and of the linking pairing on the
-torsion part is a multiple of 1/(2N).  phi_table builds whole value tables from that data
-by the quadratic recurrence in quadfun (_quadratic_table), one step per
-element.  phi_eval, linking_pairing and evaluation_pairing evaluate the
-defining formulas on rational vectors such as the derived lifts g_i;
-they are the reference the integer data is tested against.
+torsion part is a multiple of 1/(2N).  phi_generators reads phi_c and
+its defect on the g_i off that data, and phi_table builds whole value
+tables from them by the quadratic recurrence in quadfun
+(_quadratic_table), one step per element.  phi_eval, linking_pairing
+and evaluation_pairing evaluate the defining formulas on rational
+vectors such as the derived lifts g_i; they are the reference the
+integer data is tested against.
 """
 
 from __future__ import annotations
@@ -266,32 +268,40 @@ def phi_eval(data: DiscriminantData, c: Sequence[int], x: Sequence) -> QmodZ:
     return QmodZ((_dot(xs, bx) - _dot(cs, xs)) / 2)
 
 
-def phi_table(data: DiscriminantData, c: Sequence[int]) -> tuple[list[int], list[int]]:
-    """Values of phi_c on every torsion element, and its homogeneity defects on the generators.
+def phi_generators(data: DiscriminantData, c: Sequence[int]) -> tuple[list[int], list[int]]:
+    """phi_c and its homogeneity defect on the torsion generators.
 
-    The value table follows itertools.product order of the torsion
-    coordinates w; it and the k generator defects hold integers in
-    [0, M), M = data.value_modulus, standing for
-    phi_eval(data, c, data.torsion_lift(w)) and
-    phi_c(g_i) - phi_c(-g_i) in units of 1/M.  Only integer Smith data
-    enters: with V_i = data.torsion_columns[i], U'_i = B g_i and N = M/2,
+    Both lists hold integers in [0, M), M = data.value_modulus, standing
+    for phi_c(g_i) and phi_c(g_i) - phi_c(-g_i) in units of 1/M.  Only
+    integer Smith data enters: with V_i = data.torsion_columns[i],
+    U'_i = B g_i and N = M/2,
 
         M q(g_i)      = (N/d_i) (V_i . U'_i - c . V_i)
         M b(g_i, g_j) = data.linking[i][j]
         M delta(g_i)  = -2 (N/d_i) c . V_i
-
-    and the quadratic recurrence in quadfun fills the table; delta is
-    additive, so _linear_table there expands it to the whole group.
     """
     cs = data.require_characteristic(c)
-    factors = data.torsion_factors
     columns = data.torsion_columns
     m = data.value_modulus
-    half = [m // 2 // d for d in factors]
+    half = [m // 2 // d for d in data.torsion_factors]
     c_of = [_int_dot(cs, v) for v in columns]
     q_gen = [s * (_int_dot(v, cov) - cv) % m for s, v, cov, cv in zip(half, columns, data.cok_tors_covectors, c_of)]
     defect_gen = [-2 * s * cv % m for s, cv in zip(half, c_of)]
-    return _quadratic_table(factors, m, q_gen, data.linking), defect_gen
+    return q_gen, defect_gen
+
+
+def phi_table(data: DiscriminantData, c: Sequence[int]) -> tuple[list[int], list[int]]:
+    """Values of phi_c on every torsion element, and its homogeneity defects on the generators.
+
+    The value table follows itertools.product order of the torsion
+    coordinates w and stands for phi_eval(data, c, data.torsion_lift(w))
+    in units of 1/data.value_modulus; the defects are those of
+    phi_generators.  The quadratic recurrence in quadfun fills the table
+    from phi_generators and data.linking; delta is additive, so
+    _linear_table there expands it to the whole group.
+    """
+    q_gen, defect_gen = phi_generators(data, c)
+    return _quadratic_table(data.torsion_factors, data.value_modulus, q_gen, data.linking), defect_gen
 
 
 def linking_pairing(data: DiscriminantData, x: Sequence, y: Sequence) -> QmodZ:

@@ -9,14 +9,14 @@ when that data matches up to an integer change of radical basis, which
 for slope vectors means equality of ranks and gcds.
 
 The isomorphism search works on value tables of int residues in units
-of 1/M, listed in itertools.product order.  Value and defect
-histograms prefilter; a depth-first search, shared with the pairing
-route of classify, then tries images of the generators, largest order
-first, among the elements with the right value, pruned by element
-order and by the polarization.  A found candidate is always rechecked
-pointwise before being returned, because matching invariants alone only
-promise that *some* isomorphism exists, not that a particular
-assignment is one.
+of 1/M, listed in itertools.product order.  The value histograms and
+the gcd of the defect character prefilter; a depth-first search,
+shared with the pairing route of classify, then tries images of the
+generators, largest order first, among the elements with the right
+value, pruned by element order and by the polarization.  A found
+candidate is always rechecked pointwise before being returned, because
+matching invariants alone only promise that *some* isomorphism exists,
+not that a particular assignment is one.
 """
 
 from __future__ import annotations
@@ -366,24 +366,32 @@ def _isometries(
     yield from extend(0)
 
 
-def _table_isomorphism(
-    factors: tuple[int, ...], modulus: int, values1: list[int], values2: list[int]
-) -> GroupIso | None:
-    """An isomorphism Psi with q2(Psi(x)) = q1(x) for all x, or None.
+def _generator_isomorphism(
+    factors: Sequence[int],
+    modulus: int,
+    q1: Sequence[int],
+    b1: Sequence[Sequence[int]],
+    values1: Sequence[int],
+    q2: Sequence[int],
+    b2: Sequence[Sequence[int]],
+    values2: Sequence[int],
+) -> tuple[Element, ...] | None:
+    """Generator images of an isomorphism Psi with q2(Psi(x)) = q1(x) for all x, or None.
 
-    values1 and values2 are the value tables of q1 and q2 on the group
-    with these invariant factors, as residues in units of 1/modulus in
-    itertools.product order.  The search is exhaustive, so None is a
-    definite negative.
+    Each side is given by q and b on the generators and by its value
+    table, as residues in units of 1/modulus, the table in
+    itertools.product order; the caller has compared the value
+    histograms.  The defect q(x) - q(-x) is a character with generator
+    values 2 q(g_i) - b(g_i, g_i), uniform on the subgroup of Z/modulus
+    that their gcd generates, so that gcd stands for its histogram.
+    The search is exhaustive, so None is a definite negative.
     """
-    if Counter(values1) != Counter(values2):
+    def defect_gcd(q: Sequence[int], b: Sequence[Sequence[int]]) -> int:
+        return math.gcd(modulus, *(2 * v - b[i][i] for i, v in enumerate(q)))
+
+    if defect_gcd(q1, b1) != defect_gcd(q2, b2):
         return None
-    q1, b1 = _generator_data(factors, modulus, values1)
-    q2, b2 = _generator_data(factors, modulus, values2)
-    if Counter(_defect_table(factors, modulus, q1, b1)) != Counter(_defect_table(factors, modulus, q2, b2)):
-        return None
-    group = FiniteAbelianGroup(factors)
-    elements = list(group.elements())
+    elements = list(itertools.product(*(range(d) for d in factors)))
     candidates = [[m for m, v in zip(elements, values2) if v == want] for want in q1]
     if not all(candidates):
         return None
@@ -393,7 +401,7 @@ def _table_isomorphism(
         # value and polarization constraints do not force the map, so the
         # pointwise check makes any returned witness unconditionally good
         if all(values2[u] == v for u, v in zip(_image_positions(factors, images), values1)):
-            return GroupIso(group, group, images)
+            return images
     return None
 
 
@@ -408,4 +416,14 @@ def is_isomorphic(q1: QuadraticFunction, q2: QuadraticFunction) -> GroupIso | No
     if factors != q2.group.invariant_factors or not radical_compatible(q1, q2):
         return None
     modulus, (values1, values2) = _residue_tables(q1, q2)
-    return _table_isomorphism(factors, modulus, values1, values2)
+    if Counter(values1) != Counter(values2):
+        return None
+    images = _generator_isomorphism(
+        factors,
+        modulus,
+        *_generator_data(factors, modulus, values1),
+        values1,
+        *_generator_data(factors, modulus, values2),
+        values2,
+    )
+    return None if images is None else GroupIso(q1.group, q2.group, images)

@@ -48,6 +48,8 @@ from quadlink.quadfun import (
     GroupIso,
     OrderCapExceeded,
     QuadraticFunction,
+    _defect_table,
+    _generator_data,
     _image_positions,
     _isometries,
     _linear_table,
@@ -196,6 +198,106 @@ def test_finite_verdicts_are_pinned(pair, status, reason, images):
     assert (v.status, v.reason, None if v.witness is None else v.witness.images) == (status, reason, images)
     if images is not None:
         _assert_carries_values(p1, p2, images)
+
+
+# --- the primary split against the whole-group search ----------------------
+#
+# The finite regime decides one p-primary part at a time.  The oracle is
+# the route it replaced: value tables over the whole group, value and
+# defect histograms, and one search whose witness is checked pointwise.
+
+
+def _whole_group_images(p1, p2):
+    """Generator images of an isomorphism of the finite quadratic functions found over the whole group, or None."""
+    data1, data2 = discriminant(p1.matrix), discriminant(p2.matrix)
+    assert data1.free_rank == data2.free_rank == 0
+    factors, modulus = data1.torsion_factors, data1.value_modulus
+    if factors != data2.torsion_factors:
+        return None
+    values1, _ = phi_table(data1, p1.chern)
+    values2, _ = phi_table(data2, p2.chern)
+    if Counter(values1) != Counter(values2):
+        return None
+    q1, b1 = _generator_data(factors, modulus, values1)
+    q2, b2 = _generator_data(factors, modulus, values2)
+    if Counter(_defect_table(factors, modulus, q1, b1)) != Counter(_defect_table(factors, modulus, q2, b2)):
+        return None
+    elements = list(FiniteAbelianGroup(factors).elements())
+    candidates = [[m for m, v in zip(elements, values2) if v == want] for want in q1]
+    if not all(candidates):
+        return None
+    order = sorted(range(len(factors)), key=lambda i: (-factors[i], i))
+    for images in _isometries(factors, modulus, b1, b2, order, candidates, lambda: True):
+        if all(values2[u] == v for u, v in zip(_image_positions(factors, images), values1)):
+            return images
+    return None
+
+
+def _is_prime_power(n):
+    p = next((p for p in range(2, n + 1) if n % p == 0), None)
+    while p and n % p == 0:
+        n //= p
+    return n == 1
+
+
+def _check_against_the_whole_group(p1, p2):
+    v = yc_equivalent(p1, p2)
+    images = _whole_group_images(p1, p2)
+    assert v.status == (INEQUIVALENT if images is None else EQUIVALENT)
+    if v.witness is not None:
+        _assert_carries_values(p1, p2, v.witness.images)
+        factors = discriminant(p1.matrix).torsion_factors
+        if _is_prime_power(factors[-1] if factors else 1):
+            assert v.witness.images == images
+
+
+@st.composite
+def finite_pairs(draw):
+    """Two decorations of one nondegenerate form, the second often a walk away from a decoration."""
+    n = draw(st.integers(1, 3))
+    m = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            m[i][j] = m[j][i] = draw(st.integers(-7, 7))
+    det = determinant(intmatrix(m))
+    assume(det != 0 and abs(det) <= 400)
+    vecs = canonical_chern_vectors(m)
+    c1, c2 = draw(st.sampled_from(vecs)), draw(st.sampled_from(vecs))
+    p1 = presentation(m, c1)
+    if draw(st.booleans()):
+        return p1, presentation(m, c2)
+    return p1, random_walk(presentation(m, c2 if draw(st.booleans()) else c1), 12, draw(st.integers(0, 2**32)), size_cap=n)[0]
+
+
+@settings(max_examples=80, deadline=None)
+@given(finite_pairs())
+@example((presentation(_diagonal(10, 30), (0, 0)), presentation(_diagonal(10, 30), (2, 4))))
+@example((presentation(_diagonal(10, 30), (2, 6)), _walked(_diagonal(10, 30), (2, 6), 7, 2)))
+@example((presentation(_diagonal(4, 12), (2, 0)), presentation(_diagonal(4, 12), (2, 4))))
+@example((presentation(_diagonal(6, 6), (0, 2)), presentation(_diagonal(6, 6), (2, 0))))
+@example((presentation([[15, -9], [-9, 36]], (1, 0)), presentation([[15, -9], [-9, 36]], (3, 2))))
+def test_primary_split_matches_the_whole_group_search(pair):
+    _check_against_the_whole_group(*pair)
+
+
+@pytest.mark.parametrize("pair", [entry[0] for entry in PINNED_FINITE])
+def test_pinned_finite_pairs_match_the_whole_group_search(pair):
+    _check_against_the_whole_group(*pair())
+
+
+def test_the_primary_split_keeps_the_order_cap():
+    # |G| = 3969 is over the cap, though |G_3| = 81 and |G_7| = 49 are not
+    rows = _diagonal(63, 63)
+    p = presentation(rows, (1, 1))
+    calls = (
+        lambda: yc_equivalent(p, p, cap=1000),
+        lambda: yc_classes(rows, cap=1000),
+        lambda: yc_classes(rows, [(1, 1)], cap=1000),
+    )
+    for call in calls:
+        with pytest.raises(OrderCapExceeded) as caught:
+            call()
+        assert (caught.value.order, caught.value.cap) == (3969, 1000)
 
 
 def test_verdict_status_is_validated():
@@ -407,19 +509,32 @@ def test_census_computes_the_determinant_once(monkeypatch):
 
 
 def test_census_builds_each_value_table_once(monkeypatch):
-    # every comparison reads the tables the census keys were built from
+    # a finite census builds no whole-group table; per prime it tabulates
+    # each new restricted q once and searches it only against the class
+    # representatives with the same value histogram
     calls = Counter()
-    original = classify_module.phi_table
+    for name in ("phi_table", "_quadratic_table", "_generator_isomorphism"):
+        original = getattr(classify_module, name)
 
-    def counted(*args):
-        calls["phi_table"] += 1
-        return original(*args)
+        def counted(*args, _name=name, _original=original):
+            calls[_name] += 1
+            return _original(*args)
 
-    monkeypatch.setattr(classify_module, "phi_table", counted)
-    for rows in ([[9]], [[2, 1], [1, 2]], [[3, 0], [0, 3]], [[9, 0], [0, 9]], [[4, 0], [0, 8]]):
+        monkeypatch.setattr(classify_module, name, counted)
+    # (classes, p-tables, searches); on [[15]] the 15 decorations carry
+    # 3 restricted q at 3 and 5 at 5
+    pinned = {
+        ((9,),): (5, 9, 6),
+        ((2, 1), (1, 2)): (2, 3, 1),
+        ((3, 0), (0, 3)): (3, 9, 6),
+        ((9, 0), (0, 9)): (9, 81, 84),
+        ((4, 0), (0, 8)): (10, 32, 22),
+        ((15,),): (6, 8, 3),
+    }
+    for rows, (count, tables, searches) in pinned.items():
         calls.clear()
-        yc_classes(rows)
-        assert calls["phi_table"] == abs(determinant(IntMatrix(rows))), rows
+        assert len(yc_classes(rows)) == count
+        assert calls == {"_quadratic_table": tables, "_generator_isomorphism": searches}, rows
 
 
 def test_census_budget_edge_and_empty_list(monkeypatch):
@@ -467,10 +582,20 @@ def test_census_classes_are_internally_consistent():
 
 # --- the census against its pairwise oracle -----------------------------
 #
-# yc_classes compares each decoration with the first member of each class
-# in its bucket, on integer keys.  The oracle is the pairwise census it
-# replaced: bucket by stable_profile(), run yc_equivalent on every pair of
-# a bucket not yet joined, and merge with union-find.
+# yc_classes keys each decoration of a nondegenerate form by its class at
+# each prime, and otherwise compares each decoration with the first member
+# of each class in its bucket, on integer keys.  The oracle is the
+# pairwise census: bucket by stable_profile(), decide every pair of a
+# bucket not yet joined, and merge with union-find.  Finite pairs are
+# decided by the whole-group search, others by yc_equivalent.
+
+
+def _oracle_equivalent(a, b):
+    if discriminant(a.matrix).free_rank == 0:
+        return _whole_group_images(a, b) is not None
+    verdict = yc_equivalent(a, b)
+    assert verdict.is_definite
+    return verdict.status == EQUIVALENT
 
 
 def _census_oracle(m, vecs, profiles):
@@ -490,9 +615,7 @@ def _census_oracle(m, vecs, profiles):
             ra, rc = find(a), find(c)
             if ra == rc:
                 continue
-            verdict = yc_equivalent(pres[a], pres[c])
-            assert verdict.is_definite
-            if verdict.status == EQUIVALENT:
+            if _oracle_equivalent(pres[a], pres[c]):
                 parent[max(ra, rc)] = min(ra, rc)
     grouped = {}
     for i in range(len(vecs)):
@@ -503,9 +626,16 @@ def _census_oracle(m, vecs, profiles):
 def _check_census_against_oracle(m, vecs):
     profiles = [invariants_report(presentation(m, v)).stable_profile() for v in vecs]
     data = discriminant(intmatrix(m))
-    keys = [classify_module._census_key(classify_module._side(data, v), DEFAULT_ORDER_CAP) for v in vecs]
-    for (k1, p1), (k2, p2) in itertools.combinations(zip(keys, profiles), 2):
-        assert (k1 == k2) == (p1 == p2)
+    if data.free_rank:
+        # bucket keys split exactly as the profiles do
+        keys = [classify_module._census_key(classify_module._side(data, v), DEFAULT_ORDER_CAP) for v in vecs]
+        for (k1, p1), (k2, p2) in itertools.combinations(zip(keys, profiles), 2):
+            assert (k1 == k2) == (p1 == p2)
+    else:
+        # keys are classes, so equal keys have equal profiles
+        keys = classify_module._finite_census_keys(data, vecs, DEFAULT_ORDER_CAP)
+        for (k1, p1), (k2, p2) in itertools.combinations(zip(keys, profiles), 2):
+            assert k1 != k2 or p1 == p2
     assert yc_classes(m, vecs) == _census_oracle(m, vecs, profiles)
 
 

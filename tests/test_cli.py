@@ -228,6 +228,16 @@ def test_lens_census_argument_errors(capsys):
     capsys.readouterr()
 
 
+def test_lens_census_refuses_twists_before_counting(capsys, monkeypatch):
+    # 3 divides 999999, so --q1 2 --q2 3 is refused without the O(p) count
+    def refuse(p):
+        raise AssertionError("counted the orbits of refused twisting parameters")
+
+    monkeypatch.setattr(cli_module, "lens_yc_count", refuse)
+    assert main(["lens-census", "--p", "999999", "--q1", "2", "--q2", "3"]) == EXIT_INVALID
+    assert capsys.readouterr().err == "error: twisting parameters must be invertible mod p\n"
+
+
 def test_lens_census_order_limit(capsys, monkeypatch):
     # refused before counting, which takes O(p) time and memory
     counted = []
@@ -276,6 +286,17 @@ def test_classes_command(tmp_path, capsys):
     assert main(["classes", path]) == EXIT_OK
     out = capsys.readouterr().out
     assert "9 decorations, 5 classes" in out
+
+
+def test_the_primary_split_keeps_the_order_cap(tmp_path, capsys):
+    # |G| = 3969 is over the cap, though |G_3| = 81 and |G_7| = 49 are not
+    rows = [[63, 0], [0, 63]]
+    a = write_doc(tmp_path, "a.json", {"matrix": rows, "chern": [1, 1]})
+    b = write_doc(tmp_path, "b.json", {"matrix": rows, "chern": [3, 1]})
+    assert main(["compare", a, b, "--cap", "1000"]) == EXIT_CAP
+    assert capsys.readouterr().err == "error: group order 3969 exceeds the cap 1000\n"
+    assert main(["classes", a, "--cap", "1000"]) == EXIT_CAP
+    assert capsys.readouterr().err == "error: group order 3969 exceeds the cap 1000\n"
 
 
 def _count_canonical_calls(monkeypatch):
