@@ -53,15 +53,16 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .exact import CyclotomicSum, QmodZ, residue_multiset
+from .exact import CyclotomicSum, residue_multiset
 from .lattice import (
     DiscriminantData,
+    _chern_coordinates,
     _int_dot,
-    chern_coordinates,
+    _phi_generators,
+    _radical_slope,
     discriminant,
-    phi_generators,
-    phi_table,
-    radical_slope,
+    self_linking_table,
+    torsion_table,
 )
 from .presentation import DecoratedPresentation, presentation
 from .quadfun import (
@@ -133,13 +134,19 @@ class _Budget:
 
 @dataclass
 class _Side:
-    """One presentation's data for a decision, slopes checked, computed once; its value tables on first use."""
+    """One presentation's data for a decision, checked and computed once; its value table on first use.
+
+    q_gen and defect_gen are phi_c and its defect on the torsion
+    generators (lattice.phi_generators).
+    """
 
     data: DiscriminantData
     chern: tuple[int, ...]
     free: tuple[int, ...]
     tors: tuple[int, ...]
     slopes: tuple[int, ...]
+    q_gen: list[int]
+    defect_gen: list[int]
     _tables: tuple[list[int], list[int]] | None = None
 
     def tables(self, cap: int) -> tuple[list[int], list[int]]:
@@ -147,25 +154,24 @@ class _Side:
         if self._tables is None:
             if self.data.torsion_order > cap:
                 raise OrderCapExceeded(self.data.torsion_order, cap)
-            self._tables = phi_table(self.data, self.chern)
+            self._tables = torsion_table(self.data, self.q_gen), self.defect_gen
         return self._tables
 
 
 def _side(data: DiscriminantData, c: Sequence[int]) -> _Side:
-    free, tors = chern_coordinates(data, c)
-    return _Side(data, tuple(c), free, tors, _integral_slopes(data, c, free))
+    """A side's data, after the one characteristic parity check of its decoration, which raises also under -O."""
+    cs = data.require_characteristic(c)
+    free, tors = _chern_coordinates(data, cs)
+    return _Side(data, cs, free, tors, _integral_slopes(data, cs, free), *_phi_generators(data, cs))
 
 
-def _integral_slopes(data: DiscriminantData, c: Sequence[int], free: Sequence[int]) -> tuple[int, ...]:
-    """Kernel slopes of the decoration, integral because c is characteristic.
+def _integral_slopes(data: DiscriminantData, cs: Sequence[int], free: Sequence[int]) -> tuple[int, ...]:
+    """Kernel slopes of a checked characteristic decoration, integral by lattice._radical_slope.
 
     Cross-checks the duality identity: twice the slopes equal the free
     cokernel coordinates of c contracted against the duality matrix.
     """
-    raw = radical_slope(data, c)
-    if any(s.denominator != 1 for s in raw):
-        raise RuntimeError(f"radical slopes {raw} are not integral for a characteristic vector")
-    slopes = tuple(int(s) for s in raw)
+    slopes = _radical_slope(data, cs)
     w = data.duality_matrix
     for j in range(len(slopes)):
         if 2 * slopes[j] != sum(w[m][j] * free[m] for m in range(data.free_rank)):
@@ -179,7 +185,11 @@ class InvariantReport:
 
     chern_torsion and radical_slopes are stored in the computed Smith
     basis and move with it; stable_profile() keeps only the fields
-    that survive a change of presentation.
+    that survive a change of presentation.  value_multiset,
+    defect_multiset and linking_diagonal are sorted int residues r,
+    each standing for r/value_modulus and repeated as often as it
+    occurs, so each has |G| entries; value_modulus is twice the last
+    torsion factor (2 without torsion).
     """
 
     free_rank: int
@@ -187,9 +197,10 @@ class InvariantReport:
     chern_free_gcd: int
     chern_torsion: tuple[int, ...]
     radical_slopes: tuple[int, ...]
-    value_multiset: tuple[QmodZ, ...]
-    defect_multiset: tuple[QmodZ, ...]
-    linking_diagonal: tuple[QmodZ, ...]
+    value_modulus: int
+    value_multiset: tuple[int, ...]
+    defect_multiset: tuple[int, ...]
+    linking_diagonal: tuple[int, ...]
     gauss: CyclotomicSum
     fingerprint: Fingerprint
 
@@ -199,6 +210,8 @@ class InvariantReport:
         Value and defect tables depend on the stored section exactly
         when the free decoration part is nonzero, so they and the
         Gauss sum join the profile only when that part vanishes.
+        Profiles are equal only with equal torsion factors, hence one
+        value modulus, so equal residues are equal values in Q/Z.
         """
         base = (self.free_rank, self.torsion_factors, self.chern_free_gcd, self.linking_diagonal)
         if self.chern_free_gcd:
@@ -207,21 +220,21 @@ class InvariantReport:
 
 
 def invariants_report(p: DecoratedPresentation, *, cap: int = DEFAULT_ORDER_CAP) -> InvariantReport:
-    """Assemble the discriminant invariants of one decorated presentation."""
+    """Assemble the discriminant invariants of one decorated presentation; no QmodZ is made."""
     data = discriminant(p.matrix, cap=cap)
     side = _side(data, p.chern)
     values, defect_gen = side.tables(cap)
     modulus = data.value_modulus
     defects = _linear_table(defect_gen, data.torsion_factors, modulus)
     fp = table_fingerprint(data.torsion_factors, modulus, values, defects, side.slopes)
-    # b(w, w) = 2 q(w) - delta(w)
-    diag = residue_multiset(Counter((2 * v - d) % modulus for v, d in zip(values, defects)), modulus)
+    diag = residue_multiset(Counter(self_linking_table(data)), modulus)
     return InvariantReport(
         free_rank=data.free_rank,
         torsion_factors=data.torsion_factors,
         chern_free_gcd=math.gcd(*side.free),
         chern_torsion=side.tors,
         radical_slopes=side.slopes,
+        value_modulus=modulus,
         value_multiset=fp.value_multiset,
         defect_multiset=fp.defect_multiset,
         linking_diagonal=diag,
@@ -523,8 +536,7 @@ def _finite_isomorphism(side1: _Side, side2: _Side, cap: int) -> GroupIso | None
     if data1.torsion_order > cap:
         raise OrderCapExceeded(data1.torsion_order, cap)
     modulus = data1.value_modulus
-    q1, _ = phi_generators(data1, side1.chern)
-    q2, _ = phi_generators(data2, side2.chern)
+    q1, q2 = side1.q_gen, side2.q_gen
     parts = _primary_parts(factors)
     restricted = []
     for part in parts:
@@ -635,7 +647,8 @@ def _finite_census_keys(data: DiscriminantData, vecs: Sequence[Sequence[int]], c
     if data.torsion_order > cap:
         raise OrderCapExceeded(data.torsion_order, cap)
     modulus = data.value_modulus
-    q_gens = [phi_generators(data, c)[0] for c in vecs]
+    # the vectors are characteristic: canonical ones by construction, listed ones checked by presentation()
+    q_gens = [_phi_generators(data, c)[0] for c in vecs]
     columns = []
     for part in _primary_parts(data.torsion_factors):
         ids: dict[tuple[int, ...], int] = {}

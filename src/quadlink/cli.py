@@ -15,7 +15,8 @@ A presentation file is a JSON object with fields, in this order:
 
 Parsing then serializing reproduces the document byte for byte (two
 space indent, fixed field order), so files can be piped back in.
-Rationals in reports are rendered as "num/den" strings; the exact
+Rationals in reports are rendered as reduced "num/den" strings, from
+the report's int residues r standing for r/value_modulus; the exact
 Gauss sum is an object {"modulus", "coeffs", "approx"} where "approx"
 is a 12 significant digit complex rendering for display only, never
 an input.
@@ -38,8 +39,8 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
-from fractions import Fraction
 from pathlib import Path
 from typing import Any, NoReturn, Sequence
 
@@ -57,7 +58,7 @@ from .classify import (
     yc_classes,
     yc_equivalent,
 )
-from .exact import CyclotomicSum, QmodZ
+from .exact import CyclotomicSum
 from .presentation import (
     DecoratedPresentation,
     PresentationError,
@@ -104,9 +105,13 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_INVALID, f"{self.prog}: error: {message}\n")
 
 
-def _rational(x: QmodZ | Fraction) -> str:
-    f = x.value if isinstance(x, QmodZ) else x
-    return f"{f.numerator}/{f.denominator}"
+def _angles(residues: Sequence[int], modulus: int) -> list[str]:
+    """Each residue r as the reduced "a/b" equal to r/modulus (0 is "0/1"), each distinct residue rendered once."""
+    rendered = {}
+    for r in set(residues):
+        g = math.gcd(r, modulus)
+        rendered[r] = f"{r // g}/{modulus // g}"
+    return [rendered[r] for r in residues]
 
 
 def _approx(z: complex) -> str:
@@ -128,9 +133,9 @@ def report_payload(r: InvariantReport) -> dict[str, Any]:
         "chern_free_gcd": r.chern_free_gcd,
         "chern_torsion": list(r.chern_torsion),
         "radical_slopes": list(r.radical_slopes),
-        "value_multiset": [_rational(v) for v in r.value_multiset],
-        "defect_multiset": [_rational(v) for v in r.defect_multiset],
-        "linking_diagonal": [_rational(v) for v in r.linking_diagonal],
+        "value_multiset": _angles(r.value_multiset, r.value_modulus),
+        "defect_multiset": _angles(r.defect_multiset, r.value_modulus),
+        "linking_diagonal": _angles(r.linking_diagonal, r.value_modulus),
         "gauss": _gauss_payload(r.gauss),
     }
 
@@ -220,12 +225,14 @@ def load_matrix_file(path: str) -> list[list[int]]:
 
 
 # (name, getter, stable_only) in the order first_differing_field consults them;
-# a stable_only field is decoration sensitive, see InvariantReport.stable_profile
+# a stable_only field is decoration sensitive, see InvariantReport.stable_profile.
+# torsion_factors comes before every residue multiset, so those are compared
+# only over one value modulus
 _REPORT_FIELDS = (
     ("free_rank", lambda r: r.free_rank, False),
     ("torsion_factors", lambda r: r.torsion_factors, False),
     ("chern_free_gcd", lambda r: r.chern_free_gcd, False),
-    ("linking_diagonal", lambda r: tuple(sorted(r.linking_diagonal)), False),
+    ("linking_diagonal", lambda r: r.linking_diagonal, False),
     ("gauss_sum", lambda r: r.gauss, True),
     ("value_multiset", lambda r: r.value_multiset, True),
     ("defect_multiset", lambda r: r.defect_multiset, True),
@@ -255,9 +262,9 @@ def _print_report_text(r: InvariantReport, name: str | None) -> None:
     print(f"chern free gcd     {r.chern_free_gcd}")
     print(f"chern torsion      {list(r.chern_torsion)}")
     print(f"radical slopes     {list(r.radical_slopes)}")
-    print(f"values             {[_rational(v) for v in r.value_multiset]}")
-    print(f"defects            {[_rational(v) for v in r.defect_multiset]}")
-    print(f"linking diagonal   {[_rational(v) for v in r.linking_diagonal]}")
+    print(f"values             {_angles(r.value_multiset, r.value_modulus)}")
+    print(f"defects            {_angles(r.defect_multiset, r.value_modulus)}")
+    print(f"linking diagonal   {_angles(r.linking_diagonal, r.value_modulus)}")
     g = r.gauss
     print(f"gauss sum          {_approx(g.approx())} (display only)")
     print(f"gauss exact        modulus {g.modulus}, coeffs {list(g.coeffs)}")

@@ -6,6 +6,12 @@ combinations of roots of unity.  Floats never enter any decision; the
 only floating-point output anywhere is ``CyclotomicSum.approx``, which
 is display-only.
 
+On the decision and report paths a value of Q/Z is an int residue r in
+[0, M) standing for r/M, with one modulus M shared by a whole table;
+residue_multiset and cyclo_from_residues read multisets and Gauss sums
+off histograms of such residues.  QmodZ is the rational form of one
+value, kept for the reference evaluations and for display.
+
 A sum of roots of unity is stored as a dense integer coefficient vector
 against the basis 1, z, ..., z^(N-1) with z = exp(2*pi*i/N).  That
 representation is redundant (the ring Z[x]/(x^N - 1) maps onto Z[z]),
@@ -251,7 +257,7 @@ class CyclotomicSum:
     def __init__(self, modulus: int, coeffs: Iterable[int]) -> None:
         if modulus < 1:
             raise ValueError("modulus must be >= 1")
-        cs = tuple(int(c) for c in coeffs)
+        cs = tuple(map(int, coeffs))
         if len(cs) != modulus:
             raise ValueError("coefficient vector must have length equal to the modulus")
         object.__setattr__(self, "modulus", modulus)
@@ -411,19 +417,19 @@ def cyclo_from_angles(angles: Iterable[Union[QmodZ, RationalLike]]) -> Cyclotomi
     return CyclotomicSum(n, coeffs)
 
 
-def residue_multiset(histogram: Mapping[int, int], modulus: int) -> tuple[QmodZ, ...]:
-    """The sorted multiset of angles r/modulus, r taken histogram[r] times.
+def residue_multiset(histogram: Mapping[int, int], modulus: int) -> tuple[int, ...]:
+    """The sorted multiset of residues r standing for r/modulus, r taken histogram[r] times.
 
     Residues must lie in [0, modulus); then ascending residue is
-    ascending QmodZ, each r/modulus is already reduced mod 1, and one
-    QmodZ is made per residue, not per occurrence.
+    ascending angle r/modulus, and two multisets over one modulus are
+    equal exactly when the angles they stand for are.
     """
     residues = sorted(histogram)
     if residues and (residues[0] < 0 or residues[-1] >= modulus):
         raise ValueError(f"residues must lie in [0, {modulus}), got {residues[0]}..{residues[-1]}")
-    out: list[QmodZ] = []
+    out: list[int] = []
     for r in residues:
-        out += [QmodZ._reduced(Fraction(r, modulus))] * histogram[r]
+        out += [r] * histogram[r]
     return tuple(out)
 
 

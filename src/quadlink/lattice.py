@@ -16,7 +16,8 @@ onto the torsion of coker(B), is frozen at construction time, and is
 the one section all downstream value tables and Gauss sums refer to.
 
 On the free (radical) part, phi_c restricts to x (x) [r] |-> -(c(x)/2) r,
-so the integer slopes c(k_j)/2 on a kernel basis carry all of it.
+so the slopes c(k_j)/2 on a kernel basis carry all of it.  They are
+integers: B k_j = 0, so c(k_j) = k_j^T B k_j = 0 mod 2.
 
 discriminant reads from the Smith decomposition only what it keeps: the
 columns of V and U^-1 and the rows of U at the torsion and free indices
@@ -30,7 +31,12 @@ every value of phi_c, of its defect and of the linking pairing on the
 torsion part is a multiple of 1/(2N).  phi_generators reads phi_c and
 its defect on the g_i off that data, and phi_table builds whole value
 tables from them by the quadratic recurrence in quadfun
-(_quadratic_table), one step per element.  phi_eval, linking_pairing
+(_quadratic_table, through torsion_table), one step per element.
+
+Every public function of a decoration checks its characteristic parity
+and raises CharacteristicError.  The unchecked _chern_coordinates,
+_radical_slope and _phi_generators take a vector checked once by the
+caller, as classify does once per decoration.  phi_eval, linking_pairing
 and evaluation_pairing evaluate the defining formulas on rational
 vectors such as the derived lifts g_i; they are the reference the
 integer data is tested against.
@@ -280,7 +286,11 @@ def phi_generators(data: DiscriminantData, c: Sequence[int]) -> tuple[list[int],
         M b(g_i, g_j) = data.linking[i][j]
         M delta(g_i)  = -2 (N/d_i) c . V_i
     """
-    cs = data.require_characteristic(c)
+    return _phi_generators(data, data.require_characteristic(c))
+
+
+def _phi_generators(data: DiscriminantData, cs: Sequence[int]) -> tuple[list[int], list[int]]:
+    """phi_generators of a vector the caller has checked to be characteristic."""
     columns = data.torsion_columns
     m = data.value_modulus
     half = [m // 2 // d for d in data.torsion_factors]
@@ -290,6 +300,26 @@ def phi_generators(data: DiscriminantData, c: Sequence[int]) -> tuple[list[int],
     return q_gen, defect_gen
 
 
+def torsion_table(data: DiscriminantData, q_gen: Sequence[int]) -> list[int]:
+    """A quadratic function with polarization data.linking on every torsion element, from its values on the g_i.
+
+    q_gen and the table hold residues in units of 1/data.value_modulus;
+    the table follows itertools.product order of the torsion coordinates.
+    """
+    return _quadratic_table(data.torsion_factors, data.value_modulus, q_gen, data.linking)
+
+
+def self_linking_table(data: DiscriminantData) -> list[int]:
+    """The linking pairing b(w, w) on every torsion element, in torsion_table's units and order.
+
+    w -> b(w, w) is quadratic with polarization 2b: the recurrence of
+    torsion_table builds it from b(g_i, g_i) and twice data.linking.
+    """
+    m = data.value_modulus
+    double = [[2 * x % m for x in row] for row in data.linking]
+    return _quadratic_table(data.torsion_factors, m, [row[i] for i, row in enumerate(data.linking)], double)
+
+
 def phi_table(data: DiscriminantData, c: Sequence[int]) -> tuple[list[int], list[int]]:
     """Values of phi_c on every torsion element, and its homogeneity defects on the generators.
 
@@ -297,11 +327,11 @@ def phi_table(data: DiscriminantData, c: Sequence[int]) -> tuple[list[int], list
     coordinates w and stands for phi_eval(data, c, data.torsion_lift(w))
     in units of 1/data.value_modulus; the defects are those of
     phi_generators.  The quadratic recurrence in quadfun fills the table
-    from phi_generators and data.linking; delta is additive, so
-    _linear_table there expands it to the whole group.
+    from phi_generators and data.linking (torsion_table); delta is
+    additive, so _linear_table there expands it to the whole group.
     """
     q_gen, defect_gen = phi_generators(data, c)
-    return _quadratic_table(data.torsion_factors, data.value_modulus, q_gen, data.linking), defect_gen
+    return torsion_table(data, q_gen), defect_gen
 
 
 def linking_pairing(data: DiscriminantData, x: Sequence, y: Sequence) -> QmodZ:
@@ -319,15 +349,26 @@ def evaluation_pairing(alpha: Sequence[int], x: Sequence) -> QmodZ:
     return QmodZ(_dot([int(a) for a in alpha], _frac_vec(x)))
 
 
-def radical_slope(data: DiscriminantData, c: Sequence[int]) -> tuple[Fraction, ...]:
-    """The slopes c(k_j)/2 of phi_c on the stored kernel basis.
+def radical_slope(data: DiscriminantData, c: Sequence[int]) -> tuple[int, ...]:
+    """The integer slopes c(k_j)/2 of phi_c on the stored kernel basis.
 
     These determine the radical restriction; note that the evaluation of
     phi_c on a radical element k_j (x) [r] is -(slope) * r, with the
     minus sign forced by the defining formula (B - c)/2.
     """
-    cs = data.require_characteristic(c)
-    return tuple(Fraction(_int_dot(cs, kj), 2) for kj in data.kernel)
+    return _radical_slope(data, data.require_characteristic(c))
+
+
+def _radical_slope(data: DiscriminantData, cs: Sequence[int]) -> tuple[int, ...]:
+    """radical_slope of a vector the caller has checked to be characteristic.
+
+    c(k_j) is even because k_j^T B k_j = 0; an odd one means the kernel
+    basis is wrong, and raises.
+    """
+    pairings = [_int_dot(cs, kj) for kj in data.kernel]
+    if any(x % 2 for x in pairings):
+        raise RuntimeError(f"kernel pairings {pairings} of a characteristic vector are not all even: its slopes are not integral")
+    return tuple(x // 2 for x in pairings)
 
 
 def chern_coordinates(data: DiscriminantData, c: Sequence[int]) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -338,7 +379,11 @@ def chern_coordinates(data: DiscriminantData, c: Sequence[int]) -> tuple[tuple[i
     unchanged when c moves by 2 B h, so they are invariants of the
     characteristic class of c.
     """
-    cs = data.require_characteristic(c)
+    return _chern_coordinates(data, data.require_characteristic(c))
+
+
+def _chern_coordinates(data: DiscriminantData, cs: Sequence[int]) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """chern_coordinates of a vector the caller has checked to be characteristic."""
     free = tuple(_int_dot(row, cs) for row in data.u_free_rows)
     tors = tuple(_int_dot(row, cs) % d for row, d in zip(data.u_tors_rows, data.torsion_factors))
     return free, tors

@@ -55,9 +55,14 @@ def _quadratic_table(
     """
     values = [0]
     for i, d in enumerate(factors):
+        q, b = q_gen[i], b_gen[i][i]
+        steps = [(t * q + t * (t - 1) // 2 * b) % modulus for t in range(d)]
+        if not i:
+            # no coordinate filled yet: the table is q(t g_0) itself
+            values = steps
+            continue
         # b(w, g_i) over the coordinates filled so far
         pairing = _linear_table([b_gen[j][i] for j in range(i)], factors[:i], modulus)
-        steps = [(t * q_gen[i] + t * (t - 1) // 2 * b_gen[i][i]) % modulus for t in range(d)]
         values = [(v + s + t * p) % modulus for v, p in zip(values, pairing) for t, s in enumerate(steps)]
     return values
 
@@ -261,12 +266,15 @@ def radical_compatible(q1: QuadraticFunction, q2: QuadraticFunction) -> bool:
 class Fingerprint:
     """Cheap-to-compare isomorphism invariants of a quadratic function.
 
+    value_multiset and defect_multiset are sorted int residues r, each
+    standing for r/value_modulus and repeated as often as it occurs.
     Equality of fingerprints is necessary, never claimed sufficient.
     """
 
     invariant_factors: tuple[int, ...]
-    value_multiset: tuple[QmodZ, ...]
-    defect_multiset: tuple[QmodZ, ...]
+    value_modulus: int
+    value_multiset: tuple[int, ...]
+    defect_multiset: tuple[int, ...]
     gauss: CyclotomicSum
     radical_rank: int
     radical_gcd: int
@@ -283,12 +291,13 @@ def table_fingerprint(
 
     values and defects hold q(x) and q(x) - q(-x) over the group, each
     as a residue r in [0, modulus) standing for r/modulus; the order of
-    the elements does not matter.  Multisets and the Gauss sum are read
-    off histograms of the residues.
+    the elements does not matter.  The multisets keep those residues and
+    the modulus, and they and the Gauss sum are read off histograms.
     """
     histogram = Counter(values)
     return Fingerprint(
         invariant_factors=tuple(invariant_factors),
+        value_modulus=modulus,
         value_multiset=residue_multiset(histogram, modulus),
         defect_multiset=residue_multiset(Counter(defects), modulus),
         gauss=cyclo_from_residues(histogram, modulus).canonical(),
@@ -298,6 +307,7 @@ def table_fingerprint(
 
 
 def invariant_fingerprint(q: QuadraticFunction) -> Fingerprint:
+    """The fingerprint of a function given by its rational values, over the lcm of their denominators."""
     factors = q.group.invariant_factors
     modulus, (residues,) = _residue_tables(q)
     defects = _defect_table(factors, modulus, *_generator_data(factors, modulus, residues))

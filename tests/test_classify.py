@@ -30,17 +30,21 @@ from quadlink.classify import (
 import quadlink.classify as classify_module
 from quadlink.classify import _MIXED_BLIND_REASONS, _Budget, _integral_slopes, _Side
 from quadlink.exact import CyclotomicSum, QmodZ, cyclo_equals, cyclo_from_angles, cyclo_from_residues
+import quadlink.lattice as lattice_module
 from quadlink.lattice import (
+    CharacteristicError,
     DiscriminantData,
     chern_coordinates,
     discriminant,
     evaluation_pairing,
     linking_pairing,
     phi_eval,
+    phi_generators,
     phi_table,
     radical_slope,
 )
 from quadlink.presentation import HandleSlide, apply_move, chern_equal, presentation, random_walk
+from quadlink.spaces import lens
 from quadlink.quadfun import (
     DEFAULT_ORDER_CAP,
     FiniteAbelianGroup,
@@ -513,7 +517,7 @@ def test_census_builds_each_value_table_once(monkeypatch):
     # each new restricted q once and searches it only against the class
     # representatives with the same value histogram
     calls = Counter()
-    for name in ("phi_table", "_quadratic_table", "_generator_isomorphism"):
+    for name in ("torsion_table", "_quadratic_table", "_generator_isomorphism"):
         original = getattr(classify_module, name)
 
         def counted(*args, _name=name, _original=original):
@@ -759,14 +763,22 @@ def _report_oracle(m, chern):
     diagonal = tuple(
         sorted(linking_pairing(data, data.torsion_lift(w), data.torsion_lift(w)) for w in elements)
     )
+    # the oracle's rational values, sorted, then written in the report's units of 1/M
+    modulus = data.value_modulus
+
+    def in_units(angles):
+        assert all(modulus % a.denominator == 0 for a in angles)
+        return tuple(a.numerator * (modulus // a.denominator) for a in angles)
+
     return Fingerprint(
         invariant_factors=data.torsion_factors,
-        value_multiset=tuple(sorted(q.values.values())),
-        defect_multiset=tuple(sorted(q(w) - q(group.neg(w)) for w in elements)),
+        value_modulus=modulus,
+        value_multiset=in_units(sorted(q.values.values())),
+        defect_multiset=in_units(sorted(q(w) - q(group.neg(w)) for w in elements)),
         gauss=gauss,
         radical_rank=len(slopes),
         radical_gcd=math.gcd(*(int(2 * s) for s in slopes)),
-    ), diagonal
+    ), in_units(diagonal)
 
 
 @settings(max_examples=60, deadline=None)
@@ -777,6 +789,7 @@ def test_report_matches_the_phi_eval_oracle(form):
     r = invariants_report(presentation(m, chern))
     oracle, diagonal = _report_oracle(m, chern)
     assert r.fingerprint == oracle
+    assert r.value_modulus == oracle.value_modulus
     assert (r.gauss.modulus, r.gauss.coeffs) == (oracle.gauss.modulus, oracle.gauss.coeffs)
     assert r.value_multiset == oracle.value_multiset
     assert r.defect_multiset == oracle.defect_multiset
@@ -862,6 +875,29 @@ def test_gauss_sum_squares_to_milgrams_formula(form):
     order = abs(determinant(intmatrix(m)))
     want = CyclotomicSum.integer(order) * CyclotomicSum.root_of_unity(QmodZ(angle))
     assert cyclo_equals(gauss * gauss, want)
+
+
+def test_a_report_makes_no_qmodz(monkeypatch):
+    # the multisets stay int residues in units of 1/value_modulus
+    p = presentation(lens(4095, 2), lens(4095, 2).diagonal())
+    made = Counter()
+    init, reduced = QmodZ.__init__, QmodZ._reduced.__func__
+
+    def counted_init(self, value):
+        made["__init__"] += 1
+        init(self, value)
+
+    def counted_reduced(cls, value):
+        made["_reduced"] += 1
+        return reduced(cls, value)
+
+    monkeypatch.setattr(QmodZ, "__init__", counted_init)
+    monkeypatch.setattr(QmodZ, "_reduced", classmethod(counted_reduced))
+    r = invariants_report(p)
+    assert (r.value_modulus, len(r.value_multiset), len(r.linking_diagonal)) == (8190, 4095, 4095)
+    assert made == Counter()
+    QmodZ(1) + QmodZ._reduced(Fraction(1, 2))
+    assert made == Counter({"__init__": 2, "_reduced": 1})
 
 
 def _report_on_corrupted_data(monkeypatch, p, **fields):
@@ -1046,7 +1082,7 @@ BLIND_PAIR = (MIXED, (0, 0), MIXED, (0, 2))
 @pytest.mark.parametrize("m1, c1, m2, c2", [SWEEP_PAIR, BLIND_PAIR])
 def test_each_side_is_computed_once(monkeypatch, m1, c1, m2, c2):
     calls = {}
-    for name in ("discriminant", "chern_coordinates", "radical_slope"):
+    for name in ("discriminant", "_chern_coordinates", "_radical_slope"):
         original = getattr(classify_module, name)
 
         def counted(*args, _name=name, _original=original):
@@ -1055,7 +1091,7 @@ def test_each_side_is_computed_once(monkeypatch, m1, c1, m2, c2):
 
         monkeypatch.setattr(classify_module, name, counted)
     yc_equivalent(presentation(m1, c1), presentation(m2, c2))
-    assert calls == {"discriminant": 2, "chern_coordinates": 2, "radical_slope": 2}
+    assert calls == {"discriminant": 2, "_chern_coordinates": 2, "_radical_slope": 2}
 
 
 def test_sweep_checks_the_second_sides_duality_identity(monkeypatch):
@@ -1071,6 +1107,36 @@ def test_sweep_checks_the_second_sides_duality_identity(monkeypatch):
     monkeypatch.setattr(classify_module, "discriminant", corrupt_second)
     with pytest.raises(RuntimeError, match="duality identity"):
         yc_equivalent(presentation(m1, c1), presentation(m2, c2))
+
+
+# The characteristic parity of a decoration is checked once per side, in
+# _side, and the internal route reads the unchecked lattice helpers; the
+# public evaluators keep their own check.
+FINITE_PAIR = ([[5]], (1,), [[5]], (3,))
+FREE_PAIR = ([[0]], (2,), [[0, 0], [0, 1]], (4, 1))
+
+
+@pytest.mark.parametrize("m1, c1, m2, c2", [SWEEP_PAIR, BLIND_PAIR, FINITE_PAIR, FREE_PAIR])
+def test_each_decoration_is_checked_once(monkeypatch, m1, c1, m2, c2):
+    p1, p2 = presentation(m1, c1), presentation(m2, c2)
+    calls = Counter()
+    original = lattice_module.is_characteristic
+
+    def counted(*args):
+        calls["parity"] += 1
+        return original(*args)
+
+    monkeypatch.setattr(lattice_module, "is_characteristic", counted)
+    yc_equivalent(p1, p2)
+    assert calls["parity"] == 2
+    calls.clear()
+    invariants_report(p1)
+    assert calls["parity"] == 1
+    data = discriminant(intmatrix(m1))
+    bad = (c1[0] + 1,) + tuple(c1[1:])
+    for public in (chern_coordinates, radical_slope, phi_generators, phi_table, classify_module._side):
+        with pytest.raises(CharacteristicError):
+            public(data, bad)
 
 
 # --- the phase lookup against the cyclotomic sweep --------------------------

@@ -460,12 +460,14 @@ def test_installed_entry_point_runs():
 # Full stdout and exit code of the report and decision commands, pinned
 # byte for byte: one input per regime (finite cyclic, finite with two
 # generators, mixed with nonzero free-covector evaluations, mixed with a
-# vanishing free decoration), a mixed sweep pair at the default budget
+# vanishing free decoration), the chain of the lens space L(30, 7), whose
+# residues in units of 1/60 reduce to many denominators, a mixed sweep pair at the default budget
 # and at one the sweep exhausts, an inequivalent pair from the sweep and
 # one from its radical-blind branch, and a census.
 EXPECTED_CLI = Path(__file__).parent / "expected_cli"
 TWISTED_A = [[-3, 1, 2, 1], [1, 2, 0, 1], [2, 0, -2, -2], [1, 1, -2, -3]]
 MIXED = [[0, 0], [0, 2]]
+LENS_30_7 = [[5, -1, 0, 0], [-1, 2, -1, 0], [0, -1, 2, -1], [0, 0, -1, 3]]
 PINNED_CLI = [
     ("invariants_z2", {"p.json": ([[2]], [0])}, ["invariants", "p.json"], EXIT_OK),
     ("invariants_z2_json", {"p.json": ([[2]], [0])}, ["invariants", "p.json", "--json"], EXIT_OK),
@@ -473,6 +475,8 @@ PINNED_CLI = [
     ("invariants_z3_z15_json", {"p.json": ([[9, 3], [3, 6]], [1, 0])}, ["invariants", "p.json", "--json"], EXIT_OK),
     ("invariants_twisted", {"p.json": (TWISTED_A, [1, -4, -2, 5])}, ["invariants", "p.json"], EXIT_OK),
     ("invariants_twisted_json", {"p.json": (TWISTED_A, [1, -4, -2, 5])}, ["invariants", "p.json", "--json"], EXIT_OK),
+    ("invariants_lens_30_7", {"p.json": (LENS_30_7, [1, 2, 0, -1])}, ["invariants", "p.json"], EXIT_OK),
+    ("invariants_lens_30_7_json", {"p.json": (LENS_30_7, [1, 2, 0, -1])}, ["invariants", "p.json", "--json"], EXIT_OK),
     ("invariants_mixed_blind", {"p.json": (MIXED, [0, 0])}, ["invariants", "p.json"], EXIT_OK),
     ("invariants_mixed_blind_json", {"p.json": (MIXED, [0, 0])}, ["invariants", "p.json", "--json"], EXIT_OK),
     ("compare_mixed", {"a.json": (MIXED, [2, 0]), "b.json": (MIXED, [2, 2])}, ["compare", "a.json", "b.json"], EXIT_OK),

@@ -441,8 +441,15 @@ class TestProperties:
         rows, chern = form
         q = table_from_matrix(rows, chern)
         fp = invariant_fingerprint(q)
-        assert fp.value_multiset == tuple(sorted(q.values.values()))
-        assert fp.defect_multiset == tuple(sorted(defect_of(q, x) for x in q.group.elements()))
+        m = fp.value_modulus
+
+        def in_units(angle):
+            # the residue r with r/m = angle
+            assert m % angle.denominator == 0
+            return angle.numerator * (m // angle.denominator)
+
+        assert fp.value_multiset == tuple(in_units(v) for v in sorted(q.values.values()))
+        assert fp.defect_multiset == tuple(in_units(d) for d in sorted(defect_of(q, x) for x in q.group.elements()))
         reference = gauss_sum(q).canonical()
         assert (fp.gauss.modulus, fp.gauss.coeffs) == (reference.modulus, reference.coeffs)
 
