@@ -53,7 +53,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .exact import CyclotomicSum, residue_multiset
+from .exact import CyclotomicSum, _prime_factors, residue_multiset
 from .lattice import (
     DiscriminantData,
     _chern_coordinates,
@@ -68,9 +68,9 @@ from .presentation import DecoratedPresentation, presentation
 from .quadfun import (
     DEFAULT_ORDER_CAP,
     FiniteAbelianGroup,
-    Fingerprint,
     GroupIso,
     OrderCapExceeded,
+    _defect_character,
     _generator_isomorphism,
     _image_positions,
     _isometries,
@@ -136,8 +136,8 @@ class _Budget:
 class _Side:
     """One presentation's data for a decision, checked and computed once; its value table on first use.
 
-    q_gen and defect_gen are phi_c and its defect on the torsion
-    generators (lattice.phi_generators).
+    q_gen is phi_c on the torsion generators (lattice.phi_generators);
+    with data.linking it describes the side's finite quadratic function.
     """
 
     data: DiscriminantData
@@ -146,23 +146,22 @@ class _Side:
     tors: tuple[int, ...]
     slopes: tuple[int, ...]
     q_gen: list[int]
-    defect_gen: list[int]
-    _tables: tuple[list[int], list[int]] | None = None
+    _table: list[int] | None = None
 
-    def tables(self, cap: int) -> tuple[list[int], list[int]]:
+    def table(self, cap: int) -> list[int]:
         """phi_table of the decoration behind the order cap, built once per side."""
-        if self._tables is None:
+        if self._table is None:
             if self.data.torsion_order > cap:
                 raise OrderCapExceeded(self.data.torsion_order, cap)
-            self._tables = torsion_table(self.data, self.q_gen), self.defect_gen
-        return self._tables
+            self._table = torsion_table(self.data, self.q_gen)
+        return self._table
 
 
 def _side(data: DiscriminantData, c: Sequence[int]) -> _Side:
     """A side's data, after the one characteristic parity check of its decoration, which raises also under -O."""
     cs = data.require_characteristic(c)
     free, tors = _chern_coordinates(data, cs)
-    return _Side(data, cs, free, tors, _integral_slopes(data, cs, free), *_phi_generators(data, cs))
+    return _Side(data, cs, free, tors, _integral_slopes(data, cs, free), _phi_generators(data, cs))
 
 
 def _integral_slopes(data: DiscriminantData, cs: Sequence[int], free: Sequence[int]) -> tuple[int, ...]:
@@ -189,7 +188,8 @@ class InvariantReport:
     defect_multiset and linking_diagonal are sorted int residues r,
     each standing for r/value_modulus and repeated as often as it
     occurs, so each has |G| entries; value_modulus is twice the last
-    torsion factor (2 without torsion).
+    torsion factor (2 without torsion).  These fields cover every field
+    of quadfun.table_fingerprint, so no fingerprint is kept.
     """
 
     free_rank: int
@@ -202,7 +202,6 @@ class InvariantReport:
     defect_multiset: tuple[int, ...]
     linking_diagonal: tuple[int, ...]
     gauss: CyclotomicSum
-    fingerprint: Fingerprint
 
     def stable_profile(self) -> tuple:
         """The move-invariant part of the report.
@@ -223,10 +222,8 @@ def invariants_report(p: DecoratedPresentation, *, cap: int = DEFAULT_ORDER_CAP)
     """Assemble the discriminant invariants of one decorated presentation; no QmodZ is made."""
     data = discriminant(p.matrix, cap=cap)
     side = _side(data, p.chern)
-    values, defect_gen = side.tables(cap)
     modulus = data.value_modulus
-    defects = _linear_table(defect_gen, data.torsion_factors, modulus)
-    fp = table_fingerprint(data.torsion_factors, modulus, values, defects, side.slopes)
+    fp = table_fingerprint(data.torsion_factors, modulus, side.table(cap), side.q_gen, data.linking, side.slopes)
     diag = residue_multiset(Counter(self_linking_table(data)), modulus)
     return InvariantReport(
         free_rank=data.free_rank,
@@ -239,7 +236,6 @@ def invariants_report(p: DecoratedPresentation, *, cap: int = DEFAULT_ORDER_CAP)
         defect_multiset=fp.defect_multiset,
         linking_diagonal=diag,
         gauss=fp.gauss,
-        fingerprint=fp,
     )
 
 
@@ -274,8 +270,7 @@ def _torsion_map_verdict(
     data1, data2 = side1.data, side2.data
     factors = data1.torsion_factors
     modulus = data1.value_modulus
-    values1, _ = side1.tables(cap)
-    values2, _ = side2.tables(cap)
+    values2 = side2.table(cap)
     characters = _character_positions(factors, modulus, data1.linking)
     group = FiniteAbelianGroup(factors)
     link1, link2 = data1.linking, data2.linking
@@ -292,7 +287,7 @@ def _torsion_map_verdict(
     dmap = _image_positions(factors, images)
     # positions of the generators g_i in itertools.product order
     gens = [math.prod(factors[i + 1 :]) for i in range(k)]
-    t1 = characters[tuple((values1[p] - values2[dmap[p]]) % modulus for p in gens)]
+    t1 = characters[tuple((q - values2[dmap[p]]) % modulus for q, p in zip(side1.q_gen, gens))]
     if values2[dmap[t1]] == 0:
         return EquivalenceVerdict(EQUIVALENT, equivalent.format(images))
     return EquivalenceVerdict(INEQUIVALENT, gauss_differ)
@@ -348,8 +343,7 @@ def _mixed_verdict(side1: _Side, side2: _Side, cap: int, budget: _Budget) -> Equ
 
     factors = data1.torsion_factors
     modulus = data1.value_modulus
-    q1, _ = side1.tables(cap)
-    q2, _ = side2.tables(cap)
+    q2 = side2.table(cap)
     characters = _character_positions(factors, modulus, data1.linking)
     group = FiniteAbelianGroup(factors)
     elements = list(group.elements())
@@ -366,7 +360,7 @@ def _mixed_verdict(side1: _Side, side2: _Side, cap: int, budget: _Budget) -> Equ
 
     # side-1 angles on the generators against the stored section, slope-corrected;
     # the candidate-dependent remainder is subtracted per sweep step
-    base1 = [(q1[p] + r) % modulus for p, r in zip(gens, contraction(data1, ell1))]
+    base1 = [(q + r) % modulus for q, r in zip(side1.q_gen, contraction(data1, ell1))]
     row2 = contraction(data2, ell2)
 
     char_axes = [range(0, d, math.gcd(g, d)) for d in factors]
@@ -499,19 +493,8 @@ class _Primary:
 
 def _primary_parts(factors: Sequence[int]) -> list[_Primary]:
     """The primary parts of the group with these invariant factors, one per prime dividing the last, ascending."""
-    n = factors[-1] if factors else 1
-    primes = []
-    p = 2
-    while p * p <= n:
-        if n % p == 0:
-            primes.append(p)
-            while n % p == 0:
-                n //= p
-        p += 1
-    if n > 1:
-        primes.append(n)
     parts = []
-    for p in primes:
+    for p in _prime_factors(factors[-1] if factors else 1):
         # v_p(d) <= log2(d) < d.bit_length(), so the gcd is the p-part of d
         powers = [math.gcd(d, p ** d.bit_length()) for d in factors]
         indices = tuple(i for i, power in enumerate(powers) if power > 1)
@@ -625,12 +608,14 @@ def _canonical_chern_vectors(data: DiscriminantData, count: int) -> tuple[tuple[
 
 def _census_key(side: _Side, cap: int) -> tuple:
     """An integer key splitting decorations of a degenerate form as stable_profile() does; _side ran the report's checks."""
-    values, defect_gen = side.tables(cap)
+    values = side.table(cap)
     g = math.gcd(*side.free)
     if g:
         return (g,)
     # the Gauss sum is read off the value histogram; the defect is a character, whose image fixes its histogram
-    return (0, frozenset(Counter(values).items()), math.gcd(side.data.value_modulus, *defect_gen))
+    modulus = side.data.value_modulus
+    defect_gcd = math.gcd(modulus, *_defect_character(modulus, side.q_gen, side.data.linking))
+    return (0, frozenset(Counter(values).items()), defect_gcd)
 
 
 def _finite_census_keys(data: DiscriminantData, vecs: Sequence[Sequence[int]], cap: int) -> list[tuple[int, ...]]:
@@ -648,7 +633,7 @@ def _finite_census_keys(data: DiscriminantData, vecs: Sequence[Sequence[int]], c
         raise OrderCapExceeded(data.torsion_order, cap)
     modulus = data.value_modulus
     # the vectors are characteristic: canonical ones by construction, listed ones checked by presentation()
-    q_gens = [_phi_generators(data, c)[0] for c in vecs]
+    q_gens = [_phi_generators(data, c) for c in vecs]
     columns = []
     for part in _primary_parts(data.torsion_factors):
         ids: dict[tuple[int, ...], int] = {}
@@ -743,10 +728,10 @@ def lens_yc_count(p: int) -> int:
     """Decoration classes of the odd lens family: orbits of Z/p under
     multiplication by the square roots of unity."""
     p = int(p)
+    if p < 2:
+        raise ValueError(f"need p >= 3, got {p}")
     if p % 2 == 0:
         raise EvenOrderError(f"the orbit census is stated for odd orders only, got {p}")
-    if p < 3:
-        raise ValueError(f"need p >= 3, got {p}")
     roots = [r for r in range(p) if (r * r) % p == 1]
     seen: set[int] = set()
     count = 0

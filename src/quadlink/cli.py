@@ -29,6 +29,7 @@ Exit codes:
        bad input, and so, for spins, is one with more than
        MAX_SPIN_STRUCTURES spin structures, for lens-census an order
        above MAX_LENS_ORDER, and a command line that does not parse
+       or sets --cap below 1 or --budget below 0
     2  torsion group larger than the order cap
     3  compare: inequivalent
     4  compare: unknown within the search budget
@@ -103,6 +104,17 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message: str) -> NoReturn:
         self.print_usage(sys.stderr)
         self.exit(EXIT_INVALID, f"{self.prog}: error: {message}\n")
+
+
+class _AtLeast(argparse.Action):
+    """Stores an int option; a value below const is a usage error."""
+
+    def __call__(
+        self, parser: argparse.ArgumentParser, namespace: argparse.Namespace, value: Any, option_string: Any = None
+    ) -> None:
+        if value < self.const:
+            raise argparse.ArgumentError(self, f"must be at least {self.const}, got {value}")
+        setattr(namespace, self.dest, value)
 
 
 def _angles(residues: Sequence[int], modulus: int) -> list[str]:
@@ -406,6 +418,8 @@ def _add_cap(sub: argparse.ArgumentParser) -> None:
     sub.add_argument(
         "--cap",
         type=int,
+        action=_AtLeast,
+        const=1,
         default=DEFAULT_ORDER_CAP,
         help="largest torsion group order handled exactly",
     )
@@ -415,6 +429,8 @@ def _add_budget(sub: argparse.ArgumentParser) -> None:
     sub.add_argument(
         "--budget",
         type=int,
+        action=_AtLeast,
+        const=0,
         default=DEFAULT_SEARCH_BUDGET,
         help="search steps before answering unknown",
     )

@@ -27,11 +27,12 @@ and V are never built on this path.
 discriminant stores the section in integers: the Smith columns
 V_i = d_i g_i, and the linking pairing and the free covectors on the
 g_i as integer residues in units of 1/(2N), N the last invariant factor:
-every value of phi_c, of its defect and of the linking pairing on the
-torsion part is a multiple of 1/(2N).  phi_generators reads phi_c and
-its defect on the g_i off that data, and phi_table builds whole value
-tables from them by the quadratic recurrence in quadfun
-(_quadratic_table, through torsion_table), one step per element.
+every value of phi_c and of the linking pairing on the torsion part is
+a multiple of 1/(2N).  phi_generators reads phi_c on the g_i off that
+data; with the linking pairing it describes phi_c, its defect included
+(quadfun._defect_character), and phi_table builds whole value tables
+from the two by the quadratic recurrence in quadfun (_quadratic_table,
+through torsion_table), one step per element.
 
 Every public function of a decoration checks its characteristic parity
 and raises CharacteristicError.  The unchecked _chern_coordinates,
@@ -274,30 +275,26 @@ def phi_eval(data: DiscriminantData, c: Sequence[int], x: Sequence) -> QmodZ:
     return QmodZ((_dot(xs, bx) - _dot(cs, xs)) / 2)
 
 
-def phi_generators(data: DiscriminantData, c: Sequence[int]) -> tuple[list[int], list[int]]:
-    """phi_c and its homogeneity defect on the torsion generators.
+def phi_generators(data: DiscriminantData, c: Sequence[int]) -> list[int]:
+    """phi_c on the torsion generators.
 
-    Both lists hold integers in [0, M), M = data.value_modulus, standing
-    for phi_c(g_i) and phi_c(g_i) - phi_c(-g_i) in units of 1/M.  Only
-    integer Smith data enters: with V_i = data.torsion_columns[i],
-    U'_i = B g_i and N = M/2,
+    The list holds integers in [0, M), M = data.value_modulus, standing
+    for phi_c(g_i) in units of 1/M.  Only integer Smith data enters:
+    with V_i = data.torsion_columns[i], U'_i = B g_i and N = M/2,
 
         M q(g_i)      = (N/d_i) (V_i . U'_i - c . V_i)
         M b(g_i, g_j) = data.linking[i][j]
-        M delta(g_i)  = -2 (N/d_i) c . V_i
+
+    and the homogeneity defect on g_i is 2 q(g_i) - b(g_i, g_i).
     """
     return _phi_generators(data, data.require_characteristic(c))
 
 
-def _phi_generators(data: DiscriminantData, cs: Sequence[int]) -> tuple[list[int], list[int]]:
+def _phi_generators(data: DiscriminantData, cs: Sequence[int]) -> list[int]:
     """phi_generators of a vector the caller has checked to be characteristic."""
-    columns = data.torsion_columns
     m = data.value_modulus
-    half = [m // 2 // d for d in data.torsion_factors]
-    c_of = [_int_dot(cs, v) for v in columns]
-    q_gen = [s * (_int_dot(v, cov) - cv) % m for s, v, cov, cv in zip(half, columns, data.cok_tors_covectors, c_of)]
-    defect_gen = [-2 * s * cv % m for s, cv in zip(half, c_of)]
-    return q_gen, defect_gen
+    columns = zip(data.torsion_factors, data.torsion_columns, data.cok_tors_covectors)
+    return [m // 2 // d * (_int_dot(v, cov) - _int_dot(cs, v)) % m for d, v, cov in columns]
 
 
 def torsion_table(data: DiscriminantData, q_gen: Sequence[int]) -> list[int]:
@@ -320,18 +317,16 @@ def self_linking_table(data: DiscriminantData) -> list[int]:
     return _quadratic_table(data.torsion_factors, m, [row[i] for i, row in enumerate(data.linking)], double)
 
 
-def phi_table(data: DiscriminantData, c: Sequence[int]) -> tuple[list[int], list[int]]:
-    """Values of phi_c on every torsion element, and its homogeneity defects on the generators.
+def phi_table(data: DiscriminantData, c: Sequence[int]) -> list[int]:
+    """Values of phi_c on every torsion element.
 
-    The value table follows itertools.product order of the torsion
+    The table follows itertools.product order of the torsion
     coordinates w and stands for phi_eval(data, c, data.torsion_lift(w))
-    in units of 1/data.value_modulus; the defects are those of
-    phi_generators.  The quadratic recurrence in quadfun fills the table
-    from phi_generators and data.linking (torsion_table); delta is
-    additive, so _linear_table there expands it to the whole group.
+    in units of 1/data.value_modulus.  The quadratic recurrence in
+    quadfun fills it from phi_generators and data.linking
+    (torsion_table).
     """
-    q_gen, defect_gen = phi_generators(data, c)
-    return torsion_table(data, q_gen), defect_gen
+    return torsion_table(data, phi_generators(data, c))
 
 
 def linking_pairing(data: DiscriminantData, x: Sequence, y: Sequence) -> QmodZ:

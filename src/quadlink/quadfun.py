@@ -81,9 +81,9 @@ def _generator_data(factors: Sequence[int], modulus: int, values: Sequence[int])
     return q_gen, b_gen
 
 
-def _defect_table(factors: Sequence[int], modulus: int, q_gen: list[int], b_gen: list[list[int]]) -> list[int]:
-    """q(x) - q(-x) on every element: additive in x, and 2 q(g) - b(g, g) on a generator g."""
-    return _linear_table([(2 * q - b_gen[i][i]) % modulus for i, q in enumerate(q_gen)], factors, modulus)
+def _defect_character(modulus: int, q_gen: Sequence[int], b_gen: Sequence[Sequence[int]]) -> list[int]:
+    """The defect q(x) - q(-x) on the generators, 2 q(g_i) - b(g_i, g_i) mod modulus; it is additive in x."""
+    return [(2 * q - b_gen[i][i]) % modulus for i, q in enumerate(q_gen)]
 
 
 def _image_positions(factors: Sequence[int], images: Sequence[Sequence[int]]) -> list[int]:
@@ -284,22 +284,24 @@ def table_fingerprint(
     invariant_factors: Sequence[int],
     modulus: int,
     values: Iterable[int],
-    defects: Iterable[int],
+    q_gen: Sequence[int],
+    b_gen: Sequence[Sequence[int]],
     radical_slopes: Sequence[Fraction | int],
 ) -> Fingerprint:
-    """The fingerprint of a function given by integer tables.
+    """The fingerprint of a function given by its values over the group, in any order, and q and b on the generators.
 
-    values and defects hold q(x) and q(x) - q(-x) over the group, each
-    as a residue r in [0, modulus) standing for r/modulus; the order of
-    the elements does not matter.  The multisets keep those residues and
-    the modulus, and they and the Gauss sum are read off histograms.
+    All are residues r in [0, modulus) standing for r/modulus.  The
+    defect q(x) - q(-x) is a character, uniform on the multiples of
+    h = gcd(modulus, its generator values), each taken |G| h / modulus times.
     """
     histogram = Counter(values)
+    h = math.gcd(modulus, *_defect_character(modulus, q_gen, b_gen))
+    defects = dict.fromkeys(range(0, modulus, h), math.prod(invariant_factors) * h // modulus)
     return Fingerprint(
         invariant_factors=tuple(invariant_factors),
         value_modulus=modulus,
         value_multiset=residue_multiset(histogram, modulus),
-        defect_multiset=residue_multiset(Counter(defects), modulus),
+        defect_multiset=residue_multiset(defects, modulus),
         gauss=cyclo_from_residues(histogram, modulus).canonical(),
         radical_rank=len(radical_slopes),
         radical_gcd=_radical_gcd(tuple(radical_slopes)),
@@ -310,8 +312,7 @@ def invariant_fingerprint(q: QuadraticFunction) -> Fingerprint:
     """The fingerprint of a function given by its rational values, over the lcm of their denominators."""
     factors = q.group.invariant_factors
     modulus, (residues,) = _residue_tables(q)
-    defects = _defect_table(factors, modulus, *_generator_data(factors, modulus, residues))
-    return table_fingerprint(factors, modulus, residues, defects, q.radical_slopes)
+    return table_fingerprint(factors, modulus, residues, *_generator_data(factors, modulus, residues), q.radical_slopes)
 
 
 @dataclass(frozen=True)
@@ -391,15 +392,12 @@ def _generator_isomorphism(
     Each side is given by q and b on the generators and by its value
     table, as residues in units of 1/modulus, the table in
     itertools.product order; the caller has compared the value
-    histograms.  The defect q(x) - q(-x) is a character with generator
-    values 2 q(g_i) - b(g_i, g_i), uniform on the subgroup of Z/modulus
-    that their gcd generates, so that gcd stands for its histogram.
-    The search is exhaustive, so None is a definite negative.
+    histograms.  The defect q(x) - q(-x) is a character, uniform on
+    the subgroup of Z/modulus that its generator values generate, so
+    their gcd stands for its histogram.  The search is exhaustive, so
+    None is a definite negative.
     """
-    def defect_gcd(q: Sequence[int], b: Sequence[Sequence[int]]) -> int:
-        return math.gcd(modulus, *(2 * v - b[i][i] for i, v in enumerate(q)))
-
-    if defect_gcd(q1, b1) != defect_gcd(q2, b2):
+    if math.gcd(modulus, *_defect_character(modulus, q1, b1)) != math.gcd(modulus, *_defect_character(modulus, q2, b2)):
         return None
     elements = list(itertools.product(*(range(d) for d in factors)))
     candidates = [[m for m, v in zip(elements, values2) if v == want] for want in q1]

@@ -52,7 +52,6 @@ from quadlink.quadfun import (
     GroupIso,
     OrderCapExceeded,
     QuadraticFunction,
-    _defect_table,
     _generator_data,
     _image_positions,
     _isometries,
@@ -131,8 +130,8 @@ def test_finite_regime_witness_is_checked_pointwise():
     v = yc_equivalent(a, b)
     assert v.status == EQUIVALENT and v.witness is not None
     data_a, data_b = discriminant(a.matrix), discriminant(b.matrix)
-    values_a, _ = phi_table(data_a, a.chern)
-    values_b, _ = phi_table(data_b, b.chern)
+    values_a = phi_table(data_a, a.chern)
+    values_b = phi_table(data_b, b.chern)
     # position of the witness's image of every element, in the order of values_a
     image = _image_positions(data_a.torsion_factors, v.witness.images)
     assert sorted(image) == list(range(len(values_a)))
@@ -154,8 +153,8 @@ def _assert_carries_values(p1, p2, images):
     """The map x -> sum x_i images[i] is bijective and phi_2(map x) == phi_1(x) on every x."""
     data1, data2 = discriminant(p1.matrix), discriminant(p2.matrix)
     assert data1.torsion_factors == data2.torsion_factors and data1.value_modulus == data2.value_modulus
-    values1, _ = phi_table(data1, p1.chern)
-    values2, _ = phi_table(data2, p2.chern)
+    values1 = phi_table(data1, p1.chern)
+    values2 = phi_table(data2, p2.chern)
     group = FiniteAbelianGroup(data1.torsion_factors)
     position = {x: n for n, x in enumerate(group.elements())}
     iso = GroupIso(group, group, tuple(images))
@@ -218,13 +217,17 @@ def _whole_group_images(p1, p2):
     factors, modulus = data1.torsion_factors, data1.value_modulus
     if factors != data2.torsion_factors:
         return None
-    values1, _ = phi_table(data1, p1.chern)
-    values2, _ = phi_table(data2, p2.chern)
+    values1 = phi_table(data1, p1.chern)
+    values2 = phi_table(data2, p2.chern)
     if Counter(values1) != Counter(values2):
         return None
     q1, b1 = _generator_data(factors, modulus, values1)
     q2, b2 = _generator_data(factors, modulus, values2)
-    if Counter(_defect_table(factors, modulus, q1, b1)) != Counter(_defect_table(factors, modulus, q2, b2)):
+
+    def defect_table(q, b):
+        return _linear_table([(2 * v - b[i][i]) % modulus for i, v in enumerate(q)], factors, modulus)
+
+    if Counter(defect_table(q1, b1)) != Counter(defect_table(q2, b2)):
         return None
     elements = list(FiniteAbelianGroup(factors).elements())
     candidates = [[m for m, v in zip(elements, values2) if v == want] for want in q1]
@@ -687,8 +690,13 @@ def test_orbit_census_counts():
 def test_orbit_census_refuses_even_and_tiny_orders():
     with pytest.raises(EvenOrderError):
         lens_yc_count(8)
-    with pytest.raises(ValueError):
-        lens_yc_count(1)
+    with pytest.raises(EvenOrderError):
+        lens_yc_count(2)
+    # EvenOrderError is a ValueError, so a too small order must raise exactly ValueError
+    for p in (1, 0, -3, -4):
+        with pytest.raises(ValueError) as exc:
+            lens_yc_count(p)
+        assert type(exc.value) is ValueError
 
 
 def test_symmetry_orbit_counts():
@@ -788,7 +796,6 @@ def test_report_matches_the_phi_eval_oracle(form):
     assume(discriminant(IntMatrix(m)).torsion_order <= 400)
     r = invariants_report(presentation(m, chern))
     oracle, diagonal = _report_oracle(m, chern)
-    assert r.fingerprint == oracle
     assert r.value_modulus == oracle.value_modulus
     assert (r.gauss.modulus, r.gauss.coeffs) == (oracle.gauss.modulus, oracle.gauss.coeffs)
     assert r.value_multiset == oracle.value_multiset
@@ -1094,6 +1101,21 @@ def test_each_side_is_computed_once(monkeypatch, m1, c1, m2, c2):
     assert calls == {"discriminant": 2, "_chern_coordinates": 2, "_radical_slope": 2}
 
 
+@pytest.mark.parametrize("m1, c1, m2, c2", [SWEEP_PAIR, BLIND_PAIR])
+def test_a_mixed_decision_builds_one_value_table(monkeypatch, m1, c1, m2, c2):
+    # side 1 is read from its generator values, so only side 2 is tabulated
+    original = classify_module.torsion_table
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(classify_module, "torsion_table", counted)
+    yc_equivalent(presentation(m1, c1), presentation(m2, c2))
+    assert len(calls) == 1
+
+
 def test_sweep_checks_the_second_sides_duality_identity(monkeypatch):
     m1, c1, m2, c2 = SWEEP_PAIR
     original = classify_module.discriminant
@@ -1166,8 +1188,8 @@ def _oracle_torsion_map_verdict(
     data1, data2 = side1.data, side2.data
     factors = data1.torsion_factors
     modulus = data1.value_modulus
-    values1, _ = side1.tables(cap)
-    values2, _ = side2.tables(cap)
+    values1 = side1.table(cap)
+    values2 = side2.table(cap)
     group = FiniteAbelianGroup(factors)
     link1, link2 = data1.linking, data2.linking
     no_map, equivalent, gauss_differ = reasons
@@ -1216,8 +1238,8 @@ def _oracle_mixed_verdict(
 
     factors = data1.torsion_factors
     modulus = data1.value_modulus
-    q1, _ = side1.tables(cap)
-    q2, _ = side2.tables(cap)
+    q1 = side1.table(cap)
+    q2 = side2.table(cap)
     group = FiniteAbelianGroup(factors)
     elements = list(group.elements())
     free1 = side1.free
@@ -1477,10 +1499,10 @@ def test_one_step_coupling_charge_keeps_the_truncating_walks_verdicts():
 def _shifted_table(data, chern, s):
     """phi_table of the decoration plus the character b(., s), s given by coordinates."""
     factors, modulus = data.torsion_factors, data.value_modulus
-    values, defect_gen = phi_table(data, chern)
+    values = phi_table(data, chern)
     # b(g_j, s) on each generator, then b(., s) on every element
     row = [sum(x * data.linking[j][i] for i, x in enumerate(s)) % modulus for j in range(len(factors))]
-    return [(v + w) % modulus for v, w in zip(values, _linear_table(row, factors, modulus))], defect_gen
+    return [(v + w) % modulus for v, w in zip(values, _linear_table(row, factors, modulus))]
 
 
 def test_phase_lookup_matches_the_sweep_on_shifted_refinements():
@@ -1498,10 +1520,10 @@ def test_phase_lookup_matches_the_sweep_on_shifted_refinements():
             continue
         swept += 1
         s = [rng.randrange(d) for d in data2.torsion_factors]
-        tables = _shifted_table(data2, p2.chern, s)
+        table = _shifted_table(data2, p2.chern, s)
         for budget in (5, 50, classify_module.DEFAULT_SEARCH_BUDGET):
             verdicts = [
-                decide(side1, dataclasses.replace(side2, _tables=tables), DEFAULT_ORDER_CAP, _Budget(budget))
+                decide(side1, dataclasses.replace(side2, _table=table), DEFAULT_ORDER_CAP, _Budget(budget))
                 for decide in (classify_module._mixed_verdict, _oracle_mixed_verdict)
             ]
             assert verdicts[0] == verdicts[1], (p1, p2, s)
@@ -1523,7 +1545,7 @@ def test_torsion_map_route_matches_the_oracle_on_shifted_refinements():
         p2, _ = random_walk(presentation(rows, c2), rng.randint(0, 6), seed=rng.randint(0, 10**6))
         data1, data2 = discriminant(intmatrix(rows)), discriminant(p2.matrix)
         s = [rng.randrange(d) for d in data2.torsion_factors]
-        side2 = dataclasses.replace(classify_module._side(data2, p2.chern), _tables=_shifted_table(data2, p2.chern, s))
+        side2 = dataclasses.replace(classify_module._side(data2, p2.chern), _table=_shifted_table(data2, p2.chern, s))
         verdicts = [
             decide(classify_module._side(data1, c1), side2, DEFAULT_ORDER_CAP, _Budget(10**6), classify_module._PAIRING_REASONS)
             for decide in (classify_module._torsion_map_verdict, _oracle_torsion_map_verdict)
@@ -1551,9 +1573,9 @@ def test_gauss_sum_of_a_shifted_function(form, index):
     data = discriminant(IntMatrix(m))
     assume(data.torsion_order <= 400)
     modulus = data.value_modulus
-    q, _ = phi_table(data, chern)
+    q = phi_table(data, chern)
     t = index % len(q)
-    shifted, _ = _shifted_table(data, chern, list(FiniteAbelianGroup(data.torsion_factors).elements())[t])
+    shifted = _shifted_table(data, chern, list(FiniteAbelianGroup(data.torsion_factors).elements())[t])
     gamma = cyclo_from_residues(Counter(q), modulus)
     phase = CyclotomicSum.root_of_unity(QmodZ(Fraction(-q[t], modulus)))
     assert cyclo_equals(cyclo_from_residues(Counter(shifted), modulus), phase * gamma)

@@ -224,6 +224,8 @@ def test_lens_census_even_order_exit(capsys):
 def test_lens_census_argument_errors(capsys):
     assert main(["lens-census", "--p", "15", "--q1", "2"]) == EXIT_INVALID
     assert main(["lens-census", "--p", "1"]) == EXIT_INVALID
+    assert main(["lens-census", "--p", "0"]) == EXIT_INVALID
+    assert main(["lens-census", "--p", "-4"]) == EXIT_INVALID
     assert main(["lens-census", "--p", "15", "--q1", "5", "--q2", "1"]) == EXIT_INVALID
     capsys.readouterr()
 
@@ -262,6 +264,8 @@ def test_lens_census_order_limit(capsys, monkeypatch):
         ([], "the following arguments are required: command"),
         (["lens-census", "--p", "x"], "invalid int value: 'x'"),
         (["compare", "a.json", "b.json", "--budget"], "expected one argument"),
+        (["invariants", "s3.json", "--cap", "0"], "argument --cap: must be at least 1, got 0"),
+        (["compare", "a.json", "b.json", "--budget", "-1"], "argument --budget: must be at least 0, got -1"),
     ],
 )
 def test_usage_errors_are_bad_input(capsys, argv, needle):

@@ -16,11 +16,12 @@ from quadlink.lattice import (
     is_characteristic,
     linking_pairing,
     phi_eval,
+    phi_generators,
     phi_table,
     radical_slope,
     wu_classes,
 )
-from quadlink.quadfun import _linear_table
+from quadlink.quadfun import _defect_character, _linear_table
 from quadlink.zlinalg import IntMatrix, SmithDecomposition, smith_normal_form
 import quadlink.lattice as lattice_module
 
@@ -306,16 +307,16 @@ def test_order_nine_cyclic_table():
     # the brute-force values of test_order_nine_cyclic_form, in units of 1/18
     data = discriminant(IntMatrix([[9]]))
     assert data.value_modulus == 18
-    values, defect_gen = phi_table(data, (9,))
-    assert values[:3] == [0, 10, 4]
+    assert phi_table(data, (9,))[:3] == [0, 10, 4]
     # delta(x) = -9x/9 = 0 mod 1: c = 9 is a multiple of the order
-    assert defect_gen == [0]
-    assert phi_table(data, (1,))[1] == [16]  # 8/9, see test_defect_against_evaluation
+    assert _defect_character(18, phi_generators(data, (9,)), data.linking) == [0]
+    assert _defect_character(18, phi_generators(data, (1,)), data.linking) == [16]  # 8/9, see test_defect_against_evaluation
 
 
 def test_table_of_the_trivial_group():
-    assert phi_table(discriminant(IntMatrix([[1]])), (1,)) == ([0], [])
-    assert phi_table(discriminant(IntMatrix([[0]])), (2,)) == ([0], [])
+    assert phi_table(discriminant(IntMatrix([[1]])), (1,)) == [0]
+    assert phi_table(discriminant(IntMatrix([[0]])), (2,)) == [0]
+    assert phi_generators(discriminant(IntMatrix([[1]])), (1,)) == []
 
 
 @settings(max_examples=100, deadline=None)
@@ -326,12 +327,11 @@ def test_phi_table_matches_phi_eval(m, data_strategy):
     c = characteristic_vectors(
         m, data_strategy.draw(st.lists(st.integers(-3, 3), min_size=m.rows, max_size=m.rows))
     )
-    values, defect_gen = phi_table(data, c)
+    values = phi_table(data, c)
     modulus = data.value_modulus
     factors = data.torsion_factors
-    assert len(defect_gen) == len(factors)
-    # the defect is additive, so the generator defects determine it everywhere
-    defects = _linear_table(defect_gen, factors, modulus)
+    # the defect is additive, so its generator values determine it everywhere
+    defects = _linear_table(_defect_character(modulus, phi_generators(data, c), data.linking), factors, modulus)
     elements = list(itertools.product(*(range(d) for d in factors)))
     assert len(values) == len(defects) == len(elements)
     for w, v, d in zip(elements, values, defects):
