@@ -17,7 +17,11 @@ Three regimes apply, ordered by how much structure survives:
   exhaustive isomorphism search on the integer value tables of each
   p-part settles the question outright;
 * free first homology: the gcd of the decoration vector is a complete
-  invariant (the unimodular orbit of an integer vector is its gcd);
+  invariant (the unimodular orbit of an integer vector is its gcd).
+  coker(B) is then Hom(ker B, Z), so that gcd is 2 gcd(c(k_j)/2) over
+  a kernel basis k_j: the regime reads only the kernel, checked to
+  satisfy B k_j = 0, and the slopes, checked to be integral.  No row of
+  U or column of U^-1 is replayed;
 * mixed: a sweep over pairing-preserving torsion maps, couplings of
   the free part into torsion, and section shifts, deciding for each
   candidate whether the Gauss sums agree.
@@ -60,6 +64,7 @@ from .lattice import (
     _int_dot,
     _phi_generators,
     _radical_slope,
+    _torsion_coordinates,
     discriminant,
     self_linking_table,
     torsion_table,
@@ -138,6 +143,9 @@ class _Side:
 
     q_gen is phi_c on the torsion generators (lattice.phi_generators);
     with data.linking it describes the side's finite quadratic function.
+    free holds the free cokernel coordinates of c on a mixed form, the
+    mixed sweep being their only reader; elsewhere it is (), and
+    free_gcd reads the slopes.
     """
 
     data: DiscriminantData
@@ -147,6 +155,11 @@ class _Side:
     slopes: tuple[int, ...]
     q_gen: list[int]
     _table: list[int] | None = None
+
+    @property
+    def free_gcd(self) -> int:
+        """gcd of the free cokernel coordinates of c: coker(B)/torsion is Hom(ker B, Z), on which c is 2 slopes."""
+        return 2 * math.gcd(*self.slopes)
 
     def table(self, cap: int) -> list[int]:
         """phi_table of the decoration behind the order cap, built once per side."""
@@ -158,10 +171,18 @@ class _Side:
 
 
 def _side(data: DiscriminantData, c: Sequence[int]) -> _Side:
-    """A side's data, after the one characteristic parity check of its decoration, which raises also under -O."""
+    """A side's data, after the one characteristic parity check of its decoration, which raises also under -O.
+
+    The free coordinates of c, and the duality identity that checks them
+    against the slopes, are computed only on a mixed form.
+    """
     cs = data.require_characteristic(c)
-    free, tors = _chern_coordinates(data, cs)
-    return _Side(data, cs, free, tors, _integral_slopes(data, cs, free), _phi_generators(data, cs))
+    if data.torsion_factors and data.free_rank:
+        free, tors = _chern_coordinates(data, cs)
+        slopes = _integral_slopes(data, cs, free)
+    else:
+        free, tors, slopes = (), _torsion_coordinates(data, cs), _radical_slope(data, cs)
+    return _Side(data, cs, free, tors, slopes, _phi_generators(data, cs))
 
 
 def _integral_slopes(data: DiscriminantData, cs: Sequence[int], free: Sequence[int]) -> tuple[int, ...]:
@@ -228,7 +249,7 @@ def invariants_report(p: DecoratedPresentation, *, cap: int = DEFAULT_ORDER_CAP)
     return InvariantReport(
         free_rank=data.free_rank,
         torsion_factors=data.torsion_factors,
-        chern_free_gcd=math.gcd(*side.free),
+        chern_free_gcd=side.free_gcd,
         chern_torsion=side.tors,
         radical_slopes=side.slopes,
         value_modulus=modulus,
@@ -350,7 +371,7 @@ def _mixed_verdict(side1: _Side, side2: _Side, cap: int, budget: _Budget) -> Equ
     gens = [math.prod(factors[i + 1 :]) for i in range(len(factors))]
     link1, link2 = data1.linking, data2.linking
     # the slope covector W^-T slopes is free/2, since _integral_slopes
-    # checked 2 slopes = W^T free and discriminant checked W unimodular
+    # checked 2 slopes = W^T free and W unimodular
     ell1 = tuple(f // 2 for f in side1.free)
     ell2 = tuple(f // 2 for f in side2.free)
 
@@ -429,9 +450,10 @@ def yc_equivalent(
     sweep is finite but guarded by a step budget, and exhausting the
     budget yields an unknown verdict rather than a guess.
     """
-    side1 = _side(discriminant(p1.matrix), p1.chern)
-    side2 = _side(discriminant(p2.matrix), p2.chern)
-    return _decide(side1, side2, cap, budget)
+    data1 = discriminant(p1.matrix)
+    # two decorations of one manifold share its discriminant data
+    data2 = data1 if p2.matrix == p1.matrix else discriminant(p2.matrix)
+    return _decide(_side(data1, p1.chern), _side(data2, p2.chern), cap, budget)
 
 
 def _decide(side1: _Side, side2: _Side, cap: int, budget: int) -> EquivalenceVerdict:
@@ -446,7 +468,7 @@ def _decide(side1: _Side, side2: _Side, cap: int, budget: int) -> EquivalenceVer
             INEQUIVALENT,
             f"torsion invariant factors differ: {d1.torsion_factors} vs {d2.torsion_factors}",
         )
-    g1, g2 = math.gcd(*side1.free), math.gcd(*side2.free)
+    g1, g2 = side1.free_gcd, side2.free_gcd
     if g1 != g2:
         return EquivalenceVerdict(
             INEQUIVALENT, f"free decoration orbits differ: gcd {g1} vs {g2}"
@@ -609,7 +631,7 @@ def _canonical_chern_vectors(data: DiscriminantData, count: int) -> tuple[tuple[
 def _census_key(side: _Side, cap: int) -> tuple:
     """An integer key splitting decorations of a degenerate form as stable_profile() does; _side ran the report's checks."""
     values = side.table(cap)
-    g = math.gcd(*side.free)
+    g = side.free_gcd
     if g:
         return (g,)
     # the Gauss sum is read off the value histogram; the defect is a character, whose image fixes its histogram

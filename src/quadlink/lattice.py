@@ -19,20 +19,28 @@ On the free (radical) part, phi_c restricts to x (x) [r] |-> -(c(x)/2) r,
 so the slopes c(k_j)/2 on a kernel basis carry all of it.  They are
 integers: B k_j = 0, so c(k_j) = k_j^T B k_j = 0 mod 2.
 
-discriminant reads from the Smith decomposition only what it keeps: the
-columns of V and U^-1 and the rows of U at the torsion and free indices
-(SmithDecomposition.v_columns, uinv_columns, u_rows).  The full U, U^-1
-and V are never built on this path.
+discriminant replays from the Smith decomposition only what every
+regime reads: the columns of V at the torsion and free indices (the
+torsion section and the kernel basis) and, with torsion, the columns of
+U^-1 and rows of U at the torsion indices (SmithDecomposition.v_columns,
+uinv_columns, u_rows).  It checks B k_j = 0 on every kernel column.
+The free columns of U^-1 and rows of U, and the duality matrix and
+free-covector evaluations built from them, are replayed on first read
+(DiscriminantData); only the mixed sweep reads them.  A torsion-free
+form needs nothing but its kernel: coker(B) is then Hom(ker B, Z), so
+the class of c is determined by its slopes c(k_j)/2 (classify).  The
+full U, U^-1 and V are never built on these paths.
 
 discriminant stores the section in integers: the Smith columns
-V_i = d_i g_i, and the linking pairing and the free covectors on the
-g_i as integer residues in units of 1/(2N), N the last invariant factor:
-every value of phi_c and of the linking pairing on the torsion part is
-a multiple of 1/(2N).  phi_generators reads phi_c on the g_i off that
-data; with the linking pairing it describes phi_c, its defect included
-(quadfun._defect_character), and phi_table builds whole value tables
-from the two by the quadratic recurrence in quadfun (_quadratic_table,
-through torsion_table), one step per element.
+V_i = d_i g_i, and the linking pairing on the g_i (and, on first read,
+the free covectors on them) as integer residues in units of 1/(2N), N
+the last invariant factor: every value of phi_c and of the linking
+pairing on the torsion part is a multiple of 1/(2N).  phi_generators
+reads phi_c on the g_i off that data; with the linking pairing it
+describes phi_c, its defect included (quadfun._defect_character), and
+phi_table builds whole value tables from the two by the quadratic
+recurrence in quadfun (_quadratic_table, through torsion_table), one
+step per element.
 
 Every public function of a decoration checks its characteristic parity
 and raises CharacteristicError.  The unchecked _chern_coordinates,
@@ -47,12 +55,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import prod
 from typing import Sequence
 
 from quadlink.exact import QmodZ
 from quadlink.quadfun import OrderCapExceeded, _quadratic_table
-from quadlink.zlinalg import IntMatrix, determinant, intmatrix, smith_normal_form, solve_mod2
+from quadlink.zlinalg import IntMatrix, SmithDecomposition, determinant, intmatrix, smith_normal_form, solve_mod2
 
 RationalVector = tuple[Fraction, ...]
 
@@ -117,22 +126,25 @@ class DiscriminantData:
     torsion_factors are the invariant factors > 1 in divisibility order;
     torsion_columns[i] is the integer Smith column V_i = d_i g_i of the
     i-th torsion generator g_i, and lifts[i] = V_i / d_i its rational
-    lift; kernel is an integer basis of the radical.  cok_free_covectors
-    and cok_tors_covectors are integer covectors representing the Smith
-    generators of coker(B), with B g_i = cok_tors_covectors[i];
-    duality_matrix is the (unimodular) pairing matrix between free
-    covectors and the kernel basis.  u_tors_rows and u_free_rows are the
-    rows of the Smith transform U at torsion_indices and free_indices:
-    row . c is the coordinate of the class of c on that Smith generator
-    of coker(B) (chern_coordinates).
+    lift; kernel is an integer basis of the radical, checked to satisfy
+    B k_j = 0.  cok_tors_covectors are integer covectors representing
+    the torsion Smith generators of coker(B), with B g_i =
+    cok_tors_covectors[i]; u_tors_rows are the rows of the Smith
+    transform U at torsion_indices: row . c is the coordinate of the
+    class of c on that Smith generator (chern_coordinates).
 
-    linking[i][j] is the linking pairing b(g_i, g_j) and
-    eval_free_lift[m][i] the evaluation of the m-th free covector on
-    g_i, both held as integers r in [0, value_modulus) standing for
-    r / value_modulus, where value_modulus = 2N and N is the last
-    invariant factor.  Tables of phi_c over the torsion part
-    (phi_table) use the same unit; phi_eval on torsion_lift stays the
-    definition they are tested against.
+    linking[i][j] is the linking pairing b(g_i, g_j), held as an integer
+    r in [0, value_modulus) standing for r / value_modulus, where
+    value_modulus = 2N and N is the last invariant factor.  Tables of
+    phi_c over the torsion part (phi_table) use the same unit; phi_eval
+    on torsion_lift stays the definition they are tested against.
+
+    The free Smith generators are built from smith on first read and
+    cached: cok_free_covectors (columns of U^-1), u_free_rows (rows of
+    U), duality_matrix, the pairing matrix between free covectors and
+    the kernel basis, checked to be unimodular, and eval_free_lift, where
+    eval_free_lift[m][i] is the m-th free covector on g_i in the unit of
+    linking.  Only the mixed regime reads them.
     """
 
     matrix: IntMatrix
@@ -141,14 +153,34 @@ class DiscriminantData:
     torsion_columns: tuple[tuple[int, ...], ...]
     kernel: tuple[tuple[int, ...], ...]
     cok_tors_covectors: tuple[tuple[int, ...], ...]
-    cok_free_covectors: tuple[tuple[int, ...], ...]
     u_tors_rows: tuple[tuple[int, ...], ...]
-    u_free_rows: tuple[tuple[int, ...], ...]
     torsion_indices: tuple[int, ...]
     free_indices: tuple[int, ...]
     linking: tuple[tuple[int, ...], ...]
-    duality_matrix: IntMatrix
-    eval_free_lift: tuple[tuple[int, ...], ...]
+    smith: SmithDecomposition
+
+    @cached_property
+    def cok_free_covectors(self) -> tuple[tuple[int, ...], ...]:
+        return self.smith.uinv_columns(self.free_indices)
+
+    @cached_property
+    def u_free_rows(self) -> tuple[tuple[int, ...], ...]:
+        return self.smith.u_rows(self.free_indices)
+
+    @cached_property
+    def duality_matrix(self) -> IntMatrix:
+        w = IntMatrix([[_int_dot(fm, kj) for kj in self.kernel] for fm in self.cok_free_covectors], cols=self.free_rank)
+        if abs(determinant(w)) != 1:
+            raise RuntimeError("free covectors and kernel basis must pair unimodularly")
+        return w
+
+    @cached_property
+    def eval_free_lift(self) -> tuple[tuple[int, ...], ...]:
+        # B g_i = U'_i puts g_i = V_i / d_i in the dual lattice, so the
+        # evaluation is an integer dot product over d_i
+        m = self.value_modulus
+        columns = tuple(zip(self.torsion_factors, self.torsion_columns))
+        return tuple(tuple(m // d * _int_dot(fm, v) % m for d, v in columns) for fm in self.cok_free_covectors)
 
     @property
     def size(self) -> int:
@@ -227,43 +259,36 @@ def discriminant(matrix: IntMatrix, *, cap: int | None = None) -> DiscriminantDa
     if cap is not None and order > cap:
         raise OrderCapExceeded(order, cap)
 
-    idx = tors_idx + free_idx
     k = len(tors_idx)
-    v_cols = snf.v_columns(idx)
-    uinv_cols = snf.uinv_columns(idx)
-    u_rows = snf.u_rows(idx)
+    v_cols = snf.v_columns(tors_idx + free_idx)
     columns, kernel = v_cols[:k], v_cols[k:]
-    cok_tors, cok_free = uinv_cols[:k], uinv_cols[k:]
+    for j, kj in enumerate(kernel):
+        if any(matrix.matvec(kj)):
+            raise RuntimeError(f"kernel column {j} is not in the kernel of B")
+    # a torsion-free form replays no row operation
+    cok_tors, u_tors = (snf.uinv_columns(tors_idx), snf.u_rows(tors_idx)) if tors_idx else ((), ())
     # B V_i = d_i U'_i puts every lift in the dual lattice; linking relies on it
     for i, (d, v, cov) in enumerate(zip(factors, columns, cok_tors)):
         if matrix.matvec(v) != tuple(d * y for y in cov):
             raise DualLatticeError(f"torsion generator {i}: B V_{i} differs from {d} times its covector")
 
-    b1 = len(free_idx)
-    w = IntMatrix([[_int_dot(fm, kj) for kj in kernel] for fm in cok_free], cols=b1)
-    if abs(determinant(w)) != 1:
-        raise RuntimeError("free covectors and kernel basis must pair unimodularly")
     m = _value_modulus(factors)
-    # g_i = V_i / d_i and B g_i = U'_i, so both pairings are integer dot
-    # products over d_i, i.e. multiples of (m / d_i) / m
+    # g_i = V_i / d_i and B g_i = U'_i, so the pairing is an integer dot
+    # product over d_i, i.e. a multiple of (m / d_i) / m
     linking = tuple(tuple(m // d * _int_dot(v, cov) % m for cov in cok_tors) for d, v in zip(factors, columns))
-    eval_free_lift = tuple(tuple(m // d * _int_dot(fm, v) % m for d, v in zip(factors, columns)) for fm in cok_free)
 
     return DiscriminantData(
         matrix=matrix,
-        free_rank=b1,
+        free_rank=len(free_idx),
         torsion_factors=factors,
         torsion_columns=columns,
         kernel=kernel,
         cok_tors_covectors=cok_tors,
-        cok_free_covectors=cok_free,
-        u_tors_rows=u_rows[:k],
-        u_free_rows=u_rows[k:],
+        u_tors_rows=u_tors,
         torsion_indices=tuple(tors_idx),
         free_indices=tuple(free_idx),
         linking=linking,
-        duality_matrix=w,
-        eval_free_lift=eval_free_lift,
+        smith=snf,
     )
 
 
@@ -379,6 +404,9 @@ def chern_coordinates(data: DiscriminantData, c: Sequence[int]) -> tuple[tuple[i
 
 def _chern_coordinates(data: DiscriminantData, cs: Sequence[int]) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """chern_coordinates of a vector the caller has checked to be characteristic."""
-    free = tuple(_int_dot(row, cs) for row in data.u_free_rows)
-    tors = tuple(_int_dot(row, cs) % d for row, d in zip(data.u_tors_rows, data.torsion_factors))
-    return free, tors
+    return tuple(_int_dot(row, cs) for row in data.u_free_rows), _torsion_coordinates(data, cs)
+
+
+def _torsion_coordinates(data: DiscriminantData, cs: Sequence[int]) -> tuple[int, ...]:
+    """The torsion part of _chern_coordinates, which reads no free Smith generator."""
+    return tuple(_int_dot(row, cs) % d for row, d in zip(data.u_tors_rows, data.torsion_factors))

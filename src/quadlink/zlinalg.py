@@ -80,9 +80,7 @@ class IntMatrix:
         return tuple(sum(a * b for a, b in zip(row, v)) for row in self.data)
 
     def is_symmetric(self) -> bool:
-        return self.rows == self.cols and all(
-            self.data[i][j] == self.data[j][i] for i in range(self.rows) for j in range(i)
-        )
+        return self.rows == self.cols and tuple(zip(*self.data)) == self.data
 
     def diagonal(self) -> tuple[int, ...]:
         return tuple(self.data[i][i] for i in range(min(self.rows, self.cols)))
@@ -105,13 +103,25 @@ def intmatrix(rows: Iterable[Iterable[int]]) -> IntMatrix:
 
 
 def determinant(m: IntMatrix) -> int:
-    """Exact determinant by fraction-free (Bareiss) elimination."""
+    """Exact determinant by fraction-free (Bareiss) elimination, rows rescaled lazily.
+
+    Step k of Bareiss maps each row i below the pivot p_k to
+    (a_ij p_k - a_ik a_kj) / p_(k-1).  A row with a_ik = 0 is only
+    multiplied by p_k / p_(k-1), and these factors telescope: a row last
+    updated at the step of pivot p_s has the stored entries times p / p_s,
+    p the latest pivot.  So such a row is skipped, and scale[i] keeps p_s.
+    The factor is applied once, when the row is next read: as the pivot
+    row, as the last entry, or folded into its next update, which divides
+    by p_s in place of p_(k-1).  Every quotient is exact, the result being
+    a minor of m.  On a tridiagonal chain one row is updated per step.
+    """
     if m.rows != m.cols:
         raise DimensionError("determinant needs a square matrix")
     n = m.rows
-    if n == 0:
-        return 1
+    if n < 2:
+        return m.data[0][0] if n else 1
     a = [list(row) for row in m.data]
+    scale = [1] * n
     sign = 1
     prev = 1
     for k in range(n - 1):
@@ -119,16 +129,27 @@ def determinant(m: IntMatrix) -> int:
             for i in range(k + 1, n):
                 if a[i][k]:
                     a[k], a[i] = a[i], a[k]
+                    scale[k], scale[i] = scale[i], scale[k]
                     sign = -sign
                     break
             else:
                 return 0
+        pivot_row = a[k]
+        s = scale[k]
+        if s != prev:
+            for j in range(k, n):
+                pivot_row[j] = pivot_row[j] * prev // s
+        p = pivot_row[k]
         for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-            a[i][k] = 0
-        prev = a[k][k]
-    return sign * a[n - 1][n - 1]
+            row = a[i]
+            x = row[k]
+            if x:
+                s = scale[i]
+                for j in range(k + 1, n):
+                    row[j] = (row[j] * p - x * pivot_row[j]) // s
+                scale[i] = p
+        prev = p
+    return sign * a[n - 1][n - 1] * prev // scale[n - 1]
 
 
 # Elementary operations of the Smith elimination, as logged in

@@ -44,7 +44,7 @@ from quadlink.lattice import (
     radical_slope,
 )
 from quadlink.presentation import HandleSlide, apply_move, chern_equal, presentation, random_walk
-from quadlink.spaces import lens
+from quadlink.spaces import connected_sum, e8, lens
 from quadlink.quadfun import (
     DEFAULT_ORDER_CAP,
     FiniteAbelianGroup,
@@ -907,11 +907,17 @@ def test_a_report_makes_no_qmodz(monkeypatch):
     assert made == Counter({"__init__": 2, "_reduced": 1})
 
 
+def _corrupted(data, **fields):
+    """data with some fields replaced; a field built on first read is preset on the instance, where every read finds it."""
+    lazy = {name: fields.pop(name) for name in list(fields) if name not in {f.name for f in dataclasses.fields(data)}}
+    data = dataclasses.replace(data, **fields)
+    vars(data).update(lazy)
+    return data
+
+
 def _report_on_corrupted_data(monkeypatch, p, **fields):
     original = classify_module.discriminant
-    monkeypatch.setattr(
-        classify_module, "discriminant", lambda m, **kw: dataclasses.replace(original(m, **kw), **fields)
-    )
+    monkeypatch.setattr(classify_module, "discriminant", lambda m, **kw: _corrupted(original(m, **kw), **fields))
     return invariants_report(p)
 
 
@@ -922,8 +928,9 @@ def test_report_checks_integral_slopes(monkeypatch):
 
 
 def test_report_checks_the_duality_identity(monkeypatch):
+    # a torsion-free form reads no duality matrix, so the identity is checked where the mixed sweep reads it
     with pytest.raises(RuntimeError, match="duality identity"):
-        _report_on_corrupted_data(monkeypatch, presentation([[0]], (2,)), duality_matrix=IntMatrix([[3]]))
+        _report_on_corrupted_data(monkeypatch, presentation(MIXED, (2, 0)), duality_matrix=IntMatrix([[3]]))
 
 
 def test_canonical_decorations_check_their_count(monkeypatch):
@@ -1063,6 +1070,70 @@ def test_free_decoration_part_is_even(form):
     assert all(f % 2 == 0 for f in free)
 
 
+# The free decoration gcd is read off the slopes: coker(B)/torsion is
+# Hom(ker B, Z), so the free cokernel coordinates of c and twice its
+# slopes on a kernel basis differ by the unimodular duality matrix.
+@settings(max_examples=100, deadline=None)
+@given(decorated_symmetric_forms())
+@example(([[0]], (2,)))
+@example((TWISTED_A, (1, -4, -2, 5)))
+@example((TWO_GENERATORS, (2, -2, -4, -2)))
+def test_free_gcd_is_twice_the_slope_gcd(form):
+    m, chern = form
+    data = discriminant(IntMatrix(m))
+    assume(data.torsion_order <= 1000)
+    free, _ = chern_coordinates(data, chern)
+    r = invariants_report(presentation(m, chern))
+    assert r.chern_free_gcd == math.gcd(*free) == 2 * math.gcd(*radical_slope(data, chern))
+
+
+# The torsion-free regime reads only the kernel basis and the slopes: on
+# [[0]], on E8 + H + 0 + 0 and on a slid copy, reports and decisions are
+# the same with every replay of U and U^-1 refused.  A mixed form still
+# replays them.
+def _e8_h_00(c_zeros):
+    blocks = [presentation(e8(), (0,) * 8), presentation([[0, 1], [1, 0]], (2, 0))]
+    return functools.reduce(connected_sum, blocks + [presentation([[0]], (c,)) for c in c_zeros])
+
+
+def _slid(p, seed, slides=60):
+    rng = random.Random(seed)
+    for _ in range(slides):
+        i, j = rng.sample(range(p.matrix.rows), 2)
+        p = apply_move(p, HandleSlide(i, j, rng.choice((1, -1))))
+    return p
+
+
+def test_the_torsion_free_route_replays_no_row_operation(monkeypatch):
+    forms = [presentation([[0]], (2,)), _e8_h_00((4, 6)), _slid(_e8_h_00((4, 6)), 0)]
+    pairs = [
+        (forms[0], presentation([[0]], (6,))),
+        (forms[2], forms[1]),
+        (forms[2], _slid(_e8_h_00((4, 8)), 1)),
+    ]
+    reports = [invariants_report(p) for p in forms]
+
+    def refuse(self, idx):
+        raise AssertionError("replayed U or U^-1")
+
+    monkeypatch.setattr(SmithDecomposition, "uinv_columns", refuse)
+    monkeypatch.setattr(SmithDecomposition, "u_rows", refuse)
+    assert [invariants_report(p) for p in forms] == reports
+    assert [(r.free_rank, r.torsion_factors, r.chern_free_gcd, r.radical_slopes) for r in reports] == [
+        (1, (), 2, (1,)),
+        (2, (), 2, (2, 3)),
+        (2, (), 2, (2, 3)),
+    ]
+    assert [(v.status, v.reason) for v in (yc_equivalent(*pair) for pair in pairs)] == [
+        (INEQUIVALENT, "free decoration orbits differ: gcd 2 vs 6"),
+        (EQUIVALENT, "free first homology of rank 2 with matching decoration gcd 2"),
+        (INEQUIVALENT, "free decoration orbits differ: gcd 2 vs 4"),
+    ]
+    for run in (invariants_report, lambda p: yc_equivalent(p, p)):
+        with pytest.raises(AssertionError, match="replayed"):
+            run(presentation(MIXED, (2, 0)))
+
+
 # The pairing oracle shares the torsion-map search with the sweep's
 # radical-blind branch but keeps its own reason strings.
 PINNED_PAIRING = [
@@ -1098,7 +1169,8 @@ def test_each_side_is_computed_once(monkeypatch, m1, c1, m2, c2):
 
         monkeypatch.setattr(classify_module, name, counted)
     yc_equivalent(presentation(m1, c1), presentation(m2, c2))
-    assert calls == {"discriminant": 2, "_chern_coordinates": 2, "_radical_slope": 2}
+    # two decorations of one matrix, as in BLIND_PAIR, share its discriminant data
+    assert calls == {"discriminant": 1 if m1 == m2 else 2, "_chern_coordinates": 2, "_radical_slope": 2}
 
 
 @pytest.mark.parametrize("m1, c1, m2, c2", [SWEEP_PAIR, BLIND_PAIR])
@@ -1123,7 +1195,7 @@ def test_sweep_checks_the_second_sides_duality_identity(monkeypatch):
     def corrupt_second(matrix):
         data = original(matrix)
         if matrix == intmatrix(m2):
-            data = dataclasses.replace(data, duality_matrix=IntMatrix([[2, 0], [0, 2]]))
+            data = _corrupted(data, duality_matrix=IntMatrix([[2, 0], [0, 2]]))
         return data
 
     monkeypatch.setattr(classify_module, "discriminant", corrupt_second)

@@ -28,7 +28,8 @@ import quadlink.classify as classify_module
 import quadlink.cli as cli_module
 from quadlink.classify import invariants_report
 from quadlink.lattice import wu_classes
-from quadlink.presentation import presentation, spin_structures
+from quadlink.presentation import HandleSlide, apply_move, presentation, spin_structures
+from quadlink.spaces import e8
 
 
 def write_doc(tmp_path, name, doc):
@@ -461,17 +462,39 @@ def test_installed_entry_point_runs():
     assert "yc 3" in proc.stdout
 
 
+def _free_block_sum(c_zeros):
+    """E8 + H + 0 + 0, decorated by c_zeros on the two 0-framed unknots."""
+    rows = [[0] * 12 for _ in range(12)]
+    for i, row in enumerate(e8().data):
+        rows[i][:8] = row
+    rows[8][9] = rows[9][8] = 1
+    return presentation(rows, (2, 0, 0, -2, 0, 0, 0, 0, 0, 2) + tuple(c_zeros))
+
+
+def _slid_file(p):
+    """The matrix and decoration of p after a fixed sequence of handle slides."""
+    for i, j, sign in ((10, 0, 1), (3, 10, -1), (11, 9, 1), (1, 11, 1), (10, 8, -1), (5, 11, -1), (8, 3, 1), (11, 2, -1)):
+        p = apply_move(p, HandleSlide(i, j, sign))
+    return _file(p)
+
+
+def _file(p):
+    return [list(row) for row in p.matrix.data], list(p.chern)
+
+
 # Full stdout and exit code of the report and decision commands, pinned
 # byte for byte: one input per regime (finite cyclic, finite with two
 # generators, mixed with nonzero free-covector evaluations, mixed with a
-# vanishing free decoration), the chain of the lens space L(30, 7), whose
+# vanishing free decoration, torsion free), the chain of the lens space L(30, 7), whose
 # residues in units of 1/60 reduce to many denominators, a mixed sweep pair at the default budget
 # and at one the sweep exhausts, an inequivalent pair from the sweep and
-# one from its radical-blind branch, and a census.
+# one from its radical-blind branch, a torsion-free pair of each verdict, and a census.
 EXPECTED_CLI = Path(__file__).parent / "expected_cli"
 TWISTED_A = [[-3, 1, 2, 1], [1, 2, 0, 1], [2, 0, -2, -2], [1, 1, -2, -3]]
 MIXED = [[0, 0], [0, 2]]
 LENS_30_7 = [[5, -1, 0, 0], [-1, 2, -1, 0], [0, -1, 2, -1], [0, 0, -1, 3]]
+# slopes (2, 3) on the kernel, so chern free gcd 2; slopes (2, 4) give gcd 4
+FREE = _slid_file(_free_block_sum((4, 6)))
 PINNED_CLI = [
     ("invariants_z2", {"p.json": ([[2]], [0])}, ["invariants", "p.json"], EXIT_OK),
     ("invariants_z2_json", {"p.json": ([[2]], [0])}, ["invariants", "p.json", "--json"], EXIT_OK),
@@ -494,6 +517,20 @@ PINNED_CLI = [
     (
         "compare_mixed_blind_gauss",
         {"a.json": ([[0, 0], [0, 4]], [0, 0]), "b.json": ([[0, 0], [0, 4]], [0, 4])},
+        ["compare", "a.json", "b.json"],
+        EXIT_INEQUIVALENT,
+    ),
+    ("invariants_free", {"p.json": FREE}, ["invariants", "p.json"], EXIT_OK),
+    ("invariants_free_json", {"p.json": FREE}, ["invariants", "p.json", "--json"], EXIT_OK),
+    (
+        "compare_free",
+        {"a.json": FREE, "b.json": _file(_free_block_sum((4, 6)))},
+        ["compare", "a.json", "b.json"],
+        EXIT_OK,
+    ),
+    (
+        "compare_free_gcd",
+        {"a.json": FREE, "b.json": _file(_free_block_sum((4, 8)))},
         ["compare", "a.json", "b.json"],
         EXIT_INEQUIVALENT,
     ),

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from quadlink.classify import invariants_report
 from quadlink.exact import QmodZ
 from quadlink.lattice import (
     CharacteristicError,
@@ -21,6 +22,7 @@ from quadlink.lattice import (
     radical_slope,
     wu_classes,
 )
+from quadlink.presentation import presentation
 from quadlink.quadfun import _defect_character, _linear_table
 from quadlink.zlinalg import IntMatrix, SmithDecomposition, smith_normal_form
 import quadlink.lattice as lattice_module
@@ -359,10 +361,21 @@ def _double_cokernel_covectors(monkeypatch):
 
 
 def test_discriminant_checks_unimodular_duality(monkeypatch):
-    # the free covector of [[0]] doubled pairs to 2 with the kernel basis
+    # the free covector of [[0]] doubled pairs to 2 with the kernel basis;
+    # the duality matrix is built, and checked, on first read
     _double_cokernel_covectors(monkeypatch)
+    data = discriminant(IntMatrix([[0]]))
     with pytest.raises(RuntimeError, match="unimodular"):
-        discriminant(IntMatrix([[0]]))
+        data.duality_matrix
+
+
+def test_discriminant_checks_the_kernel(monkeypatch):
+    # without its column operations V is the identity, and e_1 is no kernel
+    # vector of [[1, 1], [1, 1]]; the check raises, so it holds under -O too
+    _corrupt_smith(monkeypatch, col_ops=())
+    for call in (discriminant, lambda m: invariants_report(presentation(m, (1, 1)))):
+        with pytest.raises(RuntimeError, match="kernel column 0 is not in the kernel"):
+            call(IntMatrix([[1, 1], [1, 1]]))
 
 
 def test_discriminant_checks_duality_per_generator(monkeypatch):

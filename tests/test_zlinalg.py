@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from quadlink.spaces import e8
+from quadlink.spaces import e8, lens
 from quadlink.zlinalg import (
     DimensionError,
     IntMatrix,
@@ -48,6 +48,32 @@ def laplace_det(m):
     return total
 
 
+# oracle: Bareiss elimination that rescales every row below the pivot at
+# every step, as determinant did before it rescaled lazily
+def _dense_bareiss(m):
+    n = m.rows
+    if n == 0:
+        return 1
+    a = [list(row) for row in m.data]
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if a[k][k] == 0:
+            for i in range(k + 1, n):
+                if a[i][k]:
+                    a[k], a[i] = a[i], a[k]
+                    sign = -sign
+                    break
+            else:
+                return 0
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
+            a[i][k] = 0
+        prev = a[k][k]
+    return sign * a[n - 1][n - 1]
+
+
 # independent oracle: rank over Q by fraction Gaussian elimination
 def rational_rank(m):
     a = [[Fraction(x) for x in row] for row in m.data]
@@ -69,6 +95,58 @@ def rational_rank(m):
 def test_determinant_matches_laplace(rows):
     m = IntMatrix(rows)
     assert determinant(m) == laplace_det(m)
+
+
+def _square(n, entries):
+    return st.lists(st.lists(entries, min_size=n, max_size=n), min_size=n, max_size=n)
+
+
+@st.composite
+def determinant_inputs(draw):
+    """Square matrices up to 10 x 10 whose elimination skips, swaps or ends singular."""
+    n = draw(st.integers(1, 10))
+    kind = draw(st.sampled_from(["dense", "sparse", "tridiagonal", "blocks", "late singular", "swaps"]))
+    small = st.integers(-9, 9)
+    if kind == "dense":
+        rows = draw(_square(n, small))
+    elif kind == "sparse":
+        rows = draw(_square(n, st.sampled_from([0, 0, 0, 1, -1, 2, -3])))
+    elif kind == "tridiagonal":
+        rows = draw(_square(n, small))
+        rows = [[x if abs(i - j) <= 1 else 0 for j, x in enumerate(row)] for i, row in enumerate(rows)]
+    elif kind == "blocks":
+        rows = [[0] * n for _ in range(n)]
+        at = 0
+        while at < n:
+            size = draw(st.integers(1, n - at))
+            for i, row in enumerate(draw(_square(size, small))):
+                rows[at + i][at : at + size] = row
+            at += size
+    elif kind == "late singular":
+        # the last row is a combination of the others, so no pivot is missing until the last entry
+        rows = draw(_square(n, small))
+        weights = draw(st.lists(st.integers(-3, 3), min_size=n - 1, max_size=n - 1))
+        rows[-1] = [sum(w * row[j] for w, row in zip(weights, rows)) for j in range(n)]
+    else:
+        # zeros above the antidiagonal: every leading entry is zero until rows are swapped
+        rows = draw(_square(n, small))
+        rows = [[x if i + j >= n - 1 else 0 for j, x in enumerate(row)] for i, row in enumerate(rows)]
+    return IntMatrix(rows, cols=n)
+
+
+@settings(max_examples=400, deadline=None)
+@given(determinant_inputs())
+def test_determinant_matches_the_dense_elimination(m):
+    assert determinant(m) == _dense_bareiss(m)
+    if m.rows <= 5:
+        assert determinant(m) == laplace_det(m)
+
+
+def test_determinant_of_every_lens_chain():
+    for p in range(2, 201):
+        for q in range(1, p):
+            if math.gcd(p, q) == 1:
+                assert abs(determinant(lens(p, q))) == p
 
 
 def test_determinant_edge_cases():
