@@ -13,9 +13,11 @@ Three regimes apply, ordered by how much structure survives:
   invariant.  Parts of coprime order pair to zero, so it is the
   orthogonal sum of its p-primary parts, and two functions are
   isomorphic exactly when their p-parts are, for every prime p (Wall,
-  Topology 2, 1963; Kawauchi-Kojima, Math. Ann. 253, 1980).  An
-  exhaustive isomorphism search on the integer value tables of each
-  p-part settles the question outright;
+  Topology 2, 1963; Kawauchi-Kojima, Math. Ann. 253, 1980).  On a
+  cyclic p-part every automorphism is multiplication by a unit, so a
+  closed form over the units settles it with no value table and no
+  search (quadfun._cyclic_isometries); on the other p-parts an
+  exhaustive isomorphism search on the integer value tables does;
 * free first homology: the gcd of the decoration vector is a complete
   invariant (the unimodular orbit of an integer vector is its gcd).
   coker(B) is then Hom(ker B, Z), so that gcd is 2 gcd(c(k_j)/2) over
@@ -55,6 +57,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Sequence
 
 from .exact import CyclotomicSum, _prime_factors, residue_multiset
@@ -75,6 +78,7 @@ from .quadfun import (
     FiniteAbelianGroup,
     GroupIso,
     OrderCapExceeded,
+    _cyclic_isometries,
     _defect_character,
     _generator_isomorphism,
     _image_positions,
@@ -139,18 +143,15 @@ class _Budget:
 
 @dataclass
 class _Side:
-    """One presentation's data for a decision, checked and computed once; its value table on first use.
+    """One presentation's data for a decision, checked and computed once; its value table and free coordinates on first use.
 
     q_gen is phi_c on the torsion generators (lattice.phi_generators);
     with data.linking it describes the side's finite quadratic function.
-    free holds the free cokernel coordinates of c on a mixed form, the
-    mixed sweep being their only reader; elsewhere it is (), and
     free_gcd reads the slopes.
     """
 
     data: DiscriminantData
     chern: tuple[int, ...]
-    free: tuple[int, ...]
     tors: tuple[int, ...]
     slopes: tuple[int, ...]
     q_gen: list[int]
@@ -160,6 +161,17 @@ class _Side:
     def free_gcd(self) -> int:
         """gcd of the free cokernel coordinates of c: coker(B)/torsion is Hom(ker B, Z), on which c is 2 slopes."""
         return 2 * math.gcd(*self.slopes)
+
+    @cached_property
+    def free(self) -> tuple[int, ...]:
+        """The free cokernel coordinates of c, checked against the slopes by the duality identity.
+
+        The mixed sweep is their only reader, so only it replays the free
+        rows of U and columns of U^-1 behind them.
+        """
+        free = _chern_coordinates(self.data, self.chern)[0]
+        _check_duality(self.data, self.slopes, free)
+        return free
 
     def table(self, cap: int) -> list[int]:
         """phi_table of the decoration behind the order cap, built once per side."""
@@ -171,31 +183,23 @@ class _Side:
 
 
 def _side(data: DiscriminantData, c: Sequence[int]) -> _Side:
-    """A side's data, after the one characteristic parity check of its decoration, which raises also under -O.
-
-    The free coordinates of c, and the duality identity that checks them
-    against the slopes, are computed only on a mixed form.
-    """
+    """A side's data, after the one characteristic parity check of its decoration, which raises also under -O."""
     cs = data.require_characteristic(c)
-    if data.torsion_factors and data.free_rank:
-        free, tors = _chern_coordinates(data, cs)
-        slopes = _integral_slopes(data, cs, free)
-    else:
-        free, tors, slopes = (), _torsion_coordinates(data, cs), _radical_slope(data, cs)
-    return _Side(data, cs, free, tors, slopes, _phi_generators(data, cs))
+    return _Side(data, cs, _torsion_coordinates(data, cs), _radical_slope(data, cs), _phi_generators(data, cs))
 
 
-def _integral_slopes(data: DiscriminantData, cs: Sequence[int], free: Sequence[int]) -> tuple[int, ...]:
-    """Kernel slopes of a checked characteristic decoration, integral by lattice._radical_slope.
-
-    Cross-checks the duality identity: twice the slopes equal the free
-    cokernel coordinates of c contracted against the duality matrix.
-    """
-    slopes = _radical_slope(data, cs)
+def _check_duality(data: DiscriminantData, slopes: Sequence[int], free: Sequence[int]) -> None:
+    """Raise unless twice the slopes equal the free cokernel coordinates of c contracted against the duality matrix."""
     w = data.duality_matrix
     for j in range(len(slopes)):
         if 2 * slopes[j] != sum(w[m][j] * free[m] for m in range(data.free_rank)):
             raise RuntimeError(f"slope {j} breaks the duality identity with the free decoration part")
+
+
+def _integral_slopes(data: DiscriminantData, cs: Sequence[int], free: Sequence[int]) -> tuple[int, ...]:
+    """Kernel slopes of a checked characteristic decoration, integral by lattice._radical_slope, after _check_duality."""
+    slopes = _radical_slope(data, cs)
+    _check_duality(data, slopes, free)
     return slopes
 
 
@@ -370,8 +374,8 @@ def _mixed_verdict(side1: _Side, side2: _Side, cap: int, budget: _Budget) -> Equ
     elements = list(group.elements())
     gens = [math.prod(factors[i + 1 :]) for i in range(len(factors))]
     link1, link2 = data1.linking, data2.linking
-    # the slope covector W^-T slopes is free/2, since _integral_slopes
-    # checked 2 slopes = W^T free and W unimodular
+    # the slope covector W^-T slopes is free/2, since _Side.free checked
+    # 2 slopes = W^T free and W is unimodular
     ell1 = tuple(f // 2 for f in side1.free)
     ell2 = tuple(f // 2 for f in side2.free)
 
@@ -530,11 +534,15 @@ def _finite_isomorphism(side1: _Side, side2: _Side, cap: int) -> GroupIso | None
     Summands of coprime order pair to zero under b, so q is the
     orthogonal sum of its p-primary parts q_p, any homomorphism keeps
     the p-parts, and q1 is isomorphic to q2 exactly when q1_p is to q2_p
-    for every prime p (Wall 1963).  Every p-part's value histograms are
-    compared before any search; the searches then run on the p-tables,
-    sum_p |G_p| elements instead of |G|.  The witness is assembled by
-    the Chinese remainder theorem: the p-component of g_i is
-    (s_i^-1 mod p^v_i) h_i, so Psi(g_i) = sum_p (s_i^-1 mod p^v_i) Psi_p(h_i).
+    for every prime p (Wall 1963).  A cyclic p-part is decided in closed
+    form: Psi_p(h) = u h for the least unit u listed by
+    quadfun._cyclic_isometries with q2(u h) = q1(h), which is the
+    witness the search would return, with no table built.  On the other
+    p-parts every value histogram is compared before any search; the
+    searches then run on the p-tables, sum_p |G_p| elements instead of
+    |G|.  The witness is assembled by the Chinese remainder theorem: the
+    p-component of g_i is (s_i^-1 mod p^v_i) h_i, so
+    Psi(g_i) = sum_p (s_i^-1 mod p^v_i) Psi_p(h_i).
     """
     data1, data2 = side1.data, side2.data
     factors = data1.torsion_factors
@@ -543,10 +551,20 @@ def _finite_isomorphism(side1: _Side, side2: _Side, cap: int) -> GroupIso | None
     modulus = data1.value_modulus
     q1, q2 = side1.q_gen, side2.q_gen
     parts = _primary_parts(factors)
-    restricted = []
+    # per part: its generator images if cyclic, else the arguments of its
+    # search, which runs after every part's cheap checks
+    restricted: list = []
     for part in parts:
         h1 = part.quadratic(modulus, q1, data1.linking), part.pairing(modulus, data1.linking)
         h2 = part.quadratic(modulus, q2, data2.linking), part.pairing(modulus, data2.linking)
+        if len(part.factors) == 1:
+            ((a1,), ((b1,),)), ((a2,), ((b2,),)) = h1, h2
+            units = _cyclic_isometries(part.factors[0], modulus, b1, b2)
+            u = next((u for u in units if (u * a2 + u * (u - 1) // 2 * b2 - a1) % modulus == 0), None)
+            if u is None:
+                return None
+            restricted.append(((u,),))
+            continue
         values1 = _quadratic_table(part.factors, modulus, *h1)
         values2 = _quadratic_table(part.factors, modulus, *h2)
         if Counter(values1) != Counter(values2):
@@ -554,7 +572,7 @@ def _finite_isomorphism(side1: _Side, side2: _Side, cap: int) -> GroupIso | None
         restricted.append((*h1, values1, *h2, values2))
     images = [[0] * len(factors) for _ in factors]
     for part, args in zip(parts, restricted):
-        found = _generator_isomorphism(part.factors, modulus, *args)
+        found = args if len(part.factors) == 1 else _generator_isomorphism(part.factors, modulus, *args)
         if found is None:
             return None
         for i, s, order, y in zip(part.indices, part.scales, part.factors, found):
@@ -645,11 +663,14 @@ def _finite_census_keys(data: DiscriminantData, vecs: Sequence[Sequence[int]], c
 
     By the orthogonal split (see _finite_isomorphism) two decorations
     are equivalent exactly when their p-parts are isomorphic for every
-    p, so each prime is a census of its own.  b does not depend on the
-    decoration, so equal q on the h_i means the same p-class with no
-    search; new data is searched against the class representatives
-    whose p-table has the same value histogram, and ids count up in
-    first-occurrence order.
+    p, so each prime is a census of its own, and ids count up in
+    first-occurrence order.  b does not depend on the decoration.  On a
+    cyclic p-part, with generator h, the class of q is keyed by the
+    least q(u h) over the isometries u of b (quadfun._cyclic_isometries),
+    with no table and no search.  On the other p-parts equal q on the
+    h_i means the same p-class with no search; new data is searched
+    against the class representatives whose p-table has the same value
+    histogram.
     """
     if data.torsion_order > cap:
         raise OrderCapExceeded(data.torsion_order, cap)
@@ -658,11 +679,21 @@ def _finite_census_keys(data: DiscriminantData, vecs: Sequence[Sequence[int]], c
     q_gens = [_phi_generators(data, c) for c in vecs]
     columns = []
     for part in _primary_parts(data.torsion_factors):
+        b = part.pairing(modulus, data.linking)
+        column = []
+        if len(part.factors) == 1:
+            ((beta,),) = b
+            units = _cyclic_isometries(part.factors[0], modulus, beta, beta)
+            orbit_ids: dict[int, int] = {}
+            for q_gen in q_gens:
+                (a,) = part.quadratic(modulus, q_gen, data.linking)
+                key = min((u * a + u * (u - 1) // 2 * beta) % modulus for u in units)
+                column.append(orbit_ids.setdefault(key, len(orbit_ids)))
+            columns.append(column)
+            continue
         ids: dict[tuple[int, ...], int] = {}
         representatives: list[tuple[tuple[int, ...], list[int]]] = []
         by_histogram: dict[frozenset, list[int]] = {}
-        b = part.pairing(modulus, data.linking)
-        column = []
         for q_gen in q_gens:
             q = part.quadratic(modulus, q_gen, data.linking)
             if q not in ids:
@@ -700,8 +731,9 @@ def yc_classes(
     With finite homology the quadratic function is the orthogonal sum
     of its p-primary parts, and two functions are isomorphic exactly
     when their p-parts are for every prime p (Wall 1963;
-    Kawauchi-Kojima 1980).  The census is then one census per prime on
-    |G_p|-element tables, and a decoration's class is its tuple of
+    Kawauchi-Kojima 1980).  The census is then one census per prime,
+    in closed form on a cyclic p-part and on |G_p|-element tables
+    otherwise, and a decoration's class is its tuple of
     per-prime classes; the order cap still applies to |G|.  Otherwise
     decorations are bucketed on integer keys that split them as
     stable_profile() does; each, in input order, joins the first class

@@ -53,6 +53,7 @@ integer data is tested against.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -83,7 +84,7 @@ def _dot(a: Sequence, b: Sequence) -> Fraction:
 
 
 def _int_dot(a: Sequence[int], b: Sequence[int]) -> int:
-    return sum(x * y for x, y in zip(a, b))
+    return sum(map(operator.mul, a, b))
 
 
 def is_characteristic(matrix: IntMatrix, c: Sequence[int]) -> bool:
@@ -144,7 +145,7 @@ class DiscriminantData:
     U), duality_matrix, the pairing matrix between free covectors and
     the kernel basis, checked to be unimodular, and eval_free_lift, where
     eval_free_lift[m][i] is the m-th free covector on g_i in the unit of
-    linking.  Only the mixed regime reads them.
+    linking.  Only the mixed sweep reads them.
     """
 
     matrix: IntMatrix

@@ -16,7 +16,10 @@ generators, largest order first, among the elements with the right
 value, pruned by element order and by the polarization.  A found
 candidate is always rechecked pointwise before being returned, because
 matching invariants alone only promise that *some* isomorphism exists,
-not that a particular assignment is one.
+not that a particular assignment is one.  On a cyclic group the
+automorphisms are the multiplications by units, and _cyclic_isometries
+lists the ones that keep the polarization; it finds the search's
+witness, and a class key, with no table.
 """
 
 from __future__ import annotations
@@ -411,6 +414,39 @@ def _generator_isomorphism(
         if all(values2[u] == v for u, v in zip(_image_positions(factors, images), values1)):
             return images
     return None
+
+
+def _cyclic_isometries(order: int, modulus: int, b1: int, b2: int) -> list[int]:
+    """The units u mod order, ascending, with u^2 b2 = b1 (mod modulus): the isometries x -> u x of a cyclic group.
+
+    Let G = Z/order be generated by h, and let q1, q2 be quadratic
+    functions on G with b_i = b_i(h, h), all residues in units of
+    1/modulus.  As q_i is quadratic on G, order b_i = 0 (mod modulus),
+    so every condition below depends on u mod order only.  Every endomorphism of G is x -> u x for one u in
+    [0, order), bijective exactly when u is a unit.  It carries b2 to b1
+    exactly when u^2 b2 = b1, since b is bilinear and h generates.  Such
+    a u carries q2 to q1 exactly when q2(u h) = u q2(h) + C(u, 2) b2
+    equals q1(h): by the recurrence q(t x) = t q(x) + C(t, 2) b(x, x),
+    q2(t u h) = t q2(u h) + C(t, 2) b1 then agrees with q1(t h) for
+    every t.
+
+    So the least listed u with q2(u h) = q1(h) is the witness that
+    _generator_isomorphism returns on these tables: its candidates for
+    Psi(h) come in element order, i.e. ascending u, among those with
+    value q1(h); the order check is vacuous on a cyclic group; the
+    pairing check is u^2 b2 = b1; the leaf is bijective exactly when u
+    is a unit; and the pointwise check holds by the recurrence.  Its
+    histogram and defect prechecks reject only pairs with no such u, so
+    no u means None.  No value table and no search are needed.
+
+    With b1 = b2 = b the list is the isometry group O(b).  Two
+    functions q, q' with polarization b are then isomorphic exactly
+    when the orbits {q(u h) : u in O(b)} and {q'(u h) : u in O(b)}
+    meet, in which case they are equal: q(w h) = q'(w' h) makes q o w
+    and q' o w' agree on h, hence everywhere, so q = q' o (w' w^-1).
+    The least element of the orbit therefore keys the class.
+    """
+    return [u for u in range(1, order) if math.gcd(u, order) == 1 and (u * u * b2 - b1) % modulus == 0]
 
 
 def is_isomorphic(q1: QuadraticFunction, q2: QuadraticFunction) -> GroupIso | None:

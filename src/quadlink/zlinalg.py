@@ -20,6 +20,7 @@ addition changes one entry, and the log stays short.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Sequence
@@ -70,14 +71,14 @@ class IntMatrix:
             raise DimensionError(f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}")
         bt = tuple(zip(*other.data)) if other.data else ((),) * other.cols
         return IntMatrix(
-            tuple(tuple(sum(a * b for a, b in zip(row, col)) for col in bt) for row in self.data),
+            tuple(tuple(sum(map(operator.mul, row, col)) for col in bt) for row in self.data),
             cols=other.cols,
         )
 
     def matvec(self, v: Sequence[int]) -> tuple[int, ...]:
         if len(v) != self.cols:
             raise DimensionError(f"vector length {len(v)} does not match {self.rows}x{self.cols}")
-        return tuple(sum(a * b for a, b in zip(row, v)) for row in self.data)
+        return tuple(sum(map(operator.mul, row, v)) for row in self.data)
 
     def is_symmetric(self) -> bool:
         return self.rows == self.cols and tuple(zip(*self.data)) == self.data

@@ -52,10 +52,13 @@ from quadlink.quadfun import (
     GroupIso,
     OrderCapExceeded,
     QuadraticFunction,
+    _cyclic_isometries,
     _generator_data,
+    _generator_isomorphism,
     _image_positions,
     _isometries,
     _linear_table,
+    _quadratic_table,
 )
 from quadlink.zlinalg import IntMatrix, SmithDecomposition, determinant, intmatrix, solve_integer
 
@@ -307,6 +310,112 @@ def test_the_primary_split_keeps_the_order_cap():
         assert (caught.value.order, caught.value.cap) == (3969, 1000)
 
 
+# --- cyclic p-parts in closed form against the search ------------------------
+#
+# Every automorphism of a cyclic p-part Z/P is multiplication by a unit u,
+# so the pair route takes the least u that quadfun._cyclic_isometries
+# lists with q2(u h) = q1(h), and the census keys q by its least value
+# on the orbit of h under the isometries of b; neither builds a table.
+# The oracle is the isometry search on full value tables, per prime.
+
+
+def _value_at_multiple(u, q, b, modulus):
+    """q(u h) = u q(h) + C(u, 2) b(h, h), in units of 1/modulus."""
+    return (u * q + u * (u - 1) // 2 * b) % modulus
+
+
+@st.composite
+def cyclic_pairs(draw):
+    """Two quadratic functions on one Z/P, P a prime power up to 1024, as (P, M, q1, b1, q2, b2) in units of 1/M."""
+    p = draw(st.sampled_from((2, 3, 5, 7, 11)))
+    order = p ** draw(st.integers(1, max(v for v in range(1, 11) if p**v <= 1024)))
+    modulus = 2 * order * draw(st.sampled_from((1, 3)))
+
+    def function(beta):
+        # q(h) in units of 1/(2P) and b(h, h) = beta/P; q is quadratic on
+        # Z/P exactly when P q(h) + C(P, 2) b(h, h) is an integer
+        alpha = 2 * draw(st.integers(0, order - 1)) + (beta % 2 if order % 2 == 0 else 0)
+        return modulus // (2 * order) * alpha, modulus // order * beta
+
+    # beta a unit, as on a nondegenerate form, or any residue
+    unit = st.integers(1, order - 1).filter(lambda x: x % p)
+    q2, b2 = function(draw(st.one_of(unit, st.integers(0, order - 1))))
+    kind = draw(st.sampled_from(("image", "same pairing", "independent")))
+    if kind == "image":
+        # q1 = q2 o (x -> u x) for a unit u, so an isomorphism exists
+        u = draw(unit)
+        return order, modulus, _value_at_multiple(u, q2, b2, modulus), u * u * b2 % modulus, q2, b2
+    q1, b1 = function(b2 * order // modulus) if kind == "same pairing" else function(draw(st.integers(0, order - 1)))
+    return order, modulus, q1, b1, q2, b2
+
+
+@settings(max_examples=300, deadline=None)
+@given(cyclic_pairs())
+@example((9, 18, 2, 2, 4, 8))
+@example((8, 16, 1, 2, 3, 6))
+def test_cyclic_isometries_give_the_witness_of_the_search(pair):
+    order, modulus, q1, b1, q2, b2 = pair
+    values1 = _quadratic_table([order], modulus, [q1], [[b1]])
+    values2 = _quadratic_table([order], modulus, [q2], [[b2]])
+    searched = _generator_isomorphism([order], modulus, [q1], [[b1]], values1, [q2], [[b2]], values2)
+    units = _cyclic_isometries(order, modulus, b1, b2)
+    closed = next((((u,),) for u in units if _value_at_multiple(u, q2, b2, modulus) == q1), None)
+    assert closed == searched
+    if b1 == b2:
+        # the census key: the least value on the orbit of h under O(b)
+        key1, key2 = (min(_value_at_multiple(u, q, b1, modulus) for u in units) for q in (q1, q2))
+        assert (key1 == key2) == (searched is not None)
+
+
+def _searched_census(m):
+    """The canonical decorations of a nondegenerate form, partitioned by one isometry search per prime and new class."""
+    data = discriminant(intmatrix(m))
+    vecs = canonical_chern_vectors(m)
+    modulus = data.value_modulus
+    q_gens = [phi_generators(data, c) for c in vecs]
+    columns = []
+    for part in classify_module._primary_parts(data.torsion_factors):
+        b = part.pairing(modulus, data.linking)
+        ids, representatives, column = {}, [], []
+        for q_gen in q_gens:
+            q = part.quadratic(modulus, q_gen, data.linking)
+            if q not in ids:
+                values = _quadratic_table(part.factors, modulus, q, b)
+                ids[q] = next(
+                    (
+                        cid
+                        for cid, (rep_q, rep_values) in enumerate(representatives)
+                        if _generator_isomorphism(part.factors, modulus, rep_q, b, rep_values, q, b, values) is not None
+                    ),
+                    len(representatives),
+                )
+                if ids[q] == len(representatives):
+                    representatives.append((q, values))
+            column.append(ids[q])
+        columns.append(column)
+    grouped = {}
+    for v, key in zip(vecs, zip(*columns)):
+        grouped.setdefault(key, []).append(v)
+    return tuple(map(tuple, grouped.values()))
+
+
+def test_lens_censuses_match_the_searched_census():
+    # both orientations of L(p, 1), and L(p, q) at the least unit q > 1,
+    # whose linking form b(h, h) = q'/p may be a non-square unit
+    for p in range(2, 131):
+        q = next((q for q in range(2, p) if math.gcd(q, p) == 1), None)
+        for m in [lens(p, 1), [[-p]]] + ([lens(p, q)] if q else []):
+            assert yc_classes(m) == _searched_census(m), (p, m)
+
+
+@pytest.mark.parametrize(
+    "m",
+    [_diagonal(3, 3, 5), _diagonal(2, 4, 3), _diagonal(3, 9, 4), _diagonal(5, 5, 8), _diagonal(2, 2, 9), _diagonal(-3, 3, 7)],
+)
+def test_censuses_mixing_cyclic_and_rank_two_parts_match_the_searched_census(m):
+    assert yc_classes(m) == _searched_census(m)
+
+
 def test_verdict_status_is_validated():
     with pytest.raises(ValueError):
         EquivalenceVerdict("maybe", "nope")
@@ -515,10 +624,8 @@ def test_census_computes_the_determinant_once(monkeypatch):
     assert calls == {"determinant": 1, "discriminant": 1}
 
 
-def test_census_builds_each_value_table_once(monkeypatch):
-    # a finite census builds no whole-group table; per prime it tabulates
-    # each new restricted q once and searches it only against the class
-    # representatives with the same value histogram
+def _count_table_calls(monkeypatch):
+    """A Counter of the classify module's calls to the table builders and the isometry search."""
     calls = Counter()
     for name in ("torsion_table", "_quadratic_table", "_generator_isomorphism"):
         original = getattr(classify_module, name)
@@ -528,20 +635,37 @@ def test_census_builds_each_value_table_once(monkeypatch):
             return _original(*args)
 
         monkeypatch.setattr(classify_module, name, counted)
-    # (classes, p-tables, searches); on [[15]] the 15 decorations carry
-    # 3 restricted q at 3 and 5 at 5
+    return calls
+
+
+def test_census_builds_each_value_table_once(monkeypatch):
+    # a finite census builds no whole-group table; a cyclic p-part is keyed
+    # in closed form, with no table and no search; on the other p-parts it
+    # tabulates each new restricted q once and searches it only against
+    # the class representatives with the same value histogram
+    calls = _count_table_calls(monkeypatch)
+    # (classes, p-tables, searches); the forms with one row, and
+    # [[2, 1], [1, 2]] with G = Z/3, have only cyclic p-parts
     pinned = {
-        ((9,),): (5, 9, 6),
-        ((2, 1), (1, 2)): (2, 3, 1),
+        ((9,),): (5, 0, 0),
+        ((2, 1), (1, 2)): (2, 0, 0),
         ((3, 0), (0, 3)): (3, 9, 6),
         ((9, 0), (0, 9)): (9, 81, 84),
         ((4, 0), (0, 8)): (10, 32, 22),
-        ((15,),): (6, 8, 3),
+        ((15,),): (6, 0, 0),
     }
     for rows, (count, tables, searches) in pinned.items():
         calls.clear()
         assert len(yc_classes(rows)) == count
-        assert calls == {"_quadratic_table": tables, "_generator_isomorphism": searches}, rows
+        assert calls == Counter(_quadratic_table=tables, _generator_isomorphism=searches), rows
+
+
+def test_a_prime_power_lens_census_is_table_free(monkeypatch):
+    # Z/8192 is one cyclic 2-part: the whole census is one pass of orbit
+    # minima, where the search route took about a minute
+    calls = _count_table_calls(monkeypatch)
+    assert len(yc_classes([[8192]])) == 3073
+    assert calls == Counter()
 
 
 def test_census_budget_edge_and_empty_list(monkeypatch):
@@ -927,12 +1051,6 @@ def test_report_checks_integral_slopes(monkeypatch):
         _report_on_corrupted_data(monkeypatch, presentation([[1, 0], [0, 0]], (1, 0)), kernel=((1, 1),))
 
 
-def test_report_checks_the_duality_identity(monkeypatch):
-    # a torsion-free form reads no duality matrix, so the identity is checked where the mixed sweep reads it
-    with pytest.raises(RuntimeError, match="duality identity"):
-        _report_on_corrupted_data(monkeypatch, presentation(MIXED, (2, 0)), duality_matrix=IntMatrix([[3]]))
-
-
 def test_canonical_decorations_check_their_count(monkeypatch):
     # zero cokernel covectors collapse all decorations onto the diagonal;
     # they are corrupted after discriminant, whose own checks would refuse them
@@ -1134,6 +1252,30 @@ def test_the_torsion_free_route_replays_no_row_operation(monkeypatch):
             run(presentation(MIXED, (2, 0)))
 
 
+def test_only_the_mixed_sweep_replays_the_free_generators(monkeypatch):
+    # mixed reports, the radical-blind route and a pair whose free
+    # decoration gcds differ read only the slopes, so they build no free
+    # covector, free U row or duality matrix; the sweep does
+    forms = [presentation(MIXED, (2, 0)), presentation(SWEEP_PAIR[0], SWEEP_PAIR[1]), presentation(SWEEP_PAIR[2], SWEEP_PAIR[3])]
+    reports = [invariants_report(p) for p in forms]
+
+    def refuse(self):
+        raise AssertionError("replayed a free Smith generator")
+
+    monkeypatch.setattr(DiscriminantData, "cok_free_covectors", property(refuse))
+    monkeypatch.setattr(DiscriminantData, "u_free_rows", property(refuse))
+    assert [invariants_report(p) for p in forms] == reports
+    assert [(v.status, v.reason) for v in (
+        yc_equivalent(presentation(MIXED, (2, 0)), presentation(MIXED, (4, 0))),
+        yc_equivalent(presentation(BLIND_PAIR[0], BLIND_PAIR[1]), presentation(BLIND_PAIR[2], BLIND_PAIR[3])),
+    )] == [
+        (INEQUIVALENT, "free decoration orbits differ: gcd 2 vs 4"),
+        (INEQUIVALENT, "Gauss sums of the torsion parts differ"),
+    ]
+    with pytest.raises(AssertionError, match="free Smith generator"):
+        yc_equivalent(forms[1], forms[2])
+
+
 # The pairing oracle shares the torsion-map search with the sweep's
 # radical-blind branch but keeps its own reason strings.
 PINNED_PAIRING = [
@@ -1152,7 +1294,8 @@ def test_pairing_verdicts_are_pinned(m, c1, c2, kwargs, status, reason):
 
 # Each side's discriminant data, decoration coordinates and slopes are
 # computed once per decision and passed down, and the slope check still
-# runs on both sides.
+# runs on both sides.  The free coordinates are computed only where the
+# sweep reads them, so not on the radical-blind route.
 SWEEP_PAIR = ([[9, 0, 0], [0, 0, 0], [0, 0, 0]], (1, 2, 4), SCRAMBLED, (9, 5, 6))
 BLIND_PAIR = (MIXED, (0, 0), MIXED, (0, 2))
 
@@ -1170,7 +1313,10 @@ def test_each_side_is_computed_once(monkeypatch, m1, c1, m2, c2):
         monkeypatch.setattr(classify_module, name, counted)
     yc_equivalent(presentation(m1, c1), presentation(m2, c2))
     # two decorations of one matrix, as in BLIND_PAIR, share its discriminant data
-    assert calls == {"discriminant": 1 if m1 == m2 else 2, "_chern_coordinates": 2, "_radical_slope": 2}
+    expected = {"discriminant": 1 if m1 == m2 else 2, "_chern_coordinates": 2, "_radical_slope": 2}
+    if (m1, c1, m2, c2) == BLIND_PAIR:
+        del expected["_chern_coordinates"]
+    assert calls == expected
 
 
 @pytest.mark.parametrize("m1, c1, m2, c2", [SWEEP_PAIR, BLIND_PAIR])
@@ -1188,19 +1334,30 @@ def test_a_mixed_decision_builds_one_value_table(monkeypatch, m1, c1, m2, c2):
     assert len(calls) == 1
 
 
-def test_sweep_checks_the_second_sides_duality_identity(monkeypatch):
+def _sweep_with_corrupted_duality(monkeypatch, corrupted_matrix):
+    """SWEEP_PAIR decided with a wrong duality matrix W on the side with this matrix."""
     m1, c1, m2, c2 = SWEEP_PAIR
     original = classify_module.discriminant
 
-    def corrupt_second(matrix):
+    def corrupt(matrix):
         data = original(matrix)
-        if matrix == intmatrix(m2):
+        if matrix == intmatrix(corrupted_matrix):
             data = _corrupted(data, duality_matrix=IntMatrix([[2, 0], [0, 2]]))
         return data
 
-    monkeypatch.setattr(classify_module, "discriminant", corrupt_second)
+    monkeypatch.setattr(classify_module, "discriminant", corrupt)
+    return yc_equivalent(presentation(m1, c1), presentation(m2, c2))
+
+
+def test_sweep_checks_the_first_sides_duality_identity(monkeypatch):
+    # a report reads no duality matrix, so the identity is checked where the mixed sweep reads it
     with pytest.raises(RuntimeError, match="duality identity"):
-        yc_equivalent(presentation(m1, c1), presentation(m2, c2))
+        _sweep_with_corrupted_duality(monkeypatch, SWEEP_PAIR[0])
+
+
+def test_sweep_checks_the_second_sides_duality_identity(monkeypatch):
+    with pytest.raises(RuntimeError, match="duality identity"):
+        _sweep_with_corrupted_duality(monkeypatch, SWEEP_PAIR[2])
 
 
 # The characteristic parity of a decoration is checked once per side, in
