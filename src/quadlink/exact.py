@@ -16,7 +16,10 @@ A sum of roots of unity is stored as a dense integer coefficient vector
 against the basis 1, z, ..., z^(N-1) with z = exp(2*pi*i/N).  That
 representation is redundant (the ring Z[x]/(x^N - 1) maps onto Z[z]),
 so equality is decided by reducing the difference modulo the N-th
-cyclotomic polynomial, which is exactly the kernel of that map.
+cyclotomic polynomial, which is exactly the kernel of that map.  The
+constructor coerces each coefficient through int(); cyclo_from_residues
+and canonical() compute int coefficients and build through the private
+CyclotomicSum._trusted, which takes them as given.
 
 The reduction never expands Phi_N.  For N >= 2,
 Phi_N(x) = prod over d | N of (1 - x^d)^mu(N/d), a product of
@@ -263,6 +266,14 @@ class CyclotomicSum:
         object.__setattr__(self, "modulus", modulus)
         object.__setattr__(self, "coeffs", cs)
 
+    @classmethod
+    def _trusted(cls, modulus: int, coeffs: Iterable[int]) -> "CyclotomicSum":
+        """The sum on coeffs, taken as is: the caller vouches for modulus >= 1 and modulus int coefficients."""
+        s = object.__new__(cls)
+        object.__setattr__(s, "modulus", modulus)
+        object.__setattr__(s, "coeffs", tuple(coeffs))
+        return s
+
     @staticmethod
     def zero() -> "CyclotomicSum":
         return CyclotomicSum(1, (0,))
@@ -361,14 +372,14 @@ class CyclotomicSum:
         while True:
             coeffs = _reduce_mod_cyclotomic(coeffs, n)
             coeffs += [0] * (n - len(coeffs))
-            support = [j for j, c in enumerate(coeffs) if c]
-            if support == []:
-                return CyclotomicSum(1, (0,))
+            support = list(itertools.compress(range(n), coeffs))
+            if not support:
+                return CyclotomicSum._trusted(1, (0,))
             g = math.gcd(n, *support)
             if g == 1:
-                return CyclotomicSum(n, coeffs)
+                return CyclotomicSum._trusted(n, coeffs)
             n //= g
-            coeffs = [coeffs[j * g] for j in range(n)]
+            coeffs = coeffs[::g]
 
     def normalized_trace(self) -> Fraction:
         """Field trace divided by the field degree: a value invariant.
@@ -427,10 +438,8 @@ def residue_multiset(histogram: Mapping[int, int], modulus: int) -> tuple[int, .
     residues = sorted(histogram)
     if residues and (residues[0] < 0 or residues[-1] >= modulus):
         raise ValueError(f"residues must lie in [0, {modulus}), got {residues[0]}..{residues[-1]}")
-    out: list[int] = []
-    for r in residues:
-        out += [r] * histogram[r]
-    return tuple(out)
+    counts = map(histogram.__getitem__, residues)
+    return tuple(itertools.chain.from_iterable(map(itertools.repeat, residues, counts)))
 
 
 def cyclo_from_residues(histogram: Mapping[int, int], modulus: int) -> CyclotomicSum:
@@ -444,7 +453,7 @@ def cyclo_from_residues(histogram: Mapping[int, int], modulus: int) -> Cyclotomi
     coeffs = [0] * (modulus // g)
     for r, count in histogram.items():
         coeffs[r // g] += count
-    return CyclotomicSum(modulus // g, coeffs)
+    return CyclotomicSum._trusted(modulus // g, coeffs)
 
 
 def cyclo_equals(a: CyclotomicSum, b: CyclotomicSum) -> bool:

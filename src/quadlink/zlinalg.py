@@ -8,10 +8,11 @@ numpy integer arrays at the boundary.
 
 smith_normal_form eliminates on the matrix alone and logs its row and
 column operations (Cohen, GTM 138, section 2.4); SmithDecomposition
-rebuilds from the log only the transform rows and columns a caller
-reads.  Transform entries far outgrow the matrix entries, so updating
-whole transforms during elimination would dominate its cost.  The
-pivot is the least nonzero |entry| of the block at each new index;
+keeps that log and the Smith diagonal, and rebuilds from them only the
+transform rows and columns a caller reads, and the dense D, U and V on
+first read.  Transform entries far outgrow the matrix entries, so
+updating whole transforms during elimination would dominate its cost.
+The pivot is the least nonzero |entry| of the block at each new index;
 after that, its column is cleared by row operations before its row is
 cleared by column operations, each by centred quotients with the least
 remainder as the next pivot.  With the column cleared first, a column
@@ -198,13 +199,14 @@ def _units(n: int, idx: Iterable[int]) -> list[list[int]]:
 
 @dataclass(frozen=True)
 class SmithDecomposition:
-    """U @ matrix @ V == D with U, V unimodular, kept as the elimination log.
+    """U @ matrix @ V == D with U, V unimodular, kept as the log and the diagonal.
 
     D is diagonal with nonnegative entries, each dividing the next, and
-    zeros trailing.  U and V are not stored.  row_ops lists, in order,
-    the row operations that smith_normal_form applied to the matrix, so
-    U is their product; col_ops lists the column operations, whose
-    product is V.  Each entry is a tuple (kind, a, b, q):
+    zeros trailing.  diag holds its min(rows, cols) diagonal entries; d,
+    U and V are not stored but built on first read.  row_ops lists, in
+    order, the row operations that smith_normal_form applied to the
+    matrix, so U is their product; col_ops lists the column operations,
+    whose product is V.  Each entry is a tuple (kind, a, b, q):
 
       (SWAP, a, b, 0)    exchange rows (columns) a and b
       (NEGATE, a, a, 0)  negate row a
@@ -227,12 +229,17 @@ class SmithDecomposition:
     """
 
     matrix: IntMatrix
-    d: IntMatrix
+    diag: tuple[int, ...]
     row_ops: tuple[tuple[str, int, int, int], ...]
     col_ops: tuple[tuple[str, int, int, int], ...]
 
     def diagonal(self) -> tuple[int, ...]:
-        return self.d.diagonal()
+        return self.diag
+
+    @cached_property
+    def d(self) -> IntMatrix:
+        r, c, diag = self.matrix.rows, self.matrix.cols, self.diag
+        return IntMatrix(((diag[i] if j == i else 0 for j in range(c)) for i in range(r)), cols=c)
 
     def u_rows(self, idx: Iterable[int]) -> tuple[tuple[int, ...], ...]:
         """Rows idx of U."""
@@ -268,21 +275,19 @@ class SmithDecomposition:
 def _pivot(a: list[list[int]]) -> tuple[int, int] | None:
     """The first entry of least nonzero |value| in row-major order of the block a.
 
-    This is the pivot at a fresh index.  A unit is that minimum as soon
-    as it is seen, so the scan stops there.
+    This is the pivot at a fresh index.  A unit is that minimum, so the
+    first unit of the first row holding one is the same pivot, found by
+    membership tests; only a block without a unit is scanned entry by entry.
     """
-    best = 0
-    piv = None
     for i, row in enumerate(a):
-        sizes = list(map(abs, row))
-        nonzero = [x for x in sizes if x]
-        if nonzero:
-            x = min(nonzero)
-            if not best or x < best:
-                best, piv = x, (i, sizes.index(x))
-                if x == 1:
-                    break
-    return piv
+        if 1 in row or -1 in row:
+            return i, min(row.index(y) for y in (1, -1) if y in row)
+    sizes = [min(map(abs, filter(None, row)), default=0) for row in a]
+    x = min(filter(None, sizes), default=0)
+    if not x:
+        return None
+    i = sizes.index(x)
+    return i, list(map(abs, a[i])).index(x)
 
 
 def smith_normal_form(m: IntMatrix) -> SmithDecomposition:
@@ -308,11 +313,10 @@ def smith_normal_form(m: IntMatrix) -> SmithDecomposition:
 
     Only the matrix is eliminated; each operation is logged (see
     SmithDecomposition).  Rows and columns before t are finished, so only
-    the block of rows and columns t, t + 1, ... is kept, and D is built
-    from the pivots.
+    the block of rows and columns t, t + 1, ... is kept, each finished
+    row and column dropped from it in place; the pivots are the diagonal.
     """
     m = intmatrix(m)
-    r, c = m.rows, m.cols
     a = [list(row) for row in m.data]  # the active block: rows and columns t, t + 1, ...
     row_ops: list[tuple[str, int, int, int]] = []
     col_ops: list[tuple[str, int, int, int]] = []
@@ -367,10 +371,12 @@ def smith_normal_form(m: IntMatrix) -> SmithDecomposition:
                 row_ops.append((ADD, t, t + offender, 1))
                 continue
         pivots.append(p)
-        a = [row[1:] for row in a[1:]]
+        del a[0]
+        for row in a:
+            del row[0]
 
-    d = [[p if j == i else 0 for j in range(c)] for i, p in enumerate(pivots + [0] * (r - len(pivots)))]
-    return SmithDecomposition(matrix=m, d=IntMatrix(d, cols=c), row_ops=tuple(row_ops), col_ops=tuple(col_ops))
+    diag = tuple(pivots) + (0,) * (min(m.rows, m.cols) - len(pivots))
+    return SmithDecomposition(matrix=m, diag=diag, row_ops=tuple(row_ops), col_ops=tuple(col_ops))
 
 
 def solve_integer(m: IntMatrix, rhs: Sequence[int]) -> tuple[int, ...] | None:

@@ -338,6 +338,82 @@ def test_residue_histograms_match_angle_lists(modulus_and_residues):
 def test_residue_multiset_refuses_residues_outside_the_modulus():
     assert residue_multiset({}, 5) == ()
     assert residue_multiset({0: 2, 4: 1}, 5) == tuple(in_units(a, 5) for a in (QmodZ(0), QmodZ(0), QmodZ(Fraction(4, 5))))
-    for bad in ({5: 1}, {-1: 1, 2: 1}, {0: 1, 7: 3}):
+    for bad, modulus in (({5: 1}, 5), ({-1: 1, 2: 1}, 5), ({0: 1, 7: 3}, 5), ({0: 1, 8192: 2}, 8192), ({-8192: 1}, 8192)):
         with pytest.raises(ValueError, match="must lie in"):
-            residue_multiset(bad, 5)
+            residue_multiset(bad, modulus)
+
+
+# The constructions residue_multiset, cyclo_from_residues and canonical()
+# ran before the latter two built their result without coercing its
+# coefficients through int() a second time: a loop of list extensions,
+# and the public constructor.
+def _residue_multiset_by_loop(histogram, modulus):
+    residues = sorted(histogram)
+    if residues and (residues[0] < 0 or residues[-1] >= modulus):
+        raise ValueError(f"residues must lie in [0, {modulus}), got {residues[0]}..{residues[-1]}")
+    out = []
+    for r in residues:
+        out += [r] * histogram[r]
+    return tuple(out)
+
+
+def _cyclo_from_residues_coercing(histogram, modulus):
+    g = math.gcd(modulus, *histogram)
+    coeffs = [0] * (modulus // g)
+    for r, count in histogram.items():
+        coeffs[r // g] += count
+    return CyclotomicSum(modulus // g, coeffs)
+
+
+def _canonical_coercing(s):
+    n = s.modulus
+    coeffs = list(s.coeffs)
+    while True:
+        coeffs = _reduce_mod_cyclotomic(coeffs, n)
+        coeffs += [0] * (n - len(coeffs))
+        support = [j for j, c in enumerate(coeffs) if c]
+        if support == []:
+            return CyclotomicSum(1, (0,))
+        g = math.gcd(n, *support)
+        if g == 1:
+            return CyclotomicSum(n, coeffs)
+        n //= g
+        coeffs = [coeffs[j * g] for j in range(n)]
+
+
+def _same_sum(got, want):
+    assert (got.modulus, got.coeffs) == (want.modulus, want.coeffs)
+    assert all(type(c) is int for c in got.coeffs)
+    assert got == want and hash(got) == hash(want)
+
+
+@st.composite
+def residue_histograms(draw):
+    """(histogram, modulus): residues on a multiple of a divisor of the modulus, with gaps between them."""
+    modulus = draw(st.one_of(st.integers(1, 64), st.integers(1, 8192), st.sampled_from((6006, 7996, 8190, 8192))))
+    step = draw(st.sampled_from([d for d in range(1, min(modulus, 64) + 1) if modulus % d == 0]))
+    residues = draw(st.lists(st.integers(0, (modulus - 1) // step), max_size=30, unique=True))
+    counts = draw(st.lists(st.integers(0, 6), min_size=len(residues), max_size=len(residues)))
+    return {k * step: count for k, count in zip(residues, counts)}, modulus
+
+
+@settings(max_examples=80, deadline=None)
+@given(residue_histograms())
+def test_residue_constructions_match_the_coercing_ones(histogram_and_modulus):
+    histogram, modulus = histogram_and_modulus
+    assert residue_multiset(histogram, modulus) == _residue_multiset_by_loop(histogram, modulus)
+    got, want = cyclo_from_residues(histogram, modulus), _cyclo_from_residues_coercing(histogram, modulus)
+    _same_sum(got, want)
+    _same_sum(got.canonical(), _canonical_coercing(want))
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.integers(1, 120).flatmap(
+        lambda n: st.lists(st.sampled_from((0, 0, 0, 1, -1, 2, -3)), min_size=n, max_size=n).map(
+            lambda cs: CyclotomicSum(len(cs), cs)
+        )
+    )
+)
+def test_canonical_matches_the_coercing_one(s):
+    _same_sum(s.canonical(), _canonical_coercing(s))

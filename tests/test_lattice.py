@@ -386,7 +386,7 @@ def test_discriminant_checks_duality_per_generator(monkeypatch):
 
 
 def test_discriminant_checks_torsion_order(monkeypatch):
-    _corrupt_smith(monkeypatch, d=IntMatrix([[3]]))
+    _corrupt_smith(monkeypatch, diag=(3,))
     with pytest.raises(RuntimeError, match="torsion order"):
         discriminant(IntMatrix([[5]]))
 

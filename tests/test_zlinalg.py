@@ -1,10 +1,11 @@
+import hashlib
 import itertools
 import math
 import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from quadlink.spaces import e8, lens
@@ -12,6 +13,7 @@ from quadlink.zlinalg import (
     DimensionError,
     IntMatrix,
     SmithDecomposition,
+    _pivot,
     determinant,
     intmatrix,
     kernel_basis,
@@ -518,7 +520,7 @@ class _UnreadLog:
 
 def test_smith_accessors_skip_the_log_when_no_vector_is_requested():
     m = IntMatrix([[2, 1], [1, 1]])
-    snf = SmithDecomposition(matrix=m, d=IntMatrix.identity(2), row_ops=_UnreadLog(), col_ops=_UnreadLog())
+    snf = SmithDecomposition(matrix=m, diag=(1, 1), row_ops=_UnreadLog(), col_ops=_UnreadLog())
     assert snf.u_rows([]) == snf.uinv_columns([]) == snf.v_columns(iter(())) == ()
 
 
@@ -526,6 +528,93 @@ def test_smith_full_transforms_are_built_once():
     snf = smith_normal_form(IntMatrix([[6, 4, 2], [4, 0, 8], [2, 8, 6]]))
     assert snf.row_ops and snf.col_ops
     assert snf.u is snf.u and snf.v is snf.v and snf.uinv is snf.uinv
+
+
+@pytest.mark.parametrize(
+    "m",
+    [IntMatrix([[2, 4, 6], [4, 8, 10]]), IntMatrix([[2, 4], [4, 8], [6, 10]]), IntMatrix((), cols=0)],
+    ids=["2x3", "3x2", "0x0"],
+)
+def test_smith_keeps_the_diagonal_and_builds_d_on_first_read(m):
+    snf = smith_normal_form(m)
+    assert "d" not in vars(snf)
+    assert type(snf.diag) is tuple and all(type(x) is int for x in snf.diag)
+    assert snf.diagonal() == snf.diag and len(snf.diag) == min(m.rows, m.cols)
+    assert snf.d == dense_smith(m)[1] and snf.d.diagonal() == snf.diag
+    assert snf.d is snf.d
+
+
+# The pivot scan smith_normal_form used before it tested rows for a unit
+# by membership: every row's least nonzero |entry|, stopping at a unit.
+def _pivot_by_row_minima(a):
+    best = 0
+    piv = None
+    for i, row in enumerate(a):
+        sizes = list(map(abs, row))
+        nonzero = [x for x in sizes if x]
+        if nonzero:
+            x = min(nonzero)
+            if not best or x < best:
+                best, piv = x, (i, sizes.index(x))
+                if x == 1:
+                    break
+    return piv
+
+
+def pivot_blocks():
+    entries = st.one_of(st.sampled_from((0, 0, 0, 1, -1, 2, -2, 3, -3)), st.integers(-40, 40))
+    return st.integers(0, 6).flatmap(
+        lambda c: st.lists(st.lists(entries, min_size=c, max_size=c), max_size=6)
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(pivot_blocks())
+@example([])  # a 0-row block
+@example([[], []])  # rows with no column left
+@example([[0, 0], [0, 0]])  # no nonzero entry
+@example([[2, -1, 1, -1]])  # 1 and -1 in one row, -1 first
+@example([[0, 1, -1], [-1, 0, 0]])  # 1 first
+@example([[2, -3], [0, 0], [4, -1], [1, 0]])  # units only in later rows
+@example([[0, 0, 0], [-4, 6, 4], [0, 0, 0], [4, 4, -4]])  # all-zero rows and ties of -4 and 4
+def test_pivot_scan_matches_the_row_minima_scan(block):
+    before = [list(row) for row in block]
+    assert _pivot(block) == _pivot_by_row_minima(block)
+    assert block == before
+
+
+# Log lengths and digests recorded before the pivot scan tested rows for
+# a unit by membership and before finished rows and columns were dropped
+# in place: the elimination sequence must not move.
+def _ops_digest(ops):
+    return hashlib.sha256(repr(tuple(ops)).encode()).hexdigest()[:16]
+
+
+def _scrambled_unimodular_plus_zeros():
+    # two E8, three hyperbolic, +1 and -1 blocks plus 0_3, slid like the
+    # benchmark's wide workload
+    rows = _block_sum(["e8"] * 2 + ["h"] * 3 + ["+1", "-1"] + ["0"] * 3)
+    n = len(rows)
+    for k in range(60):
+        i, j = (7 * k + 3) % n, (11 * k + 5) % n
+        if i != j:
+            _slide(rows, i, j, (1, -1)[k % 3 == 0])
+    return IntMatrix(rows)
+
+
+@pytest.mark.parametrize(
+    "m, diagonal, lengths, digests",
+    [
+        (lens(41, 40), (1,) * 39 + (41,), (116, 78), ("d3f73da4ea1b3bec", "5c03efa8bd6fbece")),
+        (_scrambled_unimodular_plus_zeros(), (1,) * 24 + (0,) * 3, (390, 324), ("38483cb0c3b1354e", "383e615d0d2cfca0")),
+    ],
+    ids=["lens(41,40)", "unimodular+0_3"],
+)
+def test_smith_logs_are_pinned(m, diagonal, lengths, digests):
+    snf = smith_normal_form(m)
+    assert snf.diagonal() == diagonal
+    assert (len(snf.row_ops), len(snf.col_ops)) == lengths
+    assert (_ops_digest(snf.row_ops), _ops_digest(snf.col_ops)) == digests
 
 
 @settings(max_examples=120)
