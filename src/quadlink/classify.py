@@ -65,6 +65,7 @@ from .lattice import (
     DiscriminantData,
     _chern_coordinates,
     _int_dot,
+    _phi_columns,
     _phi_generators,
     _radical_slope,
     _torsion_coordinates,
@@ -516,6 +517,11 @@ class _Primary:
         """q(h_i) = s_i q(g_i) + C(s_i, 2) b(g_i, g_i) from q and b on the g_i, residues mod modulus."""
         return tuple((s * q_gen[i] + s * (s - 1) // 2 * link[i][i]) % modulus for i, s in zip(self.indices, self.scales))
 
+    def quadratic_columns(self, modulus: int, q_columns: Sequence[Sequence[int]], link: Sequence[Sequence[int]]) -> list[list[int]]:
+        """quadratic for many q, with no call per q: q_columns[i] lists q(g_i), and column j of the result q(h_j)."""
+        gens = zip(self.indices, self.scales)
+        return [[(s * q + s * (s - 1) // 2 * link[i][i]) % modulus for q in q_columns[i]] for i, s in gens]
+
 
 def _primary_parts(factors: Sequence[int]) -> list[_Primary]:
     """The primary parts of the group with these invariant factors, one per prime dividing the last, ascending."""
@@ -664,53 +670,94 @@ def _finite_census_keys(data: DiscriminantData, vecs: Sequence[Sequence[int]], c
     By the orthogonal split (see _finite_isomorphism) two decorations
     are equivalent exactly when their p-parts are isomorphic for every
     p, so each prime is a census of its own, and ids count up in
-    first-occurrence order.  b does not depend on the decoration.  On a
-    cyclic p-part, with generator h, the class of q is keyed by the
-    least q(u h) over the isometries u of b (quadfun._cyclic_isometries),
-    with no table and no search.  On the other p-parts equal q on the
-    h_i means the same p-class with no search; new data is searched
-    against the class representatives whose p-table has the same value
-    histogram.
+    first-occurrence order.  b does not depend on the decoration.  q is
+    built column-wise: one list per torsion generator holds q(g_i) for
+    every decoration (lattice._phi_columns), and one list per p-part
+    generator q(h_i).  On a cyclic p-part, with generator h, the class of
+    q is keyed by the least q(u h) over the isometries u of b
+    (quadfun._cyclic_isometries): one list per u, and one min per
+    decoration across them, with no table and no search.  The other
+    p-parts are censused by orbits (_orbit_census).
     """
     if data.torsion_order > cap:
         raise OrderCapExceeded(data.torsion_order, cap)
-    modulus = data.value_modulus
+    modulus, link = data.value_modulus, data.linking
     # the vectors are characteristic: canonical ones by construction, listed ones checked by presentation()
-    q_gens = [_phi_generators(data, c) for c in vecs]
+    q_columns = _phi_columns(data, vecs)
     columns = []
     for part in _primary_parts(data.torsion_factors):
-        b = part.pairing(modulus, data.linking)
-        column = []
+        b = part.pairing(modulus, link)
+        h_columns = part.quadratic_columns(modulus, q_columns, link)
         if len(part.factors) == 1:
-            ((beta,),) = b
+            ((beta,),), (a_column,) = b, h_columns
             units = _cyclic_isometries(part.factors[0], modulus, beta, beta)
-            orbit_ids: dict[int, int] = {}
-            for q_gen in q_gens:
-                (a,) = part.quadratic(modulus, q_gen, data.linking)
-                key = min((u * a + u * (u - 1) // 2 * beta) % modulus for u in units)
-                column.append(orbit_ids.setdefault(key, len(orbit_ids)))
-            columns.append(column)
-            continue
-        ids: dict[tuple[int, ...], int] = {}
-        representatives: list[tuple[tuple[int, ...], list[int]]] = []
-        by_histogram: dict[frozenset, list[int]] = {}
-        for q_gen in q_gens:
-            q = part.quadratic(modulus, q_gen, data.linking)
-            if q not in ids:
-                values = _quadratic_table(part.factors, modulus, q, b)
-                same = by_histogram.setdefault(frozenset(Counter(values).items()), [])
-                for cid in same:
-                    rep_q, rep_values = representatives[cid]
-                    if _generator_isomorphism(part.factors, modulus, rep_q, b, rep_values, q, b, values) is not None:
-                        ids[q] = cid
-                        break
-                else:
-                    ids[q] = len(representatives)
-                    same.append(ids[q])
-                    representatives.append((q, values))
-            column.append(ids[q])
-        columns.append(column)
+            orbits = [[(u * a + u * (u - 1) // 2 * beta) % modulus for a in a_column] for u in units]
+            ids: dict[int, int] = {}
+            columns.append([ids.setdefault(key, len(ids)) for key in map(min, zip(*orbits))])
+        else:
+            columns.append(_orbit_census(part.factors, modulus, b, list(zip(*h_columns))))
     return list(zip(*columns)) if columns else [()] * len(vecs)
+
+
+def _orbit_census(factors: Sequence[int], modulus: int, b: Sequence[Sequence[int]], qs: Sequence[tuple[int, ...]]) -> list[int]:
+    """Class ids, in first-occurrence order, of quadratic functions q with one nondegenerate polarization b on one p-part.
+
+    q is given on the generators h_i, b by b(h_i, h_j), residues mod
+    modulus.  The classes are the orbits of O(b) acting by q -> q o Psi
+    (Holt-Eick-O'Brien, Handbook of Computational Group Theory, 4.1).  A
+    union-find over the q holds orbits of the subgroup that the search's
+    witnesses generate: each witness Psi, y_i = Psi(h_i), is checked to
+    keep the orders and b, also under -O, then merges every node with
+    (q o Psi)(h_i) = sum_j y_ij q(h_j) + q_0(y_i), a new node if
+    unlisted; q_0(t) = sum_j C(t_j, 2) b(h_j, h_j) + sum_{j<m} t_j t_m b(h_j, h_m).  A q whose component has a class takes it with no table
+    and no search; otherwise its table is searched against the
+    representatives with its value histogram, and a miss opens a class.
+    """
+    parent = {q: q for q in qs}
+    label: dict[tuple[int, ...], int] = {}  # the class id of a component, at its root
+
+    def find(q: tuple[int, ...]) -> tuple[int, ...]:
+        while parent[q] != q:
+            parent[q] = parent[parent[q]]
+            q = parent[q]
+        return q
+
+    def union(x: tuple[int, ...], y: tuple[int, ...]) -> None:
+        x, y = find(x), find(y)
+        if x != y:
+            parent[x] = y
+            if x in label and label.setdefault(y, label[x]) != label.pop(x):
+                raise RuntimeError("a recycled isometry merged two classes that the search separated")
+
+    representatives: list[tuple[tuple[int, ...], list[int]]] = []
+    by_histogram: dict[frozenset, list[int]] = {}
+    column = []
+    for q in qs:
+        if find(q) not in label:
+            values = _quadratic_table(factors, modulus, q, b)
+            same = by_histogram.setdefault(frozenset(Counter(values).items()), [])
+            for cid in same:
+                rep_q, rep_values = representatives[cid]
+                y = _generator_isomorphism(factors, modulus, rep_q, b, rep_values, q, b, values)
+                if y is None:
+                    continue
+                pairs = [[_int_dot(yi, map(_int_dot, b, itertools.repeat(yj))) % modulus for yj in y] for yi in y]
+                if pairs != b or any(d * yij % dj for d, yi in zip(factors, y) for yij, dj in zip(yi, factors)):
+                    raise RuntimeError(f"the isometry {y} found by the census does not preserve the pairing")
+                shift = [sum(t * (t - 1) // 2 * b[j][j] + t * _int_dot(yi[j + 1 :], b[j][j + 1 :]) for j, t in enumerate(yi))
+                         for yi in y]
+                for node in list(parent):
+                    image = tuple((c + _int_dot(yi, node)) % modulus for c, yi in zip(shift, y))
+                    union(node, parent.setdefault(image, image))
+                if find(q) != find(rep_q):
+                    raise RuntimeError(f"the isometry {y} found by the census does not carry its decoration")
+                break
+            else:
+                label[find(q)] = len(representatives)
+                same.append(len(representatives))
+                representatives.append((q, values))
+        column.append(label[find(q)])
+    return column
 
 
 def yc_classes(
@@ -731,15 +778,17 @@ def yc_classes(
     With finite homology the quadratic function is the orthogonal sum
     of its p-primary parts, and two functions are isomorphic exactly
     when their p-parts are for every prime p (Wall 1963;
-    Kawauchi-Kojima 1980).  The census is then one census per prime,
-    in closed form on a cyclic p-part and on |G_p|-element tables
-    otherwise, and a decoration's class is its tuple of
-    per-prime classes; the order cap still applies to |G|.  Otherwise
-    decorations are bucketed on integer keys that split them as
-    stable_profile() does; each, in input order, joins the first class
-    in its bucket whose first member is equivalent to it, else opens
-    one.  An undecided comparison aborts, naming its pair, rather than
-    guess.
+    Kawauchi-Kojima 1980).  The census is then one census per prime on
+    q built column-wise over all decorations: in closed form on a cyclic
+    p-part, and by orbits otherwise, where every isometry the search
+    finds is applied to every decoration, so only a decoration in an
+    orbit with no class yet is tabulated and searched.  A decoration's
+    class is its tuple of per-prime classes; the order cap still applies
+    to |G|.  Otherwise decorations are bucketed on integer keys that
+    split them as stable_profile() does; each, in input order, joins
+    the first class in its bucket whose first member is equivalent to
+    it, else opens one.  An undecided comparison aborts, naming its
+    pair, rather than guess.
     """
     m = intmatrix(matrix)
     if chern_vectors is None:

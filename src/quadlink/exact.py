@@ -447,8 +447,11 @@ def cyclo_from_residues(histogram: Mapping[int, int], modulus: int) -> Cyclotomi
 
     Gives the modulus and coefficients cyclo_from_angles gives on the
     same angles: the lcm of their reduced denominators is
-    modulus / gcd(modulus, support).
+    modulus / gcd(modulus, support).  Residues must lie in [0, modulus),
+    as for residue_multiset; only the least and greatest are checked.
     """
+    if histogram and (min(histogram) < 0 or max(histogram) >= modulus):
+        raise ValueError(f"residues must lie in [0, {modulus}), got {min(histogram)}..{max(histogram)}")
     g = math.gcd(modulus, *histogram)
     coeffs = [0] * (modulus // g)
     for r, count in histogram.items():

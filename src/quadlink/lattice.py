@@ -323,6 +323,17 @@ def _phi_generators(data: DiscriminantData, cs: Sequence[int]) -> list[int]:
     return [m // 2 // d * (_int_dot(v, cov) - _int_dot(cs, v)) % m for d, v, cov in columns]
 
 
+def _phi_columns(data: DiscriminantData, vecs: Sequence[Sequence[int]]) -> list[list[int]]:
+    """_phi_generators of many checked vectors, with no call per vector: column i holds phi_c(g_i) for each c in vecs."""
+    m = data.value_modulus
+    columns = []
+    for d, v, cov in zip(data.torsion_factors, data.torsion_columns, data.cok_tors_covectors):
+        scale = m // 2 // d
+        base = _int_dot(v, cov)
+        columns.append([scale * (base - _int_dot(cs, v)) % m for cs in vecs])
+    return columns
+
+
 def torsion_table(data: DiscriminantData, q_gen: Sequence[int]) -> list[int]:
     """A quadratic function with polarization data.linking on every torsion element, from its values on the g_i.
 

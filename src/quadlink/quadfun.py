@@ -13,10 +13,13 @@ of 1/M, listed in itertools.product order.  The value histograms and
 the gcd of the defect character prefilter; a depth-first search,
 shared with the pairing route of classify, then tries images of the
 generators, largest order first, among the elements with the right
-value, pruned by element order and by the polarization.  A found
-candidate is always rechecked pointwise before being returned, because
-matching invariants alone only promise that *some* isomorphism exists,
-not that a particular assignment is one.  On a cyclic group the
+value, pruned by element order and by the polarization.  A leaf is
+then a homomorphism carrying b2 to b1 and q2 to q1 on the generators,
+and two implications make it an isomorphism with no pointwise check:
+q(x + y) = q(x) + q(y) + b(x, y) extends the match of q from the
+generators to every element, and when b1 is nondegenerate, Psi x = 0
+gives b1(x, .) = 0, so x = 0 and Psi is bijective.  Only a degenerate b1
+leaves bijectivity to a check at each leaf.  On a cyclic group the
 automorphisms are the multiplications by units, and _cyclic_isometries
 lists the ones that keep the polarization; it finds the search's
 witness, and a class key, with no table.
@@ -31,7 +34,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
-from quadlink.exact import CyclotomicSum, QmodZ, cyclo_from_residues, residue_multiset
+from quadlink.exact import CyclotomicSum, QmodZ, _prime_factors, cyclo_from_residues, residue_multiset
 
 DEFAULT_ORDER_CAP = 10_000
 
@@ -59,7 +62,9 @@ def _quadratic_table(
     values = [0]
     for i, d in enumerate(factors):
         q, b = q_gen[i], b_gen[i][i]
-        steps = [(t * q + t * (t - 1) // 2 * b) % modulus for t in range(d)]
+        # q(t g_i) by running sums of q(g_i) + t b(g_i, g_i), reduced once
+        increments = range(q, q + (d - 1) * b, b) if b else itertools.repeat(q, d - 1)
+        steps = [s % modulus for s in itertools.accumulate(increments, initial=0)]
         if not i:
             # no coordinate filled yet: the table is q(t g_0) itself
             values = steps
@@ -333,6 +338,34 @@ class GroupIso:
         return acc
 
 
+def _nondegenerate(factors: Sequence[int], modulus: int, link: Sequence[Sequence[int]]) -> bool:
+    """Whether b, given by link[i][j] = b(g_i, g_j) in units of 1/modulus on Z/d_1 + ... + Z/d_k, is nondegenerate.
+
+    A nonzero kernel holds an element of prime order p, in the socle
+    spanned by the (d_i/p) g_i with p | d_i; b((d_i/p) g_i, g_j) = R_ij/p
+    with R_ij = d_i link[i][j] / modulus, so b is nondegenerate exactly
+    when R has rank k_p over F_p for every p.  Data with d_i b(g_i, .)
+    not integral is no pairing and counts as degenerate.
+    """
+    for p in _prime_factors(math.lcm(1, *factors)):
+        pivots: list[tuple[int, list[int]]] = []
+        for d, row in zip(factors, link):
+            if d % p:
+                continue
+            if any(d * x % modulus for x in row):
+                return False
+            r = [d * x // modulus % p for x in row]
+            for c, pivot in pivots:
+                if f := r[c]:
+                    r = [(x - f * y) % p for x, y in zip(r, pivot)]
+            c = next((c for c, x in enumerate(r) if x), None)
+            if c is None:
+                return False
+            inverse = pow(r[c], -1, p)
+            pivots.append((c, [x * inverse % p for x in r]))
+    return True
+
+
 def _isometries(
     factors: Sequence[int], modulus: int, link1: Sequence[Sequence[int]], link2: Sequence[Sequence[int]],
     order: Sequence[int], candidates: Sequence[Sequence[Element]], charge: Callable[[], bool],
@@ -341,11 +374,15 @@ def _isometries(
 
     link1 and link2 hold b(g_i, g_j) on the two sides in units of
     1/modulus.  Depth-first over the generators in the given order,
-    pruned by element order and by the pairing against the partial map;
-    a leaf counts when the map is bijective.  charge() runs once per
-    candidate tried; the search stops, without a verdict, on False.
+    pruned by element order and by the pairing against the partial map,
+    so every leaf is a homomorphism Psi with b2(Psi x, Psi y) = b1(x, y).
+    When b1 is nondegenerate (decided once per search), Psi x = 0 gives
+    b1(x, .) = 0, hence x = 0: every leaf is bijective.  Otherwise a leaf
+    counts when its image table shows it bijective.  charge() runs once
+    per candidate tried; the search stops, without a verdict, on False.
     """
     k = len(factors)
+    injective = _nondegenerate(factors, modulus, link1)
     cache: dict[tuple, int] = {}
 
     def pair(x: Element, y: Element) -> int:
@@ -360,8 +397,7 @@ def _isometries(
 
     def extend(depth: int) -> Iterator[tuple[Element, ...]]:
         if depth == k:
-            positions = _image_positions(factors, images)
-            if len(set(positions)) == len(positions):
+            if injective or len(set(_image_positions(factors, images))) == math.prod(factors):
                 yield tuple(images)
             return
         i = order[depth]
@@ -395,10 +431,14 @@ def _generator_isomorphism(
     Each side is given by q and b on the generators and by its value
     table, as residues in units of 1/modulus, the table in
     itertools.product order; the caller has compared the value
-    histograms.  The defect q(x) - q(-x) is a character, uniform on
-    the subgroup of Z/modulus that its generator values generate, so
-    their gcd stands for its histogram.  The search is exhaustive, so
-    None is a definite negative.
+    histograms, and only side 2's table is read.  The defect
+    q(x) - q(-x) is a character, uniform on the subgroup of Z/modulus
+    that its generator values generate, so their gcd stands for its
+    histogram.  The search is exhaustive, so None is a definite
+    negative.  Its first leaf is returned unchecked:
+    the leaf carries b2 to b1 and q2 to q1 on the generators, so
+    q2(Psi(x + y)) = q2(Psi x) + q2(Psi y) + b1(x, y) carries the match
+    to every x, and _isometries has made sure the leaf is bijective.
     """
     if math.gcd(modulus, *_defect_character(modulus, q1, b1)) != math.gcd(modulus, *_defect_character(modulus, q2, b2)):
         return None
@@ -408,12 +448,7 @@ def _generator_isomorphism(
         return None
     # largest order first; enumeration order of candidates fixes determinism
     order = sorted(range(len(factors)), key=lambda i: (-factors[i], i))
-    for images in _isometries(factors, modulus, b1, b2, order, candidates, lambda: True):
-        # value and polarization constraints do not force the map, so the
-        # pointwise check makes any returned witness unconditionally good
-        if all(values2[u] == v for u, v in zip(_image_positions(factors, images), values1)):
-            return images
-    return None
+    return next(_isometries(factors, modulus, b1, b2, order, candidates, lambda: True), None)
 
 
 def _cyclic_isometries(order: int, modulus: int, b1: int, b2: int) -> list[int]:
@@ -434,8 +469,9 @@ def _cyclic_isometries(order: int, modulus: int, b1: int, b2: int) -> list[int]:
     _generator_isomorphism returns on these tables: its candidates for
     Psi(h) come in element order, i.e. ascending u, among those with
     value q1(h); the order check is vacuous on a cyclic group; the
-    pairing check is u^2 b2 = b1; the leaf is bijective exactly when u
-    is a unit; and the pointwise check holds by the recurrence.  Its
+    pairing check is u^2 b2 = b1; and the leaf counts exactly when u is
+    a unit (with b1 degenerate the search tests it; otherwise every
+    pairing-preserving u is one).  Its
     histogram and defect prechecks reject only pairs with no such u, so
     no u means None.  No value table and no search are needed.
 

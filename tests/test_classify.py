@@ -2,6 +2,7 @@
 
 import dataclasses
 import functools
+import hashlib
 import itertools
 import math
 import random
@@ -28,7 +29,7 @@ from quadlink.classify import (
     yc_equivalent_by_pairing,
 )
 import quadlink.classify as classify_module
-from quadlink.classify import _MIXED_BLIND_REASONS, _Budget, _integral_slopes, _Side
+from quadlink.classify import DEFAULT_SEARCH_BUDGET, _MIXED_BLIND_REASONS, _Budget, _integral_slopes, _Side
 from quadlink.exact import CyclotomicSum, QmodZ, cyclo_equals, cyclo_from_angles, cyclo_from_residues
 import quadlink.lattice as lattice_module
 from quadlink.lattice import (
@@ -416,6 +417,102 @@ def test_censuses_mixing_cyclic_and_rank_two_parts_match_the_searched_census(m):
     assert yc_classes(m) == _searched_census(m)
 
 
+# --- censuses by orbits against the searched census ----------------------------
+#
+# A p-part of rank >= 2 is censused by a union-find over the decorations'
+# q on its generators, merged along every witness the search finds: each
+# lies in O(b), so it carries every q to an isomorphic one.  The oracle
+# searches each new q against every class representative and recycles
+# nothing.
+
+
+@st.composite
+def census_forms(draw):
+    """A nondegenerate diagonal or block form with a p-part of rank >= 2, |det| <= 2000."""
+    p = draw(st.sampled_from((2, 3, 5)))
+    sign = st.sampled_from((1, -1))
+    # |G_p| <= 256 keeps the oracle, which searches each new q against
+    # every class, within a second
+    power = st.sampled_from([p**e for e in (1, 2, 3) if p**e <= 27])
+    if draw(st.booleans()):
+        m = _diagonal(*(draw(sign) * draw(power) for _ in range(draw(st.integers(2, 4)))))
+    else:
+        # n U for a symmetric U with |det U| small: G_p holds (Z/n)^2
+        n = draw(power)
+        x, y = draw(st.integers(-2, 2)), draw(st.integers(-2, 2))
+        m = [[n * x, n], [n, n * y]]
+        if draw(st.booleans()):
+            m = [row + [0] for row in m] + [[0, 0, draw(sign) * draw(power)]]
+    if draw(st.booleans()):
+        # a cyclic part at another prime
+        m[0][0] *= draw(st.sampled_from([q for q in (3, 7) if q != p]))
+    det = determinant(intmatrix(m))
+    assume(det != 0 and abs(det) <= 2000 and math.prod(math.gcd(d, p**12) for d in discriminant(intmatrix(m)).torsion_factors) <= 256)
+    return m
+
+
+@settings(max_examples=25, deadline=None)
+@given(census_forms())
+@example(_diagonal(2, 4, 8))
+@example([[0, 8], [8, 0]])
+@example([[0, 4, 0], [4, 0, 0], [0, 0, 4]])
+@example(_diagonal(3, 3, 27))
+@example(_diagonal(2, 2, 4, 4))
+@example(_diagonal(27, 27))
+def test_orbit_censuses_match_the_searched_census(m):
+    assert yc_classes(m) == _searched_census(m)
+
+
+# Partitions recorded before witnesses were recycled, from the census
+# that searched every new p-restricted q (15 s and 44 s on these forms on
+# a 2-core machine; the searched census takes about a minute on the
+# first): class count, decoration count and sha256 of repr(yc_classes(m)).
+@pytest.mark.parametrize(
+    "m, classes, decorations, digest",
+    [
+        (_diagonal(9, 9, 27), 22, 2187, "13fd46872e9f52c9286bbf48ea13a287b5b91b68586fbd0040f779df108604b1"),
+        (_diagonal(81, 81), 81, 6561, "15b85db904f356fdedb7bd003024f8f9b04455e284ac3e8697903876815559bb"),
+    ],
+    ids=["diag(9,9,27)", "diag(81,81)"],
+)
+def test_large_orbit_censuses_keep_their_recorded_partition(m, classes, decorations, digest):
+    part = yc_classes(m)
+    assert (len(part), sum(map(len, part))) == (classes, decorations)
+    assert hashlib.sha256(repr(part).encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("m", [_diagonal(9, 9), _diagonal(4, 8)], ids=["diag(9,9)", "diag(4,8)"])
+def test_explicit_lists_on_rank_two_parts_match_the_pairwise_oracle(m):
+    # with a list, the union-find starts from the listed q only and adds
+    # the images that the recycled witnesses reach; entries repeat classes
+    # under other representatives, and one entry repeats outright
+    d = m[0][0]
+    vecs = [(d + 2 * a, m[1][1] % 2 + 2 * b) for a in range(0, 2 * d, 5) for b in (-3, 1, 4)]
+    _check_census_against_oracle(m, vecs + vecs[:1])
+
+
+@pytest.mark.parametrize(
+    "change, message",
+    [
+        # 2 Psi(h_0) keeps the orders but scales b(h_0, h_0) by 4
+        (lambda factors, y: (tuple(2 * x % d for x, d in zip(y[0], factors)),) + y[1:], "does not preserve the pairing"),
+        # the identity keeps b but carries no decoration to another
+        (lambda factors, y: tuple(tuple(int(i == j) for j in range(len(y))) for i in range(len(y))), "does not carry its decoration"),
+    ],
+    ids=["breaks-b", "identity"],
+)
+def test_a_tampered_recycled_isometry_raises(monkeypatch, change, message):
+    original = classify_module._generator_isomorphism
+
+    def tampered(*args):
+        images = original(*args)
+        return None if images is None else change(args[0], images)
+
+    monkeypatch.setattr(classify_module, "_generator_isomorphism", tampered)
+    with pytest.raises(RuntimeError, match=message):
+        yc_classes(_diagonal(9, 9))
+
+
 def test_verdict_status_is_validated():
     with pytest.raises(ValueError):
         EquivalenceVerdict("maybe", "nope")
@@ -641,17 +738,18 @@ def _count_table_calls(monkeypatch):
 def test_census_builds_each_value_table_once(monkeypatch):
     # a finite census builds no whole-group table; a cyclic p-part is keyed
     # in closed form, with no table and no search; on the other p-parts it
-    # tabulates each new restricted q once and searches it only against
-    # the class representatives with the same value histogram
+    # tabulates a restricted q only when no recycled witness has reached
+    # its orbit, and searches it only against the class representatives
+    # with the same value histogram
     calls = _count_table_calls(monkeypatch)
     # (classes, p-tables, searches); the forms with one row, and
     # [[2, 1], [1, 2]] with G = Z/3, have only cyclic p-parts
     pinned = {
         ((9,),): (5, 0, 0),
         ((2, 1), (1, 2)): (2, 0, 0),
-        ((3, 0), (0, 3)): (3, 9, 6),
-        ((9, 0), (0, 9)): (9, 81, 84),
-        ((4, 0), (0, 8)): (10, 32, 22),
+        ((3, 0), (0, 3)): (3, 5, 2),
+        ((9, 0), (0, 9)): (9, 12, 6),
+        ((4, 0), (0, 8)): (10, 14, 4),
         ((15,),): (6, 0, 0),
     }
     for rows, (count, tables, searches) in pinned.items():
@@ -1332,6 +1430,38 @@ def test_a_mixed_decision_builds_one_value_table(monkeypatch, m1, c1, m2, c2):
     monkeypatch.setattr(classify_module, "torsion_table", counted)
     yc_equivalent(presentation(m1, c1), presentation(m2, c2))
     assert len(calls) == 1
+
+
+def _on_one_form(m, c1, c2):
+    return m, c1, m, c2
+
+
+# Steps that the mixed sweep charged before its leaves stopped testing
+# bijectivity, which a nondegenerate pairing implies: charges are made per
+# candidate, not per leaf, so they stay.
+@pytest.mark.parametrize(
+    "pair, budget, status, spent",
+    [
+        (SWEEP_PAIR, DEFAULT_SEARCH_BUDGET, EQUIVALENT, 92),
+        (BLIND_PAIR, DEFAULT_SEARCH_BUDGET, INEQUIVALENT, 2),
+        (_on_one_form(*BUDGET_PAIRS[0]), DEFAULT_SEARCH_BUDGET, UNKNOWN, 531_470),
+        (_on_one_form(*BUDGET_PAIRS[0]), 531_470, EQUIVALENT, 531_470),
+        (_on_one_form(*BUDGET_PAIRS[1]), DEFAULT_SEARCH_BUDGET, UNKNOWN, 1_048_594),
+    ],
+    ids=["sweep", "blind", "z27-z4", "z27-z4-edge", "z16-z5"],
+)
+def test_mixed_sweeps_spend_the_pinned_budget(monkeypatch, pair, budget, status, spent):
+    budgets = []
+
+    class Recorded(_Budget):
+        def __init__(self, limit):
+            super().__init__(limit)
+            budgets.append(self)
+
+    monkeypatch.setattr(classify_module, "_Budget", Recorded)
+    m1, c1, m2, c2 = pair
+    v = yc_equivalent(presentation(m1, c1), presentation(m2, c2), budget=budget)
+    assert (v.status, [b.spent for b in budgets]) == (status, [spent])
 
 
 def _sweep_with_corrupted_duality(monkeypatch, corrupted_matrix):

@@ -343,6 +343,16 @@ def test_residue_multiset_refuses_residues_outside_the_modulus():
             residue_multiset(bad, modulus)
 
 
+def test_cyclo_from_residues_refuses_residues_outside_the_modulus():
+    # a negative residue once wrapped to the end of the coefficient list,
+    # and residues at or above the modulus ran past it
+    for bad in ({-1: 1}, {5: 1}, {7: 1}, {0: 2, 5: 1}):
+        with pytest.raises(ValueError, match="must lie in"):
+            cyclo_from_residues(bad, 5)
+    assert cyclo_from_residues({}, 5) == cyclo_from_residues({0: 0}, 5)
+    assert cyclo_from_residues({4: 1}, 5) == cyclo_from_angles([QmodZ(Fraction(4, 5))])
+
+
 # The constructions residue_multiset, cyclo_from_residues and canonical()
 # ran before the latter two built their result without coercing its
 # coefficients through int() a second time: a loop of list extensions,

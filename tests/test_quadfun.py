@@ -1,13 +1,15 @@
 import itertools
 import math
 from fractions import Fraction
+from unittest import mock
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from quadlink.exact import QmodZ, cyclo_abs_squared, cyclo_from_angles
 from quadlink.lattice import discriminant, phi_eval
+import quadlink.quadfun as quadfun_module
 from quadlink.quadfun import (
     DEFAULT_ORDER_CAP,
     FiniteAbelianGroup,
@@ -19,8 +21,14 @@ from quadlink.quadfun import (
     invariant_fingerprint,
     is_isomorphic,
     radical_compatible,
+    _defect_character,
+    _generator_isomorphism,
+    _image_positions,
+    _isometries,
+    _nondegenerate,
+    _quadratic_table,
 )
-from quadlink.classify import EQUIVALENT, INEQUIVALENT, canonical_chern_vectors, yc_equivalent
+from quadlink.classify import EQUIVALENT, INEQUIVALENT, _character_positions, canonical_chern_vectors, yc_equivalent
 from quadlink.presentation import presentation
 from quadlink.zlinalg import determinant, intmatrix
 
@@ -474,3 +482,176 @@ def test_finite_regime_matches_the_oracle(pair):
     verdict = yc_equivalent(presentation(rows, c1), presentation(rows, c2))
     expected = oracle_isomorphic(table_from_matrix(rows, c1), table_from_matrix(rows, c2))
     assert verdict.status == (EQUIVALENT if expected else INEQUIVALENT)
+
+
+# --- the value table recurrence ------------------------------------------------
+#
+# _quadratic_table fills q(t g_i) by running sums of q(g_i) + t b(g_i, g_i);
+# the oracles are the closed form t q + C(t, 2) b and the table built
+# from it, one t at a time, as before.
+
+
+def _quadratic_table_by_listcomp(factors, modulus, q_gen, b_gen):
+    """_quadratic_table as it was, each q(t g_i) by the closed form t q + C(t, 2) b."""
+    values = [0]
+    for i, d in enumerate(factors):
+        q, b = q_gen[i], b_gen[i][i]
+        steps = [(t * q + t * (t - 1) // 2 * b) % modulus for t in range(d)]
+        pairing = [0]
+        for j in range(i):
+            pairing = [(x + t * b_gen[j][i]) % modulus for x in pairing for t in range(factors[j])]
+        values = [(v + s + t * p) % modulus for v, p in zip(values, pairing) for t, s in enumerate(steps)]
+    return values
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.data())
+def test_quadratic_table_matches_the_closed_form(data):
+    if data.draw(st.booleans()):
+        factors = [data.draw(st.integers(1, 4096))]
+    else:
+        factors = data.draw(st.lists(st.integers(1, 12), min_size=1, max_size=3))
+    modulus = data.draw(st.sampled_from((1, 2, 24, 8192))) * data.draw(st.sampled_from((1, 3)))
+    residue = st.one_of(st.sampled_from((0, 1, modulus - 1, modulus // 2)), st.integers(0, modulus - 1))
+    q_gen = [data.draw(residue) for _ in factors]
+    b_gen = [[data.draw(residue) for _ in factors] for _ in factors]
+    values = _quadratic_table(factors, modulus, q_gen, b_gen)
+    assert values == _quadratic_table_by_listcomp(factors, modulus, q_gen, b_gen)
+    # q(t g_0) = t q(g_0) + C(t, 2) b(g_0, g_0) along the first coordinate
+    stride = math.prod(factors[1:])
+    q, b = q_gen[0], b_gen[0][0]
+    assert values[::stride] == [(t * q + t * (t - 1) // 2 * b) % modulus for t in range(factors[0])]
+
+
+def test_quadratic_table_handles_trivial_factors_and_zero_pairings():
+    assert _quadratic_table([1], 8, [3], [[5]]) == [0]
+    assert _quadratic_table([4], 8, [3], [[0]]) == [0, 3, 6, 1]
+    assert _quadratic_table([1, 3], 8, [3, 1], [[5, 2], [2, 0]]) == [0, 1, 2]
+
+
+# --- leaf checks of the isometry search ------------------------------------------
+#
+# A leaf of _isometries is a homomorphism carrying b2 to b1, so it is
+# bijective when b1 is nondegenerate, and a leaf that also matches q on
+# the generators matches it everywhere.  The oracles: the brute-force
+# nondegeneracy test of classify._character_positions (distinct
+# character keys), the search with every leaf tested for bijectivity,
+# and the whole-table check of every returned witness.
+
+
+def _pairing(draw, factors):
+    """link[i][j] = M b(g_i, g_j) for a random symmetric pairing on Z/d_1 + ... + Z/d_k, M = 2 d_k."""
+    modulus = 2 * factors[-1]
+    k = len(factors)
+    link = [[0] * k for _ in range(k)]
+    for i in range(k):
+        for j in range(i, k):
+            g = math.gcd(factors[i], factors[j])
+            link[i][j] = link[j][i] = modulus // g * draw(st.integers(0, g - 1))
+    return link
+
+
+@st.composite
+def generator_pairings(draw, max_order=144):
+    """(factors, M, link): a symmetric pairing on a chain Z/d_1 + ... + Z/d_k, as _pairing, often degenerate."""
+    factors = [draw(st.sampled_from((2, 3, 4, 5, 6, 8, 9)))]
+    for _ in range(draw(st.integers(0, 2))):
+        step = draw(st.sampled_from((1, 1, 2, 3)))
+        if math.prod(factors) * factors[-1] * step <= max_order:
+            factors.append(factors[-1] * step)
+    return factors, 2 * factors[-1], _pairing(draw, factors)
+
+
+def _refinement(draw, factors, modulus, link):
+    """q on the generators of a quadratic function with polarization link: d q(g) + C(d, 2) b(g, g) = 0."""
+    return [
+        modulus // (2 * d) * (2 * draw(st.integers(0, d - 1)) + (link[i][i] * d // modulus % 2 if d % 2 == 0 else 0))
+        for i, d in enumerate(factors)
+    ]
+
+
+def _is_degenerate_by_characters(factors, modulus, link):
+    try:
+        _character_positions(factors, modulus, link)
+    except RuntimeError:
+        return True
+    return False
+
+
+@settings(max_examples=200, deadline=None)
+@given(generator_pairings(max_order=2000))
+@example(([3, 3], 6, [[2, 0], [0, 0]]))
+@example(([2, 4], 8, [[0, 4], [4, 2]]))
+@example(([9, 27], 54, [[6, 6], [6, 2]]))
+def test_nondegeneracy_by_socle_rank_matches_distinct_characters(pairing):
+    factors, modulus, link = pairing
+    assert _nondegenerate(factors, modulus, link) == (not _is_degenerate_by_characters(factors, modulus, link))
+
+
+def test_nondegeneracy_of_empty_and_non_pairing_data():
+    assert _nondegenerate([], 2, [])
+    # 3 b(g, g) = 1/2 is no pairing on Z/3
+    assert not _nondegenerate([3], 6, [[1]])
+
+
+def test_a_degenerate_pairing_keeps_the_leaf_check():
+    # q = 0 and b = 0 on Z/2: the zero map is the first leaf that matches
+    # q and b on the generator, and only the bijectivity test rejects it
+    assert not _nondegenerate([2], 4, [[0]])
+    assert _generator_isomorphism([2], 4, [0], [[0]], [0, 0], [0], [[0]], [0, 0]) == ((1,),)
+
+
+def _every_leaf_checked():
+    """Force the bijectivity test at every leaf, as the search did before nondegeneracy was decided."""
+    return mock.patch.object(quadfun_module, "_nondegenerate", return_value=False)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_nondegenerate_searches_yield_the_leaves_of_the_checked_search(data):
+    factors, modulus, link1 = data.draw(generator_pairings(max_order=64))
+    assume(_nondegenerate(factors, modulus, link1))
+    link2 = link1 if data.draw(st.booleans()) else _pairing(data.draw, factors)
+    elements = list(itertools.product(*(range(d) for d in factors)))
+    k = len(factors)
+    order = data.draw(st.permutations(range(k)))
+    args = (factors, modulus, link1, link2, order, [elements] * k, lambda: True)
+    leaves = list(itertools.islice(_isometries(*args), 500))
+    with _every_leaf_checked():
+        assert leaves == list(itertools.islice(_isometries(*args), 500))
+
+
+def _checked_isomorphism(factors, modulus, q1, b1, values1, q2, b2, values2):
+    """_generator_isomorphism with every leaf tested for bijectivity and every found map checked on the whole table."""
+    if math.gcd(modulus, *_defect_character(modulus, q1, b1)) != math.gcd(modulus, *_defect_character(modulus, q2, b2)):
+        return None
+    elements = list(itertools.product(*(range(d) for d in factors)))
+    candidates = [[m for m, v in zip(elements, values2) if v == want] for want in q1]
+    if not all(candidates):
+        return None
+    order = sorted(range(len(factors)), key=lambda i: (-factors[i], i))
+    with _every_leaf_checked():
+        for images in _isometries(factors, modulus, b1, b2, order, candidates, lambda: True):
+            if all(values2[u] == v for u, v in zip(_image_positions(factors, images), values1)):
+                return images
+    return None
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_generator_isomorphism_returns_the_witness_of_the_checked_search(data):
+    factors, modulus, link1 = data.draw(generator_pairings(max_order=48))
+    link2 = link1 if data.draw(st.booleans()) else _pairing(data.draw, factors)
+    q1 = _refinement(data.draw, factors, modulus, link1)
+    q2 = _refinement(data.draw, factors, modulus, link2)
+    values1 = _quadratic_table(factors, modulus, q1, link1)
+    values2 = _quadratic_table(factors, modulus, q2, link2)
+    if sorted(values1) != sorted(values2):
+        # the search's callers compare value histograms first
+        return
+    images = _generator_isomorphism(factors, modulus, q1, link1, values1, q2, link2, values2)
+    assert images == _checked_isomorphism(factors, modulus, q1, link1, values1, q2, link2, values2)
+    if images is not None:
+        positions = _image_positions(factors, images)
+        assert sorted(positions) == list(range(len(values1)))
+        assert [values2[u] for u in positions] == values1
