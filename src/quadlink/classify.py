@@ -515,7 +515,7 @@ class _Primary:
 
     def quadratic(self, modulus: int, q_gen: Sequence[int], link: Sequence[Sequence[int]]) -> tuple[int, ...]:
         """q(h_i) = s_i q(g_i) + C(s_i, 2) b(g_i, g_i) from q and b on the g_i, residues mod modulus."""
-        return tuple((s * q_gen[i] + s * (s - 1) // 2 * link[i][i]) % modulus for i, s in zip(self.indices, self.scales))
+        return tuple(column[0] for column in self.quadratic_columns(modulus, [[q] for q in q_gen], link))
 
     def quadratic_columns(self, modulus: int, q_columns: Sequence[Sequence[int]], link: Sequence[Sequence[int]]) -> list[list[int]]:
         """quadratic for many q, with no call per q: q_columns[i] lists q(g_i), and column j of the result q(h_j)."""
@@ -575,7 +575,7 @@ def _finite_isomorphism(side1: _Side, side2: _Side, cap: int) -> GroupIso | None
         values2 = _quadratic_table(part.factors, modulus, *h2)
         if Counter(values1) != Counter(values2):
             return None
-        restricted.append((*h1, values1, *h2, values2))
+        restricted.append((*h1, *h2, values2))
     images = [[0] * len(factors) for _ in factors]
     for part, args in zip(parts, restricted):
         found = args if len(part.factors) == 1 else _generator_isomorphism(part.factors, modulus, *args)
@@ -729,7 +729,7 @@ def _orbit_census(factors: Sequence[int], modulus: int, b: Sequence[Sequence[int
             if x in label and label.setdefault(y, label[x]) != label.pop(x):
                 raise RuntimeError("a recycled isometry merged two classes that the search separated")
 
-    representatives: list[tuple[tuple[int, ...], list[int]]] = []
+    representatives: list[tuple[int, ...]] = []
     by_histogram: dict[frozenset, list[int]] = {}
     column = []
     for q in qs:
@@ -737,8 +737,8 @@ def _orbit_census(factors: Sequence[int], modulus: int, b: Sequence[Sequence[int
             values = _quadratic_table(factors, modulus, q, b)
             same = by_histogram.setdefault(frozenset(Counter(values).items()), [])
             for cid in same:
-                rep_q, rep_values = representatives[cid]
-                y = _generator_isomorphism(factors, modulus, rep_q, b, rep_values, q, b, values)
+                rep_q = representatives[cid]
+                y = _generator_isomorphism(factors, modulus, rep_q, b, q, b, values)
                 if y is None:
                     continue
                 pairs = [[_int_dot(yi, map(_int_dot, b, itertools.repeat(yj))) % modulus for yj in y] for yi in y]
@@ -755,7 +755,7 @@ def _orbit_census(factors: Sequence[int], modulus: int, b: Sequence[Sequence[int
             else:
                 label[find(q)] = len(representatives)
                 same.append(len(representatives))
-                representatives.append((q, values))
+                representatives.append(q)
         column.append(label[find(q)])
     return column
 

@@ -318,13 +318,11 @@ def phi_generators(data: DiscriminantData, c: Sequence[int]) -> list[int]:
 
 def _phi_generators(data: DiscriminantData, cs: Sequence[int]) -> list[int]:
     """phi_generators of a vector the caller has checked to be characteristic."""
-    m = data.value_modulus
-    columns = zip(data.torsion_factors, data.torsion_columns, data.cok_tors_covectors)
-    return [m // 2 // d * (_int_dot(v, cov) - _int_dot(cs, v)) % m for d, v, cov in columns]
+    return [column[0] for column in _phi_columns(data, [cs])]
 
 
 def _phi_columns(data: DiscriminantData, vecs: Sequence[Sequence[int]]) -> list[list[int]]:
-    """_phi_generators of many checked vectors, with no call per vector: column i holds phi_c(g_i) for each c in vecs."""
+    """phi_generators of many checked vectors, with no call per vector: column i holds phi_c(g_i) for each c in vecs."""
     m = data.value_modulus
     columns = []
     for d, v, cov in zip(data.torsion_factors, data.torsion_columns, data.cok_tors_covectors):

@@ -421,17 +421,16 @@ def _generator_isomorphism(
     modulus: int,
     q1: Sequence[int],
     b1: Sequence[Sequence[int]],
-    values1: Sequence[int],
     q2: Sequence[int],
     b2: Sequence[Sequence[int]],
     values2: Sequence[int],
 ) -> tuple[Element, ...] | None:
     """Generator images of an isomorphism Psi with q2(Psi(x)) = q1(x) for all x, or None.
 
-    Each side is given by q and b on the generators and by its value
-    table, as residues in units of 1/modulus, the table in
+    Each side is given by q and b on the generators, side 2 also by its
+    value table, as residues in units of 1/modulus, the table in
     itertools.product order; the caller has compared the value
-    histograms, and only side 2's table is read.  The defect
+    histograms.  The defect
     q(x) - q(-x) is a character, uniform on the subgroup of Z/modulus
     that its generator values generate, so their gcd stands for its
     histogram.  The search is exhaustive, so None is a definite
@@ -490,7 +489,10 @@ def is_isomorphic(q1: QuadraticFunction, q2: QuadraticFunction) -> GroupIso | No
 
     The search is exhaustive over order-compatible generator images, so
     None is a definite negative for the finite parts; radical slope data
-    is compared by rank and gcd first.
+    is compared by rank and gcd first.  The search's witness matches q
+    everywhere only on quadratic tables, so it is checked once on the
+    whole table: a table built with check=False that is not quadratic
+    raises ValueError here.
     """
     factors = q1.group.invariant_factors
     if factors != q2.group.invariant_factors or not radical_compatible(q1, q2):
@@ -502,8 +504,11 @@ def is_isomorphic(q1: QuadraticFunction, q2: QuadraticFunction) -> GroupIso | No
         factors,
         modulus,
         *_generator_data(factors, modulus, values1),
-        values1,
         *_generator_data(factors, modulus, values2),
         values2,
     )
-    return None if images is None else GroupIso(q1.group, q2.group, images)
+    if images is None:
+        return None
+    if any(values2[u] != v for u, v in zip(_image_positions(factors, images), values1)):
+        raise ValueError("is_isomorphic needs quadratic functions: a map matching q on the generators misses it elsewhere")
+    return GroupIso(q1.group, q2.group, images)

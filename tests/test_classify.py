@@ -356,9 +356,8 @@ def cyclic_pairs(draw):
 @example((8, 16, 1, 2, 3, 6))
 def test_cyclic_isometries_give_the_witness_of_the_search(pair):
     order, modulus, q1, b1, q2, b2 = pair
-    values1 = _quadratic_table([order], modulus, [q1], [[b1]])
     values2 = _quadratic_table([order], modulus, [q2], [[b2]])
-    searched = _generator_isomorphism([order], modulus, [q1], [[b1]], values1, [q2], [[b2]], values2)
+    searched = _generator_isomorphism([order], modulus, [q1], [[b1]], [q2], [[b2]], values2)
     units = _cyclic_isometries(order, modulus, b1, b2)
     closed = next((((u,),) for u in units if _value_at_multiple(u, q2, b2, modulus) == q1), None)
     assert closed == searched
@@ -385,13 +384,13 @@ def _searched_census(m):
                 ids[q] = next(
                     (
                         cid
-                        for cid, (rep_q, rep_values) in enumerate(representatives)
-                        if _generator_isomorphism(part.factors, modulus, rep_q, b, rep_values, q, b, values) is not None
+                        for cid, rep_q in enumerate(representatives)
+                        if _generator_isomorphism(part.factors, modulus, rep_q, b, q, b, values) is not None
                     ),
                     len(representatives),
                 )
                 if ids[q] == len(representatives):
-                    representatives.append((q, values))
+                    representatives.append(q)
             column.append(ids[q])
         columns.append(column)
     grouped = {}
