@@ -144,10 +144,8 @@ class _Budget:
 
 @dataclass
 class _Side:
-    """One presentation's data for a decision, checked and computed once; its value table and free coordinates on first use.
+    """One presentation's data for a decision, checked and computed once; q_gen, its value table and free coordinates on first use.
 
-    q_gen is phi_c on the torsion generators (lattice.phi_generators);
-    with data.linking it describes the side's finite quadratic function.
     free_gcd reads the slopes.
     """
 
@@ -155,8 +153,12 @@ class _Side:
     chern: tuple[int, ...]
     tors: tuple[int, ...]
     slopes: tuple[int, ...]
-    q_gen: list[int]
     _table: list[int] | None = None
+
+    @cached_property
+    def q_gen(self) -> list[int]:
+        """phi_c on the torsion generators (lattice.phi_generators); with data.linking it describes the finite quadratic function."""
+        return _phi_generators(self.data, self.chern)
 
     @property
     def free_gcd(self) -> int:
@@ -186,7 +188,7 @@ class _Side:
 def _side(data: DiscriminantData, c: Sequence[int]) -> _Side:
     """A side's data, after the one characteristic parity check of its decoration, which raises also under -O."""
     cs = data.require_characteristic(c)
-    return _Side(data, cs, _torsion_coordinates(data, cs), _radical_slope(data, cs), _phi_generators(data, cs))
+    return _Side(data, cs, _torsion_coordinates(data, cs), _radical_slope(data, cs))
 
 
 def _check_duality(data: DiscriminantData, slopes: Sequence[int], free: Sequence[int]) -> None:
@@ -709,7 +711,8 @@ def _orbit_census(factors: Sequence[int], modulus: int, b: Sequence[Sequence[int
     witnesses generate: each witness Psi, y_i = Psi(h_i), is checked to
     keep the orders and b, also under -O, then merges every node with
     (q o Psi)(h_i) = sum_j y_ij q(h_j) + q_0(y_i), a new node if
-    unlisted; q_0(t) = sum_j C(t_j, 2) b(h_j, h_j) + sum_{j<m} t_j t_m b(h_j, h_m).  A q whose component has a class takes it with no table
+    unlisted; q_0(t) = sum_j C(t_j, 2) b(h_j, h_j) + sum_{j<m} t_j t_m
+    b(h_j, h_m).  A q whose component has a class takes it with no table
     and no search; otherwise its table is searched against the
     representatives with its value histogram, and a miss opens a class.
     """
@@ -729,15 +732,13 @@ def _orbit_census(factors: Sequence[int], modulus: int, b: Sequence[Sequence[int
             if x in label and label.setdefault(y, label[x]) != label.pop(x):
                 raise RuntimeError("a recycled isometry merged two classes that the search separated")
 
-    representatives: list[tuple[int, ...]] = []
-    by_histogram: dict[frozenset, list[int]] = {}
+    by_histogram: dict[frozenset, list[tuple[int, ...]]] = {}  # the representatives' q, per value histogram
     column = []
     for q in qs:
         if find(q) not in label:
             values = _quadratic_table(factors, modulus, q, b)
             same = by_histogram.setdefault(frozenset(Counter(values).items()), [])
-            for cid in same:
-                rep_q = representatives[cid]
+            for rep_q in same:
                 y = _generator_isomorphism(factors, modulus, rep_q, b, q, b, values)
                 if y is None:
                     continue
@@ -753,9 +754,8 @@ def _orbit_census(factors: Sequence[int], modulus: int, b: Sequence[Sequence[int
                     raise RuntimeError(f"the isometry {y} found by the census does not carry its decoration")
                 break
             else:
-                label[find(q)] = len(representatives)
-                same.append(len(representatives))
-                representatives.append(q)
+                label[find(q)] = len(label)  # labels sit at distinct roots, one per class
+                same.append(q)
         column.append(label[find(q)])
     return column
 

@@ -500,13 +500,8 @@ def is_isomorphic(q1: QuadraticFunction, q2: QuadraticFunction) -> GroupIso | No
     modulus, (values1, values2) = _residue_tables(q1, q2)
     if Counter(values1) != Counter(values2):
         return None
-    images = _generator_isomorphism(
-        factors,
-        modulus,
-        *_generator_data(factors, modulus, values1),
-        *_generator_data(factors, modulus, values2),
-        values2,
-    )
+    data1, data2 = (_generator_data(factors, modulus, values) for values in (values1, values2))
+    images = _generator_isomorphism(factors, modulus, *data1, *data2, values2)
     if images is None:
         return None
     if any(values2[u] != v for u, v in zip(_image_positions(factors, images), values1)):
