@@ -60,7 +60,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Sequence
 
-from .exact import CyclotomicSum, _prime_factors, residue_multiset
+from .exact import CyclotomicSum, _prime_factors
 from .lattice import (
     DiscriminantData,
     _chern_coordinates,
@@ -215,9 +215,11 @@ class InvariantReport:
     that survive a change of presentation.  value_multiset,
     defect_multiset and linking_diagonal are sorted int residues r,
     each standing for r/value_modulus and repeated as often as it
-    occurs, so each has |G| entries; value_modulus is twice the last
-    torsion factor (2 without torsion).  These fields cover every field
-    of quadfun.table_fingerprint, so no fingerprint is kept.
+    occurs, so each has |G| entries: the value table and the
+    self-linking table sorted once, and the defect multiset from its
+    closed form.  value_modulus is twice the last torsion factor (2
+    without torsion).  These fields cover every field of
+    quadfun.table_fingerprint, so no fingerprint is kept.
     """
 
     free_rank: int
@@ -252,7 +254,7 @@ def invariants_report(p: DecoratedPresentation, *, cap: int = DEFAULT_ORDER_CAP)
     side = _side(data, p.chern)
     modulus = data.value_modulus
     fp = table_fingerprint(data.torsion_factors, modulus, side.table(cap), side.q_gen, data.linking, side.slopes)
-    diag = residue_multiset(Counter(self_linking_table(data)), modulus)
+    diag = tuple(sorted(self_linking_table(data)))
     return InvariantReport(
         free_rank=data.free_rank,
         torsion_factors=data.torsion_factors,

@@ -41,6 +41,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from pathlib import Path
 from typing import Any, NoReturn, Sequence
@@ -76,6 +77,8 @@ EXIT_CAP = 2
 EXIT_INEQUIVALENT = 3
 EXIT_UNKNOWN = 4
 EXIT_EVEN_ORDER = 5
+# 128 + SIGPIPE, the status a shell reports for a writer killed by a closed pipe
+EXIT_CLOSED_PIPE = 141
 
 
 # The largest matrix the commands accept.  Both limits are checked before
@@ -491,7 +494,17 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        status = args.func(args)
+        # surface a closed pipe here rather than in the interpreter's final flush
+        sys.stdout.flush()
+        return status
+    except BrokenPipeError:
+        # the reader has gone: point stdout at os.devnull so that the final
+        # flush cannot raise again, and end with no word on stderr
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_CLOSED_PIPE
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID

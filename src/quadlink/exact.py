@@ -7,10 +7,12 @@ only floating-point output anywhere is ``CyclotomicSum.approx``, which
 is display-only.
 
 On the decision and report paths a value of Q/Z is an int residue r in
-[0, M) standing for r/M, with one modulus M shared by a whole table;
-residue_multiset and cyclo_from_residues read multisets and Gauss sums
-off histograms of such residues.  QmodZ is the rational form of one
-value, kept for the reference evaluations and for display.
+[0, M) standing for r/M, with one modulus M shared by a whole table.
+The report's multisets are such tables, sorted once; residue_multiset
+expands a histogram of residues into the same sorted multiset, and
+cyclo_from_residues reads a Gauss sum off a histogram.  QmodZ is the
+rational form of one value, kept for the reference evaluations and for
+display.
 
 A sum of roots of unity is stored as a dense integer coefficient vector
 against the basis 1, z, ..., z^(N-1) with z = exp(2*pi*i/N).  That
@@ -363,23 +365,24 @@ class CyclotomicSum:
         """A deterministic reduced representative.
 
         Reduces modulo the cyclotomic polynomial, then divides the
-        modulus by the gcd of the support indices while possible.  Equal
+        modulus by the gcd of the support indices.  Equal
         constructions at equal moduli canonicalize identically; value
         equality across moduli is still decided by ``cyclo_equals``.
+
+        One reduction suffices.  After r = f mod Phi_n, deg r < phi(n).
+        If g = gcd(n, supp r) > 1 then r(x) = s(x^g) with
+        deg s < phi(n)/g <= phi(n/g), since phi(n) <= g phi(n/g); so s
+        is already its own remainder mod Phi_{n/g}, and the support of s
+        has gcd 1 with n/g.
         """
         n = self.modulus
-        coeffs = list(self.coeffs)
-        while True:
-            coeffs = _reduce_mod_cyclotomic(coeffs, n)
-            coeffs += [0] * (n - len(coeffs))
-            support = list(itertools.compress(range(n), coeffs))
-            if not support:
-                return CyclotomicSum._trusted(1, (0,))
-            g = math.gcd(n, *support)
-            if g == 1:
-                return CyclotomicSum._trusted(n, coeffs)
-            n //= g
-            coeffs = coeffs[::g]
+        coeffs = _reduce_mod_cyclotomic(list(self.coeffs), n)
+        coeffs += [0] * (n - len(coeffs))
+        support = list(itertools.compress(range(n), coeffs))
+        if not support:
+            return CyclotomicSum._trusted(1, (0,))
+        g = math.gcd(n, *support)
+        return CyclotomicSum._trusted(n // g, coeffs[::g])
 
     def normalized_trace(self) -> Fraction:
         """Field trace divided by the field degree: a value invariant.

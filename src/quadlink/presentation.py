@@ -34,7 +34,7 @@ class DecoratedPresentation:
 
     def __post_init__(self) -> None:
         m = self.matrix if isinstance(self.matrix, IntMatrix) else intmatrix(self.matrix)
-        c = tuple(int(x) for x in self.chern)
+        c = tuple(map(int, self.chern))
         object.__setattr__(self, "matrix", m)
         object.__setattr__(self, "chern", c)
         if m.rows != m.cols:
@@ -65,7 +65,7 @@ class DecoratedPresentation:
 
 
 def presentation(rows: Sequence[Sequence[int]], chern: Sequence[int]) -> DecoratedPresentation:
-    return DecoratedPresentation(intmatrix(rows), tuple(int(x) for x in chern))
+    return DecoratedPresentation(intmatrix(rows), chern)
 
 
 def chern_equal(p1: DecoratedPresentation, p2: DecoratedPresentation) -> tuple[int, ...] | None:

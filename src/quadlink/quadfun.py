@@ -34,7 +34,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
-from quadlink.exact import CyclotomicSum, QmodZ, _prime_factors, cyclo_from_residues, residue_multiset
+from quadlink.exact import CyclotomicSum, QmodZ, _prime_factors, cyclo_from_residues
 
 DEFAULT_ORDER_CAP = 10_000
 
@@ -298,19 +298,23 @@ def table_fingerprint(
 ) -> Fingerprint:
     """The fingerprint of a function given by its values over the group, in any order, and q and b on the generators.
 
-    All are residues r in [0, modulus) standing for r/modulus.  The
-    defect q(x) - q(-x) is a character, uniform on the multiples of
-    h = gcd(modulus, its generator values), each taken |G| h / modulus times.
+    All are residues r in [0, modulus) standing for r/modulus; a value
+    outside that range raises ValueError from cyclo_from_residues.  The
+    value multiset is the sorted table, residue_multiset of its
+    histogram by definition.  The defect q(x) - q(-x) is a character,
+    uniform on the multiples of h = gcd(modulus, its generator values),
+    each taken |G| h / modulus times, so its multiset is that many
+    copies of range(0, modulus, h), sorted.
     """
-    histogram = Counter(values)
+    ordered = sorted(values)
     h = math.gcd(modulus, *_defect_character(modulus, q_gen, b_gen))
-    defects = dict.fromkeys(range(0, modulus, h), math.prod(invariant_factors) * h // modulus)
+    each = math.prod(invariant_factors) * h // modulus
     return Fingerprint(
         invariant_factors=tuple(invariant_factors),
         value_modulus=modulus,
-        value_multiset=residue_multiset(histogram, modulus),
-        defect_multiset=residue_multiset(defects, modulus),
-        gauss=cyclo_from_residues(histogram, modulus).canonical(),
+        value_multiset=tuple(ordered),
+        defect_multiset=tuple(sorted([*range(0, modulus, h)] * each)),
+        gauss=cyclo_from_residues(Counter(ordered), modulus).canonical(),
         radical_rank=len(radical_slopes),
         radical_gcd=_radical_gcd(tuple(radical_slopes)),
     )

@@ -37,7 +37,7 @@ class IntMatrix:
     __slots__ = ("data", "rows", "cols")
 
     def __init__(self, rows: Iterable[Iterable[int]], cols: int | None = None) -> None:
-        data = tuple(tuple(int(x) for x in row) for row in rows)
+        data = tuple(tuple(map(int, row)) for row in rows)
         if data:
             width = len(data[0])
             if any(len(row) != width for row in data):

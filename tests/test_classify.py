@@ -30,7 +30,8 @@ from quadlink.classify import (
 )
 import quadlink.classify as classify_module
 from quadlink.classify import DEFAULT_SEARCH_BUDGET, _MIXED_BLIND_REASONS, _Budget, _integral_slopes, _Side
-from quadlink.exact import CyclotomicSum, QmodZ, cyclo_equals, cyclo_from_angles, cyclo_from_residues
+from quadlink.exact import CyclotomicSum, QmodZ, cyclo_equals, cyclo_from_angles, cyclo_from_residues, residue_multiset
+from quadlink.exact import _reduce_mod_cyclotomic
 import quadlink.lattice as lattice_module
 from quadlink.lattice import (
     CharacteristicError,
@@ -43,6 +44,7 @@ from quadlink.lattice import (
     phi_generators,
     phi_table,
     radical_slope,
+    self_linking_table,
 )
 from quadlink.presentation import HandleSlide, apply_move, chern_equal, presentation, random_walk
 from quadlink.spaces import connected_sum, e8, lens
@@ -54,6 +56,7 @@ from quadlink.quadfun import (
     OrderCapExceeded,
     QuadraticFunction,
     _cyclic_isometries,
+    _defect_character,
     _generator_data,
     _generator_isomorphism,
     _image_positions,
@@ -980,6 +983,50 @@ def decorated_symmetric_forms(draw):
     return m, chern
 
 
+def _decorated_and_slid(draw, m):
+    """m with a characteristic decoration drawn for it, moved by up to 6 handle slides that carry the decoration along."""
+    n = len(m)
+    p = presentation(m, [m[i][i] + 2 * draw(st.integers(-3, 3)) for i in range(n)])
+    for _ in range(draw(st.integers(0, 6)) if n > 1 else 0):
+        i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 2))
+        p = apply_move(p, HandleSlide(i, j + (j >= i), draw(st.sampled_from((1, -1)))))
+    return [list(row) for row in p.matrix.data], p.chern
+
+
+@st.composite
+def degenerate_decorated_forms(draw):
+    """A random block plus a zero block, decorated and slid.
+
+    The zero block makes the free rank positive by construction, with no
+    filter for hypothesis to reject draws on.
+    """
+    k = draw(st.integers(0, 4))
+    n = k + draw(st.integers(1, 6 - k))
+    m = [[0] * n for _ in range(n)]
+    for i in range(k):
+        for j in range(i, k):
+            m[i][j] = m[j][i] = draw(st.integers(-3, 3))
+    return _decorated_and_slid(draw, m)
+
+
+DIAGONAL_ENTRIES = (0, 2, -2, 4, 8, -8, 16, 3, -3, 9, 5, 6, -12)
+
+
+@st.composite
+def diagonal_decorated_forms(draw):
+    """diag(d_1, ..., d_k), torsion order at most 400, decorated and slid.
+
+    Repeated entries give non-cyclic groups, powers of 2 give 2-groups
+    and zeros give a free part.
+    """
+    budget, entries = 400, []
+    for _ in range(draw(st.integers(1, 4))):
+        d = draw(st.sampled_from([d for d in DIAGONAL_ENTRIES if abs(d) <= budget]))
+        budget //= max(abs(d), 1)
+        entries.append(d)
+    return _decorated_and_slid(draw, [[d if i == j else 0 for j in range(len(entries))] for i, d in enumerate(entries)])
+
+
 def _report_oracle(m, chern):
     data = discriminant(IntMatrix(m))
     group = FiniteAbelianGroup(data.torsion_factors)
@@ -1023,6 +1070,46 @@ def test_report_matches_the_phi_eval_oracle(form):
     assert r.defect_multiset == oracle.defect_multiset
     assert r.linking_diagonal == diagonal
     assert r.radical_slopes == tuple(int(s) for s in radical_slope(discriminant(IntMatrix(m)), chern))
+
+
+def _canonical_reducing_every_pass(s):
+    """canonical() before one reduction was shown to suffice: reduce mod Phi_n, divide by the support gcd, repeat."""
+    n, coeffs = s.modulus, list(s.coeffs)
+    while True:
+        coeffs = _reduce_mod_cyclotomic(coeffs, n)
+        coeffs += [0] * (n - len(coeffs))
+        support = [j for j, c in enumerate(coeffs) if c]
+        if not support:
+            return CyclotomicSum(1, (0,))
+        g = math.gcd(n, *support)
+        if g == 1:
+            return CyclotomicSum(n, coeffs)
+        n //= g
+        coeffs = coeffs[::g]
+
+
+# The report sorts its value and self-linking tables, builds its defect
+# multiset as sorted copies of range(0, M, h), and reduces its Gauss sum
+# once; the histogram expansions and the reduce-every-pass loop it
+# replaced are the oracles.
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(decorated_symmetric_forms(), degenerate_decorated_forms(), diagonal_decorated_forms()))
+@example(([[16, 0], [0, 16]], (0, 2)))
+@example(([[2, 0, 0], [0, 6, 0], [0, 0, 0]], (2, 0, 4)))
+def test_report_multisets_match_the_histogram_routes(form):
+    m, chern = form
+    data = discriminant(IntMatrix(m))
+    assume(data.torsion_order <= 400)
+    r = invariants_report(presentation(m, chern))
+    modulus, factors = data.value_modulus, data.torsion_factors
+    table = phi_table(data, chern)
+    h = math.gcd(modulus, *_defect_character(modulus, *_generator_data(factors, modulus, table)))
+    defects = dict.fromkeys(range(0, modulus, h), data.torsion_order * h // modulus)
+    assert r.value_multiset == residue_multiset(Counter(table), modulus)
+    assert r.defect_multiset == residue_multiset(defects, modulus)
+    assert r.linking_diagonal == residue_multiset(Counter(self_linking_table(data)), modulus)
+    gauss = _canonical_reducing_every_pass(cyclo_from_residues(Counter(table), modulus))
+    assert (r.gauss.modulus, r.gauss.coeffs) == (gauss.modulus, gauss.coeffs)
 
 
 # --- Gauss sums against Milgram's formula -----------------------------------
@@ -1273,14 +1360,14 @@ def test_mixed_verdicts_are_pinned(m1, c1, m2, c2, kwargs, status, reason):
 # _coupling_contractions takes the sweep's free part to be 2 ell: the free
 # cokernel coordinates of a characteristic vector are even whatever the form
 @settings(max_examples=100, deadline=None)
-@given(decorated_symmetric_forms())
+@given(degenerate_decorated_forms())
 @example((TWISTED_A, (1, -4, -2, 5)))
 @example((TWISTED_B, (5, 4, -4, 3)))
 @example((TWO_GENERATORS, (2, -2, -4, -2)))
 def test_free_decoration_part_is_even(form):
     m, chern = form
     data = discriminant(IntMatrix(m))
-    assume(data.free_rank > 0)
+    assert data.free_rank > 0
     free, _ = chern_coordinates(data, chern)
     assert all(f % 2 == 0 for f in free)
 

@@ -9,6 +9,7 @@ import pytest
 
 from quadlink.cli import (
     EXIT_CAP,
+    EXIT_CLOSED_PIPE,
     EXIT_EVEN_ORDER,
     EXIT_INEQUIVALENT,
     EXIT_INVALID,
@@ -460,6 +461,27 @@ def test_installed_entry_point_runs():
     )
     assert proc.returncode == 0
     assert "yc 3" in proc.stdout
+
+
+def test_a_closed_stdout_ends_a_command_quietly(tmp_path):
+    # the [[8192]] census lists about 75 KB, past a 64 KiB pipe buffer, so
+    # the writer meets the closed pipe while printing, not only at exit
+    path = write_doc(tmp_path, "l.json", {"matrix": [[8192]]})
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "quadlink.cli", "classes", path],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+    )
+    try:
+        assert proc.stdout.readline() == b"8192 decorations, 3073 classes\n"
+        proc.stdout.close()
+        err = proc.stderr.read()
+        status = proc.wait(timeout=60)
+    finally:
+        proc.kill()
+        proc.stderr.close()
+    # no traceback, and no other word either
+    assert (status, err) == (EXIT_CLOSED_PIPE, b"")
 
 
 def _free_block_sum(c_zeros):

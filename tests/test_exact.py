@@ -18,7 +18,7 @@ from quadlink.exact import (
     qmodz_reduce,
     residue_multiset,
 )
-from quadlink.exact import _reduce_mod_cyclotomic, _totient
+from quadlink.exact import _prime_factors, _reduce_mod_cyclotomic, _totient
 
 # ---------------------------------------------------------------------------
 # independent oracle: cyclotomic polynomials by recursive long division over Q
@@ -356,7 +356,9 @@ def test_cyclo_from_residues_refuses_residues_outside_the_modulus():
 # The constructions residue_multiset, cyclo_from_residues and canonical()
 # ran before the latter two built their result without coercing its
 # coefficients through int() a second time: a loop of list extensions,
-# and the public constructor.
+# and the public constructor.  _canonical_coercing also reduces modulo
+# Phi_n on every pass of its support-gcd loop, where canonical() reduces
+# once.
 def _residue_multiset_by_loop(histogram, modulus):
     residues = sorted(histogram)
     if residues and (residues[0] < 0 or residues[-1] >= modulus):
@@ -427,3 +429,39 @@ def test_residue_constructions_match_the_coercing_ones(histogram_and_modulus):
 )
 def test_canonical_matches_the_coercing_one(s):
     _same_sum(s.canonical(), _canonical_coercing(s))
+
+
+MODULI_BY_DISTINCT_PRIMES = {
+    w: [n for n in range(2, 2400) if len(_prime_factors(n)) == w] for w in (1, 2, 3, 4)
+}
+
+
+@st.composite
+def sums_over_moduli_with_few_primes(draw):
+    """(sum, vanishing part): a sparse sum over a modulus with 1 to 4 distinct primes, plus a sum of zero.
+
+    The sum sits on the multiples of a divisor of the modulus, so the
+    support gcd is often above 1; the vanishing part adds z^r times the
+    p-th roots of unity for primes p | n, which reduction must remove.
+    """
+    n = draw(st.sampled_from(MODULI_BY_DISTINCT_PRIMES[draw(st.integers(1, 4))]))
+    step = draw(st.sampled_from([d for d in range(1, n) if n % d == 0]))
+    coeffs = [0] * n
+    for j in draw(st.lists(st.integers(0, n // step - 1), max_size=20)):
+        coeffs[j * step] += draw(st.sampled_from((1, -1, 2, -3)))
+    zero = [0] * n
+    for p in draw(st.lists(st.sampled_from(_prime_factors(n)), max_size=3)):
+        r, t = draw(st.integers(0, n // p - 1)), draw(st.sampled_from((1, -1, 2)))
+        for k in range(p):
+            zero[r + k * (n // p)] += t
+    return CyclotomicSum(n, coeffs), CyclotomicSum(n, zero)
+
+
+@settings(max_examples=150, deadline=None)
+@given(sums_over_moduli_with_few_primes())
+def test_one_reduction_canonicalizes_over_moduli_with_few_primes(sums):
+    s, zero = sums
+    assert zero.is_zero()
+    want = _canonical_coercing(s)
+    _same_sum(s.canonical(), want)
+    _same_sum((s + zero).canonical(), want)

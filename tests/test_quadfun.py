@@ -21,6 +21,7 @@ from quadlink.quadfun import (
     invariant_fingerprint,
     is_isomorphic,
     radical_compatible,
+    table_fingerprint,
     _defect_character,
     _generator_isomorphism,
     _image_positions,
@@ -293,6 +294,15 @@ class TestFingerprint:
     def test_fingerprint_hashable(self):
         q = table_from_matrix([[3]], (3,))
         assert len({invariant_fingerprint(q), invariant_fingerprint(q)}) == 1
+
+    def test_table_fingerprint_refuses_residues_outside_the_modulus(self):
+        # q(x) = 3x^2/4 on Z/2, given as a table from outside the library;
+        # the value multiset is the table sorted, and the Gauss sum refuses
+        # what no residue multiset may hold
+        assert table_fingerprint((2,), 4, [3, 0], [3], [[2]], ()).value_multiset == (0, 3)
+        for bad in ([0, 4], [-1, 3], [7, 0], [-4, 8]):
+            with pytest.raises(ValueError, match="must lie in"):
+                table_fingerprint((2,), 4, bad, [3], [[2]], ())
 
     def test_radical_data_recorded(self):
         g = FiniteAbelianGroup(())
