@@ -339,11 +339,6 @@ _MIXED_BLIND_REASONS = (
     "vanishing free decoration part; torsion map {} matches the decorations and the Gauss sums agree",
     "Gauss sums of the torsion parts differ",
 )
-_PAIRING_REASONS = (
-    "no pairing-preserving map matches the decoration classes",
-    "torsion map {} matches the decorations and the Gauss sums agree",
-    "Gauss sums differ",
-)
 
 
 def _mixed_verdict(side1: _Side, side2: _Side, cap: int, budget: _Budget) -> EquivalenceVerdict:
@@ -591,34 +586,6 @@ def _finite_isomorphism(side1: _Side, side2: _Side, cap: int) -> GroupIso | None
                 images[i][j] = (images[i][j] + u * t * yj) % factors[j]
     group = FiniteAbelianGroup(factors)
     return GroupIso(group, group, tuple(map(tuple, images)))
-
-
-def yc_equivalent_by_pairing(
-    p1: DecoratedPresentation,
-    p2: DecoratedPresentation,
-    *,
-    cap: int = DEFAULT_ORDER_CAP,
-    budget: int = DEFAULT_SEARCH_BUDGET,
-) -> EquivalenceVerdict:
-    """Decide equivalence of finite-homology presentations the long way.
-
-    Instead of searching for an isomorphism of the quadratic functions
-    directly, look for a pairing-preserving torsion map matching the
-    decoration classes and then compare the two Gauss sums, by the
-    phase of one at the point where the functions differ by a
-    character.  Both routes decide the same relation; keeping them
-    separate lets tests confront one with the other.
-    """
-    d1 = discriminant(p1.matrix)
-    d2 = discriminant(p2.matrix)
-    if d1.free_rank or d2.free_rank:
-        raise ValueError("the pairing route applies to finite first homology only")
-    if d1.torsion_factors != d2.torsion_factors:
-        return EquivalenceVerdict(
-            INEQUIVALENT,
-            f"torsion invariant factors differ: {d1.torsion_factors} vs {d2.torsion_factors}",
-        )
-    return _torsion_map_verdict(_side(d1, p1.chern), _side(d2, p2.chern), cap, _Budget(budget), _PAIRING_REASONS)
 
 
 def _decoration_count(m: IntMatrix) -> int:

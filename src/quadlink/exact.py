@@ -8,11 +8,10 @@ is display-only.
 
 On the decision and report paths a value of Q/Z is an int residue r in
 [0, M) standing for r/M, with one modulus M shared by a whole table.
-The report's multisets are such tables, sorted once; residue_multiset
-expands a histogram of residues into the same sorted multiset, and
-cyclo_from_residues reads a Gauss sum off a histogram.  QmodZ is the
-rational form of one value, kept for the reference evaluations and for
-display.
+The report's multisets are such tables, sorted once, and
+cyclo_from_residues reads a Gauss sum off a histogram of residues.
+QmodZ is the rational form of one value; no decision or report makes
+one, and the tests evaluate the defining formulas with it.
 
 A sum of roots of unity is stored as a dense integer coefficient vector
 against the basis 1, z, ..., z^(N-1) with z = exp(2*pi*i/N).  That
@@ -122,11 +121,6 @@ class QmodZ:
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("QmodZ is immutable")
-
-
-def qmodz_reduce(value: RationalLike) -> QmodZ:
-    """Reduce a rational to its canonical representative mod 1."""
-    return QmodZ(value)
 
 
 def _prime_factors(n: int) -> list[int]:
@@ -421,40 +415,23 @@ class CyclotomicSum:
         raise AttributeError("CyclotomicSum is immutable")
 
 
-def cyclo_from_angles(angles: Iterable[Union[QmodZ, RationalLike]]) -> CyclotomicSum:
-    """Sum of exp(2*pi*i*a) over the multiset of rational angles a."""
-    reduced = [a if isinstance(a, QmodZ) else QmodZ(a) for a in angles]
-    n = math.lcm(1, *(a.denominator for a in reduced)) if reduced else 1
-    coeffs = [0] * n
-    for a in reduced:
-        coeffs[a.numerator * (n // a.denominator)] += 1
-    return CyclotomicSum(n, coeffs)
-
-
-def residue_multiset(histogram: Mapping[int, int], modulus: int) -> tuple[int, ...]:
-    """The sorted multiset of residues r standing for r/modulus, r taken histogram[r] times.
-
-    Residues must lie in [0, modulus); then ascending residue is
-    ascending angle r/modulus, and two multisets over one modulus are
-    equal exactly when the angles they stand for are.
-    """
-    residues = sorted(histogram)
-    if residues and (residues[0] < 0 or residues[-1] >= modulus):
-        raise ValueError(f"residues must lie in [0, {modulus}), got {residues[0]}..{residues[-1]}")
-    counts = map(histogram.__getitem__, residues)
-    return tuple(itertools.chain.from_iterable(map(itertools.repeat, residues, counts)))
-
-
 def cyclo_from_residues(histogram: Mapping[int, int], modulus: int) -> CyclotomicSum:
     """Sum of exp(2*pi*i*r/modulus), r taken histogram[r] times.
 
-    Gives the modulus and coefficients cyclo_from_angles gives on the
-    same angles: the lcm of their reduced denominators is
-    modulus / gcd(modulus, support).  Residues must lie in [0, modulus),
-    as for residue_multiset; only the least and greatest are checked.
+    The modulus of the result is the lcm of the reduced denominators of
+    the angles r/modulus, i.e. modulus / g with g = gcd(modulus, support),
+    and its coefficient at r / g is histogram[r].  The modulus must be at
+    least 1, the residues must lie in [0, modulus) and the counts must
+    not be negative; of the residues only the least and greatest are
+    checked.
     """
-    if histogram and (min(histogram) < 0 or max(histogram) >= modulus):
-        raise ValueError(f"residues must lie in [0, {modulus}), got {min(histogram)}..{max(histogram)}")
+    if modulus < 1:
+        raise ValueError(f"modulus must be >= 1, got {modulus}")
+    if histogram:
+        if min(histogram) < 0 or max(histogram) >= modulus:
+            raise ValueError(f"residues must lie in [0, {modulus}), got {min(histogram)}..{max(histogram)}")
+        if min(histogram.values()) < 0:
+            raise ValueError(f"residue counts must be >= 0, got {min(histogram.values())}")
     g = math.gcd(modulus, *histogram)
     coeffs = [0] * (modulus // g)
     for r, count in histogram.items():

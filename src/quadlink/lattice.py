@@ -45,26 +45,22 @@ step per element.
 Every public function of a decoration checks its characteristic parity
 and raises CharacteristicError.  The unchecked _chern_coordinates,
 _radical_slope and _phi_generators take a vector checked once by the
-caller, as classify does once per decoration.  phi_eval, linking_pairing
-and evaluation_pairing evaluate the defining formulas on rational
-vectors such as the derived lifts g_i; they are the reference the
-integer data is tested against.
+caller, as classify does once per decoration.  No rational vector is
+built: the lifts g_i = V_i / d_i and the formulas above are evaluated
+on them only by the tests, as the reference the integer data is tested
+against.
 """
 
 from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 from math import prod
 from typing import Sequence
 
-from quadlink.exact import QmodZ
 from quadlink.quadfun import OrderCapExceeded, _quadratic_table
 from quadlink.zlinalg import IntMatrix, SmithDecomposition, determinant, intmatrix, smith_normal_form, solve_mod2
-
-RationalVector = tuple[Fraction, ...]
 
 
 class CharacteristicError(ValueError):
@@ -73,14 +69,6 @@ class CharacteristicError(ValueError):
 
 class DualLatticeError(ValueError):
     """A rational vector x with B x not integral."""
-
-
-def _frac_vec(v: Sequence) -> RationalVector:
-    return tuple(Fraction(x) for x in v)
-
-
-def _dot(a: Sequence, b: Sequence) -> Fraction:
-    return sum((Fraction(x) * Fraction(y) for x, y in zip(a, b)), start=Fraction(0))
 
 
 def _int_dot(a: Sequence[int], b: Sequence[int]) -> int:
@@ -126,19 +114,18 @@ class DiscriminantData:
 
     torsion_factors are the invariant factors > 1 in divisibility order;
     torsion_columns[i] is the integer Smith column V_i = d_i g_i of the
-    i-th torsion generator g_i, and lifts[i] = V_i / d_i its rational
-    lift; kernel is an integer basis of the radical, checked to satisfy
+    i-th torsion generator g_i, whose rational lift V_i / d_i is never
+    built; kernel is an integer basis of the radical, checked to satisfy
     B k_j = 0.  cok_tors_covectors are integer covectors representing
     the torsion Smith generators of coker(B), with B g_i =
     cok_tors_covectors[i]; u_tors_rows are the rows of the Smith
     transform U at torsion_indices: row . c is the coordinate of the
-    class of c on that Smith generator (chern_coordinates).
+    class of c on that Smith generator (_chern_coordinates).
 
     linking[i][j] is the linking pairing b(g_i, g_j), held as an integer
     r in [0, value_modulus) standing for r / value_modulus, where
     value_modulus = 2N and N is the last invariant factor.  Tables of
-    phi_c over the torsion part (phi_table) use the same unit; phi_eval
-    on torsion_lift stays the definition they are tested against.
+    phi_c over the torsion part (phi_table) use the same unit.
 
     The free Smith generators are built from smith on first read and
     cached: cok_free_covectors (columns of U^-1), u_free_rows (rows of
@@ -196,23 +183,6 @@ class DiscriminantData:
         """2N, N the last invariant factor (1 without torsion): the unit of linking and phi_table is 1/(2N)."""
         return _value_modulus(self.torsion_factors)
 
-    @property
-    def lifts(self) -> tuple[RationalVector, ...]:
-        """The rational lifts g_i = V_i / d_i of the torsion generators."""
-        return tuple(tuple(Fraction(x, d) for x in v) for d, v in zip(self.torsion_factors, self.torsion_columns))
-
-    def dual_contains(self, x: Sequence) -> bool:
-        xs = _frac_vec(x)
-        if len(xs) != self.size:
-            raise DualLatticeError(f"vector length {len(xs)} does not match a {self.size}-component form")
-        return all(_dot(row, xs).denominator == 1 for row in self.matrix.data)
-
-    def require_dual(self, x: Sequence) -> RationalVector:
-        xs = _frac_vec(x)
-        if not self.dual_contains(xs):
-            raise DualLatticeError(f"{list(xs)} is not in the dual lattice: B x is not integral")
-        return xs
-
     def require_characteristic(self, c: Sequence[int]) -> tuple[int, ...]:
         cs = tuple(int(x) for x in c)
         if not is_characteristic(self.matrix, cs):
@@ -221,17 +191,6 @@ class DiscriminantData:
                 f"entry {bad}: c_{bad} = {cs[bad]} has the wrong parity against the diagonal {self.matrix[bad][bad]}"
             )
         return cs
-
-    def torsion_lift(self, coords: Sequence[int]) -> RationalVector:
-        """The stored rational lift of the torsion element with these coordinates."""
-        if len(coords) != len(self.torsion_factors):
-            raise ValueError("coordinate length does not match the torsion rank")
-        n = self.size
-        acc = [Fraction(0)] * n
-        for a, g in zip(coords, self.lifts):
-            for k in range(n):
-                acc[k] += a * g[k]
-        return tuple(acc)
 
 
 def _value_modulus(factors: Sequence[int]) -> int:
@@ -293,14 +252,6 @@ def discriminant(matrix: IntMatrix, *, cap: int | None = None) -> DiscriminantDa
     )
 
 
-def phi_eval(data: DiscriminantData, c: Sequence[int], x: Sequence) -> QmodZ:
-    """(x^T B x - c^T x) / 2 mod 1 on a dual vector x, for characteristic c."""
-    cs = data.require_characteristic(c)
-    xs = data.require_dual(x)
-    bx = [_dot(row, xs) for row in data.matrix.data]
-    return QmodZ((_dot(xs, bx) - _dot(cs, xs)) / 2)
-
-
 def phi_generators(data: DiscriminantData, c: Sequence[int]) -> list[int]:
     """phi_c on the torsion generators.
 
@@ -356,43 +307,20 @@ def phi_table(data: DiscriminantData, c: Sequence[int]) -> list[int]:
     """Values of phi_c on every torsion element.
 
     The table follows itertools.product order of the torsion
-    coordinates w and stands for phi_eval(data, c, data.torsion_lift(w))
-    in units of 1/data.value_modulus.  The quadratic recurrence in
+    coordinates w and stands for phi_c(sum_i w_i g_i) in units of
+    1/data.value_modulus.  The quadratic recurrence in
     quadfun fills it from phi_generators and data.linking
     (torsion_table).
     """
     return torsion_table(data, phi_generators(data, c))
 
 
-def linking_pairing(data: DiscriminantData, x: Sequence, y: Sequence) -> QmodZ:
-    """x^T B y mod 1 on dual vectors; descends to the discriminant group."""
-    xs = data.require_dual(x)
-    ys = data.require_dual(y)
-    by = [_dot(row, ys) for row in data.matrix.data]
-    return QmodZ(_dot(xs, by))
-
-
-def evaluation_pairing(alpha: Sequence[int], x: Sequence) -> QmodZ:
-    """alpha(x) mod 1 for an integer covector alpha and a dual vector x."""
-    if len(alpha) != len(x):
-        raise ValueError("covector and vector lengths differ")
-    return QmodZ(_dot([int(a) for a in alpha], _frac_vec(x)))
-
-
-def radical_slope(data: DiscriminantData, c: Sequence[int]) -> tuple[int, ...]:
-    """The integer slopes c(k_j)/2 of phi_c on the stored kernel basis.
-
-    These determine the radical restriction; note that the evaluation of
-    phi_c on a radical element k_j (x) [r] is -(slope) * r, with the
-    minus sign forced by the defining formula (B - c)/2.
-    """
-    return _radical_slope(data, data.require_characteristic(c))
-
-
 def _radical_slope(data: DiscriminantData, cs: Sequence[int]) -> tuple[int, ...]:
-    """radical_slope of a vector the caller has checked to be characteristic.
+    """The integer slopes c(k_j)/2 of phi_c on the stored kernel basis, for a vector the caller has checked to be characteristic.
 
-    c(k_j) is even because k_j^T B k_j = 0; an odd one means the kernel
+    These determine the radical restriction: phi_c on a radical element
+    k_j (x) [r] is -(slope) * r, the minus sign forced by the defining
+    formula (B - c)/2.  c(k_j) is even because k_j^T B k_j = 0; an odd one means the kernel
     basis is wrong, and raises.
     """
     pairings = [_int_dot(cs, kj) for kj in data.kernel]
@@ -401,19 +329,14 @@ def _radical_slope(data: DiscriminantData, cs: Sequence[int]) -> tuple[int, ...]
     return tuple(x // 2 for x in pairings)
 
 
-def chern_coordinates(data: DiscriminantData, c: Sequence[int]) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Coordinates of the class of c in coker(B): (free part, torsion part).
+def _chern_coordinates(data: DiscriminantData, cs: Sequence[int]) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Coordinates of the class in coker(B) of a vector the caller has checked to be characteristic: (free part, torsion part).
 
     The free part is an integer vector over the free Smith generators
     and the torsion part is reduced mod the invariant factors.  Both are
     unchanged when c moves by 2 B h, so they are invariants of the
     characteristic class of c.
     """
-    return _chern_coordinates(data, data.require_characteristic(c))
-
-
-def _chern_coordinates(data: DiscriminantData, cs: Sequence[int]) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """chern_coordinates of a vector the caller has checked to be characteristic."""
     return tuple(_int_dot(row, cs) for row in data.u_free_rows), _torsion_coordinates(data, cs)
 
 

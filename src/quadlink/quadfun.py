@@ -11,7 +11,7 @@ for slope vectors means equality of ranks and gcds.
 The isomorphism search works on value tables of int residues in units
 of 1/M, listed in itertools.product order.  The value histograms and
 the gcd of the defect character prefilter; a depth-first search,
-shared with the pairing route of classify, then tries images of the
+shared with the torsion-map route of classify, then tries images of the
 generators, largest order first, among the elements with the right
 value, pruned by element order and by the polarization.  A leaf is
 then a homomorphism carrying b2 to b1 and q2 to q1 on the generators,
@@ -227,47 +227,14 @@ class QuadraticFunction:
         raise AttributeError("QuadraticFunction is immutable")
 
 
-def bilinear_of(q: QuadraticFunction, x: Element, y: Element) -> QmodZ:
-    """The polarization b_q(x, y) = q(x+y) - q(x) - q(y)."""
-    g = q.group
-    return q(g.add(x, y)) - q(x) - q(y)
-
-
-def defect_of(q: QuadraticFunction, x: Element) -> QmodZ:
-    """The homogeneity defect d_q(x) = q(x) - q(-x); a homomorphism in x."""
-    return q(x) - q(q.group.neg(x))
-
-
 def _residue_tables(*qs: QuadraticFunction) -> tuple[int, list[list[int]]]:
     """A common denominator M, and each q's values as residues r standing for r/M, in itertools.product order."""
     modulus = math.lcm(1, *(v.denominator for q in qs for v in q.values.values()))
     return modulus, [[v.numerator * (modulus // v.denominator) for v in q.values.values()] for q in qs]
 
 
-def gauss_sum(q: QuadraticFunction) -> CyclotomicSum:
-    """Sum of exp(2 pi i q(x)) over the (finite) group, exactly.
-
-    Radical slope data does not enter: the table is the finite part and
-    the sum is taken over it, matching the use of one stored section.
-    """
-    modulus, (residues,) = _residue_tables(q)
-    return cyclo_from_residues(Counter(residues), modulus)
-
-
 def _radical_gcd(slopes: tuple[Fraction, ...]) -> int:
     return math.gcd(*(abs(int(2 * s)) for s in slopes)) if slopes else 0
-
-
-def radical_compatible(q1: QuadraticFunction, q2: QuadraticFunction) -> bool:
-    """Slope data matches up to sign and unimodular change of radical basis.
-
-    An integer linear functional on Z^b is carried to another by GL(b,Z)
-    exactly when the gcds of the coefficient vectors agree, so rank and
-    gcd of the doubled slopes decide.
-    """
-    return len(q1.radical_slopes) == len(q2.radical_slopes) and _radical_gcd(
-        q1.radical_slopes
-    ) == _radical_gcd(q2.radical_slopes)
 
 
 @dataclass(frozen=True)
@@ -300,8 +267,8 @@ def table_fingerprint(
 
     All are residues r in [0, modulus) standing for r/modulus; a value
     outside that range raises ValueError from cyclo_from_residues.  The
-    value multiset is the sorted table, residue_multiset of its
-    histogram by definition.  The defect q(x) - q(-x) is a character,
+    value multiset is the sorted table, each residue repeated as often
+    as it occurs.  The defect q(x) - q(-x) is a character,
     uniform on the multiples of h = gcd(modulus, its generator values),
     each taken |G| h / modulus times, so its multiset is that many
     copies of range(0, modulus, h), sorted.
@@ -318,13 +285,6 @@ def table_fingerprint(
         radical_rank=len(radical_slopes),
         radical_gcd=_radical_gcd(tuple(radical_slopes)),
     )
-
-
-def invariant_fingerprint(q: QuadraticFunction) -> Fingerprint:
-    """The fingerprint of a function given by its rational values, over the lcm of their denominators."""
-    factors = q.group.invariant_factors
-    modulus, (residues,) = _residue_tables(q)
-    return table_fingerprint(factors, modulus, residues, *_generator_data(factors, modulus, residues), q.radical_slopes)
 
 
 @dataclass(frozen=True)
@@ -486,28 +446,3 @@ def _cyclic_isometries(order: int, modulus: int, b1: int, b2: int) -> list[int]:
     The least element of the orbit therefore keys the class.
     """
     return [u for u in range(1, order) if math.gcd(u, order) == 1 and (u * u * b2 - b1) % modulus == 0]
-
-
-def is_isomorphic(q1: QuadraticFunction, q2: QuadraticFunction) -> GroupIso | None:
-    """An isomorphism Psi with q2(Psi(x)) = q1(x) for all x, or None.
-
-    The search is exhaustive over order-compatible generator images, so
-    None is a definite negative for the finite parts; radical slope data
-    is compared by rank and gcd first.  The search's witness matches q
-    everywhere only on quadratic tables, so it is checked once on the
-    whole table: a table built with check=False that is not quadratic
-    raises ValueError here.
-    """
-    factors = q1.group.invariant_factors
-    if factors != q2.group.invariant_factors or not radical_compatible(q1, q2):
-        return None
-    modulus, (values1, values2) = _residue_tables(q1, q2)
-    if Counter(values1) != Counter(values2):
-        return None
-    data1, data2 = (_generator_data(factors, modulus, values) for values in (values1, values2))
-    images = _generator_isomorphism(factors, modulus, *data1, *data2, values2)
-    if images is None:
-        return None
-    if any(values2[u] != v for u, v in zip(_image_positions(factors, images), values1)):
-        raise ValueError("is_isomorphic needs quadratic functions: a map matching q on the generators misses it elsewhere")
-    return GroupIso(q1.group, q2.group, images)

@@ -18,11 +18,9 @@ from quadlink.classify import (
     lens_yc_count,
     yc_classes,
     yc_equivalent,
-    yc_equivalent_by_pairing,
 )
 from quadlink.cli import EXIT_INEQUIVALENT, dump_document, main
-from quadlink.exact import cyclo_from_angles
-from quadlink.lattice import discriminant, is_characteristic, phi_eval, wu_classes
+from quadlink.lattice import discriminant, is_characteristic, wu_classes
 from quadlink.presentation import (
     YMove,
     apply_move,
@@ -30,9 +28,11 @@ from quadlink.presentation import (
     random_walk,
     spin_structures,
 )
-from quadlink.quadfun import FiniteAbelianGroup, QuadraticFunction, gauss_sum
+from quadlink.quadfun import FiniteAbelianGroup, QuadraticFunction
 from quadlink.spaces import e8, lens, rp3, s2xs1, s3, t3
 from quadlink.zlinalg import determinant, intmatrix
+
+from oracles import cyclo_from_angles, gauss_sum, phi_eval, torsion_lift, yc_equivalent_by_pairing
 
 # shared matrix corpus; |det| spans 0, +-1 and a spread of torsion sizes
 CORPUS_MATRICES = [
@@ -94,10 +94,10 @@ def test_criterion_01_projective_pair_distinguished(tmp_path, capsys):
     data = discriminant(intmatrix([[2]]))
     group = FiniteAbelianGroup(data.torsion_factors)
     plus = QuadraticFunction.from_callable(
-        group, lambda w: phi_eval(data, (0,), data.torsion_lift(w))
+        group, lambda w: phi_eval(data, (0,), torsion_lift(data, w))
     )
     minus = QuadraticFunction.from_callable(
-        group, lambda w: phi_eval(data, (2,), data.torsion_lift(w))
+        group, lambda w: phi_eval(data, (2,), torsion_lift(data, w))
     )
     one_plus_i = cyclo_from_angles([Fraction(0), Fraction(1, 4)])
     one_minus_i = cyclo_from_angles([Fraction(0), Fraction(3, 4)])
@@ -252,7 +252,7 @@ def test_criterion_08_decorations_embed_into_functions():
         tables = []
         for c in canonical_chern_vectors(m):
             tables.append(
-                tuple(phi_eval(data, c, data.torsion_lift(w)) for w in elements)
+                tuple(phi_eval(data, c, torsion_lift(data, w)) for w in elements)
             )
         for t1, t2 in itertools.combinations(tables, 2):
             assert t1 != t2

@@ -26,24 +26,18 @@ from quadlink.classify import (
     lens_yc_count,
     yc_classes,
     yc_equivalent,
-    yc_equivalent_by_pairing,
 )
 import quadlink.classify as classify_module
 from quadlink.classify import DEFAULT_SEARCH_BUDGET, _MIXED_BLIND_REASONS, _Budget, _integral_slopes, _Side
-from quadlink.exact import CyclotomicSum, QmodZ, cyclo_equals, cyclo_from_angles, cyclo_from_residues, residue_multiset
+from quadlink.exact import CyclotomicSum, QmodZ, cyclo_equals, cyclo_from_residues
 from quadlink.exact import _reduce_mod_cyclotomic
 import quadlink.lattice as lattice_module
 from quadlink.lattice import (
     CharacteristicError,
     DiscriminantData,
-    chern_coordinates,
     discriminant,
-    evaluation_pairing,
-    linking_pairing,
-    phi_eval,
     phi_generators,
     phi_table,
-    radical_slope,
     self_linking_table,
 )
 from quadlink.presentation import HandleSlide, apply_move, chern_equal, presentation, random_walk
@@ -65,6 +59,21 @@ from quadlink.quadfun import (
     _quadratic_table,
 )
 from quadlink.zlinalg import IntMatrix, SmithDecomposition, determinant, intmatrix, solve_integer
+
+from oracles import (
+    _PAIRING_REASONS,
+    checked_isometry,
+    chern_coordinates,
+    cyclo_from_angles,
+    evaluation_pairing,
+    lifts,
+    linking_pairing,
+    phi_eval,
+    radical_slope,
+    residue_multiset,
+    torsion_lift,
+    yc_equivalent_by_pairing,
+)
 
 
 # --- the gcd fact behind the free regime -------------------------------
@@ -236,15 +245,7 @@ def _whole_group_images(p1, p2):
 
     if Counter(defect_table(q1, b1)) != Counter(defect_table(q2, b2)):
         return None
-    elements = list(FiniteAbelianGroup(factors).elements())
-    candidates = [[m for m, v in zip(elements, values2) if v == want] for want in q1]
-    if not all(candidates):
-        return None
-    order = sorted(range(len(factors)), key=lambda i: (-factors[i], i))
-    for images in _isometries(factors, modulus, b1, b2, order, candidates, lambda: True):
-        if all(values2[u] == v for u, v in zip(_image_positions(factors, images), values1)):
-            return images
-    return None
+    return checked_isometry(factors, modulus, q1, b1, values1, b2, values2)
 
 
 def _is_prime_power(n):
@@ -1032,12 +1033,12 @@ def _report_oracle(m, chern):
     group = FiniteAbelianGroup(data.torsion_factors)
     slopes = radical_slope(data, chern)
     q = QuadraticFunction.from_callable(
-        group, lambda w: phi_eval(data, chern, data.torsion_lift(w)), radical_slopes=slopes, check=False
+        group, lambda w: phi_eval(data, chern, torsion_lift(data, w)), radical_slopes=slopes, check=False
     )
     elements = list(group.elements())
     gauss = cyclo_from_angles(q.values.values()).canonical()
     diagonal = tuple(
-        sorted(linking_pairing(data, data.torsion_lift(w), data.torsion_lift(w)) for w in elements)
+        sorted(linking_pairing(data, torsion_lift(data, w), torsion_lift(data, w)) for w in elements)
     )
     # the oracle's rational values, sorted, then written in the report's units of 1/M
     modulus = data.value_modulus
@@ -1342,12 +1343,12 @@ PINNED_MIXED = [
 def test_integer_discriminant_data_matches_the_rational_pairings(form):
     data = discriminant(IntMatrix(form[0]))
     modulus = data.value_modulus
-    lifts = data.lifts
+    gs = lifts(data)
     assert [[Fraction(r, modulus) for r in row] for row in data.linking] == [
-        [linking_pairing(data, gi, gj).value for gj in lifts] for gi in lifts
+        [linking_pairing(data, gi, gj).value for gj in gs] for gi in gs
     ]
     assert [[Fraction(r, modulus) for r in row] for row in data.eval_free_lift] == [
-        [evaluation_pairing(fm, gi).value for gi in lifts] for fm in data.cok_free_covectors
+        [evaluation_pairing(fm, gi).value for gi in gs] for fm in data.cok_free_covectors
     ]
 
 
@@ -1992,7 +1993,7 @@ def test_torsion_map_route_matches_the_oracle_on_shifted_refinements():
         s = [rng.randrange(d) for d in data2.torsion_factors]
         side2 = dataclasses.replace(classify_module._side(data2, p2.chern), _table=_shifted_table(data2, p2.chern, s))
         verdicts = [
-            decide(classify_module._side(data1, c1), side2, DEFAULT_ORDER_CAP, _Budget(10**6), classify_module._PAIRING_REASONS)
+            decide(classify_module._side(data1, c1), side2, DEFAULT_ORDER_CAP, _Budget(10**6), _PAIRING_REASONS)
             for decide in (classify_module._torsion_map_verdict, _oracle_torsion_map_verdict)
         ]
         assert verdicts[0] == verdicts[1], (rows, c1, p2, s)

@@ -12,13 +12,12 @@ from quadlink.exact import (
     QmodZ,
     cyclo_abs_squared,
     cyclo_equals,
-    cyclo_from_angles,
     cyclo_from_residues,
     cyclotomic_polynomial,
-    qmodz_reduce,
-    residue_multiset,
 )
 from quadlink.exact import _prime_factors, _reduce_mod_cyclotomic, _totient
+
+from oracles import cyclo_from_angles, qmodz_reduce, residue_multiset
 
 # ---------------------------------------------------------------------------
 # independent oracle: cyclotomic polynomials by recursive long division over Q
@@ -351,6 +350,22 @@ def test_cyclo_from_residues_refuses_residues_outside_the_modulus():
             cyclo_from_residues(bad, 5)
     assert cyclo_from_residues({}, 5) == cyclo_from_residues({0: 0}, 5)
     assert cyclo_from_residues({4: 1}, 5) == cyclo_from_angles([QmodZ(Fraction(4, 5))])
+
+
+def test_cyclo_from_residues_refuses_a_modulus_below_one():
+    # modulus 0 once raised ZeroDivisionError, and a negative modulus
+    # built a sum with a negative modulus and no coefficients
+    for histogram, modulus in (({}, 0), ({0: 1}, 0), ({}, -3), ({0: 1}, -1)):
+        with pytest.raises(ValueError, match="modulus must be >= 1"):
+            cyclo_from_residues(histogram, modulus)
+
+
+def test_cyclo_from_residues_refuses_negative_counts():
+    # a negative count was once added to the sum without complaint
+    for histogram in ({0: -1}, {1: 2, 2: -1}, Counter({0: 3, 4: -2})):
+        with pytest.raises(ValueError, match="counts must be >= 0"):
+            cyclo_from_residues(histogram, 5)
+    assert cyclo_from_residues({0: 0, 1: 1}, 5) == cyclo_from_residues({1: 1}, 5)
 
 
 # The constructions residue_multiset, cyclo_from_residues and canonical()

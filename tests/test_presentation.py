@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from quadlink.lattice import discriminant, phi_eval
+from quadlink.lattice import discriminant
 from quadlink.presentation import (
     DecoratedPresentation,
     Destabilize,
@@ -22,8 +22,10 @@ from quadlink.presentation import (
     random_walk,
     spin_structures,
 )
-from quadlink.quadfun import FiniteAbelianGroup, QuadraticFunction, invariant_fingerprint
+from quadlink.quadfun import FiniteAbelianGroup, QuadraticFunction
 from quadlink.zlinalg import determinant, intmatrix
+
+from oracles import invariant_fingerprint, phi_eval, torsion_lift
 
 
 def finite_part(p):
@@ -32,7 +34,7 @@ def finite_part(p):
     assert data.free_rank == 0
     group = FiniteAbelianGroup(data.torsion_factors)
     return QuadraticFunction.from_callable(
-        group, lambda a: phi_eval(data, p.chern, data.torsion_lift(a))
+        group, lambda a: phi_eval(data, p.chern, torsion_lift(data, a))
     )
 
 

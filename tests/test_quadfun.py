@@ -7,20 +7,14 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from quadlink.exact import QmodZ, cyclo_abs_squared, cyclo_from_angles
-from quadlink.lattice import discriminant, phi_eval
+from quadlink.exact import QmodZ, cyclo_abs_squared
+from quadlink.lattice import discriminant
 import quadlink.quadfun as quadfun_module
 from quadlink.quadfun import (
     DEFAULT_ORDER_CAP,
     FiniteAbelianGroup,
     OrderCapExceeded,
     QuadraticFunction,
-    bilinear_of,
-    defect_of,
-    gauss_sum,
-    invariant_fingerprint,
-    is_isomorphic,
-    radical_compatible,
     table_fingerprint,
     _defect_character,
     _generator_isomorphism,
@@ -33,6 +27,19 @@ from quadlink.classify import EQUIVALENT, INEQUIVALENT, _character_positions, ca
 from quadlink.presentation import presentation
 from quadlink.zlinalg import determinant, intmatrix
 
+from oracles import (
+    bilinear_of,
+    checked_isometry,
+    cyclo_from_angles,
+    defect_of,
+    gauss_sum,
+    invariant_fingerprint,
+    is_isomorphic,
+    phi_eval,
+    radical_compatible,
+    torsion_lift,
+)
+
 
 def table_from_matrix(rows, chern):
     """Finite quadratic function of a nondegenerate decorated form."""
@@ -41,7 +48,7 @@ def table_from_matrix(rows, chern):
     data.require_characteristic(chern)
     group = FiniteAbelianGroup(data.torsion_factors)
     return QuadraticFunction.from_callable(
-        group, lambda a: phi_eval(data, chern, data.torsion_lift(a))
+        group, lambda a: phi_eval(data, chern, torsion_lift(data, a))
     )
 
 
@@ -652,16 +659,8 @@ def _checked_isomorphism(factors, modulus, q1, b1, values1, q2, b2, values2):
     """_generator_isomorphism with every leaf tested for bijectivity and every found map checked on the whole table."""
     if math.gcd(modulus, *_defect_character(modulus, q1, b1)) != math.gcd(modulus, *_defect_character(modulus, q2, b2)):
         return None
-    elements = list(itertools.product(*(range(d) for d in factors)))
-    candidates = [[m for m, v in zip(elements, values2) if v == want] for want in q1]
-    if not all(candidates):
-        return None
-    order = sorted(range(len(factors)), key=lambda i: (-factors[i], i))
     with _every_leaf_checked():
-        for images in _isometries(factors, modulus, b1, b2, order, candidates, lambda: True):
-            if all(values2[u] == v for u, v in zip(_image_positions(factors, images), values1)):
-                return images
-    return None
+        return checked_isometry(factors, modulus, q1, b1, values1, b2, values2)
 
 
 @settings(max_examples=150, deadline=None)

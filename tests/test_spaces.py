@@ -14,7 +14,6 @@ from quadlink.classify import (
 )
 from quadlink.lattice import wu_classes
 from quadlink.presentation import presentation
-from quadlink.quadfun import gauss_sum
 from quadlink.spaces import connected_sum, e8, lens, rp3, s2xs1, s3, t3
 from quadlink.zlinalg import determinant
 
