@@ -48,6 +48,10 @@ contractions of the admissible rows are the solutions of 2x = v
 (mod d) among the multiples of gcd(d, ell).  Verdicts are definite
 unless the budget runs out, in which case the honest answer is
 unknown.
+
+The order cap bounds |G| and is checked once per public entry point,
+by _decide after the verdicts that read no torsion element; nothing
+below them takes it.
 """
 
 from __future__ import annotations
@@ -146,14 +150,14 @@ class _Budget:
 class _Side:
     """One presentation's data for a decision, checked and computed once; q_gen, its value table and free coordinates on first use.
 
-    free_gcd reads the slopes.
+    free_gcd reads the slopes.  The entry points check the order cap
+    before any side is tabulated; nothing here does.
     """
 
     data: DiscriminantData
     chern: tuple[int, ...]
     tors: tuple[int, ...]
     slopes: tuple[int, ...]
-    _table: list[int] | None = None
 
     @cached_property
     def q_gen(self) -> list[int]:
@@ -176,13 +180,10 @@ class _Side:
         _check_duality(self.data, self.slopes, free)
         return free
 
-    def table(self, cap: int) -> list[int]:
-        """phi_table of the decoration behind the order cap, built once per side."""
-        if self._table is None:
-            if self.data.torsion_order > cap:
-                raise OrderCapExceeded(self.data.torsion_order, cap)
-            self._table = torsion_table(self.data, self.q_gen)
-        return self._table
+    @cached_property
+    def table(self) -> list[int]:
+        """phi_table of the decoration, one entry per torsion element."""
+        return torsion_table(self.data, self.q_gen)
 
 
 def _side(data: DiscriminantData, c: Sequence[int]) -> _Side:
@@ -197,13 +198,6 @@ def _check_duality(data: DiscriminantData, slopes: Sequence[int], free: Sequence
     for j in range(len(slopes)):
         if 2 * slopes[j] != sum(w[m][j] * free[m] for m in range(data.free_rank)):
             raise RuntimeError(f"slope {j} breaks the duality identity with the free decoration part")
-
-
-def _integral_slopes(data: DiscriminantData, cs: Sequence[int], free: Sequence[int]) -> tuple[int, ...]:
-    """Kernel slopes of a checked characteristic decoration, integral by lattice._radical_slope, after _check_duality."""
-    slopes = _radical_slope(data, cs)
-    _check_duality(data, slopes, free)
-    return slopes
 
 
 @dataclass(frozen=True)
@@ -253,7 +247,7 @@ def invariants_report(p: DecoratedPresentation, *, cap: int = DEFAULT_ORDER_CAP)
     data = discriminant(p.matrix, cap=cap)
     side = _side(data, p.chern)
     modulus = data.value_modulus
-    fp = table_fingerprint(data.torsion_factors, modulus, side.table(cap), side.q_gen, data.linking, side.slopes)
+    fp = table_fingerprint(data.torsion_factors, modulus, side.table, side.q_gen, data.linking, side.slopes)
     diag = tuple(sorted(self_linking_table(data)))
     return InvariantReport(
         free_rank=data.free_rank,
@@ -284,7 +278,6 @@ def _character_positions(factors: Sequence[int], modulus: int, link: Sequence[Se
 def _torsion_map_verdict(
     side1: _Side,
     side2: _Side,
-    cap: int,
     budget: _Budget,
     reasons: tuple[str, str, str],
 ) -> EquivalenceVerdict:
@@ -300,7 +293,7 @@ def _torsion_map_verdict(
     data1, data2 = side1.data, side2.data
     factors = data1.torsion_factors
     modulus = data1.value_modulus
-    values2 = side2.table(cap)
+    values2 = side2.table
     characters = _character_positions(factors, modulus, data1.linking)
     group = FiniteAbelianGroup(factors)
     link1, link2 = data1.linking, data2.linking
@@ -341,7 +334,7 @@ _MIXED_BLIND_REASONS = (
 )
 
 
-def _mixed_verdict(side1: _Side, side2: _Side, cap: int, budget: _Budget) -> EquivalenceVerdict:
+def _mixed_verdict(side1: _Side, side2: _Side, budget: _Budget) -> EquivalenceVerdict:
     """Sweep candidate maps when both free rank and torsion are present.
 
     A candidate consists of a pairing-preserving torsion map Psi, a
@@ -364,11 +357,11 @@ def _mixed_verdict(side1: _Side, side2: _Side, cap: int, budget: _Budget) -> Equ
         # decoration is blind to the radical: the Gauss sums are section
         # independent and the candidate map only has to match the
         # torsion decoration classes
-        return _torsion_map_verdict(side1, side2, cap, budget, _MIXED_BLIND_REASONS)
+        return _torsion_map_verdict(side1, side2, budget, _MIXED_BLIND_REASONS)
 
     factors = data1.torsion_factors
     modulus = data1.value_modulus
-    q2 = side2.table(cap)
+    q2 = side2.table
     characters = _character_positions(factors, modulus, data1.linking)
     group = FiniteAbelianGroup(factors)
     elements = list(group.elements())
@@ -461,7 +454,7 @@ def yc_equivalent(
 
 
 def _decide(side1: _Side, side2: _Side, cap: int, budget: int) -> EquivalenceVerdict:
-    """The verdict of yc_equivalent on each side's data, computed once by the caller."""
+    """The verdict of yc_equivalent on each side's data, computed once by the caller; the cap follows the verdicts that read no torsion element."""
     d1, d2 = side1.data, side2.data
     if d1.free_rank != d2.free_rank:
         return EquivalenceVerdict(
@@ -477,8 +470,15 @@ def _decide(side1: _Side, side2: _Side, cap: int, budget: int) -> EquivalenceVer
         return EquivalenceVerdict(
             INEQUIVALENT, f"free decoration orbits differ: gcd {g1} vs {g2}"
         )
+    if not d1.torsion_factors and d1.free_rank:
+        return EquivalenceVerdict(
+            EQUIVALENT,
+            f"free first homology of rank {d1.free_rank} with matching decoration gcd {g1}",
+        )
+    if d1.torsion_order > cap:
+        raise OrderCapExceeded(d1.torsion_order, cap)
     if d1.free_rank == 0:
-        iso = _finite_isomorphism(side1, side2, cap)
+        iso = _finite_isomorphism(side1, side2)
         if iso is not None:
             return EquivalenceVerdict(
                 EQUIVALENT, "the finite quadratic functions are isomorphic", witness=iso
@@ -486,12 +486,7 @@ def _decide(side1: _Side, side2: _Side, cap: int, budget: int) -> EquivalenceVer
         return EquivalenceVerdict(
             INEQUIVALENT, "no isomorphism carries one finite quadratic function to the other"
         )
-    if not d1.torsion_factors:
-        return EquivalenceVerdict(
-            EQUIVALENT,
-            f"free first homology of rank {d1.free_rank} with matching decoration gcd {g1}",
-        )
-    return _mixed_verdict(side1, side2, cap, _Budget(budget))
+    return _mixed_verdict(side1, side2, _Budget(budget))
 
 
 @dataclass(frozen=True)
@@ -533,7 +528,7 @@ def _primary_parts(factors: Sequence[int]) -> list[_Primary]:
     return parts
 
 
-def _finite_isomorphism(side1: _Side, side2: _Side, cap: int) -> GroupIso | None:
+def _finite_isomorphism(side1: _Side, side2: _Side) -> GroupIso | None:
     """An isomorphism of the finite quadratic functions of two sides with equal torsion factors, or None.
 
     Summands of coprime order pair to zero under b, so q is the
@@ -551,8 +546,6 @@ def _finite_isomorphism(side1: _Side, side2: _Side, cap: int) -> GroupIso | None
     """
     data1, data2 = side1.data, side2.data
     factors = data1.torsion_factors
-    if data1.torsion_order > cap:
-        raise OrderCapExceeded(data1.torsion_order, cap)
     modulus = data1.value_modulus
     q1, q2 = side1.q_gen, side2.q_gen
     parts = _primary_parts(factors)
@@ -623,19 +616,18 @@ def _canonical_chern_vectors(data: DiscriminantData, count: int) -> tuple[tuple[
     return tuple(out)
 
 
-def _census_key(side: _Side, cap: int) -> tuple:
+def _census_key(side: _Side) -> tuple:
     """An integer key splitting decorations of a degenerate form as stable_profile() does; _side ran the report's checks."""
-    values = side.table(cap)
     g = side.free_gcd
     if g:
         return (g,)
     # the Gauss sum is read off the value histogram; the defect is a character, whose image fixes its histogram
     modulus = side.data.value_modulus
     defect_gcd = math.gcd(modulus, *_defect_character(modulus, side.q_gen, side.data.linking))
-    return (0, frozenset(Counter(values).items()), defect_gcd)
+    return (0, frozenset(Counter(side.table).items()), defect_gcd)
 
 
-def _finite_census_keys(data: DiscriminantData, vecs: Sequence[Sequence[int]], cap: int) -> list[tuple[int, ...]]:
+def _finite_census_keys(data: DiscriminantData, vecs: Sequence[Sequence[int]]) -> list[tuple[int, ...]]:
     """Per decoration of a form with finite homology, its class id at each prime: equal keys, equal classes.
 
     By the orthogonal split (see _finite_isomorphism) two decorations
@@ -650,8 +642,6 @@ def _finite_census_keys(data: DiscriminantData, vecs: Sequence[Sequence[int]], c
     decoration across them, with no table and no search.  The other
     p-parts are censused by orbits (_orbit_census).
     """
-    if data.torsion_order > cap:
-        raise OrderCapExceeded(data.torsion_order, cap)
     modulus, link = data.value_modulus, data.linking
     # the vectors are characteristic: canonical ones by construction, listed ones checked by presentation()
     q_columns = _phi_columns(data, vecs)
@@ -740,7 +730,8 @@ def yc_classes(
 
     Without an explicit list the canonical decorations are used, which
     needs det != 0 and |det| within the order cap, checked before any
-    decoration is enumerated.  One discriminant serves all decorations.
+    decoration is enumerated; for an explicit list |G| is checked after
+    the discriminant.  One discriminant serves all decorations.
     Classes come in order of first occurrence, members in input order;
     an empty list gives ().
 
@@ -752,11 +743,10 @@ def yc_classes(
     p-part, and by orbits otherwise, where every isometry the search
     finds is applied to every decoration, so only a decoration in an
     orbit with no class yet is tabulated and searched.  A decoration's
-    class is its tuple of per-prime classes; the order cap still applies
-    to |G|.  Otherwise decorations are bucketed on integer keys that
-    split them as stable_profile() does; each, in input order, joins
-    the first class in its bucket whose first member is equivalent to
-    it, else opens one.  An undecided comparison aborts, naming its
+    class is its tuple of per-prime classes.  Otherwise decorations are
+    bucketed on integer keys that split them as stable_profile() does;
+    each, in input order, joins the first class in its bucket whose
+    first member is equivalent to it, else opens one.  An undecided comparison aborts, naming its
     pair, rather than guess.
     """
     m = intmatrix(matrix)
@@ -771,16 +761,18 @@ def yc_classes(
         if not vecs:
             return ()
         data = discriminant(m)
+        if data.torsion_order > cap:
+            raise OrderCapExceeded(data.torsion_order, cap)
     if not data.free_rank:
         grouped: dict[tuple[int, ...], list[int]] = {}
-        for i, key in enumerate(_finite_census_keys(data, vecs, cap)):
+        for i, key in enumerate(_finite_census_keys(data, vecs)):
             grouped.setdefault(key, []).append(i)
         return tuple(tuple(vecs[i] for i in members) for members in grouped.values())
     sides = [_side(data, v) for v in vecs]
     buckets: dict[tuple, list[list[int]]] = {}
     classes: list[list[int]] = []
     for i, side in enumerate(sides):
-        bucket = buckets.setdefault(_census_key(side, cap), [])
+        bucket = buckets.setdefault(_census_key(side), [])
         for members in bucket:
             verdict = _decide(sides[members[0]], side, cap, budget)
             if verdict.status == UNKNOWN:

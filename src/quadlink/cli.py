@@ -30,7 +30,8 @@ Exit codes:
        MAX_SPIN_STRUCTURES spin structures, for lens-census an order
        above MAX_LENS_ORDER, and a command line that does not parse
        or sets --cap below 1 or --budget below 0
-    2  torsion group larger than the order cap
+    2  torsion group larger than the order cap, unless compare tells
+       the pair apart by free rank, torsion factors or free gcd
     3  compare: inequivalent
     4  compare: unknown within the search budget
     5  lens-census: even order, where counting is not supported
@@ -313,9 +314,10 @@ def cmd_compare(args: argparse.Namespace) -> int:
     if verdict.status == INEQUIVALENT:
         print(f"Inequivalent: {label1} !~ {label2}")
         print(f"  {verdict.reason}")
-        field = first_differing_field(
-            invariants_report(p1, cap=args.cap), invariants_report(p2, cap=args.cap)
-        )
+        try:
+            field = first_differing_field(invariants_report(p1, cap=args.cap), invariants_report(p2, cap=args.cap))
+        except OrderCapExceeded:  # the verdict read no torsion element; a report reads them all
+            field = None
         if field is not None:
             print(f"  first differing invariant: {field}")
         return EXIT_INEQUIVALENT

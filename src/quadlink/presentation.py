@@ -159,12 +159,13 @@ def apply_move(p: DecoratedPresentation, move: Move) -> DecoratedPresentation:
             raise MoveError("a component cannot slide over itself")
         if move.sign not in (1, -1):
             raise MoveError(f"slide sign must be +1 or -1, got {move.sign}")
-        e = [[int(r == c) for c in range(n)] for r in range(n)]
-        e[move.j][move.i] = move.sign
-        em = intmatrix(e)
-        new_b = em.transpose() @ b @ em
-        new_s = em.transpose().matvec(s)
-        return DecoratedPresentation(new_b, new_s)
+        # E^T B E and E^T s for E = I + sign e_j e_i^T: one column, then one row addition
+        i, j, sign = move.i, move.j, move.sign
+        rows = [list(row) for row in b.data]
+        for row in rows:
+            row[i] += sign * row[j]
+        rows[i] = [x + sign * y for x, y in zip(rows[i], rows[j])]
+        return DecoratedPresentation(intmatrix(rows), s[:i] + (s[i] + sign * s[j],) + s[i + 1 :])
 
     if isinstance(move, ReverseOrientation):
         _check_index(p, move.i)

@@ -38,6 +38,7 @@ from quadlink.quadfun import (
     Element,
     Fingerprint,
     GroupIso,
+    OrderCapExceeded,
     QuadraticFunction,
     _generator_data,
     _generator_isomorphism,
@@ -304,5 +305,7 @@ def yc_equivalent_by_pairing(
             classify.INEQUIVALENT,
             f"torsion invariant factors differ: {d1.torsion_factors} vs {d2.torsion_factors}",
         )
+    if d1.torsion_order > cap:
+        raise OrderCapExceeded(d1.torsion_order, cap)
     side1, side2 = classify._side(d1, p1.chern), classify._side(d2, p2.chern)
-    return classify._torsion_map_verdict(side1, side2, cap, classify._Budget(budget), _PAIRING_REASONS)
+    return classify._torsion_map_verdict(side1, side2, classify._Budget(budget), _PAIRING_REASONS)

@@ -28,13 +28,14 @@ from quadlink.classify import (
     yc_equivalent,
 )
 import quadlink.classify as classify_module
-from quadlink.classify import DEFAULT_SEARCH_BUDGET, _MIXED_BLIND_REASONS, _Budget, _integral_slopes, _Side
+from quadlink.classify import DEFAULT_SEARCH_BUDGET, _MIXED_BLIND_REASONS, _Budget, _check_duality, _Side
 from quadlink.exact import CyclotomicSum, QmodZ, cyclo_equals, cyclo_from_residues
 from quadlink.exact import _reduce_mod_cyclotomic
 import quadlink.lattice as lattice_module
 from quadlink.lattice import (
     CharacteristicError,
     DiscriminantData,
+    _radical_slope,
     discriminant,
     phi_generators,
     phi_table,
@@ -597,6 +598,39 @@ def test_order_cap_propagates():
         yc_equivalent(presentation([[7]], (7,)), presentation([[7]], (7,)), cap=5)
 
 
+def _pair(m1, c1, m2, c2):
+    return presentation(m1, c1), presentation(m2, c2)
+
+
+# The order cap is one check per entry point: in _decide after the verdicts
+# that read no torsion element, and in yc_classes before its census.  The
+# private layer below takes no cap, so it is patched to refuse: an over-cap
+# input raises before reaching it, and the cheap verdicts never reach it.
+@pytest.mark.parametrize(
+    "call, expected",
+    [
+        (lambda: yc_equivalent(*_pair([[7]], (1,), [[7]], (3,)), cap=6), (7, 6)),
+        (lambda: yc_equivalent(*_pair(*BLIND_PAIR), cap=1), (2, 1)),
+        (lambda: yc_equivalent(*_pair(*SWEEP_PAIR), cap=8), (9, 8)),
+        (lambda: yc_classes(MIXED, [(0, 0), (0, 2), (2, 0)], cap=1), (2, 1)),
+        (lambda: yc_equivalent(*_pair([[7]], (1,), [[7, 0], [0, 0]], (1, 0)), cap=1), "free ranks differ: 0 vs 1"),
+        (lambda: yc_equivalent(*_pair([[7]], (1,), [[5]], (1,)), cap=1), "torsion invariant factors differ: (7,) vs (5,)"),
+        (lambda: yc_equivalent(*_pair(MIXED, (2, 0), MIXED, (4, 0)), cap=1), "free decoration orbits differ: gcd 2 vs 4"),
+    ],
+    ids=["finite", "mixed-blind", "mixed-sweep", "census-degenerate", "free-rank", "torsion-factors", "free-gcd"],
+)
+def test_the_order_cap_sits_after_the_cheap_verdicts(monkeypatch, call, expected):
+    for name in ("_finite_isomorphism", "_mixed_verdict", "_torsion_map_verdict", "_finite_census_keys", "_census_key"):
+        monkeypatch.setattr(classify_module, name, mock.Mock(side_effect=AssertionError(f"{name} ran above the cap")))
+    if isinstance(expected, str):
+        v = call()
+        assert (v.status, v.reason, v.witness) == (INEQUIVALENT, expected, None)
+        return
+    with pytest.raises(OrderCapExceeded) as caught:
+        call()
+    assert (caught.value.order, caught.value.cap) == expected
+
+
 def test_report_refuses_oversized_torsion_before_the_replays(monkeypatch):
     # the cap is checked on the Smith diagonal, so a refused form replays
     # no transform vector; a form within the cap must still replay
@@ -860,12 +894,12 @@ def _check_census_against_oracle(m, vecs):
     data = discriminant(intmatrix(m))
     if data.free_rank:
         # bucket keys split exactly as the profiles do
-        keys = [classify_module._census_key(classify_module._side(data, v), DEFAULT_ORDER_CAP) for v in vecs]
+        keys = [classify_module._census_key(classify_module._side(data, v)) for v in vecs]
         for (k1, p1), (k2, p2) in itertools.combinations(zip(keys, profiles), 2):
             assert (k1 == k2) == (p1 == p2)
     else:
         # keys are classes, so equal keys have equal profiles
-        keys = classify_module._finite_census_keys(data, vecs, DEFAULT_ORDER_CAP)
+        keys = classify_module._finite_census_keys(data, vecs)
         for (k1, p1), (k2, p2) in itertools.combinations(zip(keys, profiles), 2):
             assert k1 != k2 or p1 == p2
     assert yc_classes(m, vecs) == _census_oracle(m, vecs, profiles)
@@ -1620,7 +1654,6 @@ def test_each_decoration_is_checked_once(monkeypatch, m1, c1, m2, c2):
 def _oracle_torsion_map_verdict(
     side1: _Side,
     side2: _Side,
-    cap: int,
     budget: _Budget,
     reasons: tuple[str, str, str],
 ) -> EquivalenceVerdict:
@@ -1634,8 +1667,8 @@ def _oracle_torsion_map_verdict(
     data1, data2 = side1.data, side2.data
     factors = data1.torsion_factors
     modulus = data1.value_modulus
-    values1 = side1.table(cap)
-    values2 = side2.table(cap)
+    values1 = side1.table
+    values2 = side2.table
     group = FiniteAbelianGroup(factors)
     link1, link2 = data1.linking, data2.linking
     no_map, equivalent, gauss_differ = reasons
@@ -1654,7 +1687,7 @@ def _oracle_torsion_map_verdict(
 
 
 def _oracle_mixed_verdict(
-    side1: _Side, side2: _Side, cap: int, budget: _Budget, *, truncating_walk: bool = False
+    side1: _Side, side2: _Side, budget: _Budget, *, truncating_walk: bool = False
 ) -> EquivalenceVerdict:
     """Sweep candidate maps when both free rank and torsion are present.
 
@@ -1673,25 +1706,27 @@ def _oracle_mixed_verdict(
     element position in itertools.product order.
     """
     data1, data2 = side1.data, side2.data
-    g = math.gcd(*_integral_slopes(data1, side1.chern, side1.free))
+    slopes1 = _radical_slope(data1, side1.chern)
+    _check_duality(data1, slopes1, side1.free)
+    g = math.gcd(*slopes1)
     # side 2's slopes enter nowhere, but its duality check must run
-    _integral_slopes(data2, side2.chern, side2.free)
+    _check_duality(data2, _radical_slope(data2, side2.chern), side2.free)
     if g == 0:
         # decoration is blind to the radical: the Gauss sums are section
         # independent and the candidate map only has to match the
         # torsion decoration classes
-        return _oracle_torsion_map_verdict(side1, side2, cap, budget, _MIXED_BLIND_REASONS)
+        return _oracle_torsion_map_verdict(side1, side2, budget, _MIXED_BLIND_REASONS)
 
     factors = data1.torsion_factors
     modulus = data1.value_modulus
-    q1 = side1.table(cap)
-    q2 = side2.table(cap)
+    q1 = side1.table
+    q2 = side2.table
     group = FiniteAbelianGroup(factors)
     elements = list(group.elements())
     free1 = side1.free
     b = data1.free_rank
     link1, link2 = data1.linking, data2.linking
-    # the slope covector W^-T slopes is free/2, since _integral_slopes
+    # the slope covector W^-T slopes is free/2, since _check_duality
     # checked 2 slopes = W^T free and discriminant checked W unimodular
     ell1 = tuple(f // 2 for f in free1)
     ell2 = tuple(f // 2 for f in side2.free)
@@ -1966,10 +2001,10 @@ def test_phase_lookup_matches_the_sweep_on_shifted_refinements():
             continue
         swept += 1
         s = [rng.randrange(d) for d in data2.torsion_factors]
-        table = _shifted_table(data2, p2.chern, s)
+        side2.table = _shifted_table(data2, p2.chern, s)
         for budget in (5, 50, classify_module.DEFAULT_SEARCH_BUDGET):
             verdicts = [
-                decide(side1, dataclasses.replace(side2, _table=table), DEFAULT_ORDER_CAP, _Budget(budget))
+                decide(side1, side2, _Budget(budget))
                 for decide in (classify_module._mixed_verdict, _oracle_mixed_verdict)
             ]
             assert verdicts[0] == verdicts[1], (p1, p2, s)
@@ -1991,9 +2026,10 @@ def test_torsion_map_route_matches_the_oracle_on_shifted_refinements():
         p2, _ = random_walk(presentation(rows, c2), rng.randint(0, 6), seed=rng.randint(0, 10**6))
         data1, data2 = discriminant(intmatrix(rows)), discriminant(p2.matrix)
         s = [rng.randrange(d) for d in data2.torsion_factors]
-        side2 = dataclasses.replace(classify_module._side(data2, p2.chern), _table=_shifted_table(data2, p2.chern, s))
+        side2 = classify_module._side(data2, p2.chern)
+        side2.table = _shifted_table(data2, p2.chern, s)
         verdicts = [
-            decide(classify_module._side(data1, c1), side2, DEFAULT_ORDER_CAP, _Budget(10**6), _PAIRING_REASONS)
+            decide(classify_module._side(data1, c1), side2, _Budget(10**6), _PAIRING_REASONS)
             for decide in (classify_module._torsion_map_verdict, _oracle_torsion_map_verdict)
         ]
         assert verdicts[0] == verdicts[1], (rows, c1, p2, s)

@@ -109,6 +109,21 @@ def test_compare_cap_exceeded(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+def test_compare_answers_a_cheap_inequivalence_above_the_cap(tmp_path, capsys):
+    # free ranks differ, which reads no torsion element: the verdict stands,
+    # and only the report-based first differing invariant is left out
+    a = write_doc(tmp_path, "a.json", {"matrix": [[10007]], "chern": [1]})
+    b = write_doc(tmp_path, "b.json", {"matrix": [[10007, 0], [0, 0]], "chern": [1, 0]})
+    c = write_doc(tmp_path, "c.json", {"matrix": [[10007]], "chern": [3]})
+    assert main(["compare", a, b]) == EXIT_INEQUIVALENT
+    captured = capsys.readouterr()
+    assert captured.out == f"Inequivalent: {a} !~ {b}\n  free ranks differ: 0 vs 1\n"
+    assert captured.err == ""
+    assert main(["compare", a, c]) == EXIT_CAP
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", "error: group order 10007 exceeds the cap 10000\n")
+
+
 def test_invariants_cap_exceeded(tmp_path, capsys):
     a = write_doc(tmp_path, "a.json", {"matrix": [[2, 1], [1, 5]], "chern": [0, 1]})
     assert main(["invariants", a, "--cap", "8"]) == EXIT_CAP

@@ -140,6 +140,27 @@ class TestHandleSlide:
         out = apply_move(p, HandleSlide(0, 1, 1))
         assert invariant_fingerprint(finite_part(p)) == invariant_fingerprint(finite_part(out))
 
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_matches_the_dense_congruence(self, data):
+        # the slide is B -> E^T B E and c -> E^T c for E the identity with
+        # sign in row j, column i; apply_move does it by one column and one
+        # row addition
+        n = data.draw(st.integers(2, 6))
+        rows = [[0] * n for _ in range(n)]
+        for r in range(n):
+            for c in range(r, n):
+                rows[r][c] = rows[c][r] = data.draw(st.integers(-50, 50))
+        chern = [rows[r][r] + 2 * data.draw(st.integers(-20, 20)) for r in range(n)]
+        i, j = data.draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True))
+        sign = data.draw(st.sampled_from((1, -1)))
+        e = [[int(r == c) for c in range(n)] for r in range(n)]
+        e[j][i] = sign
+        em = intmatrix(e)
+        out = apply_move(presentation(rows, chern), HandleSlide(i, j, sign))
+        assert out.matrix == em.transpose() @ intmatrix(rows) @ em
+        assert out.chern == em.transpose().matvec(chern)
+
 
 class TestReverseOrientation:
     def test_frozen_example(self):
