@@ -2,9 +2,9 @@
 
 First the zero-framed unknot (S^2 x S^1): decorations s and -s merge,
 nothing else does, so the classes are {0} and {s, -s}.  Then connected
-sums of that piece with a 2-framed unknot, where the verdict needs the
-full mixed-regime search: a torsion part and a free part interact
-through the coupling of the glued-in map.
+sums of that piece with a 2-framed unknot, where the verdict is the
+finite regime on translates: a free decoration part of gcd 2g lets the
+torsion quadratic function move by b(., t) for t in gT.
 """
 
 from itertools import product

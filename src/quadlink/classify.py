@@ -2,56 +2,74 @@
 
 Two presentations describe the same decorated manifold, up to the
 calculus moves together with the extra borromean twist, exactly when
-their discriminant residues match: the torsion pairing, the class of
-the decoration in the cokernel, and the Gauss sums taken over matched
-sections of the torsion quotient.  This module turns that criterion
-into verdicts.
+their quadratic functions phi_c on the discriminant group G are
+isomorphic: the quadratic function is the complete degree-0 invariant
+(Deloup-Massuyeau, arXiv math/0207188).  This module turns that
+criterion into verdicts.
 
-Three regimes apply, ordered by how much structure survives:
+G is D + T: the radical D = ker(B) (x) Q/Z is divisible, and T, the
+torsion of coker(B), is finite.  Three regimes apply:
 
-* finite first homology: the finite quadratic function is a complete
-  invariant.  Parts of coprime order pair to zero, so it is the
-  orthogonal sum of its p-primary parts, and two functions are
+* finite first homology (D = 0): the finite quadratic function is a
+  complete invariant.  Parts of coprime order pair to zero, so it is
+  the orthogonal sum of its p-primary parts, and two functions are
   isomorphic exactly when their p-parts are, for every prime p (Wall,
   Topology 2, 1963; Kawauchi-Kojima, Math. Ann. 253, 1980).  On a
   cyclic p-part every automorphism is multiplication by a unit, so a
   closed form over the units settles it with no value table and no
   search (quadfun._cyclic_isometries); on the other p-parts an
   exhaustive isomorphism search on the integer value tables does;
-* free first homology: the gcd of the decoration vector is a complete
-  invariant (the unimodular orbit of an integer vector is its gcd).
-  coker(B) is then Hom(ker B, Z), so that gcd is 2 gcd(c(k_j)/2) over
-  a kernel basis k_j: the regime reads only the kernel, checked to
-  satisfy B k_j = 0, and the slopes, checked to be integral.  No row of
-  U or column of U^-1 is replayed;
-* mixed: a sweep over pairing-preserving torsion maps, couplings of
-  the free part into torsion, and section shifts, deciding for each
-  candidate whether the Gauss sums agree.
+* free first homology (T = 0): the gcd of the decoration vector is a
+  complete invariant (the unimodular orbit of an integer vector is its
+  gcd).  coker(B) is then Hom(ker B, Z), so that gcd is 2 gcd(c(k_j)/2)
+  over a kernel basis k_j: the regime reads only the kernel, checked to
+  satisfy B k_j = 0, and the slopes, checked to be integral;
+* mixed: the finite regime on translates, by the criterion below.  Like
+  the free regime it replays no free row of U and no free column of
+  U^-1.
 
-The mixed sweep exploits one structural collapse: once the free
-decoration parts are in the same unimodular orbit, the free-part
-matrix of a candidate map drops out of the Gauss comparison entirely
-(it acts on the slope functional through the duality matrix as the
-identity), so no matrix family is enumerated.  Nor is any Gauss sum:
-the linking pairing b is nondegenerate, so every character is b(., t)
-for one t, and gamma(q + b(., t)) = e(-q(t)) gamma(q) != 0
-(Milnor-Husemoller, App. 4) makes each comparison one congruence on
-q.
+The mixed criterion.  Write q for phi_c, and take two sides with equal
+free ranks, equal torsion factors and slope gcds g = gcd(c(k_j)/2).
+Then q1 and q2 are isomorphic exactly when some isometry Psi of the
+torsion linking pairings and some t in gT give q2 o Psi = q1 + b1(., t)
+on T, each q_i read on the stored section.  Proof:
 
-The sweep is finite, and a step budget bounds it: one step per
-pairing-preserving torsion map tried, d^b at once for the coupling
-rows of (Z/d)^b at each torsion order d and decoration difference v
-the sweep meets, and |G| per section character compared.  These steps
-are a deterministic work measure, charged although no row is built:
-the free decoration part is twice the slope covector ell, so the
-contractions of the admissible rows are the solutions of 2x = v
-(mod d) among the multiples of gcd(d, ell).  Verdicts are definite
-unless the budget runs out, in which case the honest answer is
-unknown.
+1. D lies in the radical of the pairing, since (r k)^T B y = 0 for k
+   in ker B, and q(r k) = -r c(k)/2, so q on D is the homomorphism
+   l: k_j (x) r -> -r s_j with slopes s_j = c(k_j)/2, and
+   q(d + x) = q(d) + q(x) for d in D.
+2. An isomorphism F: G1 -> G2 maps D1 onto D2, the largest divisible
+   subgroup, and induces an isomorphism Psi of T1 = G1/D1 onto T2.  Fix
+   sections s_i: T_i -> G_i; then F(d + s1 x) = A d + h(x) + s2(Psi x)
+   with A: D1 -> D2 an isomorphism and h in Hom(T1, D2), and every such
+   triple (A, h, Psi) is an isomorphism.  By 1,
+   q2(F(d + s1 x)) = l2(A d) + l2(h(x)) + q2(s2(Psi x)), so F carries q2
+   to q1 exactly when l2 o A = l1 and q2 o s2 o Psi = q1 o s1 - l2 o h.
+3. Some A gives l2 o A = l1 exactly when the slope gcds agree, which is
+   the free gcd test of the free regime.
+4. h is sum_j k_j (x) h_j with characters h_j of T1, free to choose, so
+   -l2 o h = sum_j s_j h_j runs over the characters g chi.  The pairing
+   b1 on T1 is nondegenerate, so every character is b1(., t) for
+   exactly one t, and g b1(., t) = b1(., g t).  The allowed differences
+   are the b1(., t) with t in gT1; the polarizations then force Psi to
+   be an isometry of the linking pairings.
+5. The stored section.  The lifts g_i = V_i / d_i have d_i g_i = V_i in
+   Z^n, so x -> sum x_i g_i is a homomorphism s: T -> G that splits the
+   projection, and _Side.q_gen holds q(s(g_i)) (lattice.phi_generators).
+   Another section is s + h with h in Hom(T, D), and
+   q o (s + h) = q o s + l o h is q o s plus an allowed translate, by 4.
+   So q_gen on the stored section is q restricted to any section up to
+   an allowed translate, and the criterion may read q_gen.
+
+With g = 0 only t = 0 is allowed, which is the finite regime's
+question.  b is orthogonal across primes and gT is the sum of the gT_p,
+so the search splits by p-part, as in the finite regime
+(_finite_isomorphism).
 
 The order cap bounds |G| and is checked once per public entry point,
 by _decide after the verdicts that read no torsion element; nothing
-below them takes it.
+below them takes it.  No verdict is unknown: UNKNOWN and the budget
+arguments stay accepted, and no route reads the budget.
 """
 
 from __future__ import annotations
@@ -67,7 +85,6 @@ from typing import Sequence
 from .exact import CyclotomicSum, _prime_factors
 from .lattice import (
     DiscriminantData,
-    _chern_coordinates,
     _int_dot,
     _phi_columns,
     _phi_generators,
@@ -86,9 +103,7 @@ from .quadfun import (
     _cyclic_isometries,
     _defect_character,
     _generator_isomorphism,
-    _image_positions,
-    _isometries,
-    _linear_table,
+    _nondegenerate,
     _quadratic_table,
     table_fingerprint,
 )
@@ -120,35 +135,9 @@ class EquivalenceVerdict:
         return self.status != UNKNOWN
 
 
-class _Budget:
-    """Step counter shared across the stages of one decision.
-
-    charge(cost) adds cost to spent and reports whether spent is still
-    within limit; once it is not, exhausted stays set and every later
-    charge is refused.  The mixed sweep charges one step per torsion map
-    tried, d^b in one charge for the coupling rows of (Z/d)^b at each
-    new (d, v) pair, and |G| per section character: a deterministic
-    work measure.  No row is built: the contractions solve 2x = v
-    (mod d) (see _coupling_contractions).
-    """
-
-    __slots__ = ("limit", "spent", "exhausted")
-
-    def __init__(self, limit: int) -> None:
-        self.limit = int(limit)
-        self.spent = 0
-        self.exhausted = False
-
-    def charge(self, cost: int = 1) -> bool:
-        self.spent += cost
-        if self.spent > self.limit:
-            self.exhausted = True
-        return not self.exhausted
-
-
 @dataclass
 class _Side:
-    """One presentation's data for a decision, checked and computed once; q_gen, its value table and free coordinates on first use.
+    """One presentation's data for a decision, checked and computed once; q_gen and its value table on first use.
 
     free_gcd reads the slopes.  The entry points check the order cap
     before any side is tabulated; nothing here does.
@@ -161,24 +150,13 @@ class _Side:
 
     @cached_property
     def q_gen(self) -> list[int]:
-        """phi_c on the torsion generators (lattice.phi_generators); with data.linking it describes the finite quadratic function."""
+        """phi_c on the torsion generators (lattice.phi_generators): with data.linking, q on the stored section."""
         return _phi_generators(self.data, self.chern)
 
     @property
     def free_gcd(self) -> int:
         """gcd of the free cokernel coordinates of c: coker(B)/torsion is Hom(ker B, Z), on which c is 2 slopes."""
         return 2 * math.gcd(*self.slopes)
-
-    @cached_property
-    def free(self) -> tuple[int, ...]:
-        """The free cokernel coordinates of c, checked against the slopes by the duality identity.
-
-        The mixed sweep is their only reader, so only it replays the free
-        rows of U and columns of U^-1 behind them.
-        """
-        free = _chern_coordinates(self.data, self.chern)[0]
-        _check_duality(self.data, self.slopes, free)
-        return free
 
     @cached_property
     def table(self) -> list[int]:
@@ -190,14 +168,6 @@ def _side(data: DiscriminantData, c: Sequence[int]) -> _Side:
     """A side's data, after the one characteristic parity check of its decoration, which raises also under -O."""
     cs = data.require_characteristic(c)
     return _Side(data, cs, _torsion_coordinates(data, cs), _radical_slope(data, cs))
-
-
-def _check_duality(data: DiscriminantData, slopes: Sequence[int], free: Sequence[int]) -> None:
-    """Raise unless twice the slopes equal the free cokernel coordinates of c contracted against the duality matrix."""
-    w = data.duality_matrix
-    for j in range(len(slopes)):
-        if 2 * slopes[j] != sum(w[m][j] * free[m] for m in range(data.free_rank)):
-            raise RuntimeError(f"slope {j} breaks the duality identity with the free decoration part")
 
 
 @dataclass(frozen=True)
@@ -244,8 +214,14 @@ class InvariantReport:
 
 def invariants_report(p: DecoratedPresentation, *, cap: int = DEFAULT_ORDER_CAP) -> InvariantReport:
     """Assemble the discriminant invariants of one decorated presentation; no QmodZ is made."""
-    data = discriminant(p.matrix, cap=cap)
-    side = _side(data, p.chern)
+    return _report(_side(discriminant(p.matrix, cap=cap), p.chern), cap)
+
+
+def _report(side: _Side, cap: int) -> InvariantReport:
+    """invariants_report of a side, whose data may serve a decision too; a torsion part above the cap raises."""
+    data = side.data
+    if data.torsion_order > cap:
+        raise OrderCapExceeded(data.torsion_order, cap)
     modulus = data.value_modulus
     fp = table_fingerprint(data.torsion_factors, modulus, side.table, side.q_gen, data.linking, side.slopes)
     diag = tuple(sorted(self_linking_table(data)))
@@ -263,177 +239,6 @@ def invariants_report(p: DecoratedPresentation, *, cap: int = DEFAULT_ORDER_CAP)
     )
 
 
-def _character_positions(factors: Sequence[int], modulus: int, link: Sequence[Sequence[int]]) -> dict[tuple, int]:
-    """Position of every torsion element t, keyed by (b(g_i, t))_i in units of 1/modulus, b given by link.
-
-    Raises unless the keys differ, i.e. unless b is nondegenerate.
-    """
-    columns = [_linear_table(row, factors, modulus) for row in link]
-    positions = {key: pos for pos, key in enumerate(zip(*columns))} if columns else {(): 0}
-    if len(positions) != math.prod(factors):
-        raise RuntimeError(f"the linking pairing on {tuple(factors)} is degenerate")
-    return positions
-
-
-def _torsion_map_verdict(
-    side1: _Side,
-    side2: _Side,
-    budget: _Budget,
-    reasons: tuple[str, str, str],
-) -> EquivalenceVerdict:
-    """Match decoration classes by a pairing-preserving torsion map, then compare Gauss sums.
-
-    Sound when the Gauss sums do not depend on the section, i.e. when
-    the decorations are blind to the radical.  For the matching map
-    Psi, q1 - q2 o Psi is a character b1(., t1), so
-    gamma(q1) = e(-q2(Psi t1)) gamma(q2) and the sums agree exactly
-    when q2(Psi t1) = 0.  reasons holds the prose for: no matching map,
-    equivalence (formatted with the map), and a Gauss sum mismatch.
-    """
-    data1, data2 = side1.data, side2.data
-    factors = data1.torsion_factors
-    modulus = data1.value_modulus
-    values2 = side2.table
-    characters = _character_positions(factors, modulus, data1.linking)
-    group = FiniteAbelianGroup(factors)
-    link1, link2 = data1.linking, data2.linking
-    no_map, equivalent, gauss_differ = reasons
-    elements = list(group.elements())
-    k = len(factors)
-    for images in _isometries(factors, modulus, link1, link2, range(k), [elements] * k, budget.charge):
-        if GroupIso(group, group, images).apply(side1.tors) == side2.tors:
-            break
-    else:
-        if budget.exhausted:
-            return EquivalenceVerdict(UNKNOWN, "budget ran out while sweeping torsion maps")
-        return EquivalenceVerdict(INEQUIVALENT, no_map)
-    dmap = _image_positions(factors, images)
-    # positions of the generators g_i in itertools.product order
-    gens = [math.prod(factors[i + 1 :]) for i in range(k)]
-    t1 = characters[tuple((q - values2[dmap[p]]) % modulus for q, p in zip(side1.q_gen, gens))]
-    if values2[dmap[t1]] == 0:
-        return EquivalenceVerdict(EQUIVALENT, equivalent.format(images))
-    return EquivalenceVerdict(INEQUIVALENT, gauss_differ)
-
-
-def _coupling_contractions(ell: Sequence[int], d: int, v: int) -> tuple[int, ...]:
-    """The sorted values x = ell.rho mod d over the coupling rows rho of (Z/d)^b with 2x = v (mod d).
-
-    The sweep's free part is 2 ell, so a row is admissible exactly when
-    its contraction x solves 2x = v; the rows contract to the multiples
-    of gcd(d, ell), so x ranges over the at most two solutions among
-    them, and no row is built.
-    """
-    return tuple(x for x in range(0, d, math.gcd(d, *ell)) if (2 * x - v) % d == 0)
-
-
-_MIXED_BLIND_REASONS = (
-    "no pairing-preserving map matches the torsion decoration classes",
-    "vanishing free decoration part; torsion map {} matches the decorations and the Gauss sums agree",
-    "Gauss sums of the torsion parts differ",
-)
-
-
-def _mixed_verdict(side1: _Side, side2: _Side, budget: _Budget) -> EquivalenceVerdict:
-    """Sweep candidate maps when both free rank and torsion are present.
-
-    A candidate consists of a pairing-preserving torsion map Psi, a
-    coupling of the free part into torsion, and a section shift; the
-    coupling enters the Gauss comparison only through its contraction
-    mu against the slope covector, and the section shift only through
-    a character chi ranging over the subgroup the slopes generate.
-    For each candidate, side 1's function over the matched section is
-    q2 + b2(., t), t = Psi(t1) read off the character b1(., t1) by
-    which it differs from q2 o Psi; the Gauss sums shifted by chi agree
-    exactly when q2(t) = chi(t).
-
-    Every table holds residues in units of 1/M, M the value modulus,
-    as do data.linking and data.eval_free_lift; tables are indexed by
-    element position in itertools.product order.
-    """
-    data1, data2 = side1.data, side2.data
-    g = math.gcd(*side1.slopes)
-    if g == 0:
-        # decoration is blind to the radical: the Gauss sums are section
-        # independent and the candidate map only has to match the
-        # torsion decoration classes
-        return _torsion_map_verdict(side1, side2, budget, _MIXED_BLIND_REASONS)
-
-    factors = data1.torsion_factors
-    modulus = data1.value_modulus
-    q2 = side2.table
-    characters = _character_positions(factors, modulus, data1.linking)
-    group = FiniteAbelianGroup(factors)
-    elements = list(group.elements())
-    gens = [math.prod(factors[i + 1 :]) for i in range(len(factors))]
-    link1, link2 = data1.linking, data2.linking
-    # the slope covector W^-T slopes is free/2, since _Side.free checked
-    # 2 slopes = W^T free and W is unimodular
-    ell1 = tuple(f // 2 for f in side1.free)
-    ell2 = tuple(f // 2 for f in side2.free)
-
-    def contraction(data: DiscriminantData, ell: tuple[int, ...]) -> list[int]:
-        # ell against the free-covector evaluations: one angle per torsion generator
-        return [sum(e * row[i] for e, row in zip(ell, data.eval_free_lift)) % modulus for i in range(len(factors))]
-
-    # side-1 angles on the generators against the stored section, slope-corrected;
-    # the candidate-dependent remainder is subtracted per sweep step
-    base1 = [(q + r) % modulus for q, r in zip(side1.q_gen, contraction(data1, ell1))]
-    row2 = contraction(data2, ell2)
-
-    char_axes = [range(0, d, math.gcd(g, d)) for d in factors]
-    mu_cache: dict[tuple[int, int], tuple[int, ...]] = {}
-
-    def mu_choices(d_l: int, v_l: int) -> tuple[int, ...]:
-        # contractions of an admissible coupling row against the slope
-        # covector, the only use of the row.  The first call per key
-        # charges the d_l^b coupling rows of (Z/d_l)^b in one charge, as
-        # the sweep below charges |G| per section character: a deterministic
-        # work measure, though no row is built.  A refused charge leaves
-        # the budget exhausted, so the sweep answers unknown at its next
-        # charge, and the contractions are returned whole either way
-        key = (d_l, v_l)
-        if key not in mu_cache:
-            budget.charge(d_l ** len(ell1))
-            mu_cache[key] = _coupling_contractions(ell1, d_l, v_l)
-        return mu_cache[key]
-
-    k = len(factors)
-    for images in _isometries(factors, modulus, link1, link2, range(k), [elements] * k, budget.charge):
-        mapped = GroupIso(group, group, images).apply(side1.tors)
-        v = tuple((t - s) % d for t, s, d in zip(side2.tors, mapped, factors))
-        if any(vl % math.gcd(g, dl) for vl, dl in zip(v, factors)):
-            continue
-        axes = [mu_choices(dl, vl) for dl, vl in zip(factors, v)]
-        if any(not axis for axis in axes):
-            continue
-        dmap = _image_positions(factors, images)
-        q2_gen = [q2[dmap[p]] for p in gens]
-        for mu in itertools.product(*axes):
-            # side-2 slope correction plus the pairing with the coupling, linear in u
-            row = [(r + sum(ml * link2[l][i] for l, ml in enumerate(mu))) % modulus for i, r in enumerate(row2)]
-            # the character b1(., t1) by which side 1 differs from q2 o Psi, on the generators
-            char1 = tuple((a - _int_dot(row, img) - q) % modulus for a, img, q in zip(base1, images, q2_gen))
-            t = dmap[characters[char1]]
-            phase, coords = q2[t], elements[t]
-            for avec in itertools.product(*char_axes):
-                if not budget.charge(len(elements)):
-                    return EquivalenceVerdict(
-                        UNKNOWN, "budget ran out while comparing Gauss sums over matched sections"
-                    )
-                if (phase - sum(a * x * (modulus // d) for a, x, d in zip(avec, coords, factors))) % modulus == 0:
-                    return EquivalenceVerdict(
-                        EQUIVALENT,
-                        f"torsion map {images} with coupling contraction {mu} and section character {avec} matches the Gauss sums",
-                    )
-    if budget.exhausted:
-        return EquivalenceVerdict(UNKNOWN, "budget ran out before the sweep finished")
-    return EquivalenceVerdict(
-        INEQUIVALENT,
-        "no pairing-preserving map, coupling, and section shift reproduce the Gauss sums",
-    )
-
-
 def yc_equivalent(
     p1: DecoratedPresentation,
     p2: DecoratedPresentation,
@@ -443,17 +248,22 @@ def yc_equivalent(
 ) -> EquivalenceVerdict:
     """Decide whether two decorated presentations are move equivalent.
 
-    Definite in the finite and free regimes; in the mixed regime the
-    sweep is finite but guarded by a step budget, and exhausting the
-    budget yields an unknown verdict rather than a guess.
+    Definite in every regime: the mixed regime is the finite regime on
+    translates (see the module docstring).  budget is accepted and
+    ignored.
     """
-    data1 = discriminant(p1.matrix)
+    return _decide(*_sides(p1, p2), cap)
+
+
+def _sides(p1: DecoratedPresentation, p2: DecoratedPresentation, cap: int | None = None) -> tuple[_Side, _Side]:
+    """The two sides of a decision, one discriminant per distinct matrix; with a cap, a larger torsion part raises first."""
+    data1 = discriminant(p1.matrix, cap=cap)
     # two decorations of one manifold share its discriminant data
-    data2 = data1 if p2.matrix == p1.matrix else discriminant(p2.matrix)
-    return _decide(_side(data1, p1.chern), _side(data2, p2.chern), cap, budget)
+    data2 = data1 if p2.matrix == p1.matrix else discriminant(p2.matrix, cap=cap)
+    return _side(data1, p1.chern), _side(data2, p2.chern)
 
 
-def _decide(side1: _Side, side2: _Side, cap: int, budget: int) -> EquivalenceVerdict:
+def _decide(side1: _Side, side2: _Side, cap: int) -> EquivalenceVerdict:
     """The verdict of yc_equivalent on each side's data, computed once by the caller; the cap follows the verdicts that read no torsion element."""
     d1, d2 = side1.data, side2.data
     if d1.free_rank != d2.free_rank:
@@ -478,15 +288,24 @@ def _decide(side1: _Side, side2: _Side, cap: int, budget: int) -> EquivalenceVer
     if d1.torsion_order > cap:
         raise OrderCapExceeded(d1.torsion_order, cap)
     if d1.free_rank == 0:
-        iso = _finite_isomorphism(side1, side2)
-        if iso is not None:
+        found = _finite_isomorphism(side1, side2, 0)
+        if found is not None:
             return EquivalenceVerdict(
-                EQUIVALENT, "the finite quadratic functions are isomorphic", witness=iso
+                EQUIVALENT, "the finite quadratic functions are isomorphic", witness=found[0]
             )
         return EquivalenceVerdict(
             INEQUIVALENT, "no isomorphism carries one finite quadratic function to the other"
         )
-    return _mixed_verdict(side1, side2, _Budget(budget))
+    g = g1 // 2
+    found = _finite_isomorphism(side1, side2, g)
+    if found is None:
+        return EquivalenceVerdict(
+            INEQUIVALENT, f"no isometry of the linking pairings carries q2 to q1 + b1(., t) with t in {g}T"
+        )
+    iso, t = found
+    return EquivalenceVerdict(
+        EQUIVALENT, f"an isometry of the linking pairings carries q2 to q1 + b1(., t) with t = {t} in {g}T", witness=iso
+    )
 
 
 @dataclass(frozen=True)
@@ -528,57 +347,100 @@ def _primary_parts(factors: Sequence[int]) -> list[_Primary]:
     return parts
 
 
-def _finite_isomorphism(side1: _Side, side2: _Side) -> GroupIso | None:
-    """An isomorphism of the finite quadratic functions of two sides with equal torsion factors, or None.
+def _finite_isomorphism(side1: _Side, side2: _Side, g: int) -> tuple[GroupIso, tuple[int, ...]] | None:
+    """An isometry Psi of the linking pairings and a t in gT with q2 o Psi = q1 + b1(., t) on T, or None.
 
-    Summands of coprime order pair to zero under b, so q is the
-    orthogonal sum of its p-primary parts q_p, any homomorphism keeps
-    the p-parts, and q1 is isomorphic to q2 exactly when q1_p is to q2_p
-    for every prime p (Wall 1963).  A cyclic p-part is decided in closed
-    form: Psi_p(h) = u h for the least unit u listed by
-    quadfun._cyclic_isometries with q2(u h) = q1(h), which is the
-    witness the search would return, with no table built.  On the other
-    p-parts every value histogram is compared before any search; the
-    searches then run on the p-tables, sum_p |G_p| elements instead of
-    |G|.  The witness is assembled by the Chinese remainder theorem: the
+    g is the slope gcd of the sides, 0 in the finite regime, where only
+    t = 0 is allowed and Psi is an isomorphism of the finite quadratic
+    functions.  Summands of coprime order pair to zero under b, so q is
+    the orthogonal sum of its p-primary parts q_p, any homomorphism
+    keeps the p-parts, and the question splits into one per p-part
+    (Wall 1963), on the generators h_i of order p^v_i of _Primary: there
+    t is sum x_i h_i with x_i a multiple of e_i = gcd(g, p^v_i).  If p
+    does not divide g, every e_i is 1, every refinement of b1_p is a
+    translate, and the answer is whether b1_p and b2_p are isometric.
+
+    A cyclic p-part is decided in closed form: Psi_p(h) = u h for the
+    least unit u listed by quadfun._cyclic_isometries whose
+    q2(u h) - q1(h) is x b1(h, h) for a multiple x of e, i.e. a multiple
+    of gcd(M, e b1(h, h)); the congruence names x.  With g = 0 this is
+    q2(u h) = q1(h), the witness the search would return, with no table
+    built.  On the other p-parts, q1 + b1(., t) is
+    x -> q1(x + t) - q1(t), so its value histogram is that of q1 shifted
+    by -q1(t): every part's allowed translates are filtered by that
+    histogram before any search, and the searches then run, translate
+    by translate, on the p-tables, sum_p |G_p| elements instead of |G|.
+    The witness is assembled by the Chinese remainder theorem: the
     p-component of g_i is (s_i^-1 mod p^v_i) h_i, so
-    Psi(g_i) = sum_p (s_i^-1 mod p^v_i) Psi_p(h_i).
+    Psi(g_i) = sum_p (s_i^-1 mod p^v_i) Psi_p(h_i), and t has coordinate
+    sum_p x_i s_i on g_i.  Every character of T is some b1(., t) only
+    when b1 is nondegenerate, which each p-part checks, raising
+    RuntimeError otherwise.
     """
     data1, data2 = side1.data, side2.data
     factors = data1.torsion_factors
     modulus = data1.value_modulus
     q1, q2 = side1.q_gen, side2.q_gen
     parts = _primary_parts(factors)
-    # per part: its generator images if cyclic, else the arguments of its
-    # search, which runs after every part's cheap checks
+    # per part: its generator images and translate if cyclic, else the
+    # translates that pass the histogram and the rest of their search,
+    # which runs after every part's cheap checks
     restricted: list = []
     for part in parts:
         h1 = part.quadratic(modulus, q1, data1.linking), part.pairing(modulus, data1.linking)
         h2 = part.quadratic(modulus, q2, data2.linking), part.pairing(modulus, data2.linking)
         if len(part.factors) == 1:
             ((a1,), ((b1,),)), ((a2,), ((b2,),)) = h1, h2
-            units = _cyclic_isometries(part.factors[0], modulus, b1, b2)
-            u = next((u for u in units if (u * a2 + u * (u - 1) // 2 * b2 - a1) % modulus == 0), None)
-            if u is None:
+            (order,) = part.factors
+            # b1(h, h) = r M / order, nondegenerate exactly when r is a unit mod order
+            if math.gcd(b1, modulus) * order != modulus:
+                raise RuntimeError(f"the linking pairing on {factors} is degenerate")
+            e = math.gcd(g, order)
+            s = math.gcd(modulus, e * b1)
+            units = _cyclic_isometries(order, modulus, b1, b2)
+            found = next(((u, d) for u in units if (d := (u * a2 + u * (u - 1) // 2 * b2 - a1) % modulus) % s == 0), None)
+            if found is None:
                 return None
-            restricted.append(((u,),))
+            u, delta = found
+            restricted.append((((u,),), (e * (delta // s) * pow(e * b1 // s, -1, modulus // s) % order,)))
             continue
+        if not _nondegenerate(part.factors, modulus, h1[1]):
+            raise RuntimeError(f"the linking pairing on {factors} is degenerate")
         values1 = _quadratic_table(part.factors, modulus, *h1)
         values2 = _quadratic_table(part.factors, modulus, *h2)
-        if Counter(values1) != Counter(values2):
+        hist1, hist2 = Counter(values1), Counter(values2)
+        strides = [math.prod(part.factors[i + 1 :]) for i in range(len(part.factors))]
+        fits: dict[int, bool] = {}  # per value c = q1(t), whether hist1 shifted by -c is hist2
+        translates = []
+        for x in itertools.product(*(range(0, d, math.gcd(g, d)) for d in part.factors)):
+            c = values1[_int_dot(x, strides)]
+            if c not in fits:
+                fits[c] = all(hist2[(v - c) % modulus] == n for v, n in hist1.items())
+            if fits[c]:
+                translates.append((x, [(q + _int_dot(x, row)) % modulus for q, row in zip(*h1)]))
+        if not translates:
             return None
-        restricted.append((*h1, *h2, values2))
+        restricted.append((translates, h1[1], *h2, values2))
     images = [[0] * len(factors) for _ in factors]
+    t = [0] * len(factors)
     for part, args in zip(parts, restricted):
-        found = args if len(part.factors) == 1 else _generator_isomorphism(part.factors, modulus, *args)
-        if found is None:
-            return None
-        for i, s, order, y in zip(part.indices, part.scales, part.factors, found):
+        if len(part.factors) == 1:
+            y, x = args
+        else:
+            translates, b1, *rest = args
+            for x, shifted in translates:
+                y = _generator_isomorphism(part.factors, modulus, shifted, b1, *rest)
+                if y is not None:
+                    break
+            else:
+                return None
+        for i, s, order, yi, xi in zip(part.indices, part.scales, part.factors, y, x):
             u = pow(s, -1, order)
-            for j, t, yj in zip(part.indices, part.scales, y):
-                images[i][j] = (images[i][j] + u * t * yj) % factors[j]
+            for j, sj, yij in zip(part.indices, part.scales, yi):
+                images[i][j] = (images[i][j] + u * sj * yij) % factors[j]
+            t[i] = (t[i] + xi * s) % factors[i]
     group = FiniteAbelianGroup(factors)
-    return GroupIso(group, group, tuple(map(tuple, images)))
+    return GroupIso(group, group, tuple(map(tuple, images))), tuple(t)
 
 
 def _decoration_count(m: IntMatrix) -> int:
@@ -746,8 +608,8 @@ def yc_classes(
     class is its tuple of per-prime classes.  Otherwise decorations are
     bucketed on integer keys that split them as stable_profile() does;
     each, in input order, joins the first class in its bucket whose
-    first member is equivalent to it, else opens one.  An undecided comparison aborts, naming its
-    pair, rather than guess.
+    first member is equivalent to it, else opens one.  Every comparison
+    is definite, and budget is accepted and ignored.
     """
     m = intmatrix(matrix)
     if chern_vectors is None:
@@ -774,12 +636,7 @@ def yc_classes(
     for i, side in enumerate(sides):
         bucket = buckets.setdefault(_census_key(side), [])
         for members in bucket:
-            verdict = _decide(sides[members[0]], side, cap, budget)
-            if verdict.status == UNKNOWN:
-                raise RuntimeError(
-                    f"cannot complete the partition: {vecs[members[0]]} vs {vecs[i]} is undecided ({verdict.reason})"
-                )
-            if verdict.status == EQUIVALENT:
+            if _decide(sides[members[0]], side, cap).status == EQUIVALENT:
                 members.append(i)
                 break
         else:

@@ -29,11 +29,12 @@ Exit codes:
        bad input, and so, for spins, is one with more than
        MAX_SPIN_STRUCTURES spin structures, for lens-census an order
        above MAX_LENS_ORDER, and a command line that does not parse
-       or sets --cap below 1 or --budget below 0
+       or sets --cap below 1 or --budget below 0 (--budget is
+       accepted and ignored: every verdict is definite)
     2  torsion group larger than the order cap, unless compare tells
        the pair apart by free rank, torsion factors or free gcd
     3  compare: inequivalent
-    4  compare: unknown within the search budget
+    4  unknown; no command returns it any more
     5  lens-census: even order, where counting is not supported
 """
 
@@ -51,15 +52,16 @@ from .classify import (
     DEFAULT_SEARCH_BUDGET,
     EQUIVALENT,
     INEQUIVALENT,
-    UNKNOWN,
     EvenOrderError,
     InvariantReport,
+    _decide,
+    _report,
+    _sides,
     _twisting_parameters,
     invariants_report,
     lens_diffeo_count,
     lens_yc_count,
     yc_classes,
-    yc_equivalent,
 )
 from .exact import CyclotomicSum
 from .presentation import (
@@ -302,7 +304,9 @@ def cmd_invariants(args: argparse.Namespace) -> int:
 def cmd_compare(args: argparse.Namespace) -> int:
     p1, name1 = load_presentation_file(args.first)
     p2, name2 = load_presentation_file(args.second)
-    verdict = yc_equivalent(p1, p2, cap=args.cap, budget=args.budget)
+    # one discriminant per side serves the verdict and, after an inequivalent one, both reports
+    sides = _sides(p1, p2)
+    verdict = _decide(*sides, args.cap)
     label1 = name1 or args.first
     label2 = name2 or args.second
     if verdict.status == EQUIVALENT:
@@ -311,19 +315,15 @@ def cmd_compare(args: argparse.Namespace) -> int:
         if verdict.witness is not None:
             print(f"  witness generator images: {list(verdict.witness.images)}")
         return EXIT_OK
-    if verdict.status == INEQUIVALENT:
-        print(f"Inequivalent: {label1} !~ {label2}")
-        print(f"  {verdict.reason}")
-        try:
-            field = first_differing_field(invariants_report(p1, cap=args.cap), invariants_report(p2, cap=args.cap))
-        except OrderCapExceeded:  # the verdict read no torsion element; a report reads them all
-            field = None
-        if field is not None:
-            print(f"  first differing invariant: {field}")
-        return EXIT_INEQUIVALENT
-    print(f"Unknown: {label1} ? {label2}")
+    print(f"Inequivalent: {label1} !~ {label2}")
     print(f"  {verdict.reason}")
-    return EXIT_UNKNOWN
+    try:
+        field = first_differing_field(*(_report(side, args.cap) for side in sides))
+    except OrderCapExceeded:  # the verdict read no torsion element; a report reads them all
+        field = None
+    if field is not None:
+        print(f"  first differing invariant: {field}")
+    return EXIT_INEQUIVALENT
 
 
 def cmd_walk(args: argparse.Namespace) -> int:
@@ -332,10 +332,11 @@ def cmd_walk(args: argparse.Namespace) -> int:
         walked, trail = random_walk(p, args.steps, args.seed)
     except ValueError as exc:
         raise InputError(f"{args.file}: {exc}") from exc
-    before = invariants_report(p, cap=args.cap)
-    after = invariants_report(walked, cap=args.cap)
+    # both reports need the torsion part within the cap, so it is checked before any replay
+    sides = _sides(p, walked, args.cap)
+    before, after = (_report(side, args.cap) for side in sides)
     preserved = before.stable_profile() == after.stable_profile()
-    verdict = yc_equivalent(p, walked, cap=args.cap, budget=args.budget)
+    verdict = _decide(*sides, args.cap)
     doc = {
         "presentation": presentation_payload(walked, name),
         "steps_applied": len(trail),
@@ -354,8 +355,6 @@ def cmd_walk(args: argparse.Namespace) -> int:
     sys.stdout.write(text)
     if not preserved or verdict.status == INEQUIVALENT:
         return EXIT_INEQUIVALENT
-    if verdict.status == UNKNOWN:
-        return EXIT_UNKNOWN
     return EXIT_OK
 
 
@@ -437,7 +436,7 @@ def _add_budget(sub: argparse.ArgumentParser) -> None:
         action=_AtLeast,
         const=0,
         default=DEFAULT_SEARCH_BUDGET,
-        help="search steps before answering unknown",
+        help="accepted and ignored: every verdict is definite",
     )
 
 

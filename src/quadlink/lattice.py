@@ -24,18 +24,17 @@ regime reads: the columns of V at the torsion and free indices (the
 torsion section and the kernel basis) and, with torsion, the columns of
 U^-1 and rows of U at the torsion indices (SmithDecomposition.v_columns,
 uinv_columns, u_rows).  It checks B k_j = 0 on every kernel column.
-The free columns of U^-1 and rows of U, and the duality matrix and
-free-covector evaluations built from them, are replayed on first read
-(DiscriminantData); only the mixed sweep reads them.  A torsion-free
-form needs nothing but its kernel: coker(B) is then Hom(ker B, Z), so
-the class of c is determined by its slopes c(k_j)/2 (classify).  The
-full U, U^-1 and V are never built on these paths.
+The free columns of U^-1 and rows of U are never replayed: coker(B)
+modulo torsion is Hom(ker B, Z), so the free part of the class of c is
+determined by its slopes c(k_j)/2, and the mixed regime reads only
+those slopes and the torsion data (classify).  The full U, U^-1 and V
+are never built.
 
 discriminant stores the section in integers: the Smith columns
-V_i = d_i g_i, and the linking pairing on the g_i (and, on first read,
-the free covectors on them) as integer residues in units of 1/(2N), N
-the last invariant factor: every value of phi_c and of the linking
-pairing on the torsion part is a multiple of 1/(2N).  phi_generators
+V_i = d_i g_i, and the linking pairing on the g_i as integer residues
+in units of 1/(2N), N the last invariant factor: every value of phi_c
+and of the linking pairing on the torsion part is a multiple of
+1/(2N).  phi_generators
 reads phi_c on the g_i off that data; with the linking pairing it
 describes phi_c, its defect included (quadfun._defect_character), and
 phi_table builds whole value tables from the two by the quadratic
@@ -43,7 +42,7 @@ recurrence in quadfun (_quadratic_table, through torsion_table), one
 step per element.
 
 Every public function of a decoration checks its characteristic parity
-and raises CharacteristicError.  The unchecked _chern_coordinates,
+and raises CharacteristicError.  The unchecked _torsion_coordinates,
 _radical_slope and _phi_generators take a vector checked once by the
 caller, as classify does once per decoration.  No rational vector is
 built: the lifts g_i = V_i / d_i and the formulas above are evaluated
@@ -55,7 +54,6 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
-from functools import cached_property
 from math import prod
 from typing import Sequence
 
@@ -120,19 +118,13 @@ class DiscriminantData:
     the torsion Smith generators of coker(B), with B g_i =
     cok_tors_covectors[i]; u_tors_rows are the rows of the Smith
     transform U at torsion_indices: row . c is the coordinate of the
-    class of c on that Smith generator (_chern_coordinates).
+    class of c on that Smith generator (_torsion_coordinates).
 
     linking[i][j] is the linking pairing b(g_i, g_j), held as an integer
     r in [0, value_modulus) standing for r / value_modulus, where
     value_modulus = 2N and N is the last invariant factor.  Tables of
-    phi_c over the torsion part (phi_table) use the same unit.
-
-    The free Smith generators are built from smith on first read and
-    cached: cok_free_covectors (columns of U^-1), u_free_rows (rows of
-    U), duality_matrix, the pairing matrix between free covectors and
-    the kernel basis, checked to be unimodular, and eval_free_lift, where
-    eval_free_lift[m][i] is the m-th free covector on g_i in the unit of
-    linking.  Only the mixed sweep reads them.
+    phi_c over the torsion part (phi_table) use the same unit.  No
+    free row of U or free column of U^-1 is kept: no regime reads one.
     """
 
     matrix: IntMatrix
@@ -146,29 +138,6 @@ class DiscriminantData:
     free_indices: tuple[int, ...]
     linking: tuple[tuple[int, ...], ...]
     smith: SmithDecomposition
-
-    @cached_property
-    def cok_free_covectors(self) -> tuple[tuple[int, ...], ...]:
-        return self.smith.uinv_columns(self.free_indices)
-
-    @cached_property
-    def u_free_rows(self) -> tuple[tuple[int, ...], ...]:
-        return self.smith.u_rows(self.free_indices)
-
-    @cached_property
-    def duality_matrix(self) -> IntMatrix:
-        w = IntMatrix([[_int_dot(fm, kj) for kj in self.kernel] for fm in self.cok_free_covectors], cols=self.free_rank)
-        if abs(determinant(w)) != 1:
-            raise RuntimeError("free covectors and kernel basis must pair unimodularly")
-        return w
-
-    @cached_property
-    def eval_free_lift(self) -> tuple[tuple[int, ...], ...]:
-        # B g_i = U'_i puts g_i = V_i / d_i in the dual lattice, so the
-        # evaluation is an integer dot product over d_i
-        m = self.value_modulus
-        columns = tuple(zip(self.torsion_factors, self.torsion_columns))
-        return tuple(tuple(m // d * _int_dot(fm, v) % m for d, v in columns) for fm in self.cok_free_covectors)
 
     @property
     def size(self) -> int:
@@ -329,17 +298,11 @@ def _radical_slope(data: DiscriminantData, cs: Sequence[int]) -> tuple[int, ...]
     return tuple(x // 2 for x in pairings)
 
 
-def _chern_coordinates(data: DiscriminantData, cs: Sequence[int]) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Coordinates of the class in coker(B) of a vector the caller has checked to be characteristic: (free part, torsion part).
-
-    The free part is an integer vector over the free Smith generators
-    and the torsion part is reduced mod the invariant factors.  Both are
-    unchanged when c moves by 2 B h, so they are invariants of the
-    characteristic class of c.
-    """
-    return tuple(_int_dot(row, cs) for row in data.u_free_rows), _torsion_coordinates(data, cs)
-
-
 def _torsion_coordinates(data: DiscriminantData, cs: Sequence[int]) -> tuple[int, ...]:
-    """The torsion part of _chern_coordinates, which reads no free Smith generator."""
+    """The coordinates of the class in coker(B) of a vector the caller has checked to be characteristic, on the torsion Smith generators.
+
+    They are reduced mod the invariant factors and unchanged when c
+    moves by 2 B h, so they are invariants of the characteristic class
+    of c.
+    """
     return tuple(_int_dot(row, cs) % d for row, d in zip(data.u_tors_rows, data.torsion_factors))

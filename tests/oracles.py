@@ -8,7 +8,10 @@ keeps the rational layer they are tested against:
     lifts g_i = V_i / d_i of the torsion generators (lifts, torsion_lift)
     and the dual-lattice test (dual_contains, require_dual);
   * the checked public forms of the library's radical slopes and cokernel
-    coordinates (radical_slope, chern_coordinates);
+    coordinates (radical_slope, chern_coordinates), the free cokernel
+    coordinates recomputed from the Smith decomposition, which the library
+    never replays (u_free_rows, cok_free_covectors, duality_matrix,
+    eval_free_lift);
   * functions of a QuadraticFunction given by its QmodZ values: bilinear_of,
     defect_of, gauss_sum, radical_compatible, invariant_fingerprint and
     is_isomorphic, with checked_isometry, the search-then-check-the-whole-
@@ -17,7 +20,11 @@ keeps the rational layer they are tested against:
     residue_multiset, the expansion of a residue histogram;
   * the second decision route on finite homology, yc_equivalent_by_pairing,
     which matches decoration classes by a pairing-preserving torsion map and
-    then compares Gauss sums.
+    then compares Gauss sums;
+  * the mixed regime's sweep, yc_equivalent_by_sweep: a budgeted search
+    over torsion maps, couplings of the free part into torsion and section
+    shifts, which the library's translate criterion replaced and is
+    differentially tested against.
 """
 
 from __future__ import annotations
@@ -29,13 +36,14 @@ from fractions import Fraction
 from typing import Iterable, Mapping, Sequence, Union
 
 import quadlink.classify as classify
-from quadlink.classify import DEFAULT_SEARCH_BUDGET, EquivalenceVerdict
+from quadlink.classify import DEFAULT_SEARCH_BUDGET, EQUIVALENT, INEQUIVALENT, UNKNOWN, EquivalenceVerdict
 from quadlink.exact import CyclotomicSum, QmodZ, RationalLike, cyclo_from_residues
-from quadlink.lattice import DiscriminantData, DualLatticeError, _chern_coordinates, _radical_slope
+from quadlink.lattice import DiscriminantData, DualLatticeError, _int_dot, _radical_slope, _torsion_coordinates
 from quadlink.presentation import DecoratedPresentation
 from quadlink.quadfun import (
     DEFAULT_ORDER_CAP,
     Element,
+    FiniteAbelianGroup,
     Fingerprint,
     GroupIso,
     OrderCapExceeded,
@@ -44,10 +52,12 @@ from quadlink.quadfun import (
     _generator_isomorphism,
     _image_positions,
     _isometries,
+    _linear_table,
     _radical_gcd,
     _residue_tables,
     table_fingerprint,
 )
+from quadlink.zlinalg import IntMatrix, determinant
 
 # --- exact -----------------------------------------------------------------
 
@@ -164,9 +174,38 @@ def chern_coordinates(data: DiscriminantData, c: Sequence[int]) -> tuple[tuple[i
     The free part is an integer vector over the free Smith generators
     and the torsion part is reduced mod the invariant factors.  Both are
     unchanged when c moves by 2 B h, so they are invariants of the
-    characteristic class of c.
+    characteristic class of c.  The free part replays the free rows of U
+    (u_free_rows), which no library route reads.
     """
-    return _chern_coordinates(data, data.require_characteristic(c))
+    cs = data.require_characteristic(c)
+    return tuple(_int_dot(row, cs) for row in u_free_rows(data)), _torsion_coordinates(data, cs)
+
+
+def u_free_rows(data: DiscriminantData) -> tuple[tuple[int, ...], ...]:
+    """The rows of the Smith transform U at the free indices."""
+    return data.smith.u_rows(data.free_indices)
+
+
+def cok_free_covectors(data: DiscriminantData) -> tuple[tuple[int, ...], ...]:
+    """The columns of U^-1 at the free indices: covectors of the free Smith generators of coker(B)."""
+    return data.smith.uinv_columns(data.free_indices)
+
+
+def duality_matrix(data: DiscriminantData) -> IntMatrix:
+    """The pairing matrix between the free covectors and the kernel basis, checked to be unimodular."""
+    w = IntMatrix([[_int_dot(fm, kj) for kj in data.kernel] for fm in cok_free_covectors(data)], cols=data.free_rank)
+    if abs(determinant(w)) != 1:
+        raise RuntimeError("free covectors and kernel basis must pair unimodularly")
+    return w
+
+
+def eval_free_lift(data: DiscriminantData) -> tuple[tuple[int, ...], ...]:
+    """eval_free_lift[m][i] is the m-th free covector on g_i, in the unit 1/data.value_modulus of data.linking."""
+    # B g_i = U'_i puts g_i = V_i / d_i in the dual lattice, so the
+    # evaluation is an integer dot product over d_i
+    m = data.value_modulus
+    columns = tuple(zip(data.torsion_factors, data.torsion_columns))
+    return tuple(tuple(m // d * _int_dot(fm, v) % m for d, v in columns) for fm in cok_free_covectors(data))
 
 
 # --- quadfun ---------------------------------------------------------------
@@ -270,6 +309,86 @@ def checked_isometry(
 
 # --- classify --------------------------------------------------------------
 
+
+class Budget:
+    """Step counter shared across the stages of one swept decision.
+
+    charge(cost) adds cost to spent and reports whether spent is still
+    within limit; once it is not, exhausted stays set and every later
+    charge is refused.  The sweep charges one step per torsion map
+    tried, d^b in one charge for the coupling rows of (Z/d)^b at each
+    new (d, v) pair, and |G| per section character: a deterministic
+    work measure.  No row is built: the contractions solve 2x = v
+    (mod d) (see coupling_contractions).
+    """
+
+    __slots__ = ("limit", "spent", "exhausted")
+
+    def __init__(self, limit: int) -> None:
+        self.limit = int(limit)
+        self.spent = 0
+        self.exhausted = False
+
+    def charge(self, cost: int = 1) -> bool:
+        self.spent += cost
+        if self.spent > self.limit:
+            self.exhausted = True
+        return not self.exhausted
+
+
+def character_positions(factors: Sequence[int], modulus: int, link: Sequence[Sequence[int]]) -> dict[tuple, int]:
+    """Position of every torsion element t, keyed by (b(g_i, t))_i in units of 1/modulus, b given by link.
+
+    Raises unless the keys differ, i.e. unless b is nondegenerate.
+    """
+    columns = [_linear_table(row, factors, modulus) for row in link]
+    positions = {key: pos for pos, key in enumerate(zip(*columns))} if columns else {(): 0}
+    if len(positions) != math.prod(factors):
+        raise RuntimeError(f"the linking pairing on {tuple(factors)} is degenerate")
+    return positions
+
+
+def torsion_map_verdict(
+    side1: classify._Side,
+    side2: classify._Side,
+    budget: Budget,
+    reasons: tuple[str, str, str],
+) -> EquivalenceVerdict:
+    """Match decoration classes by a pairing-preserving torsion map, then compare Gauss sums.
+
+    Sound when the Gauss sums do not depend on the section, i.e. when
+    the decorations are blind to the radical.  For the matching map
+    Psi, q1 - q2 o Psi is a character b1(., t1), so
+    gamma(q1) = e(-q2(Psi t1)) gamma(q2) and the sums agree exactly
+    when q2(Psi t1) = 0.  reasons holds the prose for: no matching map,
+    equivalence (formatted with the map), and a Gauss sum mismatch.
+    """
+    data1, data2 = side1.data, side2.data
+    factors = data1.torsion_factors
+    modulus = data1.value_modulus
+    values2 = side2.table
+    characters = character_positions(factors, modulus, data1.linking)
+    group = FiniteAbelianGroup(factors)
+    link1, link2 = data1.linking, data2.linking
+    no_map, equivalent, gauss_differ = reasons
+    elements = list(group.elements())
+    k = len(factors)
+    for images in _isometries(factors, modulus, link1, link2, range(k), [elements] * k, budget.charge):
+        if GroupIso(group, group, images).apply(side1.tors) == side2.tors:
+            break
+    else:
+        if budget.exhausted:
+            return EquivalenceVerdict(UNKNOWN, "budget ran out while sweeping torsion maps")
+        return EquivalenceVerdict(INEQUIVALENT, no_map)
+    dmap = _image_positions(factors, images)
+    # positions of the generators g_i in itertools.product order
+    gens = [math.prod(factors[i + 1 :]) for i in range(k)]
+    t1 = characters[tuple((q - values2[dmap[p]]) % modulus for q, p in zip(side1.q_gen, gens))]
+    if values2[dmap[t1]] == 0:
+        return EquivalenceVerdict(EQUIVALENT, equivalent.format(images))
+    return EquivalenceVerdict(INEQUIVALENT, gauss_differ)
+
+
 _PAIRING_REASONS = (
     "no pairing-preserving map matches the decoration classes",
     "torsion map {} matches the decorations and the Gauss sums agree",
@@ -293,8 +412,9 @@ def yc_equivalent_by_pairing(
     character.  Both routes decide the same relation; keeping them
     separate lets tests confront one with the other.
 
-    The classify internals are looked up on the module at each call, so
-    a test that patches one of them patches this route too.
+    The internals are looked up on the modules at each call, so a test
+    that patches one of them, in classify or here, patches this route
+    too.
     """
     d1 = classify.discriminant(p1.matrix)
     d2 = classify.discriminant(p2.matrix)
@@ -308,4 +428,162 @@ def yc_equivalent_by_pairing(
     if d1.torsion_order > cap:
         raise OrderCapExceeded(d1.torsion_order, cap)
     side1, side2 = classify._side(d1, p1.chern), classify._side(d2, p2.chern)
-    return classify._torsion_map_verdict(side1, side2, classify._Budget(budget), _PAIRING_REASONS)
+    return torsion_map_verdict(side1, side2, Budget(budget), _PAIRING_REASONS)
+
+
+def check_duality(data: DiscriminantData, slopes: Sequence[int], free: Sequence[int]) -> None:
+    """Raise unless twice the slopes equal the free cokernel coordinates of c contracted against the duality matrix."""
+    w = duality_matrix(data)
+    for j in range(len(slopes)):
+        if 2 * slopes[j] != sum(w[m][j] * free[m] for m in range(data.free_rank)):
+            raise RuntimeError(f"slope {j} breaks the duality identity with the free decoration part")
+
+
+def free_part(side: classify._Side) -> tuple[int, ...]:
+    """The free cokernel coordinates of a side's decoration, checked against its slopes by the duality identity."""
+    free = chern_coordinates(side.data, side.chern)[0]
+    check_duality(side.data, side.slopes, free)
+    return free
+
+
+def coupling_contractions(ell: Sequence[int], d: int, v: int) -> tuple[int, ...]:
+    """The sorted values x = ell.rho mod d over the coupling rows rho of (Z/d)^b with 2x = v (mod d).
+
+    The sweep's free part is 2 ell, so a row is admissible exactly when
+    its contraction x solves 2x = v; the rows contract to the multiples
+    of gcd(d, ell), so x ranges over the at most two solutions among
+    them, and no row is built.
+    """
+    return tuple(x for x in range(0, d, math.gcd(d, *ell)) if (2 * x - v) % d == 0)
+
+
+MIXED_BLIND_REASONS = (
+    "no pairing-preserving map matches the torsion decoration classes",
+    "vanishing free decoration part; torsion map {} matches the decorations and the Gauss sums agree",
+    "Gauss sums of the torsion parts differ",
+)
+
+
+def mixed_verdict(side1: classify._Side, side2: classify._Side, budget: Budget) -> EquivalenceVerdict:
+    """Sweep candidate maps when both free rank and torsion are present.
+
+    A candidate consists of a pairing-preserving torsion map Psi, a
+    coupling of the free part into torsion, and a section shift; the
+    coupling enters the Gauss comparison only through its contraction
+    mu against the slope covector, and the section shift only through
+    a character chi ranging over the subgroup the slopes generate.
+    For each candidate, side 1's function over the matched section is
+    q2 + b2(., t), t = Psi(t1) read off the character b1(., t1) by
+    which it differs from q2 o Psi; the Gauss sums shifted by chi agree
+    exactly when q2(t) = chi(t).
+
+    Every table holds residues in units of 1/M, M the value modulus,
+    as do data.linking and eval_free_lift; tables are indexed by
+    element position in itertools.product order.
+    """
+    data1, data2 = side1.data, side2.data
+    g = math.gcd(*side1.slopes)
+    if g == 0:
+        # decoration is blind to the radical: the Gauss sums are section
+        # independent and the candidate map only has to match the
+        # torsion decoration classes
+        return torsion_map_verdict(side1, side2, budget, MIXED_BLIND_REASONS)
+
+    factors = data1.torsion_factors
+    modulus = data1.value_modulus
+    q2 = side2.table
+    characters = character_positions(factors, modulus, data1.linking)
+    group = FiniteAbelianGroup(factors)
+    elements = list(group.elements())
+    gens = [math.prod(factors[i + 1 :]) for i in range(len(factors))]
+    link1, link2 = data1.linking, data2.linking
+    # the slope covector W^-T slopes is free/2, since free_part checked
+    # 2 slopes = W^T free and W is unimodular
+    ell1 = tuple(f // 2 for f in free_part(side1))
+    ell2 = tuple(f // 2 for f in free_part(side2))
+
+    def contraction(data: DiscriminantData, ell: tuple[int, ...]) -> list[int]:
+        # ell against the free-covector evaluations: one angle per torsion generator
+        lift = eval_free_lift(data)
+        return [sum(e * row[i] for e, row in zip(ell, lift)) % modulus for i in range(len(factors))]
+
+    # side-1 angles on the generators against the stored section, slope-corrected;
+    # the candidate-dependent remainder is subtracted per sweep step
+    base1 = [(q + r) % modulus for q, r in zip(side1.q_gen, contraction(data1, ell1))]
+    row2 = contraction(data2, ell2)
+
+    char_axes = [range(0, d, math.gcd(g, d)) for d in factors]
+    mu_cache: dict[tuple[int, int], tuple[int, ...]] = {}
+
+    def mu_choices(d_l: int, v_l: int) -> tuple[int, ...]:
+        # contractions of an admissible coupling row against the slope
+        # covector, the only use of the row.  The first call per key
+        # charges the d_l^b coupling rows of (Z/d_l)^b in one charge, as
+        # the sweep below charges |G| per section character: a deterministic
+        # work measure, though no row is built.  A refused charge leaves
+        # the budget exhausted, so the sweep answers unknown at its next
+        # charge, and the contractions are returned whole either way
+        key = (d_l, v_l)
+        if key not in mu_cache:
+            budget.charge(d_l ** len(ell1))
+            mu_cache[key] = coupling_contractions(ell1, d_l, v_l)
+        return mu_cache[key]
+
+    k = len(factors)
+    for images in _isometries(factors, modulus, link1, link2, range(k), [elements] * k, budget.charge):
+        mapped = GroupIso(group, group, images).apply(side1.tors)
+        v = tuple((t - s) % d for t, s, d in zip(side2.tors, mapped, factors))
+        if any(vl % math.gcd(g, dl) for vl, dl in zip(v, factors)):
+            continue
+        axes = [mu_choices(dl, vl) for dl, vl in zip(factors, v)]
+        if any(not axis for axis in axes):
+            continue
+        dmap = _image_positions(factors, images)
+        q2_gen = [q2[dmap[p]] for p in gens]
+        for mu in itertools.product(*axes):
+            # side-2 slope correction plus the pairing with the coupling, linear in u
+            row = [(r + sum(ml * link2[l][i] for l, ml in enumerate(mu))) % modulus for i, r in enumerate(row2)]
+            # the character b1(., t1) by which side 1 differs from q2 o Psi, on the generators
+            char1 = tuple((a - _int_dot(row, img) - q) % modulus for a, img, q in zip(base1, images, q2_gen))
+            t = dmap[characters[char1]]
+            phase, coords = q2[t], elements[t]
+            for avec in itertools.product(*char_axes):
+                if not budget.charge(len(elements)):
+                    return EquivalenceVerdict(
+                        UNKNOWN, "budget ran out while comparing Gauss sums over matched sections"
+                    )
+                if (phase - sum(a * x * (modulus // d) for a, x, d in zip(avec, coords, factors))) % modulus == 0:
+                    return EquivalenceVerdict(
+                        EQUIVALENT,
+                        f"torsion map {images} with coupling contraction {mu} and section character {avec} matches the Gauss sums",
+                    )
+    if budget.exhausted:
+        return EquivalenceVerdict(UNKNOWN, "budget ran out before the sweep finished")
+    return EquivalenceVerdict(
+        INEQUIVALENT,
+        "no pairing-preserving map, coupling, and section shift reproduce the Gauss sums",
+    )
+
+
+def yc_equivalent_by_sweep(
+    p1: DecoratedPresentation,
+    p2: DecoratedPresentation,
+    *,
+    cap: int = DEFAULT_ORDER_CAP,
+    budget: int = DEFAULT_SEARCH_BUDGET,
+) -> EquivalenceVerdict:
+    """yc_equivalent with the mixed regime decided by the budgeted sweep, unknown when the budget runs out.
+
+    A pair outside the mixed regime, or told apart by free rank, torsion
+    factors or free gcd, gets the library's verdict.  mixed_verdict and
+    torsion_map_verdict are looked up here at each call, so a test that
+    patches them patches this route too.
+    """
+    side1, side2 = classify._sides(p1, p2)
+    d1, d2 = side1.data, side2.data
+    same = (d1.free_rank, d1.torsion_factors, side1.free_gcd) == (d2.free_rank, d2.torsion_factors, side2.free_gcd)
+    if not (same and d1.free_rank and d1.torsion_factors):
+        return classify._decide(side1, side2, cap)
+    if d1.torsion_order > cap:
+        raise OrderCapExceeded(d1.torsion_order, cap)
+    return mixed_verdict(side1, side2, Budget(budget))

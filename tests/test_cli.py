@@ -14,7 +14,6 @@ from quadlink.cli import (
     EXIT_INEQUIVALENT,
     EXIT_INVALID,
     EXIT_OK,
-    EXIT_UNKNOWN,
     MAX_COMPONENTS,
     MAX_ENTRY_BITS,
     MAX_LENS_ORDER,
@@ -95,12 +94,34 @@ def test_compare_equivalent_reports_witness(tmp_path, capsys):
     assert "witness" in out
 
 
-def test_compare_budget_exhaustion_is_unknown(tmp_path, capsys):
+def test_compare_accepts_and_ignores_the_budget(tmp_path, capsys):
+    # every verdict is definite, so --budget changes no output and no exit code
     a = write_doc(tmp_path, "a.json", {"matrix": [[0, 0], [0, 2]], "chern": [2, 0]})
     b = write_doc(tmp_path, "b.json", {"matrix": [[0, 0], [0, 2]], "chern": [2, 2]})
-    assert main(["compare", a, b, "--budget", "1"]) == EXIT_UNKNOWN
-    assert "Unknown" in capsys.readouterr().out
     assert main(["compare", a, b]) == EXIT_OK
+    out = capsys.readouterr().out
+    assert out.startswith("Equivalent")
+    for budget in ("0", "1"):
+        assert main(["compare", a, b, "--budget", budget]) == EXIT_OK
+        assert capsys.readouterr().out == out
+
+
+def test_compare_and_walk_build_one_discriminant_per_side(tmp_path, capsys, monkeypatch):
+    # the verdict and the reports that name the first differing invariant
+    # read the same data: one discriminant per distinct matrix
+    original = classify_module.discriminant
+    calls = []
+    monkeypatch.setattr(classify_module, "discriminant", lambda m, **kw: calls.append(m) or original(m, **kw))
+    a = write_doc(tmp_path, "a.json", {"matrix": [[9]], "chern": [9]})
+    b = write_doc(tmp_path, "b.json", {"matrix": [[9]], "chern": [11]})
+    assert main(["compare", a, b]) == EXIT_INEQUIVALENT
+    assert "first differing invariant: gauss_sum" in capsys.readouterr().out
+    assert len(calls) == 1
+    calls.clear()
+    c = write_doc(tmp_path, "c.json", {"matrix": [[2, 1], [1, 3]], "chern": [0, 1]})
+    assert main(["walk", c, "--steps", "6", "--seed", "4"]) == EXIT_OK
+    walked = json.loads(capsys.readouterr().out)["presentation"]["matrix"]
+    assert walked != [[2, 1], [1, 3]] and len(calls) == 2
 
 
 def test_compare_cap_exceeded(tmp_path, capsys):
@@ -523,9 +544,10 @@ def _file(p):
 # byte for byte: one input per regime (finite cyclic, finite with two
 # generators, mixed with nonzero free-covector evaluations, mixed with a
 # vanishing free decoration, torsion free), the chain of the lens space L(30, 7), whose
-# residues in units of 1/60 reduce to many denominators, a mixed sweep pair at the default budget
-# and at one the sweep exhausts, an inequivalent pair from the sweep and
-# one from its radical-blind branch, a torsion-free pair of each verdict, and a census.
+# residues in units of 1/60 reduce to many denominators, a mixed pair at the default budget
+# and at a budget the former sweep ran out of (the budget is ignored), an inequivalent
+# mixed pair with a nonzero and one with a vanishing free decoration, a torsion-free pair
+# of each verdict, and a census.
 EXPECTED_CLI = Path(__file__).parent / "expected_cli"
 TWISTED_A = [[-3, 1, 2, 1], [1, 2, 0, 1], [2, 0, -2, -2], [1, 1, -2, -3]]
 MIXED = [[0, 0], [0, 2]]
@@ -548,7 +570,7 @@ PINNED_CLI = [
         "compare_mixed_budget_5",
         {"a.json": (MIXED, [2, 0]), "b.json": (MIXED, [2, 2])},
         ["compare", "a.json", "b.json", "--budget", "5"],
-        EXIT_UNKNOWN,
+        EXIT_OK,
     ),
     ("compare_mixed_split", {"a.json": (MIXED, [4, 0]), "b.json": (MIXED, [4, 2])}, ["compare", "a.json", "b.json"], EXIT_INEQUIVALENT),
     (

@@ -23,12 +23,13 @@ from quadlink.quadfun import (
     _nondegenerate,
     _quadratic_table,
 )
-from quadlink.classify import EQUIVALENT, INEQUIVALENT, _character_positions, canonical_chern_vectors, yc_equivalent
+from quadlink.classify import EQUIVALENT, INEQUIVALENT, canonical_chern_vectors, yc_equivalent
 from quadlink.presentation import presentation
 from quadlink.zlinalg import determinant, intmatrix
 
 from oracles import (
     bilinear_of,
+    character_positions,
     checked_isometry,
     cyclo_from_angles,
     defect_of,
@@ -551,7 +552,7 @@ def test_quadratic_table_handles_trivial_factors_and_zero_pairings():
 # A leaf of _isometries is a homomorphism carrying b2 to b1, so it is
 # bijective when b1 is nondegenerate, and a leaf that also matches q on
 # the generators matches it everywhere.  The oracles: the brute-force
-# nondegeneracy test of classify._character_positions (distinct
+# nondegeneracy test of oracles.character_positions (distinct
 # character keys), the search with every leaf tested for bijectivity,
 # and the whole-table check of every returned witness.
 
@@ -589,7 +590,7 @@ def _refinement(draw, factors, modulus, link):
 
 def _is_degenerate_by_characters(factors, modulus, link):
     try:
-        _character_positions(factors, modulus, link)
+        character_positions(factors, modulus, link)
     except RuntimeError:
         return True
     return False
