@@ -19,16 +19,14 @@ On the free (radical) part, phi_c restricts to x (x) [r] |-> -(c(x)/2) r,
 so the slopes c(k_j)/2 on a kernel basis carry all of it.  They are
 integers: B k_j = 0, so c(k_j) = k_j^T B k_j = 0 mod 2.
 
-discriminant replays from the Smith decomposition only what every
-regime reads: the columns of V at the torsion and free indices (the
-torsion section and the kernel basis) and, with torsion, the columns of
-U^-1 and rows of U at the torsion indices (SmithDecomposition.v_columns,
-uinv_columns, u_rows).  It checks B k_j = 0 on every kernel column.
-The free columns of U^-1 and rows of U are never replayed: coker(B)
-modulo torsion is Hom(ker B, Z), so the free part of the class of c is
-determined by its slopes c(k_j)/2, and the mixed regime reads only
-those slopes and the torsion data (classify).  The full U, U^-1 and V
-are never built.
+discriminant replays from the Smith decomposition only the columns of
+V at the torsion and free indices (the torsion section and the kernel
+basis) and, with torsion, the rows of U at the torsion indices, and
+checks B k_j = 0 on every kernel column.  The torsion covectors are
+U'_i = B V_i / d_i (column i of U^-1, as U B V = D); a remainder raises
+DualLatticeError.  No column of U^-1 and no free row of U is replayed:
+coker(B) modulo torsion is Hom(ker B, Z), so the mixed regime reads the
+free part of c only through its slopes c(k_j)/2 (classify).
 
 discriminant stores the section in integers: the Smith columns
 V_i = d_i g_i, and the linking pairing on the g_i as integer residues
@@ -114,17 +112,17 @@ class DiscriminantData:
     torsion_columns[i] is the integer Smith column V_i = d_i g_i of the
     i-th torsion generator g_i, whose rational lift V_i / d_i is never
     built; kernel is an integer basis of the radical, checked to satisfy
-    B k_j = 0.  cok_tors_covectors are integer covectors representing
-    the torsion Smith generators of coker(B), with B g_i =
-    cok_tors_covectors[i]; u_tors_rows are the rows of the Smith
-    transform U at torsion_indices: row . c is the coordinate of the
-    class of c on that Smith generator (_torsion_coordinates).
+    B k_j = 0.  cok_tors_covectors[i] = B V_i / d_i = B g_i is the
+    integer covector of the i-th torsion Smith generator of coker(B);
+    u_tors_rows are the rows of the Smith transform U at
+    torsion_indices: row . c is the coordinate of the class of c on that
+    Smith generator (_torsion_coordinates).
 
     linking[i][j] is the linking pairing b(g_i, g_j), held as an integer
     r in [0, value_modulus) standing for r / value_modulus, where
     value_modulus = 2N and N is the last invariant factor.  Tables of
     phi_c over the torsion part (phi_table) use the same unit.  No
-    free row of U or free column of U^-1 is kept: no regime reads one.
+    free row of U and no column of U^-1 is replayed: no regime reads one.
     """
 
     matrix: IntMatrix
@@ -194,12 +192,14 @@ def discriminant(matrix: IntMatrix, *, cap: int | None = None) -> DiscriminantDa
     for j, kj in enumerate(kernel):
         if any(matrix.matvec(kj)):
             raise RuntimeError(f"kernel column {j} is not in the kernel of B")
-    # a torsion-free form replays no row operation
-    cok_tors, u_tors = (snf.uinv_columns(tors_idx), snf.u_rows(tors_idx)) if tors_idx else ((), ())
+    u_tors = snf.u_rows(tors_idx) if tors_idx else ()  # a torsion-free form replays no row operation
     # B V_i = d_i U'_i puts every lift in the dual lattice; linking relies on it
-    for i, (d, v, cov) in enumerate(zip(factors, columns, cok_tors)):
-        if matrix.matvec(v) != tuple(d * y for y in cov):
-            raise DualLatticeError(f"torsion generator {i}: B V_{i} differs from {d} times its covector")
+    cok_tors = []
+    for i, (d, v) in enumerate(zip(factors, columns)):
+        bv = matrix.matvec(v)
+        if any(y % d for y in bv):
+            raise DualLatticeError(f"torsion generator {i}: B V_{i} is not divisible by {d}")
+        cok_tors.append(tuple(y // d for y in bv))
 
     m = _value_modulus(factors)
     # g_i = V_i / d_i and B g_i = U'_i, so the pairing is an integer dot
@@ -212,7 +212,7 @@ def discriminant(matrix: IntMatrix, *, cap: int | None = None) -> DiscriminantDa
         torsion_factors=factors,
         torsion_columns=columns,
         kernel=kernel,
-        cok_tors_covectors=cok_tors,
+        cok_tors_covectors=tuple(cok_tors),
         u_tors_rows=u_tors,
         torsion_indices=tuple(tors_idx),
         free_indices=tuple(free_idx),

@@ -16,7 +16,8 @@ The pivot is the least nonzero |entry| of the block at each new index;
 after that, its column is cleared by row operations before its row is
 cleared by column operations, each by centred quotients with the least
 remainder as the next pivot.  With the column cleared first, a column
-addition changes one entry, and the log stays short.
+addition changes one entry, and the log stays short.  A column phase
+rebuilds each row once, however many rounds it takes (_clear_column).
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 from typing import Iterable, Sequence
 
 
@@ -214,9 +216,10 @@ class SmithDecomposition:
 
     u_rows, uinv_columns and v_columns rebuild rows of U and columns of
     U^-1 and V by replaying the log backwards on unit vectors, at
-    O(len(log)) per vector.  Callers read only the few at the torsion
-    and free indices, so most of U, U^-1 and V is never built.  u, uinv
-    and v are the full matrices, replayed on first access and cached.
+    O(len(log)) per vector.  The library reads only columns of V and, at
+    the torsion indices, rows of U, so most of U and V is never built;
+    U^-1 is read only by the tests.  u, uinv and v are the full
+    matrices, replayed on first access and cached.
 
     The elimination sequence is frozen: it is the column-first rule of
     smith_normal_form, pivot column before pivot row at every index.
@@ -272,22 +275,71 @@ class SmithDecomposition:
         return IntMatrix(zip(*self.v_columns(range(self.matrix.cols))), cols=self.matrix.cols)
 
 
+def _rebuild(row: list[int], owed: Sequence[tuple[int, list[int]]]) -> list[int]:
+    """row - q * z for every (q, z) in owed, as a new list: one pass per four quotients."""
+    k = len(owed)
+    if k == 1:
+        ((q, z),) = owed
+        return [y - q * a for y, a in zip(row, z)]
+    if k == 2:
+        (q, z), (r, v) = owed
+        return [y - q * a - r * b for y, a, b in zip(row, z, v)]
+    if k == 3:
+        (q, z), (r, v), (s, w) = owed
+        return [y - q * a - r * b - s * c for y, a, b, c in zip(row, z, v, w)]
+    if not k:
+        return row
+    (q, z), (r, v), (s, w), (o, u) = owed[:4]
+    return _rebuild([y - q * a - r * b - s * c - o * d for y, a, b, c, d in zip(row, z, v, w, u)], owed[4:])
+
+
+def _clear_column(a: list[list[int]], t: int, row_ops: list[tuple[str, int, int, int]]) -> None:
+    """Column phase at index t under a pivot a[0][0] > 1: clear column 0 of the block a below the last pivot, left in a[0][0].
+
+    The rounds run on the column's scalars, which alone decide them; each
+    row keeps its quotients until it is swapped in or the column is clear.
+    """
+    pivot_row, p = a[0], a[0][0]
+    col = [row[0] for row in a]  # column 0, reduced round by round
+    owed: list[tuple[tuple[int, list[int]], ...]] = [()] * len(a)  # each row's (q, pivot row) per round
+    while True:
+        best, h, pi = p, p // 2, 0
+        for i in range(1, len(a)):
+            x = col[i]
+            if x:
+                q = (x + h) // p
+                if q:
+                    owed[i] += ((q, pivot_row),)
+                    row_ops.append((ADD, t + i, t, -q))
+                    col[i] = x = x - q * p
+                if x and abs(x) < best:
+                    best, pi = abs(x), i
+        if not pi:
+            break
+        a[0], a[pi] = _rebuild(a[pi], owed[pi]), a[0]
+        col[0], col[pi], owed[pi] = col[pi], p, ()
+        row_ops.append((SWAP, t, t + pi, 0))
+        if col[0] < 0:
+            a[0] = [-x for x in a[0]]
+            col[0] = -col[0]
+            row_ops.append((NEGATE, t, t, 0))
+        pivot_row, p = a[0], col[0]
+    a[:] = map(_rebuild, a, owed)
+
+
 def _pivot(a: list[list[int]]) -> tuple[int, int] | None:
     """The first entry of least nonzero |value| in row-major order of the block a.
 
     This is the pivot at a fresh index.  A unit is that minimum, so the
     first unit of the first row holding one is the same pivot, found by
-    membership tests; only a block without a unit is scanned entry by entry.
+    membership tests; a block without a unit is scanned once, flattened.
     """
     for i, row in enumerate(a):
         if 1 in row or -1 in row:
             return i, min(row.index(y) for y in (1, -1) if y in row)
-    sizes = [min(map(abs, filter(None, row)), default=0) for row in a]
+    sizes = list(map(abs, chain.from_iterable(a)))
     x = min(filter(None, sizes), default=0)
-    if not x:
-        return None
-    i = sizes.index(x)
-    return i, list(map(abs, a[i])).index(x)
+    return divmod(sizes.index(x), len(a[0])) if x else None
 
 
 def smith_normal_form(m: IntMatrix) -> SmithDecomposition:
@@ -315,6 +367,8 @@ def smith_normal_form(m: IntMatrix) -> SmithDecomposition:
     SmithDecomposition).  Rows and columns before t are finished, so only
     the block of rows and columns t, t + 1, ... is kept, each finished
     row and column dropped from it in place; the pivots are the diagonal.
+    A unit pivot clears its column in one pass, a larger one in rounds that
+    rebuild each row once (_clear_column), with the log of a rebuild per round.
     """
     m = intmatrix(m)
     a = [list(row) for row in m.data]  # the active block: rows and columns t, t + 1, ...
@@ -337,21 +391,17 @@ def smith_normal_form(m: IntMatrix) -> SmithDecomposition:
             if pivot_row[0] < 0:
                 a[0] = pivot_row = [-x for x in pivot_row]
                 row_ops.append((NEGATE, t, t, 0))
+            if pivot_row[0] == 1:  # a unit clears its column in one pass
+                for i in range(1, len(a)):
+                    x = a[i][0]
+                    if x:
+                        a[i] = [y - x * z for y, z in zip(a[i], pivot_row)]
+                        row_ops.append((ADD, t + i, t, -x))
+            else:
+                _clear_column(a, t, row_ops)
+                pivot_row = a[0]
             p = best = pivot_row[0]
-            h = p // 2
-            pi = pj = 0
-            for i in range(1, len(a)):  # column phase
-                x = a[i][0]
-                if x:
-                    q = (x + h) // p
-                    if q:
-                        a[i] = [y - q * z for y, z in zip(a[i], pivot_row)]
-                        row_ops.append((ADD, t + i, t, -q))
-                        x -= q * p
-                    if x and abs(x) < best:
-                        best, pi = abs(x), i
-            if pi:
-                continue
+            h, pi, pj = p // 2, 0, 0
             for j in range(1, len(pivot_row)):  # row phase: col j += q col t changes pivot_row[j] alone
                 x = pivot_row[j]
                 if x:

@@ -24,7 +24,9 @@ keeps the rational layer they are tested against:
   * the mixed regime's sweep, yc_equivalent_by_sweep: a budgeted search
     over torsion maps, couplings of the free part into torsion and section
     shifts, which the library's translate criterion replaced and is
-    differentially tested against.
+    differentially tested against;
+  * reference_smith, the Smith elimination that rebuilds every row in every
+    round of a column phase, whose log smith_normal_form must reproduce.
 """
 
 from __future__ import annotations
@@ -57,7 +59,121 @@ from quadlink.quadfun import (
     _residue_tables,
     table_fingerprint,
 )
-from quadlink.zlinalg import IntMatrix, determinant
+from quadlink.zlinalg import ADD, NEGATE, SWAP, IntMatrix, SmithDecomposition, determinant, intmatrix
+
+# --- zlinalg ---------------------------------------------------------------
+#
+# The Smith elimination that rebuilds every row in every round of a column
+# phase: the library's smith_normal_form must log exactly what
+# reference_smith logs.
+
+
+def _reference_pivot(a: list[list[int]]) -> tuple[int, int] | None:
+    """The first entry of least nonzero |value| in row-major order of the block a.
+
+    This is the pivot at a fresh index.  A unit is that minimum, so the
+    first unit of the first row holding one is the same pivot, found by
+    membership tests; only a block without a unit is scanned entry by entry.
+    """
+    for i, row in enumerate(a):
+        if 1 in row or -1 in row:
+            return i, min(row.index(y) for y in (1, -1) if y in row)
+    sizes = [min(map(abs, filter(None, row)), default=0) for row in a]
+    x = min(filter(None, sizes), default=0)
+    if not x:
+        return None
+    i = sizes.index(x)
+    return i, list(map(abs, a[i])).index(x)
+
+
+def reference_smith(m: IntMatrix) -> SmithDecomposition:
+    """Smith normal form with deterministic pivoting, pivot column first.
+
+    At a fresh index t the pivot is the entry of smallest nonzero absolute
+    value in the remaining block, ties broken by lowest row index then
+    lowest column index (_pivot).  The pivot p clears its column before
+    its row (Cohen, GTM 138, Algorithm 2.4.14; Havas, Majewski and
+    Matthews, Exp. Math. 7, 1998).  Column phase: each row below t loses
+    q times row t, with the centred quotient q = (x + p // 2) // p, so
+    remainders lie in [-(p // 2), p - p // 2); while one is left, the
+    least |remainder| (first row on ties) is swapped in as the pivot and
+    the phase repeats, until column t is (p, 0, ..., 0).  Row phase: each
+    entry of row t is reduced the same way by a column addition, which
+    changes that entry alone as column t is zero below p; if a remainder
+    is left, the least (first column on ties) is swapped into column t
+    and the column phase starts again.  If p does not divide the
+    remaining block, the first offending row is added to row t and the
+    pivot is chosen afresh.  Determinism matters because the
+    discriminant construction freezes a section out of V's columns and
+    every downstream Gauss sum refers to it.
+
+    Only the matrix is eliminated; each operation is logged (see
+    SmithDecomposition).  Rows and columns before t are finished, so only
+    the block of rows and columns t, t + 1, ... is kept, each finished
+    row and column dropped from it in place; the pivots are the diagonal.
+    """
+    m = intmatrix(m)
+    a = [list(row) for row in m.data]  # the active block: rows and columns t, t + 1, ...
+    row_ops: list[tuple[str, int, int, int]] = []
+    col_ops: list[tuple[str, int, int, int]] = []
+    pivots: list[int] = []
+
+    while (piv := _reference_pivot(a)) is not None:
+        t = len(pivots)
+        pi, pj = piv
+        while True:
+            if pj:
+                for row in a:
+                    row[0], row[pj] = row[pj], row[0]
+                col_ops.append((SWAP, t, t + pj, 0))
+            if pi:
+                a[0], a[pi] = a[pi], a[0]
+                row_ops.append((SWAP, t, t + pi, 0))
+            pivot_row = a[0]
+            if pivot_row[0] < 0:
+                a[0] = pivot_row = [-x for x in pivot_row]
+                row_ops.append((NEGATE, t, t, 0))
+            p = best = pivot_row[0]
+            h = p // 2
+            pi = pj = 0
+            for i in range(1, len(a)):  # column phase
+                x = a[i][0]
+                if x:
+                    q = (x + h) // p
+                    if q:
+                        a[i] = [y - q * z for y, z in zip(a[i], pivot_row)]
+                        row_ops.append((ADD, t + i, t, -q))
+                        x -= q * p
+                    if x and abs(x) < best:
+                        best, pi = abs(x), i
+            if pi:
+                continue
+            for j in range(1, len(pivot_row)):  # row phase: col j += q col t changes pivot_row[j] alone
+                x = pivot_row[j]
+                if x:
+                    q = (x + h) // p
+                    if q:
+                        pivot_row[j] = x = x - q * p
+                        col_ops.append((ADD, t + j, t, -q))
+                    if x and abs(x) < best:
+                        best, pj = abs(x), j
+            if not pj:
+                break
+        # pivot must divide the remaining block for the invariant-factor chain
+        if p != 1:
+            offender = next((i for i in range(1, len(a)) if any(x % p for x in a[i][1:])), None)
+            if offender is not None:
+                a[0] = [y + z for y, z in zip(pivot_row, a[offender])]
+                row_ops.append((ADD, t, t + offender, 1))
+                continue
+        pivots.append(p)
+        del a[0]
+        for row in a:
+            del row[0]
+
+    diag = tuple(pivots) + (0,) * (min(m.rows, m.cols) - len(pivots))
+    return SmithDecomposition(matrix=m, diag=diag, row_ops=tuple(row_ops), col_ops=tuple(col_ops))
+
 
 # --- exact -----------------------------------------------------------------
 

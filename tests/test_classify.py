@@ -665,7 +665,7 @@ def test_report_refuses_oversized_torsion_before_the_replays(monkeypatch):
         raise AssertionError("replayed a transform of a refused form")
 
     rows = [[2, 1, 0], [1, 5, 1], [0, 1, 7]]  # |det| = 61
-    monkeypatch.setattr(SmithDecomposition, "uinv_columns", refuse)
+    monkeypatch.setattr(SmithDecomposition, "u_rows", refuse)
     with pytest.raises(OrderCapExceeded) as caught:
         invariants_report(presentation(rows, (0, 1, 1)), cap=60)
     assert (caught.value.order, caught.value.cap) == (61, 60)

@@ -386,11 +386,22 @@ def test_discriminant_checks_the_kernel(monkeypatch):
             call(IntMatrix([[1, 1], [1, 1]]))
 
 
+def _shift_first_v_column(monkeypatch):
+    original = SmithDecomposition.v_columns
+
+    def shifted(self, idx):
+        first, *rest = original(self, idx)
+        return ((first[0] + 1,) + first[1:], *rest)
+
+    monkeypatch.setattr(SmithDecomposition, "v_columns", shifted)
+
+
 def test_discriminant_checks_duality_per_generator(monkeypatch):
-    # the torsion covector of [[0, 0], [0, 6]] doubled: B V_0 = 6 U'_0 breaks
-    _double_cokernel_covectors(monkeypatch)
-    with pytest.raises(DualLatticeError, match="B V_0 differs from 6 times its covector"):
-        discriminant(IntMatrix([[0, 0], [0, 6]]))
+    # e_0 added to V_0 = (1, -2) of [[2, 1], [1, 2]]: B (V_0 + e_0) = (2, -2)
+    # is not divisible by 3, so it has no covector U'_0 = B V_0 / 3
+    _shift_first_v_column(monkeypatch)
+    with pytest.raises(DualLatticeError, match="B V_0 is not divisible by 3"):
+        discriminant(IntMatrix([[2, 1], [1, 2]]))
 
 
 def test_discriminant_checks_torsion_order(monkeypatch):

@@ -22,6 +22,8 @@ from quadlink.zlinalg import (
     solve_mod2,
 )
 
+from oracles import reference_smith
+
 
 def matrices(max_dim=5, max_entry=9):
     return st.integers(1, max_dim).flatmap(
@@ -615,6 +617,45 @@ def test_smith_logs_are_pinned(m, diagonal, lengths, digests):
     assert snf.diagonal() == diagonal
     assert (len(snf.row_ops), len(snf.col_ops)) == lengths
     assert (_ops_digest(snf.row_ops), _ops_digest(snf.col_ops)) == digests
+
+
+# Differential oracle for the whole log: reference_smith rebuilds every
+# row in every round of a column phase, smith_normal_form once per phase.
+def _smith_log(snf):
+    return snf.diag, snf.row_ops, snf.col_ops
+
+
+def unit_free_forms():
+    # symmetric forms of 6 to 16 components with no unit entry, whose
+    # column phases run several rounds
+    entries = st.sampled_from((0, 2, -2, 3, -3, 4, -4, 6, -6, 9, -9))
+
+    def build(n, upper):
+        rows = [[0] * n for _ in range(n)]
+        for (i, j), x in zip(itertools.combinations_with_replacement(range(n), 2), upper):
+            rows[i][j] = rows[j][i] = x
+        return IntMatrix(rows)
+
+    return st.integers(6, 16).flatmap(
+        lambda n: st.lists(entries, min_size=n * (n + 1) // 2, max_size=n * (n + 1) // 2).map(
+            lambda upper: build(n, upper)
+        )
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(matrices(max_dim=10, max_entry=2**70), unit_free_forms(), scrambled_block_sums()))
+@example(IntMatrix([[6, 4, 2], [4, 0, 8], [2, 8, 6]]))
+def test_smith_log_matches_the_rebuild_per_round(m):
+    assert _smith_log(smith_normal_form(m)) == _smith_log(reference_smith(m))
+
+
+def test_smith_log_of_every_lens_chain_matches_the_rebuild_per_round():
+    for p in range(2, 61):
+        for q in range(1, p):
+            if math.gcd(p, q) == 1:
+                m = lens(p, q)
+                assert _smith_log(smith_normal_form(m)) == _smith_log(reference_smith(m))
 
 
 @settings(max_examples=120)
