@@ -68,8 +68,8 @@ so the search splits by p-part, as in the finite regime
 
 The order cap bounds |G| and is checked once per public entry point,
 by _decide after the verdicts that read no torsion element; nothing
-below them takes it.  No verdict is unknown: UNKNOWN and the budget
-arguments stay accepted, and no route reads the budget.
+below them takes it.  Every verdict is definite: each regime ends in a
+finite, exhaustive computation, so no search is cut short.
 """
 
 from __future__ import annotations
@@ -109,11 +109,8 @@ from .quadfun import (
 )
 from .zlinalg import IntMatrix, determinant, intmatrix
 
-DEFAULT_SEARCH_BUDGET = 250_000
-
 EQUIVALENT = "equivalent"
 INEQUIVALENT = "inequivalent"
-UNKNOWN = "unknown"
 
 
 class EvenOrderError(ValueError):
@@ -127,17 +124,13 @@ class EquivalenceVerdict:
     witness: GroupIso | None = None
 
     def __post_init__(self) -> None:
-        if self.status not in (EQUIVALENT, INEQUIVALENT, UNKNOWN):
+        if self.status not in (EQUIVALENT, INEQUIVALENT):
             raise ValueError(f"unrecognized verdict status {self.status!r}")
-
-    @property
-    def is_definite(self) -> bool:
-        return self.status != UNKNOWN
 
 
 @dataclass
 class _Side:
-    """One presentation's data for a decision, checked and computed once; q_gen and its value table on first use.
+    """One presentation's data for a decision, checked and computed once; q_gen, its value table and tors on first use.
 
     free_gcd reads the slopes.  The entry points check the order cap
     before any side is tabulated; nothing here does.
@@ -145,7 +138,6 @@ class _Side:
 
     data: DiscriminantData
     chern: tuple[int, ...]
-    tors: tuple[int, ...]
     slopes: tuple[int, ...]
 
     @cached_property
@@ -163,11 +155,16 @@ class _Side:
         """phi_table of the decoration, one entry per torsion element."""
         return torsion_table(self.data, self.q_gen)
 
+    @cached_property
+    def tors(self) -> tuple[int, ...]:
+        """The torsion coordinates of the decoration's class in coker(B), which only reports read."""
+        return _torsion_coordinates(self.data, self.chern)
+
 
 def _side(data: DiscriminantData, c: Sequence[int]) -> _Side:
     """A side's data, after the one characteristic parity check of its decoration, which raises also under -O."""
     cs = data.require_characteristic(c)
-    return _Side(data, cs, _torsion_coordinates(data, cs), _radical_slope(data, cs))
+    return _Side(data, cs, _radical_slope(data, cs))
 
 
 @dataclass(frozen=True)
@@ -244,13 +241,11 @@ def yc_equivalent(
     p2: DecoratedPresentation,
     *,
     cap: int = DEFAULT_ORDER_CAP,
-    budget: int = DEFAULT_SEARCH_BUDGET,
 ) -> EquivalenceVerdict:
     """Decide whether two decorated presentations are move equivalent.
 
     Definite in every regime: the mixed regime is the finite regime on
-    translates (see the module docstring).  budget is accepted and
-    ignored.
+    translates (see the module docstring).
     """
     return _decide(*_sides(p1, p2), cap)
 
@@ -586,7 +581,6 @@ def yc_classes(
     chern_vectors: Sequence[Sequence[int]] | None = None,
     *,
     cap: int = DEFAULT_ORDER_CAP,
-    budget: int = DEFAULT_SEARCH_BUDGET,
 ) -> tuple[tuple[tuple[int, ...], ...], ...]:
     """Partition decorations of one form into move-equivalence classes.
 
@@ -609,7 +603,7 @@ def yc_classes(
     bucketed on integer keys that split them as stable_profile() does;
     each, in input order, joins the first class in its bucket whose
     first member is equivalent to it, else opens one.  Every comparison
-    is definite, and budget is accepted and ignored.
+    is definite.
     """
     m = intmatrix(matrix)
     if chern_vectors is None:

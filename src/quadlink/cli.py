@@ -29,13 +29,13 @@ Exit codes:
        bad input, and so, for spins, is one with more than
        MAX_SPIN_STRUCTURES spin structures, for lens-census an order
        above MAX_LENS_ORDER, and a command line that does not parse
-       or sets --cap below 1 or --budget below 0 (--budget is
-       accepted and ignored: every verdict is definite)
+       or sets --cap below 1
     2  torsion group larger than the order cap, unless compare tells
        the pair apart by free rank, torsion factors or free gcd
     3  compare: inequivalent
-    4  unknown; no command returns it any more
     5  lens-census: even order, where counting is not supported
+
+Exit 4 is retired: every verdict is definite.
 """
 
 from __future__ import annotations
@@ -49,7 +49,6 @@ from pathlib import Path
 from typing import Any, NoReturn, Sequence
 
 from .classify import (
-    DEFAULT_SEARCH_BUDGET,
     EQUIVALENT,
     INEQUIVALENT,
     EvenOrderError,
@@ -78,7 +77,6 @@ EXIT_OK = 0
 EXIT_INVALID = 1
 EXIT_CAP = 2
 EXIT_INEQUIVALENT = 3
-EXIT_UNKNOWN = 4
 EXIT_EVEN_ORDER = 5
 # 128 + SIGPIPE, the status a shell reports for a writer killed by a closed pipe
 EXIT_CLOSED_PIPE = 141
@@ -409,7 +407,7 @@ def cmd_lens_census(args: argparse.Namespace) -> int:
 def cmd_classes(args: argparse.Namespace) -> int:
     rows = load_matrix_file(args.file)
     try:
-        partition = yc_classes(intmatrix(rows), cap=args.cap, budget=args.budget)
+        partition = yc_classes(intmatrix(rows), cap=args.cap)
     except ValueError as exc:
         raise InputError(f"{args.file}: {exc}") from exc
     print(f"{sum(map(len, partition))} decorations, {len(partition)} classes")
@@ -426,17 +424,6 @@ def _add_cap(sub: argparse.ArgumentParser) -> None:
         const=1,
         default=DEFAULT_ORDER_CAP,
         help="largest torsion group order handled exactly",
-    )
-
-
-def _add_budget(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument(
-        "--budget",
-        type=int,
-        action=_AtLeast,
-        const=0,
-        default=DEFAULT_SEARCH_BUDGET,
-        help="accepted and ignored: every verdict is definite",
     )
 
 
@@ -459,7 +446,6 @@ def build_parser() -> argparse.ArgumentParser:
     cmp_.add_argument("first")
     cmp_.add_argument("second")
     _add_cap(cmp_)
-    _add_budget(cmp_)
     cmp_.set_defaults(func=cmd_compare)
 
     walk = sub.add_parser("walk", help="random walk of moves with a certificate")
@@ -468,7 +454,6 @@ def build_parser() -> argparse.ArgumentParser:
     walk.add_argument("--seed", type=int, default=1)
     walk.add_argument("--out", help="also write the result document here")
     _add_cap(walk)
-    _add_budget(walk)
     walk.set_defaults(func=cmd_walk)
 
     spins = sub.add_parser("spins", help="spin structures and their decorations")
@@ -485,7 +470,6 @@ def build_parser() -> argparse.ArgumentParser:
     classes = sub.add_parser("classes", help="partition canonical decorations")
     classes.add_argument("file")
     _add_cap(classes)
-    _add_budget(classes)
     classes.set_defaults(func=cmd_classes)
 
     return parser

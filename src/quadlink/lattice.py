@@ -56,7 +56,7 @@ from math import prod
 from typing import Sequence
 
 from quadlink.quadfun import OrderCapExceeded, _quadratic_table
-from quadlink.zlinalg import IntMatrix, SmithDecomposition, determinant, intmatrix, smith_normal_form, solve_mod2
+from quadlink.zlinalg import IntMatrix, determinant, intmatrix, smith_normal_form, solve_mod2
 
 
 class CharacteristicError(ValueError):
@@ -114,15 +114,17 @@ class DiscriminantData:
     built; kernel is an integer basis of the radical, checked to satisfy
     B k_j = 0.  cok_tors_covectors[i] = B V_i / d_i = B g_i is the
     integer covector of the i-th torsion Smith generator of coker(B);
-    u_tors_rows are the rows of the Smith transform U at
-    torsion_indices: row . c is the coordinate of the class of c on that
-    Smith generator (_torsion_coordinates).
+    u_tors_rows are the rows of the Smith transform U at the indices of
+    the torsion factors: row . c is the coordinate of the class of c on
+    that Smith generator (_torsion_coordinates).
 
     linking[i][j] is the linking pairing b(g_i, g_j), held as an integer
     r in [0, value_modulus) standing for r / value_modulus, where
     value_modulus = 2N and N is the last invariant factor.  Tables of
     phi_c over the torsion part (phi_table) use the same unit.  No
     free row of U and no column of U^-1 is replayed: no regime reads one.
+    The Smith decomposition is not kept; smith_normal_form(matrix) is
+    deterministic and gives it again.
     """
 
     matrix: IntMatrix
@@ -132,10 +134,7 @@ class DiscriminantData:
     kernel: tuple[tuple[int, ...], ...]
     cok_tors_covectors: tuple[tuple[int, ...], ...]
     u_tors_rows: tuple[tuple[int, ...], ...]
-    torsion_indices: tuple[int, ...]
-    free_indices: tuple[int, ...]
     linking: tuple[tuple[int, ...], ...]
-    smith: SmithDecomposition
 
     @property
     def size(self) -> int:
@@ -214,10 +213,7 @@ def discriminant(matrix: IntMatrix, *, cap: int | None = None) -> DiscriminantDa
         kernel=kernel,
         cok_tors_covectors=tuple(cok_tors),
         u_tors_rows=u_tors,
-        torsion_indices=tuple(tors_idx),
-        free_indices=tuple(free_idx),
         linking=linking,
-        smith=snf,
     )
 
 

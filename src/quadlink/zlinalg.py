@@ -301,6 +301,8 @@ def _clear_column(a: list[list[int]], t: int, row_ops: list[tuple[str, int, int,
     """
     pivot_row, p = a[0], a[0][0]
     col = [row[0] for row in a]  # column 0, reduced round by round
+    if col.count(0) == len(a) - 1:  # nothing below the pivot: no round, no rebuild
+        return
     owed: list[tuple[tuple[int, list[int]], ...]] = [()] * len(a)  # each row's (q, pivot row) per round
     while True:
         best, h, pi = p, p // 2, 0

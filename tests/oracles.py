@@ -24,7 +24,9 @@ keeps the rational layer they are tested against:
   * the mixed regime's sweep, yc_equivalent_by_sweep: a budgeted search
     over torsion maps, couplings of the free part into torsion and section
     shifts, which the library's translate criterion replaced and is
-    differentially tested against;
+    differentially tested against.  A budgeted route can answer UNKNOWN,
+    which the library's EquivalenceVerdict does not accept, so the oracle
+    routes return their own OracleVerdict;
   * reference_smith, the Smith elimination that rebuilds every row in every
     round of a column phase, whose log smith_normal_form must reproduce.
 """
@@ -34,11 +36,12 @@ from __future__ import annotations
 import itertools
 import math
 from collections import Counter
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence, Union
 
 import quadlink.classify as classify
-from quadlink.classify import DEFAULT_SEARCH_BUDGET, EQUIVALENT, INEQUIVALENT, UNKNOWN, EquivalenceVerdict
+from quadlink.classify import EQUIVALENT, INEQUIVALENT
 from quadlink.exact import CyclotomicSum, QmodZ, RationalLike, cyclo_from_residues
 from quadlink.lattice import DiscriminantData, DualLatticeError, _int_dot, _radical_slope, _torsion_coordinates
 from quadlink.presentation import DecoratedPresentation
@@ -59,7 +62,7 @@ from quadlink.quadfun import (
     _residue_tables,
     table_fingerprint,
 )
-from quadlink.zlinalg import ADD, NEGATE, SWAP, IntMatrix, SmithDecomposition, determinant, intmatrix
+from quadlink.zlinalg import ADD, NEGATE, SWAP, IntMatrix, SmithDecomposition, determinant, intmatrix, smith_normal_form
 
 # --- zlinalg ---------------------------------------------------------------
 #
@@ -299,12 +302,19 @@ def chern_coordinates(data: DiscriminantData, c: Sequence[int]) -> tuple[tuple[i
 
 def u_free_rows(data: DiscriminantData) -> tuple[tuple[int, ...], ...]:
     """The rows of the Smith transform U at the free indices."""
-    return data.smith.u_rows(data.free_indices)
+    snf = smith_normal_form(data.matrix)
+    return snf.u_rows(free_indices(snf))
 
 
 def cok_free_covectors(data: DiscriminantData) -> tuple[tuple[int, ...], ...]:
     """The columns of U^-1 at the free indices: covectors of the free Smith generators of coker(B)."""
-    return data.smith.uinv_columns(data.free_indices)
+    snf = smith_normal_form(data.matrix)
+    return snf.uinv_columns(free_indices(snf))
+
+
+def free_indices(snf: SmithDecomposition) -> list[int]:
+    """The Smith indices of the free generators of coker(B): those of the zero invariant factors."""
+    return [i for i, d in enumerate(snf.diag) if d == 0]
 
 
 def duality_matrix(data: DiscriminantData) -> IntMatrix:
@@ -425,6 +435,22 @@ def checked_isometry(
 
 # --- classify --------------------------------------------------------------
 
+DEFAULT_SEARCH_BUDGET = 250_000
+UNKNOWN = "unknown"
+
+
+@dataclass(frozen=True)
+class OracleVerdict:
+    """A verdict of an oracle route: EQUIVALENT, INEQUIVALENT or, once its budget runs out, UNKNOWN.
+
+    A test compares it with a library EquivalenceVerdict by (status,
+    reason, witness).
+    """
+
+    status: str
+    reason: str
+    witness: GroupIso | None = None
+
 
 class Budget:
     """Step counter shared across the stages of one swept decision.
@@ -469,7 +495,7 @@ def torsion_map_verdict(
     side2: classify._Side,
     budget: Budget,
     reasons: tuple[str, str, str],
-) -> EquivalenceVerdict:
+) -> OracleVerdict:
     """Match decoration classes by a pairing-preserving torsion map, then compare Gauss sums.
 
     Sound when the Gauss sums do not depend on the section, i.e. when
@@ -494,15 +520,15 @@ def torsion_map_verdict(
             break
     else:
         if budget.exhausted:
-            return EquivalenceVerdict(UNKNOWN, "budget ran out while sweeping torsion maps")
-        return EquivalenceVerdict(INEQUIVALENT, no_map)
+            return OracleVerdict(UNKNOWN, "budget ran out while sweeping torsion maps")
+        return OracleVerdict(INEQUIVALENT, no_map)
     dmap = _image_positions(factors, images)
     # positions of the generators g_i in itertools.product order
     gens = [math.prod(factors[i + 1 :]) for i in range(k)]
     t1 = characters[tuple((q - values2[dmap[p]]) % modulus for q, p in zip(side1.q_gen, gens))]
     if values2[dmap[t1]] == 0:
-        return EquivalenceVerdict(EQUIVALENT, equivalent.format(images))
-    return EquivalenceVerdict(INEQUIVALENT, gauss_differ)
+        return OracleVerdict(EQUIVALENT, equivalent.format(images))
+    return OracleVerdict(INEQUIVALENT, gauss_differ)
 
 
 _PAIRING_REASONS = (
@@ -518,7 +544,7 @@ def yc_equivalent_by_pairing(
     *,
     cap: int = DEFAULT_ORDER_CAP,
     budget: int = DEFAULT_SEARCH_BUDGET,
-) -> EquivalenceVerdict:
+) -> OracleVerdict:
     """Decide equivalence of finite-homology presentations the long way.
 
     Instead of searching for an isomorphism of the quadratic functions
@@ -537,8 +563,8 @@ def yc_equivalent_by_pairing(
     if d1.free_rank or d2.free_rank:
         raise ValueError("the pairing route applies to finite first homology only")
     if d1.torsion_factors != d2.torsion_factors:
-        return EquivalenceVerdict(
-            classify.INEQUIVALENT,
+        return OracleVerdict(
+            INEQUIVALENT,
             f"torsion invariant factors differ: {d1.torsion_factors} vs {d2.torsion_factors}",
         )
     if d1.torsion_order > cap:
@@ -580,7 +606,7 @@ MIXED_BLIND_REASONS = (
 )
 
 
-def mixed_verdict(side1: classify._Side, side2: classify._Side, budget: Budget) -> EquivalenceVerdict:
+def mixed_verdict(side1: classify._Side, side2: classify._Side, budget: Budget) -> OracleVerdict:
     """Sweep candidate maps when both free rank and torsion are present.
 
     A candidate consists of a pairing-preserving torsion map Psi, a
@@ -665,17 +691,17 @@ def mixed_verdict(side1: classify._Side, side2: classify._Side, budget: Budget) 
             phase, coords = q2[t], elements[t]
             for avec in itertools.product(*char_axes):
                 if not budget.charge(len(elements)):
-                    return EquivalenceVerdict(
+                    return OracleVerdict(
                         UNKNOWN, "budget ran out while comparing Gauss sums over matched sections"
                     )
                 if (phase - sum(a * x * (modulus // d) for a, x, d in zip(avec, coords, factors))) % modulus == 0:
-                    return EquivalenceVerdict(
+                    return OracleVerdict(
                         EQUIVALENT,
                         f"torsion map {images} with coupling contraction {mu} and section character {avec} matches the Gauss sums",
                     )
     if budget.exhausted:
-        return EquivalenceVerdict(UNKNOWN, "budget ran out before the sweep finished")
-    return EquivalenceVerdict(
+        return OracleVerdict(UNKNOWN, "budget ran out before the sweep finished")
+    return OracleVerdict(
         INEQUIVALENT,
         "no pairing-preserving map, coupling, and section shift reproduce the Gauss sums",
     )
@@ -687,7 +713,7 @@ def yc_equivalent_by_sweep(
     *,
     cap: int = DEFAULT_ORDER_CAP,
     budget: int = DEFAULT_SEARCH_BUDGET,
-) -> EquivalenceVerdict:
+) -> OracleVerdict:
     """yc_equivalent with the mixed regime decided by the budgeted sweep, unknown when the budget runs out.
 
     A pair outside the mixed regime, or told apart by free rank, torsion
@@ -699,7 +725,8 @@ def yc_equivalent_by_sweep(
     d1, d2 = side1.data, side2.data
     same = (d1.free_rank, d1.torsion_factors, side1.free_gcd) == (d2.free_rank, d2.torsion_factors, side2.free_gcd)
     if not (same and d1.free_rank and d1.torsion_factors):
-        return classify._decide(side1, side2, cap)
+        v = classify._decide(side1, side2, cap)
+        return OracleVerdict(v.status, v.reason, v.witness)
     if d1.torsion_order > cap:
         raise OrderCapExceeded(d1.torsion_order, cap)
     return mixed_verdict(side1, side2, Budget(budget))

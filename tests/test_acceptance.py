@@ -12,6 +12,7 @@ from fractions import Fraction
 
 from quadlink.classify import (
     EQUIVALENT,
+    INEQUIVALENT,
     canonical_chern_vectors,
     invariants_report,
     lens_diffeo_count,
@@ -182,7 +183,7 @@ def test_criterion_05_route_agreement_on_random_sphere_pairs():
             q.matrix.data,
             q.chern,
         )
-        assert via_functions.is_definite
+        assert via_functions.status in (EQUIVALENT, INEQUIVALENT)
         checked += 1
     elapsed = time.monotonic() - t0
     assert checked >= 200

@@ -17,7 +17,6 @@ from hypothesis import strategies as st
 from quadlink.classify import (
     EQUIVALENT,
     INEQUIVALENT,
-    UNKNOWN,
     EquivalenceVerdict,
     EvenOrderError,
     canonical_chern_vectors,
@@ -28,7 +27,7 @@ from quadlink.classify import (
     yc_equivalent,
 )
 import quadlink.classify as classify_module
-from quadlink.classify import DEFAULT_SEARCH_BUDGET, _Side
+from quadlink.classify import _Side
 from quadlink.exact import CyclotomicSum, QmodZ, cyclo_equals, cyclo_from_residues
 from quadlink.exact import _reduce_mod_cyclotomic
 import quadlink.lattice as lattice_module
@@ -63,9 +62,12 @@ from quadlink.zlinalg import IntMatrix, SmithDecomposition, determinant, intmatr
 
 import oracles as oracles_module
 from oracles import (
+    DEFAULT_SEARCH_BUDGET,
     MIXED_BLIND_REASONS,
+    UNKNOWN,
     _PAIRING_REASONS,
     Budget,
+    OracleVerdict,
     checked_isometry,
     chern_coordinates,
     cok_free_covectors,
@@ -529,8 +531,9 @@ def test_a_tampered_recycled_isometry_raises(monkeypatch, change, message):
 
 
 def test_verdict_status_is_validated():
-    with pytest.raises(ValueError):
-        EquivalenceVerdict("maybe", "nope")
+    for status in ("maybe", "unknown"):
+        with pytest.raises(ValueError):
+            EquivalenceVerdict(status, "nope")
 
 
 # --- mixed regime -------------------------------------------------------
@@ -569,12 +572,12 @@ def test_mixed_vanishing_free_decoration_uses_plain_gauss_sums():
 
 def test_budget_exhaustion_is_reported_not_guessed():
     # the sweep oracle answers unknown when its budget runs out; the
-    # library reads no budget, so the same call is definite
+    # library takes no budget, and its verdict is definite
     p1, p2 = presentation(MIXED, (2, 0)), presentation(MIXED, (2, 2))
     v = yc_equivalent_by_sweep(p1, p2, budget=1)
     assert v.status == UNKNOWN
-    assert not v.is_definite
-    assert yc_equivalent(p1, p2, budget=1) == yc_equivalent(p1, p2)
+    with pytest.raises(TypeError):
+        yc_equivalent(p1, p2, budget=1)
     assert yc_equivalent(p1, p2).status == EQUIVALENT
 
 
@@ -880,7 +883,7 @@ def _oracle_equivalent(a, b):
     if discriminant(a.matrix).free_rank == 0:
         return _whole_group_images(a, b) is not None
     verdict = yc_equivalent(a, b)
-    assert verdict.is_definite
+    assert verdict.status in (EQUIVALENT, INEQUIVALENT)
     return verdict.status == EQUIVALENT
 
 
@@ -1413,7 +1416,7 @@ def test_mixed_verdicts_are_pinned(m1, c1, m2, c2, kwargs, status, reason):
     assert (v.status, v.reason, v.witness) == (status, reason, None)
 
 
-# The same pairs through the library, which reads no budget: every status
+# The same pairs through the library, which takes no budget: every status
 # is that of the unbounded sweep, and an equivalent verdict names its
 # translate t and carries the isometry as its witness.
 def _translate_reason(status, t):
@@ -1441,7 +1444,7 @@ PINNED_TRANSLATE_ROUTE = [
 @pytest.mark.parametrize("m1, c1, m2, c2, status, t, images", PINNED_TRANSLATE_ROUTE)
 def test_translate_route_verdicts_are_pinned(m1, c1, m2, c2, status, t, images):
     p1, p2 = presentation(m1, c1), presentation(m2, c2)
-    v = yc_equivalent(p1, p2, budget=1)
+    v = yc_equivalent(p1, p2)
     assert (v.status, v.reason, v.witness and v.witness.images) == (status, _translate_reason(status, t), images)
     assert v.status == yc_equivalent_by_sweep(p1, p2, budget=10**9).status
 
@@ -1578,9 +1581,9 @@ def test_pairing_verdicts_are_pinned(m, c1, c2, kwargs, status, reason):
     assert (v.status, v.reason, v.witness) == (status, reason, None)
 
 
-# Each side's discriminant data, decoration coordinates and slopes are
-# computed once per decision and passed down, and the slope check still
-# runs on both sides.  No free cokernel coordinate is computed.
+# Each side's discriminant data and slopes are computed once per decision
+# and passed down, and the slope check still runs on both sides.  No
+# cokernel coordinate is computed: only reports read the torsion ones.
 SWEEP_PAIR = ([[9, 0, 0], [0, 0, 0], [0, 0, 0]], (1, 2, 4), SCRAMBLED, (9, 5, 6))
 BLIND_PAIR = (MIXED, (0, 0), MIXED, (0, 2))
 
@@ -1598,7 +1601,7 @@ def test_each_side_is_computed_once(monkeypatch, m1, c1, m2, c2):
         monkeypatch.setattr(classify_module, name, counted)
     yc_equivalent(presentation(m1, c1), presentation(m2, c2))
     # two decorations of one matrix, as in BLIND_PAIR, share its discriminant data
-    assert calls == {"discriminant": 1 if m1 == m2 else 2, "_torsion_coordinates": 2, "_radical_slope": 2}
+    assert calls == {"discriminant": 1 if m1 == m2 else 2, "_radical_slope": 2}
 
 
 @pytest.mark.parametrize("m1, c1, m2, c2", [SWEEP_PAIR, BLIND_PAIR])
@@ -1678,17 +1681,24 @@ def test_each_decoration_is_checked_once(monkeypatch, m1, c1, m2, c2):
     p1, p2 = presentation(m1, c1), presentation(m2, c2)
     calls = Counter()
     original = lattice_module.is_characteristic
+    coordinates = classify_module._torsion_coordinates
 
     def counted(*args):
         calls["parity"] += 1
         return original(*args)
 
+    def counted_coordinates(*args):
+        calls["coordinates"] += 1
+        return coordinates(*args)
+
     monkeypatch.setattr(lattice_module, "is_characteristic", counted)
+    monkeypatch.setattr(classify_module, "_torsion_coordinates", counted_coordinates)
     yc_equivalent(p1, p2)
-    assert calls["parity"] == 2
+    # a decision reads no torsion coordinate; a report reads them once
+    assert (calls["parity"], calls["coordinates"]) == (2, 0)
     calls.clear()
     invariants_report(p1)
-    assert calls["parity"] == 1
+    assert (calls["parity"], calls["coordinates"]) == (1, 1)
     data = discriminant(intmatrix(m1))
     bad = (c1[0] + 1,) + tuple(c1[1:])
     for public in (chern_coordinates, radical_slope, phi_generators, phi_table, classify_module._side):
@@ -1711,7 +1721,7 @@ def _oracle_torsion_map_verdict(
     side2: _Side,
     budget: Budget,
     reasons: tuple[str, str, str],
-) -> EquivalenceVerdict:
+) -> OracleVerdict:
     """Match decoration classes by a pairing-preserving torsion map, then compare Gauss sums.
 
     Sound when the Gauss sums do not depend on the section, i.e. when
@@ -1734,16 +1744,16 @@ def _oracle_torsion_map_verdict(
             break
     else:
         if budget.exhausted:
-            return EquivalenceVerdict(UNKNOWN, "budget ran out while sweeping torsion maps")
-        return EquivalenceVerdict(INEQUIVALENT, no_map)
+            return OracleVerdict(UNKNOWN, "budget ran out while sweeping torsion maps")
+        return OracleVerdict(INEQUIVALENT, no_map)
     if cyclo_from_residues(Counter(values1), modulus) == cyclo_from_residues(Counter(values2), modulus):
-        return EquivalenceVerdict(EQUIVALENT, equivalent.format(images))
-    return EquivalenceVerdict(INEQUIVALENT, gauss_differ)
+        return OracleVerdict(EQUIVALENT, equivalent.format(images))
+    return OracleVerdict(INEQUIVALENT, gauss_differ)
 
 
 def _oracle_mixed_verdict(
     side1: _Side, side2: _Side, budget: Budget, *, truncating_walk: bool = False
-) -> EquivalenceVerdict:
+) -> OracleVerdict:
     """Sweep candidate maps when both free rank and torsion are present.
 
     A candidate consists of a pairing-preserving torsion map d, a
@@ -1844,19 +1854,19 @@ def _oracle_mixed_verdict(
                 angles[u] = base1[w] - drop2[u]
             for avec in itertools.product(*char_axes):
                 if not budget.charge(len(elements)):
-                    return EquivalenceVerdict(
+                    return OracleVerdict(
                         UNKNOWN, "budget ran out while comparing Gauss sums over matched sections"
                     )
                 shifted = Counter((a - c) % modulus for a, c in zip(angles, chi_of(avec)))
                 gamma1 = cyclo_from_residues(shifted, modulus)
                 if gamma1 == gamma2_of(avec):
-                    return EquivalenceVerdict(
+                    return OracleVerdict(
                         EQUIVALENT,
                         f"torsion map {images} with coupling contraction {mu} and section character {avec} matches the Gauss sums",
                     )
     if budget.exhausted:
-        return EquivalenceVerdict(UNKNOWN, "budget ran out before the sweep finished")
-    return EquivalenceVerdict(
+        return OracleVerdict(UNKNOWN, "budget ran out before the sweep finished")
+    return OracleVerdict(
         INEQUIVALENT,
         "no pairing-preserving map, coupling, and section shift reproduce the Gauss sums",
     )

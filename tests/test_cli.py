@@ -94,18 +94,6 @@ def test_compare_equivalent_reports_witness(tmp_path, capsys):
     assert "witness" in out
 
 
-def test_compare_accepts_and_ignores_the_budget(tmp_path, capsys):
-    # every verdict is definite, so --budget changes no output and no exit code
-    a = write_doc(tmp_path, "a.json", {"matrix": [[0, 0], [0, 2]], "chern": [2, 0]})
-    b = write_doc(tmp_path, "b.json", {"matrix": [[0, 0], [0, 2]], "chern": [2, 2]})
-    assert main(["compare", a, b]) == EXIT_OK
-    out = capsys.readouterr().out
-    assert out.startswith("Equivalent")
-    for budget in ("0", "1"):
-        assert main(["compare", a, b, "--budget", budget]) == EXIT_OK
-        assert capsys.readouterr().out == out
-
-
 def test_compare_and_walk_build_one_discriminant_per_side(tmp_path, capsys, monkeypatch):
     # the verdict and the reports that name the first differing invariant
     # read the same data: one discriminant per distinct matrix
@@ -301,9 +289,11 @@ def test_lens_census_order_limit(capsys, monkeypatch):
         (["frobnicate"], "invalid choice: 'frobnicate'"),
         ([], "the following arguments are required: command"),
         (["lens-census", "--p", "x"], "invalid int value: 'x'"),
-        (["compare", "a.json", "b.json", "--budget"], "expected one argument"),
+        # every verdict is definite, and the search budget option is gone
+        (["compare", "a.json", "b.json", "--budget", "5"], "unrecognized arguments: --budget 5"),
         (["invariants", "s3.json", "--cap", "0"], "argument --cap: must be at least 1, got 0"),
-        (["compare", "a.json", "b.json", "--budget", "-1"], "argument --budget: must be at least 0, got -1"),
+        (["walk", "p.json", "--budget", "5"], "unrecognized arguments: --budget 5"),
+        (["classes", "m.json", "--budget", "5"], "unrecognized arguments: --budget 5"),
     ],
 )
 def test_usage_errors_are_bad_input(capsys, argv, needle):
@@ -544,10 +534,9 @@ def _file(p):
 # byte for byte: one input per regime (finite cyclic, finite with two
 # generators, mixed with nonzero free-covector evaluations, mixed with a
 # vanishing free decoration, torsion free), the chain of the lens space L(30, 7), whose
-# residues in units of 1/60 reduce to many denominators, a mixed pair at the default budget
-# and at a budget the former sweep ran out of (the budget is ignored), an inequivalent
-# mixed pair with a nonzero and one with a vanishing free decoration, a torsion-free pair
-# of each verdict, and a census.
+# residues in units of 1/60 reduce to many denominators, an equivalent mixed pair, an
+# inequivalent mixed pair with a nonzero and one with a vanishing free decoration, a
+# torsion-free pair of each verdict, and a census.
 EXPECTED_CLI = Path(__file__).parent / "expected_cli"
 TWISTED_A = [[-3, 1, 2, 1], [1, 2, 0, 1], [2, 0, -2, -2], [1, 1, -2, -3]]
 MIXED = [[0, 0], [0, 2]]
@@ -566,12 +555,6 @@ PINNED_CLI = [
     ("invariants_mixed_blind", {"p.json": (MIXED, [0, 0])}, ["invariants", "p.json"], EXIT_OK),
     ("invariants_mixed_blind_json", {"p.json": (MIXED, [0, 0])}, ["invariants", "p.json", "--json"], EXIT_OK),
     ("compare_mixed", {"a.json": (MIXED, [2, 0]), "b.json": (MIXED, [2, 2])}, ["compare", "a.json", "b.json"], EXIT_OK),
-    (
-        "compare_mixed_budget_5",
-        {"a.json": (MIXED, [2, 0]), "b.json": (MIXED, [2, 2])},
-        ["compare", "a.json", "b.json", "--budget", "5"],
-        EXIT_OK,
-    ),
     ("compare_mixed_split", {"a.json": (MIXED, [4, 0]), "b.json": (MIXED, [4, 2])}, ["compare", "a.json", "b.json"], EXIT_INEQUIVALENT),
     (
         "compare_mixed_blind_gauss",

@@ -1,6 +1,8 @@
 """The public surface of quadlink, and the reference layer that lives in the tests."""
 
+import dataclasses
 import importlib
+import inspect
 import pkgutil
 
 import pytest
@@ -50,7 +52,6 @@ PUBLIC = [
     "presentation",
     "random_walk",
     "spin_structures",
-    "DEFAULT_SEARCH_BUDGET",
     "EquivalenceVerdict",
     "EvenOrderError",
     "InvariantReport",
@@ -89,6 +90,10 @@ MOVED = [
 ]
 MOVED_METHODS = ["lifts", "dual_contains", "require_dual", "torsion_lift"]
 
+# every verdict is definite, so the vocabulary of an indefinite one is gone;
+# oracles keeps its own for the budgeted sweep
+RETIRED = ["UNKNOWN", "DEFAULT_SEARCH_BUDGET", "EXIT_UNKNOWN", "_add_budget"]
+
 MODULES = [importlib.import_module(f"quadlink.{m.name}") for m in pkgutil.iter_modules(quadlink.__path__)]
 
 
@@ -110,3 +115,17 @@ def test_the_reference_layer_lives_in_the_oracles():
     assert [name for name in MOVED_METHODS if not callable(getattr(oracles, name, None))] == []
     lattice = importlib.import_module("quadlink.lattice")
     assert not hasattr(lattice, "Fraction") and not hasattr(lattice, "QmodZ")
+
+
+@pytest.mark.parametrize("module", [quadlink, *MODULES], ids=lambda m: m.__name__)
+def test_the_indefinite_verdict_is_retired(module):
+    assert [name for name in RETIRED if hasattr(module, name)] == []
+
+
+def test_no_budget_and_no_smith_log_is_kept():
+    assert not hasattr(quadlink.EquivalenceVerdict, "is_definite")
+    for entry in (quadlink.yc_equivalent, quadlink.yc_classes):
+        assert "budget" not in inspect.signature(entry).parameters
+    # nothing read the Smith log or its indices once discriminant had built its data
+    fields = {f.name for f in dataclasses.fields(quadlink.DiscriminantData)}
+    assert fields.isdisjoint({"smith", "torsion_indices", "free_indices"})

@@ -473,11 +473,13 @@ def _bits(vectors):
 
 def test_smith_work_counters_are_pinned():
     # deterministic cost of one elimination: the log lengths and the
-    # largest transform entries that discriminant replays at the free
-    # indices (the floor rule with a scan of the whole block gave 5,977
-    # and 5,939 operations, 1,402 and 7 bits; centred quotients on column
-    # and row together, with the next pivot from them, gave 5,459 and
-    # 5,416 operations, 1,644 and 9 bits)
+    # largest transform entries at the free indices, where discriminant
+    # replays the V columns (its kernel basis) and only the tests read
+    # the U^-1 columns (the sweep oracle's free covectors).  The floor
+    # rule with a scan of the whole block gave 5,977 and 5,939
+    # operations, 1,402 and 7 bits; centred quotients on column and row
+    # together, with the next pivot from them, gave 5,459 and 5,416
+    # operations, 1,644 and 9 bits
     m = _work_counter_form()
     snf = smith_normal_form(m)
     free = [i for i, x in enumerate(snf.diagonal()) if x == 0]
@@ -498,9 +500,12 @@ def _dense_form(n, seed=1, bound=2**32 - 1):
 
 
 def test_smith_transform_growth_on_a_dense_form_is_pinned():
-    # the transform entries at the torsion index that discriminant
-    # replays; clearing column and row together gave U^-1, V and U
-    # entries of 40,686, 41,444 and 39,609 bits here
+    # the transform entries at the torsion index: discriminant replays
+    # the V column (the torsion section) and the U row (the torsion
+    # coordinates), and only the tests read the U^-1 column, which
+    # discriminant computes as B V / d instead; clearing column and row
+    # together gave U^-1, V and U entries of 40,686, 41,444 and 39,609
+    # bits here
     snf = smith_normal_form(_dense_form(24))
     tors = [i for i, x in enumerate(snf.diagonal()) if x > 1]
     assert tors == [23]
@@ -646,6 +651,11 @@ def unit_free_forms():
 @settings(max_examples=300, deadline=None)
 @given(st.one_of(matrices(max_dim=10, max_entry=2**70), unit_free_forms(), scrambled_block_sums()))
 @example(IntMatrix([[6, 4, 2], [4, 0, 8], [2, 8, 6]]))
+# column phases with nothing below the pivot: a diagonal form, the last
+# index of a block, and a 1x1 form
+@example(IntMatrix([[5, 0, 0, 0], [0, 5, 0, 0], [0, 0, 5, 0], [0, 0, 0, 5]]))
+@example(IntMatrix([[2, 1], [1, 3]]))
+@example(IntMatrix([[63]]))
 def test_smith_log_matches_the_rebuild_per_round(m):
     assert _smith_log(smith_normal_form(m)) == _smith_log(reference_smith(m))
 
