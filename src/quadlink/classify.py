@@ -64,7 +64,9 @@ on T, each q_i read on the stored section.  Proof:
 With g = 0 only t = 0 is allowed, which is the finite regime's
 question.  b is orthogonal across primes and gT is the sum of the gT_p,
 so the search splits by p-part, as in the finite regime
-(_finite_isomorphism).
+(_finite_isomorphism).  For the same reason a census keys each
+decoration by g and by its orbit under O(b_p) x gT_p at each prime p,
+on finite and degenerate forms alike, and decides no pair (yc_classes).
 
 The order cap bounds |G| and is checked once per public entry point,
 by _decide after the verdicts that read no torsion element; nothing
@@ -101,7 +103,6 @@ from .quadfun import (
     GroupIso,
     OrderCapExceeded,
     _cyclic_isometries,
-    _defect_character,
     _generator_isomorphism,
     _nondegenerate,
     _quadratic_table,
@@ -360,12 +361,10 @@ def _finite_isomorphism(side1: _Side, side2: _Side, g: int) -> tuple[GroupIso, t
     q2(u h) - q1(h) is x b1(h, h) for a multiple x of e, i.e. a multiple
     of gcd(M, e b1(h, h)); the congruence names x.  With g = 0 this is
     q2(u h) = q1(h), the witness the search would return, with no table
-    built.  On the other p-parts, q1 + b1(., t) is
-    x -> q1(x + t) - q1(t), so its value histogram is that of q1 shifted
-    by -q1(t): every part's allowed translates are filtered by that
-    histogram before any search, and the searches then run, translate
-    by translate, on the p-tables, sum_p |G_p| elements instead of |G|.
-    The witness is assembled by the Chinese remainder theorem: the
+    built.  The other p-parts are searched on their p-tables, sum_p |G_p|
+    elements instead of |G|, translate by translate
+    (_translate_isometry), after every cyclic part has passed.  The
+    witness is assembled by the Chinese remainder theorem: the
     p-component of g_i is (s_i^-1 mod p^v_i) h_i, so
     Psi(g_i) = sum_p (s_i^-1 mod p^v_i) Psi_p(h_i), and t has coordinate
     sum_p x_i s_i on g_i.  Every character of T is some b1(., t) only
@@ -376,12 +375,9 @@ def _finite_isomorphism(side1: _Side, side2: _Side, g: int) -> tuple[GroupIso, t
     factors = data1.torsion_factors
     modulus = data1.value_modulus
     q1, q2 = side1.q_gen, side2.q_gen
-    parts = _primary_parts(factors)
-    # per part: its generator images and translate if cyclic, else the
-    # translates that pass the histogram and the rest of their search,
-    # which runs after every part's cheap checks
-    restricted: list = []
-    for part in parts:
+    images = [[0] * len(factors) for _ in factors]
+    t = [0] * len(factors)
+    for part in sorted(_primary_parts(factors), key=lambda part: len(part.factors) > 1):
         h1 = part.quadratic(modulus, q1, data1.linking), part.pairing(modulus, data1.linking)
         h2 = part.quadratic(modulus, q2, data2.linking), part.pairing(modulus, data2.linking)
         if len(part.factors) == 1:
@@ -397,38 +393,16 @@ def _finite_isomorphism(side1: _Side, side2: _Side, g: int) -> tuple[GroupIso, t
             if found is None:
                 return None
             u, delta = found
-            restricted.append((((u,),), (e * (delta // s) * pow(e * b1 // s, -1, modulus // s) % order,)))
-            continue
-        if not _nondegenerate(part.factors, modulus, h1[1]):
-            raise RuntimeError(f"the linking pairing on {factors} is degenerate")
-        values1 = _quadratic_table(part.factors, modulus, *h1)
-        values2 = _quadratic_table(part.factors, modulus, *h2)
-        hist1, hist2 = Counter(values1), Counter(values2)
-        strides = [math.prod(part.factors[i + 1 :]) for i in range(len(part.factors))]
-        fits: dict[int, bool] = {}  # per value c = q1(t), whether hist1 shifted by -c is hist2
-        translates = []
-        for x in itertools.product(*(range(0, d, math.gcd(g, d)) for d in part.factors)):
-            c = values1[_int_dot(x, strides)]
-            if c not in fits:
-                fits[c] = all(hist2[(v - c) % modulus] == n for v, n in hist1.items())
-            if fits[c]:
-                translates.append((x, [(q + _int_dot(x, row)) % modulus for q, row in zip(*h1)]))
-        if not translates:
-            return None
-        restricted.append((translates, h1[1], *h2, values2))
-    images = [[0] * len(factors) for _ in factors]
-    t = [0] * len(factors)
-    for part, args in zip(parts, restricted):
-        if len(part.factors) == 1:
-            y, x = args
+            y, x = ((u,),), (e * (delta // s) * pow(e * b1 // s, -1, modulus // s) % order,)
         else:
-            translates, b1, *rest = args
-            for x, shifted in translates:
-                y = _generator_isomorphism(part.factors, modulus, shifted, b1, *rest)
-                if y is not None:
-                    break
-            else:
+            if not _nondegenerate(part.factors, modulus, h1[1]):
+                raise RuntimeError(f"the linking pairing on {factors} is degenerate")
+            values1 = _quadratic_table(part.factors, modulus, *h1)
+            values2 = _quadratic_table(part.factors, modulus, *h2)
+            found = _translate_isometry(part.factors, modulus, g, (*h1, values1, Counter(values1)), (*h2, values2, Counter(values2)))
+            if found is None:
                 return None
+            x, _, y = found
         for i, s, order, yi, xi in zip(part.indices, part.scales, part.factors, y, x):
             u = pow(s, -1, order)
             for j, sj, yij in zip(part.indices, part.scales, yi):
@@ -436,6 +410,33 @@ def _finite_isomorphism(side1: _Side, side2: _Side, g: int) -> tuple[GroupIso, t
             t[i] = (t[i] + xi * s) % factors[i]
     group = FiniteAbelianGroup(factors)
     return GroupIso(group, group, tuple(map(tuple, images))), tuple(t)
+
+
+def _translate_isometry(factors: Sequence[int], modulus: int, g: int, side1: tuple, side2: tuple) -> tuple | None:
+    """On one p-part, the first allowed translate of q1 that an isometry carries q2 to: (x, the translate, Psi), or None.
+
+    Each side is (q, b, value table, value histogram), q and b on the
+    generators h_i of orders d_i.  The translates are q1 + b1(., t) for
+    t = sum x_i h_i with x_i a multiple of gcd(g, d_i), in
+    itertools.product order of x; the translate is given on the h_i.
+    q1 + b1(., t) is x -> q1(x + t) - q1(t), so its histogram is that of
+    q1 shifted by -q1(t), and only a translate whose histogram is hist2
+    is searched.  With g = 0 only t = 0 is allowed.
+    """
+    q1, b1, values1, hist1 = side1
+    q2, b2, values2, hist2 = side2
+    strides = [math.prod(factors[i + 1 :]) for i in range(len(factors))]
+    fits: dict[int, bool] = {}  # per value c = q1(t), whether hist1 shifted by -c is hist2
+    for x in itertools.product(*(range(0, d, math.gcd(g, d)) for d in factors)):
+        c = values1[_int_dot(x, strides)]
+        if c not in fits:
+            fits[c] = all(hist2[(v - c) % modulus] == n for v, n in hist1.items())
+        if fits[c]:
+            shifted = tuple((q + _int_dot(x, row)) % modulus for q, row in zip(q1, b1))
+            y = _generator_isomorphism(factors, modulus, shifted, b1, q2, b2, values2)
+            if y is not None:
+                return x, shifted, y
+    return None
 
 
 def _decoration_count(m: IntMatrix) -> int:
@@ -473,64 +474,67 @@ def _canonical_chern_vectors(data: DiscriminantData, count: int) -> tuple[tuple[
     return tuple(out)
 
 
-def _census_key(side: _Side) -> tuple:
-    """An integer key splitting decorations of a degenerate form as stable_profile() does; _side ran the report's checks."""
-    g = side.free_gcd
-    if g:
-        return (g,)
-    # the Gauss sum is read off the value histogram; the defect is a character, whose image fixes its histogram
-    modulus = side.data.value_modulus
-    defect_gcd = math.gcd(modulus, *_defect_character(modulus, side.q_gen, side.data.linking))
-    return (0, frozenset(Counter(side.table).items()), defect_gcd)
+def _census_keys(data: DiscriminantData, vecs: Sequence[Sequence[int]]) -> list[tuple[int, ...]]:
+    """Per decoration, its slope gcd g and its class at each prime: equal keys, equal classes.
 
-
-def _finite_census_keys(data: DiscriminantData, vecs: Sequence[Sequence[int]]) -> list[tuple[int, ...]]:
-    """Per decoration of a form with finite homology, its class id at each prime: equal keys, equal classes.
-
-    By the orthogonal split (see _finite_isomorphism) two decorations
-    are equivalent exactly when their p-parts are isomorphic for every
-    p, so each prime is a census of its own, and ids count up in
-    first-occurrence order.  b does not depend on the decoration.  q is
-    built column-wise: one list per torsion generator holds q(g_i) for
-    every decoration (lattice._phi_columns), and one list per p-part
-    generator q(h_i).  On a cyclic p-part, with generator h, the class of
-    q is keyed by the least q(u h) over the isometries u of b
-    (quadfun._cyclic_isometries): one list per u, and one min per
-    decoration across them, with no table and no search.  The other
-    p-parts are censused by orbits (_orbit_census).
+    By the mixed criterion and the orthogonal split (see
+    _finite_isomorphism) two decorations are equivalent exactly when
+    their slope gcds g agree and, for every p, their p-parts lie in one
+    orbit of O(b_p) x gT_p; g = 0 with finite homology.  So each g and
+    each prime is a census of its own.  b does not depend on the
+    decoration.  q is built column-wise: one list per torsion generator
+    holds q(g_i) for every decoration (lattice._phi_columns), and one
+    list per p-part generator q(h_i).  Where p does not divide g != 0,
+    every refinement of b_p is a translate: one class.  On a cyclic
+    p-part of order p^v, with generator h and beta = b(h, h), the class
+    is keyed by the least q(u h) mod gcd(M, e beta), e = gcd(g, p^v), over
+    the isometries u of b (quadfun._cyclic_isometries), with no table
+    and no search.  The other p-parts are censused by orbits
+    (_orbit_census), one census per g.
     """
     modulus, link = data.value_modulus, data.linking
     # the vectors are characteristic: canonical ones by construction, listed ones checked by presentation()
     q_columns = _phi_columns(data, vecs)
-    columns = []
+    gcds = [math.gcd(*_radical_slope(data, v)) for v in vecs] if data.free_rank else [0] * len(vecs)
+    columns = [gcds]
     for part in _primary_parts(data.torsion_factors):
         b = part.pairing(modulus, link)
         h_columns = part.quadratic_columns(modulus, q_columns, link)
         if len(part.factors) == 1:
             ((beta,),), (a_column,) = b, h_columns
             units = _cyclic_isometries(part.factors[0], modulus, beta, beta)
-            orbits = [[(u * a + u * (u - 1) // 2 * beta) % modulus for a in a_column] for u in units]
-            ids: dict[int, int] = {}
-            columns.append([ids.setdefault(key, len(ids)) for key in map(min, zip(*orbits))])
-        else:
-            columns.append(_orbit_census(part.factors, modulus, b, list(zip(*h_columns))))
-    return list(zip(*columns)) if columns else [()] * len(vecs)
+            steps = [math.gcd(modulus, math.gcd(g, part.factors[0]) * beta) for g in gcds]
+            orbits = [[(u * a + u * (u - 1) // 2 * beta) % s for a, s in zip(a_column, steps)] for u in units]
+            columns.append(list(map(min, zip(*orbits))))
+            continue
+        column = [0] * len(vecs)
+        qs = list(zip(*h_columns))
+        for g in dict.fromkeys(gcds):
+            if math.gcd(g, part.factors[0]) > 1:
+                members = [i for i, gi in enumerate(gcds) if gi == g]
+                for i, cid in zip(members, _orbit_census(part.factors, modulus, b, [qs[i] for i in members], g)):
+                    column[i] = cid
+        columns.append(column)
+    return list(zip(*columns))
 
 
-def _orbit_census(factors: Sequence[int], modulus: int, b: Sequence[Sequence[int]], qs: Sequence[tuple[int, ...]]) -> list[int]:
+def _orbit_census(factors: Sequence[int], modulus: int, b: Sequence[Sequence[int]], qs: Sequence[tuple[int, ...]], g: int) -> list[int]:
     """Class ids, in first-occurrence order, of quadratic functions q with one nondegenerate polarization b on one p-part.
 
     q is given on the generators h_i, b by b(h_i, h_j), residues mod
-    modulus.  The classes are the orbits of O(b) acting by q -> q o Psi
-    (Holt-Eick-O'Brien, Handbook of Computational Group Theory, 4.1).  A
-    union-find over the q holds orbits of the subgroup that the search's
-    witnesses generate: each witness Psi, y_i = Psi(h_i), is checked to
-    keep the orders and b, also under -O, then merges every node with
+    modulus.  The classes are the orbits of O(b) x gT_p acting by
+    q -> q o Psi + b(., t) (Holt-Eick-O'Brien, Handbook of Computational
+    Group Theory, 4.1); g = 0 leaves O(b).  A union-find over the q holds
+    orbits of a subgroup.  It first merges every node with its
+    translates by e_i h_i, e_i = gcd(g, d_i): q(h_j) += e_i b(h_j, h_i).
+    Then each witness Psi of the search, y_i = Psi(h_i), is checked to
+    keep the orders and b, also under -O, and merges every node with
     (q o Psi)(h_i) = sum_j y_ij q(h_j) + q_0(y_i), a new node if
     unlisted; q_0(t) = sum_j C(t_j, 2) b(h_j, h_j) + sum_{j<m} t_j t_m
     b(h_j, h_m).  A q whose component has a class takes it with no table
-    and no search; otherwise its table is searched against the
-    representatives with its value histogram, and a miss opens a class.
+    and no search; otherwise its table is searched against the allowed
+    translates of each representative whose histogram fits
+    (_translate_isometry), and a miss opens a class.
     """
     parent = {q: q for q in qs}
     label: dict[tuple[int, ...], int] = {}  # the class id of a component, at its root
@@ -548,30 +552,38 @@ def _orbit_census(factors: Sequence[int], modulus: int, b: Sequence[Sequence[int
             if x in label and label.setdefault(y, label[x]) != label.pop(x):
                 raise RuntimeError("a recycled isometry merged two classes that the search separated")
 
-    by_histogram: dict[frozenset, list[tuple[int, ...]]] = {}  # the representatives' q, per value histogram
+    def merge(move) -> None:
+        for node in list(parent):
+            image = move(node)
+            union(node, parent.setdefault(image, image))
+
+    for d, row in zip(factors, b):
+        if (e := math.gcd(g, d)) < d:
+            merge(lambda node: tuple((v + e * w) % modulus for v, w in zip(node, row)))
+    reps: list[tuple] = []  # per class, its representative's (q, b, value table, value histogram)
     column = []
     for q in qs:
         if find(q) not in label:
             values = _quadratic_table(factors, modulus, q, b)
-            same = by_histogram.setdefault(frozenset(Counter(values).items()), [])
-            for rep_q in same:
-                y = _generator_isomorphism(factors, modulus, rep_q, b, q, b, values)
-                if y is None:
+            side = (q, b, values, Counter(values))
+            for rep in reps:
+                found = _translate_isometry(factors, modulus, g, rep, side)
+                if found is None:
                     continue
+                _, shifted, y = found
                 pairs = [[_int_dot(yi, map(_int_dot, b, itertools.repeat(yj))) % modulus for yj in y] for yi in y]
                 if pairs != b or any(d * yij % dj for d, yi in zip(factors, y) for yij, dj in zip(yi, factors)):
                     raise RuntimeError(f"the isometry {y} found by the census does not preserve the pairing")
                 shift = [sum(t * (t - 1) // 2 * b[j][j] + t * _int_dot(yi[j + 1 :], b[j][j + 1 :]) for j, t in enumerate(yi))
                          for yi in y]
-                for node in list(parent):
-                    image = tuple((c + _int_dot(yi, node)) % modulus for c, yi in zip(shift, y))
-                    union(node, parent.setdefault(image, image))
-                if find(q) != find(rep_q):
+                union(rep[0], parent.setdefault(shifted, shifted))
+                merge(lambda node: tuple((c + _int_dot(yi, node)) % modulus for c, yi in zip(shift, y)))
+                if find(q) != find(rep[0]):
                     raise RuntimeError(f"the isometry {y} found by the census does not carry its decoration")
                 break
             else:
                 label[find(q)] = len(label)  # labels sit at distinct roots, one per class
-                same.append(q)
+                reps.append(side)
         column.append(label[find(q)])
     return column
 
@@ -591,19 +603,33 @@ def yc_classes(
     Classes come in order of first occurrence, members in input order;
     an empty list gives ().
 
-    With finite homology the quadratic function is the orthogonal sum
-    of its p-primary parts, and two functions are isomorphic exactly
-    when their p-parts are for every prime p (Wall 1963;
-    Kawauchi-Kojima 1980).  The census is then one census per prime on
-    q built column-wise over all decorations: in closed form on a cyclic
-    p-part, and by orbits otherwise, where every isometry the search
-    finds is applied to every decoration, so only a decoration in an
-    orbit with no class yet is tabulated and searched.  A decoration's
-    class is its tuple of per-prime classes.  Otherwise decorations are
-    bucketed on integer keys that split them as stable_profile() does;
-    each, in input order, joins the first class in its bucket whose
-    first member is equivalent to it, else opens one.  Every comparison
-    is definite.
+    One route serves finite and degenerate forms: each decoration is
+    keyed by its slope gcd g (0 with finite homology) and its class at
+    each prime (_census_keys), and decorations with equal keys form a
+    class, so no pair is decided.  The classes are the orbits of
+    O(b) x gT: by the mixed criterion (module docstring) two decorations
+    with one g are equivalent exactly when q2 o Psi = q1 + b(., t) for an
+    isometry Psi of b and t in gT, and these maps form a group, since
+    (q + b(., t)) o Psi = q o Psi + b(., Psi^-1 t) and Psi keeps gT.  b and
+    gT split by prime (Wall 1963; Kawauchi-Kojima 1980), so the orbit is
+    the tuple of per-prime orbits of O(b_p) x gT_p.  Each prime is then
+    one census on q built column-wise over all decorations: in closed
+    form on a cyclic p-part, and by orbits otherwise, where every
+    isometry the search finds and every translate by gT_p is applied to
+    every decoration, so only a decoration in an orbit with no class yet
+    is tabulated and searched.
+
+    The cyclic key is complete.  Let h generate Z/p^v, beta = b(h, h),
+    e = gcd(g, p^v), s = gcd(M, e beta), and f_u(a) = u a + C(u, 2) beta,
+    which is q(u h) for a = q(h).  For v in O(b), (v^2 - 1) beta = 0, so
+    q o v has polarization b, and f_u(f_v(a)) = f_uv(a) mod M: the f_u
+    are the action of O(b) on q(h), which determines q.  A translate by
+    t = x h with e | x moves q(h) by x beta, a multiple of e beta, and
+    these moves reach every multiple of s mod M; f_u(a + k) = f_u(a) + u k,
+    so f_u is well defined mod s.  So q' lies in the orbit of q exactly
+    when q'(h) = f_u(q(h)) mod s for some u: the sets {f_u(q(h)) mod s}
+    are orbits of O(b) on Z/s, they meet only when equal, and the least
+    element keys the class.
     """
     m = intmatrix(matrix)
     if chern_vectors is None:
@@ -619,24 +645,10 @@ def yc_classes(
         data = discriminant(m)
         if data.torsion_order > cap:
             raise OrderCapExceeded(data.torsion_order, cap)
-    if not data.free_rank:
-        grouped: dict[tuple[int, ...], list[int]] = {}
-        for i, key in enumerate(_finite_census_keys(data, vecs)):
-            grouped.setdefault(key, []).append(i)
-        return tuple(tuple(vecs[i] for i in members) for members in grouped.values())
-    sides = [_side(data, v) for v in vecs]
-    buckets: dict[tuple, list[list[int]]] = {}
-    classes: list[list[int]] = []
-    for i, side in enumerate(sides):
-        bucket = buckets.setdefault(_census_key(side), [])
-        for members in bucket:
-            if _decide(sides[members[0]], side, cap).status == EQUIVALENT:
-                members.append(i)
-                break
-        else:
-            bucket.append([i])
-            classes.append(bucket[-1])
-    return tuple(tuple(vecs[i] for i in members) for members in classes)
+    grouped: dict[tuple[int, ...], list[int]] = {}
+    for i, key in enumerate(_census_keys(data, vecs)):
+        grouped.setdefault(key, []).append(i)
+    return tuple(tuple(vecs[i] for i in members) for members in grouped.values())
 
 
 def lens_yc_count(p: int) -> int:

@@ -302,7 +302,7 @@ def cmd_invariants(args: argparse.Namespace) -> int:
 def cmd_compare(args: argparse.Namespace) -> int:
     p1, name1 = load_presentation_file(args.first)
     p2, name2 = load_presentation_file(args.second)
-    # one discriminant per side serves the verdict and, after an inequivalent one, both reports
+    # one discriminant per side serves the verdict and, when an inequivalent one needs them, both reports
     sides = _sides(p1, p2)
     verdict = _decide(*sides, args.cap)
     label1 = name1 or args.first
@@ -315,10 +315,13 @@ def cmd_compare(args: argparse.Namespace) -> int:
         return EXIT_OK
     print(f"Inequivalent: {label1} !~ {label2}")
     print(f"  {verdict.reason}")
-    try:
-        field = first_differing_field(*(_report(side, args.cap) for side in sides))
-    except OrderCapExceeded:  # the verdict read no torsion element; a report reads them all
-        field = None
+    field = None
+    if all(side.data.torsion_order <= args.cap for side in sides):  # a report reads every torsion element
+        # free rank, torsion factors and free gcd lead _REPORT_FIELDS and need no report
+        cheap = zip(_REPORT_FIELDS, *((side.data.free_rank, side.data.torsion_factors, side.free_gcd) for side in sides))
+        field = next((f[0] for f, a, b in cheap if a != b), None)
+        if field is None:
+            field = first_differing_field(*(_report(side, args.cap) for side in sides))
     if field is not None:
         print(f"  first differing invariant: {field}")
     return EXIT_INEQUIVALENT

@@ -112,6 +112,20 @@ def test_compare_and_walk_build_one_discriminant_per_side(tmp_path, capsys, monk
     assert walked != [[2, 1], [1, 3]] and len(calls) == 2
 
 
+def test_compare_names_a_cheap_difference_with_no_report(tmp_path, capsys, monkeypatch):
+    # the torsion factors (9,) and (3, 3) differ, and they lead the report
+    # fields, so neither side's value table nor self-linking table is built
+    for name in ("torsion_table", "self_linking_table"):
+        monkeypatch.setattr(classify_module, name, lambda *args, _name=name: pytest.fail(f"compare built a {_name}"))
+    a = write_doc(tmp_path, "a.json", {"matrix": [[9]], "chern": [9]})
+    b = write_doc(tmp_path, "b.json", {"matrix": [[3, 0], [0, 3]], "chern": [3, 3]})
+    assert main(["compare", a, b]) == EXIT_INEQUIVALENT
+    assert capsys.readouterr().out == (
+        f"Inequivalent: {a} !~ {b}\n  torsion invariant factors differ: (9,) vs (3, 3)\n"
+        "  first differing invariant: torsion_factors\n"
+    )
+
+
 def test_compare_cap_exceeded(tmp_path, capsys):
     a = write_doc(tmp_path, "a.json", {"matrix": [[9]], "chern": [9]})
     assert main(["compare", a, a, "--cap", "4"]) == EXIT_CAP
