@@ -63,10 +63,11 @@ on T, each q_i read on the stored section.  Proof:
 
 With g = 0 only t = 0 is allowed, which is the finite regime's
 question.  b is orthogonal across primes and gT is the sum of the gT_p,
-so the search splits by p-part, as in the finite regime
-(_finite_isomorphism).  For the same reason a census keys each
-decoration by g and by its orbit under O(b_p) x gT_p at each prime p,
-on finite and degenerate forms alike, and decides no pair (yc_classes).
+so the search splits by p-part, and t in gT_p is one congruence per
+generator: one search per p-part (_finite_isomorphism).  So a census
+keys each decoration by g and by its orbit under O(b_p) x gT_p at each
+prime p, on finite and degenerate forms alike, and decides no pair
+(yc_classes).
 
 The order cap bounds |G| and is checked once per public entry point,
 by _decide after the verdicts that read no torsion element; nothing
@@ -82,7 +83,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .exact import CyclotomicSum, _prime_factors
 from .lattice import (
@@ -283,25 +284,14 @@ def _decide(side1: _Side, side2: _Side, cap: int) -> EquivalenceVerdict:
         )
     if d1.torsion_order > cap:
         raise OrderCapExceeded(d1.torsion_order, cap)
-    if d1.free_rank == 0:
-        found = _finite_isomorphism(side1, side2, 0)
-        if found is not None:
-            return EquivalenceVerdict(
-                EQUIVALENT, "the finite quadratic functions are isomorphic", witness=found[0]
-            )
-        return EquivalenceVerdict(
-            INEQUIVALENT, "no isomorphism carries one finite quadratic function to the other"
-        )
-    g = g1 // 2
+    g = g1 // 2  # 0 on finite homology, the gcd of no slopes: only t = 0 is allowed
     found = _finite_isomorphism(side1, side2, g)
     if found is None:
-        return EquivalenceVerdict(
-            INEQUIVALENT, f"no isometry of the linking pairings carries q2 to q1 + b1(., t) with t in {g}T"
-        )
+        reason = f"no isometry of the linking pairings carries q2 to q1 + b1(., t) with t in {g}T"
+        return EquivalenceVerdict(INEQUIVALENT, reason if d1.free_rank else "no isomorphism carries one finite quadratic function to the other")
     iso, t = found
-    return EquivalenceVerdict(
-        EQUIVALENT, f"an isometry of the linking pairings carries q2 to q1 + b1(., t) with t = {t} in {g}T", witness=iso
-    )
+    reason = f"an isometry of the linking pairings carries q2 to q1 + b1(., t) with t = {t} in {g}T"
+    return EquivalenceVerdict(EQUIVALENT, reason if d1.free_rank else "the finite quadratic functions are isomorphic", witness=iso)
 
 
 @dataclass(frozen=True)
@@ -343,6 +333,21 @@ def _primary_parts(factors: Sequence[int]) -> list[_Primary]:
     return parts
 
 
+def _steps(factors: Sequence[int], modulus: int, g: int) -> list[int]:
+    """M / k_i = M gcd(g, d_i) / d_i per generator h_i of order d_i: chi(h_i) = 0 mod M / k_i for all i says chi = 0 on T[g]."""
+    return [modulus * math.gcd(g, d) // d for d in factors]
+
+
+def _pull_back(modulus: int, b: Sequence[Sequence[int]], y: Sequence[Sequence[int]]) -> Callable[[Sequence[int]], tuple[int, ...]]:
+    """q -> q o Psi on the generators h_i, Psi(h_i) = y_i, for q with polarization b: sum_j y_ij q(h_j) + q_0(y_i).
+
+    q_0(t) = sum_j C(t_j, 2) b(h_j, h_j) + sum_{j<m} t_j t_m b(h_j, h_m)
+    does not depend on q and is computed once.
+    """
+    shift = [sum(t * (t - 1) // 2 * b[j][j] + t * _int_dot(yi[j + 1 :], b[j][j + 1 :]) for j, t in enumerate(yi)) for yi in y]
+    return lambda q: tuple((c + _int_dot(yi, q)) % modulus for c, yi in zip(shift, y))
+
+
 def _finite_isomorphism(side1: _Side, side2: _Side, g: int) -> tuple[GroupIso, tuple[int, ...]] | None:
     """An isometry Psi of the linking pairings and a t in gT with q2 o Psi = q1 + b1(., t) on T, or None.
 
@@ -351,58 +356,58 @@ def _finite_isomorphism(side1: _Side, side2: _Side, g: int) -> tuple[GroupIso, t
     functions.  Summands of coprime order pair to zero under b, so q is
     the orthogonal sum of its p-primary parts q_p, any homomorphism
     keeps the p-parts, and the question splits into one per p-part
-    (Wall 1963), on the generators h_i of order p^v_i of _Primary: there
-    t is sum x_i h_i with x_i a multiple of e_i = gcd(g, p^v_i).  If p
-    does not divide g, every e_i is 1, every refinement of b1_p is a
-    translate, and the answer is whether b1_p and b2_p are isometric.
+    (Wall 1963), on the generators h_i of order d_i = p^v_i of _Primary.
+    For an isometry Psi, chi = q2 o Psi - q1 is a character, b1(., t) for
+    exactly one t, as b1 is nondegenerate, which each p-part checks,
+    raising RuntimeError otherwise.  t lies in gT_p exactly when chi
+    vanishes on (gT_p)^perp = T_p[g], which the k_i h_i generate,
+    k_i = d_i / gcd(g, d_i): when q2(Psi h_i) = q1(h_i) mod M / k_i
+    (_steps).  So one search covers every translate.  With g = 0 it asks
+    q2 o Psi = q1; if p does not divide g, only for an isometry of b.
 
     A cyclic p-part is decided in closed form: Psi_p(h) = u h for the
-    least unit u listed by quadfun._cyclic_isometries whose
-    q2(u h) - q1(h) is x b1(h, h) for a multiple x of e, i.e. a multiple
-    of gcd(M, e b1(h, h)); the congruence names x.  With g = 0 this is
-    q2(u h) = q1(h), the witness the search would return, with no table
-    built.  The other p-parts are searched on their p-tables, sum_p |G_p|
-    elements instead of |G|, translate by translate
-    (_translate_isometry), after every cyclic part has passed.  The
-    witness is assembled by the Chinese remainder theorem: the
-    p-component of g_i is (s_i^-1 mod p^v_i) h_i, so
+    least unit u listed by quadfun._cyclic_isometries with
+    q2(u h) = q1(h) mod M / k, with g = 0 the witness the search would
+    return, with no table built.  The other p-parts are searched once
+    each on their p-tables, sum_p |G_p| elements instead of |G|
+    (_translate_isometry), after every cyclic part has passed.  On both,
+    with g != 0, t is looked up in gT_p by chi, read off Psi by
+    _pull_back.  The witness is assembled by the Chinese remainder
+    theorem: the p-component of g_i is (s_i^-1 mod p^v_i) h_i, so
     Psi(g_i) = sum_p (s_i^-1 mod p^v_i) Psi_p(h_i), and t has coordinate
-    sum_p x_i s_i on g_i.  Every character of T is some b1(., t) only
-    when b1 is nondegenerate, which each p-part checks, raising
-    RuntimeError otherwise.
+    sum_p x_i s_i on g_i.
     """
     data1, data2 = side1.data, side2.data
     factors = data1.torsion_factors
     modulus = data1.value_modulus
-    q1, q2 = side1.q_gen, side2.q_gen
     images = [[0] * len(factors) for _ in factors]
     t = [0] * len(factors)
     for part in sorted(_primary_parts(factors), key=lambda part: len(part.factors) > 1):
-        h1 = part.quadratic(modulus, q1, data1.linking), part.pairing(modulus, data1.linking)
-        h2 = part.quadratic(modulus, q2, data2.linking), part.pairing(modulus, data2.linking)
+        q1, b1 = part.quadratic(modulus, side1.q_gen, data1.linking), part.pairing(modulus, data1.linking)
+        q2, b2 = part.quadratic(modulus, side2.q_gen, data2.linking), part.pairing(modulus, data2.linking)
         if len(part.factors) == 1:
-            ((a1,), ((b1,),)), ((a2,), ((b2,),)) = h1, h2
-            (order,) = part.factors
+            (order,), ((a1,), (a2,)), (((beta1,),), ((beta2,),)) = part.factors, (q1, q2), (b1, b2)
             # b1(h, h) = r M / order, nondegenerate exactly when r is a unit mod order
-            if math.gcd(b1, modulus) * order != modulus:
+            if math.gcd(beta1, modulus) * order != modulus:
                 raise RuntimeError(f"the linking pairing on {factors} is degenerate")
-            e = math.gcd(g, order)
-            s = math.gcd(modulus, e * b1)
-            units = _cyclic_isometries(order, modulus, b1, b2)
-            found = next(((u, d) for u in units if (d := (u * a2 + u * (u - 1) // 2 * b2 - a1) % modulus) % s == 0), None)
-            if found is None:
-                return None
-            u, delta = found
-            y, x = ((u,),), (e * (delta // s) * pow(e * b1 // s, -1, modulus // s) % order,)
+            (step,) = _steps(part.factors, modulus, g)
+            units = _cyclic_isometries(order, modulus, beta1, beta2)
+            y = next((((u,),) for u in units if (u * a2 + u * (u - 1) // 2 * beta2 - a1) % step == 0), None)
         else:
-            if not _nondegenerate(part.factors, modulus, h1[1]):
+            if not _nondegenerate(part.factors, modulus, b1):
                 raise RuntimeError(f"the linking pairing on {factors} is degenerate")
-            values1 = _quadratic_table(part.factors, modulus, *h1)
-            values2 = _quadratic_table(part.factors, modulus, *h2)
-            found = _translate_isometry(part.factors, modulus, g, (*h1, values1, Counter(values1)), (*h2, values2, Counter(values2)))
-            if found is None:
-                return None
-            x, _, y = found
+            values1 = _quadratic_table(part.factors, modulus, q1, b1)
+            values2 = _quadratic_table(part.factors, modulus, q2, b2)
+            y = _translate_isometry(part.factors, modulus, g, (q1, b1, values1, Counter(values1)), (q2, b2, values2, Counter(values2)))
+        if y is None:
+            return None
+        x = (0,) * len(y)  # with g = 0 the search asked q2 o Psi = q1, so t = 0
+        if g:
+            chi = [(v - a) % modulus for v, a in zip(_pull_back(modulus, b2, y)(q2), q1)]
+            grid = itertools.product(*(range(0, d, math.gcd(g, d)) for d in part.factors))
+            x = next((x for x in grid if [_int_dot(x, row) % modulus for row in b1] == chi), None)
+            if x is None:
+                raise RuntimeError(f"the character {tuple(chi)} is no b1(., t) with t in {g}T")
         for i, s, order, yi, xi in zip(part.indices, part.scales, part.factors, y, x):
             u = pow(s, -1, order)
             for j, sj, yij in zip(part.indices, part.scales, yi):
@@ -412,31 +417,23 @@ def _finite_isomorphism(side1: _Side, side2: _Side, g: int) -> tuple[GroupIso, t
     return GroupIso(group, group, tuple(map(tuple, images))), tuple(t)
 
 
-def _translate_isometry(factors: Sequence[int], modulus: int, g: int, side1: tuple, side2: tuple) -> tuple | None:
-    """On one p-part, the first allowed translate of q1 that an isometry carries q2 to: (x, the translate, Psi), or None.
+def _translate_isometry(factors: Sequence[int], modulus: int, g: int, side1: tuple, side2: tuple) -> tuple[tuple[int, ...], ...] | None:
+    """On one p-part, the first leaf Psi of one search with q2 o Psi = q1 + b1(., t) for some t in gT_p, or None.
 
     Each side is (q, b, value table, value histogram), q and b on the
-    generators h_i of orders d_i.  The translates are q1 + b1(., t) for
-    t = sum x_i h_i with x_i a multiple of gcd(g, d_i), in
-    itertools.product order of x; the translate is given on the h_i.
-    q1 + b1(., t) is x -> q1(x + t) - q1(t), so its histogram is that of
-    q1 shifted by -q1(t), and only a translate whose histogram is hist2
-    is searched.  With g = 0 only t = 0 is allowed.
+    generators h_i of orders d_i; the congruences mod M / k_i stand for
+    every t (_finite_isomorphism).  q1 + b1(., t) is
+    x -> q1(x + t) - q1(t), whose histogram is hist1 shifted by -q1(t):
+    unless some t = sum x_i h_i with gcd(g, d_i) | x_i shifts it to
+    hist2, there is no search.
     """
     q1, b1, values1, hist1 = side1
     q2, b2, values2, hist2 = side2
     strides = [math.prod(factors[i + 1 :]) for i in range(len(factors))]
-    fits: dict[int, bool] = {}  # per value c = q1(t), whether hist1 shifted by -c is hist2
-    for x in itertools.product(*(range(0, d, math.gcd(g, d)) for d in factors)):
-        c = values1[_int_dot(x, strides)]
-        if c not in fits:
-            fits[c] = all(hist2[(v - c) % modulus] == n for v, n in hist1.items())
-        if fits[c]:
-            shifted = tuple((q + _int_dot(x, row)) % modulus for q, row in zip(q1, b1))
-            y = _generator_isomorphism(factors, modulus, shifted, b1, q2, b2, values2)
-            if y is not None:
-                return x, shifted, y
-    return None
+    shifts = {values1[_int_dot(x, strides)] for x in itertools.product(*(range(0, d, math.gcd(g, d)) for d in factors))}
+    if not any(all(hist2[(v - c) % modulus] == n for v, n in hist1.items()) for c in shifts):
+        return None
+    return _generator_isomorphism(factors, modulus, q1, b1, q2, b2, values2, _steps(factors, modulus, g))
 
 
 def _decoration_count(m: IntMatrix) -> int:
@@ -486,11 +483,10 @@ def _census_keys(data: DiscriminantData, vecs: Sequence[Sequence[int]]) -> list[
     holds q(g_i) for every decoration (lattice._phi_columns), and one
     list per p-part generator q(h_i).  Where p does not divide g != 0,
     every refinement of b_p is a translate: one class.  On a cyclic
-    p-part of order p^v, with generator h and beta = b(h, h), the class
-    is keyed by the least q(u h) mod gcd(M, e beta), e = gcd(g, p^v), over
-    the isometries u of b (quadfun._cyclic_isometries), with no table
-    and no search.  The other p-parts are censused by orbits
-    (_orbit_census), one census per g.
+    p-part of order p^v, with generator h, the class is keyed by the
+    least q(u h) mod M / k (_steps) over the isometries u of b
+    (quadfun._cyclic_isometries), with no table and no search.  The
+    other p-parts are censused by orbits (_orbit_census), one per g.
     """
     modulus, link = data.value_modulus, data.linking
     # the vectors are characteristic: canonical ones by construction, listed ones checked by presentation()
@@ -503,7 +499,8 @@ def _census_keys(data: DiscriminantData, vecs: Sequence[Sequence[int]]) -> list[
         if len(part.factors) == 1:
             ((beta,),), (a_column,) = b, h_columns
             units = _cyclic_isometries(part.factors[0], modulus, beta, beta)
-            steps = [math.gcd(modulus, math.gcd(g, part.factors[0]) * beta) for g in gcds]
+            step = {g: _steps(part.factors, modulus, g)[0] for g in dict.fromkeys(gcds)}
+            steps = [step[g] for g in gcds]
             orbits = [[(u * a + u * (u - 1) // 2 * beta) % s for a, s in zip(a_column, steps)] for u in units]
             columns.append(list(map(min, zip(*orbits))))
             continue
@@ -527,14 +524,13 @@ def _orbit_census(factors: Sequence[int], modulus: int, b: Sequence[Sequence[int
     Group Theory, 4.1); g = 0 leaves O(b).  A union-find over the q holds
     orbits of a subgroup.  It first merges every node with its
     translates by e_i h_i, e_i = gcd(g, d_i): q(h_j) += e_i b(h_j, h_i).
-    Then each witness Psi of the search, y_i = Psi(h_i), is checked to
-    keep the orders and b, also under -O, and merges every node with
-    (q o Psi)(h_i) = sum_j y_ij q(h_j) + q_0(y_i), a new node if
-    unlisted; q_0(t) = sum_j C(t_j, 2) b(h_j, h_j) + sum_{j<m} t_j t_m
-    b(h_j, h_m).  A q whose component has a class takes it with no table
-    and no search; otherwise its table is searched against the allowed
-    translates of each representative whose histogram fits
-    (_translate_isometry), and a miss opens a class.
+    A q whose component has a class takes it with no table and no
+    search; otherwise its table is searched once against each
+    representative r (_translate_isometry), and a miss opens a class.  A
+    witness Psi is checked, also under -O, to keep the orders and b and
+    to give q o Psi = r mod M / k_i (_steps), a translate of r, which it
+    joins; then every node joins its q o Psi (_pull_back), a new node if
+    unlisted.
     """
     parent = {q: q for q in qs}
     label: dict[tuple[int, ...], int] = {}  # the class id of a component, at its root
@@ -560,6 +556,7 @@ def _orbit_census(factors: Sequence[int], modulus: int, b: Sequence[Sequence[int
     for d, row in zip(factors, b):
         if (e := math.gcd(g, d)) < d:
             merge(lambda node: tuple((v + e * w) % modulus for v, w in zip(node, row)))
+    steps = _steps(factors, modulus, g)
     reps: list[tuple] = []  # per class, its representative's (q, b, value table, value histogram)
     column = []
     for q in qs:
@@ -567,19 +564,18 @@ def _orbit_census(factors: Sequence[int], modulus: int, b: Sequence[Sequence[int
             values = _quadratic_table(factors, modulus, q, b)
             side = (q, b, values, Counter(values))
             for rep in reps:
-                found = _translate_isometry(factors, modulus, g, rep, side)
-                if found is None:
+                y = _translate_isometry(factors, modulus, g, rep, side)
+                if y is None:
                     continue
-                _, shifted, y = found
                 pairs = [[_int_dot(yi, map(_int_dot, b, itertools.repeat(yj))) % modulus for yj in y] for yi in y]
                 if pairs != b or any(d * yij % dj for d, yi in zip(factors, y) for yij, dj in zip(yi, factors)):
                     raise RuntimeError(f"the isometry {y} found by the census does not preserve the pairing")
-                shift = [sum(t * (t - 1) // 2 * b[j][j] + t * _int_dot(yi[j + 1 :], b[j][j + 1 :]) for j, t in enumerate(yi))
-                         for yi in y]
-                union(rep[0], parent.setdefault(shifted, shifted))
-                merge(lambda node: tuple((c + _int_dot(yi, node)) % modulus for c, yi in zip(shift, y)))
-                if find(q) != find(rep[0]):
+                pull_back = _pull_back(modulus, b, y)
+                image = pull_back(q)
+                if any((v - r) % step for v, r, step in zip(image, rep[0], steps)):
                     raise RuntimeError(f"the isometry {y} found by the census does not carry its decoration")
+                union(rep[0], parent.setdefault(image, image))
+                merge(pull_back)
                 break
             else:
                 label[find(q)] = len(label)  # labels sit at distinct roots, one per class
@@ -620,8 +616,8 @@ def yc_classes(
     is tabulated and searched.
 
     The cyclic key is complete.  Let h generate Z/p^v, beta = b(h, h),
-    e = gcd(g, p^v), s = gcd(M, e beta), and f_u(a) = u a + C(u, 2) beta,
-    which is q(u h) for a = q(h).  For v in O(b), (v^2 - 1) beta = 0, so
+    e = gcd(g, p^v), s = gcd(M, e beta), which is M e / p^v (_steps),
+    and f_u(a) = u a + C(u, 2) beta, which is q(u h) for a = q(h).  For v in O(b), (v^2 - 1) beta = 0, so
     q o v has polarization b, and f_u(f_v(a)) = f_uv(a) mod M: the f_u
     are the action of O(b) on q(h), which determines q.  A translate by
     t = x h with e | x moves q(h) by x beta, a multiple of e beta, and

@@ -10,12 +10,12 @@ for slope vectors means equality of ranks and gcds.
 
 The isomorphism search works on value tables of int residues in units
 of 1/M, listed in itertools.product order.  The value histograms and
-the gcd of the defect character prefilter; a depth-first search,
-shared with the torsion-map route of classify, then tries images of the
-generators, largest order first, among the elements with the right
-value, pruned by element order and by the polarization.  A leaf is
-then a homomorphism carrying b2 to b1 and q2 to q1 on the generators,
-and two implications make it an isomorphism with no pointwise check:
+the gcd of the defect character prefilter; a depth-first search then
+tries images of the generators, largest order first, among the elements
+whose value is right modulo the generator's step, pruned by element
+order and by the polarization.  With every step M, a leaf is a
+homomorphism carrying b2 to b1 and q2 to q1 on the generators, and two
+implications make it an isomorphism with no pointwise check:
 q(x + y) = q(x) + q(y) + b(x, y) extends the match of q from the
 generators to every element, and when b1 is nondegenerate, Psi x = 0
 gives b1(x, .) = 0, so x = 0 and Psi is bijective.  Only a degenerate b1
@@ -332,7 +332,7 @@ def _nondegenerate(factors: Sequence[int], modulus: int, link: Sequence[Sequence
 
 def _isometries(
     factors: Sequence[int], modulus: int, link1: Sequence[Sequence[int]], link2: Sequence[Sequence[int]],
-    order: Sequence[int], candidates: Sequence[Sequence[Element]], charge: Callable[[], bool],
+    order: Sequence[int], candidates: Sequence[Iterable[Element]],
 ) -> Iterator[tuple[Element, ...]]:
     """Yield the generator images of each automorphism, built from the candidates, that carries link1 to link2.
 
@@ -342,8 +342,8 @@ def _isometries(
     so every leaf is a homomorphism Psi with b2(Psi x, Psi y) = b1(x, y).
     When b1 is nondegenerate (decided once per search), Psi x = 0 gives
     b1(x, .) = 0, hence x = 0: every leaf is bijective.  Otherwise a leaf
-    counts when its image table shows it bijective.  charge() runs once
-    per candidate tried; the search stops, without a verdict, on False.
+    counts when its image table shows it bijective.  candidates[i] is
+    iterated afresh at each visit of generator i.
     """
     k = len(factors)
     injective = _nondegenerate(factors, modulus, link1)
@@ -366,8 +366,6 @@ def _isometries(
             return
         i = order[depth]
         for m in candidates[i]:
-            if not charge():
-                return
             if any((factors[i] * ml) % dl for ml, dl in zip(m, factors)):
                 continue
             if pair(m, m) != link1[i][i]:
@@ -388,30 +386,32 @@ def _generator_isomorphism(
     q2: Sequence[int],
     b2: Sequence[Sequence[int]],
     values2: Sequence[int],
+    steps: Sequence[int],
 ) -> tuple[Element, ...] | None:
-    """Generator images of an isomorphism Psi with q2(Psi(x)) = q1(x) for all x, or None.
+    """Generator images of an isometry Psi carrying b2 to b1 with q2(Psi g_i) = q1(g_i) mod steps[i], or None.
 
     Each side is given by q and b on the generators, side 2 also by its
     value table, as residues in units of 1/modulus, the table in
-    itertools.product order; the caller has compared the value
-    histograms.  The defect
-    q(x) - q(-x) is a character, uniform on the subgroup of Z/modulus
-    that its generator values generate, so their gcd stands for its
-    histogram.  The search is exhaustive, so None is a definite
-    negative.  Its first leaf is returned unchecked:
-    the leaf carries b2 to b1 and q2 to q1 on the generators, so
-    q2(Psi(x + y)) = q2(Psi x) + q2(Psi y) + b1(x, y) carries the match
-    to every x, and _isometries has made sure the leaf is bijective.
+    itertools.product order; each step divides modulus.  The search is
+    exhaustive, so None is a definite negative.  Its first leaf is
+    returned unchecked: it carries b2 to b1, so chi = q2 o Psi - q1 is a
+    character, as q2(Psi(x + y)) = q2(Psi x) + q2(Psi y) + b1(x, y), and
+    _isometries has made sure it is bijective; with every step modulus,
+    chi = 0.  The defect q(x) - q(-x) is a character, that of
+    q2 o Psi = q1 + chi is the defect of q1 plus 2 chi, and 2 chi(g_i) is
+    a multiple of 2 steps[i]: so the gcd of modulus, the 2 steps[i] and
+    the defect on the generators is the same on both sides.
     """
-    if math.gcd(modulus, *_defect_character(modulus, q1, b1)) != math.gcd(modulus, *_defect_character(modulus, q2, b2)):
+    doubled = [2 * s for s in steps]
+    if math.gcd(modulus, *_defect_character(modulus, q1, b1), *doubled) != math.gcd(modulus, *_defect_character(modulus, q2, b2), *doubled):
         return None
     elements = list(itertools.product(*(range(d) for d in factors)))
-    candidates = [[m for m, v in zip(elements, values2) if v == want] for want in q1]
+    candidates = [[m for m, v in zip(elements, values2) if (v - want) % s == 0] for want, s in zip(q1, steps)]
     if not all(candidates):
         return None
     # largest order first; enumeration order of candidates fixes determinism
     order = sorted(range(len(factors)), key=lambda i: (-factors[i], i))
-    return next(_isometries(factors, modulus, b1, b2, order, candidates, lambda: True), None)
+    return next(_isometries(factors, modulus, b1, b2, order, candidates), None)
 
 
 def _cyclic_isometries(order: int, modulus: int, b1: int, b2: int) -> list[int]:
@@ -429,9 +429,9 @@ def _cyclic_isometries(order: int, modulus: int, b1: int, b2: int) -> list[int]:
     every t.
 
     So the least listed u with q2(u h) = q1(h) is the witness that
-    _generator_isomorphism returns on these tables: its candidates for
-    Psi(h) come in element order, i.e. ascending u, among those with
-    value q1(h); the order check is vacuous on a cyclic group; the
+    _generator_isomorphism returns on these tables with step modulus: its
+    candidates for Psi(h) come in element order, i.e. ascending u, among
+    those with value q1(h); the order check is vacuous on a cyclic group; the
     pairing check is u^2 b2 = b1; and the leaf counts exactly when u is
     a unit (with b1 degenerate the search tests it; otherwise every
     pairing-preserving u is one).  Its

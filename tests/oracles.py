@@ -21,6 +21,9 @@ keeps the rational layer they are tested against:
   * the second decision route on finite homology, yc_equivalent_by_pairing,
     which matches decoration classes by a pairing-preserving torsion map and
     then compares Gauss sums;
+  * the search per allowed translate, translate_isometry_by_translates and
+    finite_isomorphism_by_translates, which the library's one search per
+    p-part with one congruence per generator replaced;
   * the mixed regime's sweep, yc_equivalent_by_sweep: a budgeted search
     over torsion maps, couplings of the free part into torsion and section
     shifts, which the library's translate criterion replaced and is
@@ -58,6 +61,7 @@ from quadlink.quadfun import (
     _image_positions,
     _isometries,
     _linear_table,
+    _quadratic_table,
     _radical_gcd,
     _residue_tables,
     table_fingerprint,
@@ -394,7 +398,7 @@ def is_isomorphic(q1: QuadraticFunction, q2: QuadraticFunction) -> GroupIso | No
     if Counter(values1) != Counter(values2):
         return None
     data1, data2 = (_generator_data(factors, modulus, values) for values in (values1, values2))
-    images = _generator_isomorphism(factors, modulus, *data1, *data2, values2)
+    images = _generator_isomorphism(factors, modulus, *data1, *data2, values2, [modulus] * len(factors))
     if images is None:
         return None
     if any(values2[u] != v for u, v in zip(_image_positions(factors, images), values1)):
@@ -427,13 +431,63 @@ def checked_isometry(
     if not all(candidates):
         return None
     order = sorted(range(len(factors)), key=lambda i: (-factors[i], i))
-    for images in _isometries(factors, modulus, b1, b2, order, candidates, lambda: True):
+    for images in _isometries(factors, modulus, b1, b2, order, candidates):
         if all(values2[u] == v for u, v in zip(_image_positions(factors, images), values1)):
             return images
     return None
 
 
 # --- classify --------------------------------------------------------------
+#
+# The library searches each rank >= 2 p-part once, with the congruences
+# q2(Psi h_i) = q1(h_i) mod M / k_i standing for every allowed translate.
+# The route it replaced searched the translates one at a time.
+
+
+def translate_isometry_by_translates(factors: Sequence[int], modulus: int, g: int, side1: tuple, side2: tuple) -> tuple | None:
+    """On one p-part, the first allowed translate of q1 that an isometry carries q2 to: (x, the translate, Psi), or None.
+
+    Each side is (q, b, value table, value histogram), q and b on the
+    generators h_i of orders d_i.  The translates are q1 + b1(., t) for
+    t = sum x_i h_i with x_i a multiple of gcd(g, d_i), in
+    itertools.product order of x; the translate is given on the h_i.
+    q1 + b1(., t) is x -> q1(x + t) - q1(t), so its histogram is that of
+    q1 shifted by -q1(t), and only a translate whose histogram is hist2
+    is searched, for an isomorphism.  With g = 0 only t = 0 is allowed.
+    """
+    q1, b1, values1, hist1 = side1
+    q2, b2, values2, hist2 = side2
+    strides = [math.prod(factors[i + 1 :]) for i in range(len(factors))]
+    fits: dict[int, bool] = {}  # per value c = q1(t), whether hist1 shifted by -c is hist2
+    for x in itertools.product(*(range(0, d, math.gcd(g, d)) for d in factors)):
+        c = values1[_int_dot(x, strides)]
+        if c not in fits:
+            fits[c] = all(hist2[(v - c) % modulus] == n for v, n in hist1.items())
+        if fits[c]:
+            shifted = tuple((q + _int_dot(x, row)) % modulus for q, row in zip(q1, b1))
+            y = _generator_isomorphism(factors, modulus, shifted, b1, q2, b2, values2, [modulus] * len(factors))
+            if y is not None:
+                return x, shifted, y
+    return None
+
+
+def finite_isomorphism_by_translates(side1: classify._Side, side2: classify._Side, g: int) -> bool:
+    """Whether some isometry Psi and t in gT give q2 o Psi = q1 + b1(., t), searched p-part by p-part and translate by translate.
+
+    Cyclic p-parts are searched too, on their tables, with no closed form.
+    """
+    data1, data2 = side1.data, side2.data
+    modulus = data1.value_modulus
+    for part in classify._primary_parts(data1.torsion_factors):
+        sides = []
+        for side, data in ((side1, data1), (side2, data2)):
+            q, b = part.quadratic(modulus, side.q_gen, data.linking), part.pairing(modulus, data.linking)
+            values = _quadratic_table(part.factors, modulus, q, b)
+            sides.append((q, b, values, Counter(values)))
+        if translate_isometry_by_translates(part.factors, modulus, g, *sides) is None:
+            return False
+    return True
+
 
 DEFAULT_SEARCH_BUDGET = 250_000
 UNKNOWN = "unknown"
@@ -478,6 +532,28 @@ class Budget:
         return not self.exhausted
 
 
+class Charged:
+    """Candidates that charge a budget: one step per item, before it is yielded, iterated afresh each time.
+
+    As the candidates of quadfun._isometries they charge one step per
+    candidate tried, and a refused charge ends that visit of the
+    generator; every later visit is refused at once, since the budget
+    stays exhausted, so the search unwinds with no verdict.
+    """
+
+    __slots__ = ("items", "budget")
+
+    def __init__(self, items: Sequence, budget: Budget) -> None:
+        self.items = items
+        self.budget = budget
+
+    def __iter__(self):
+        for item in self.items:
+            if not self.budget.charge():
+                return
+            yield item
+
+
 def character_positions(factors: Sequence[int], modulus: int, link: Sequence[Sequence[int]]) -> dict[tuple, int]:
     """Position of every torsion element t, keyed by (b(g_i, t))_i in units of 1/modulus, b given by link.
 
@@ -515,7 +591,7 @@ def torsion_map_verdict(
     no_map, equivalent, gauss_differ = reasons
     elements = list(group.elements())
     k = len(factors)
-    for images in _isometries(factors, modulus, link1, link2, range(k), [elements] * k, budget.charge):
+    for images in _isometries(factors, modulus, link1, link2, range(k), [Charged(elements, budget)] * k):
         if GroupIso(group, group, images).apply(side1.tors) == side2.tors:
             break
     else:
@@ -672,7 +748,7 @@ def mixed_verdict(side1: classify._Side, side2: classify._Side, budget: Budget) 
         return mu_cache[key]
 
     k = len(factors)
-    for images in _isometries(factors, modulus, link1, link2, range(k), [elements] * k, budget.charge):
+    for images in _isometries(factors, modulus, link1, link2, range(k), [Charged(elements, budget)] * k):
         mapped = GroupIso(group, group, images).apply(side1.tors)
         v = tuple((t - s) % d for t, s, d in zip(side2.tors, mapped, factors))
         if any(vl % math.gcd(g, dl) for vl, dl in zip(v, factors)):

@@ -34,6 +34,7 @@ import quadlink.lattice as lattice_module
 from quadlink.lattice import (
     CharacteristicError,
     DiscriminantData,
+    _int_dot,
     _radical_slope,
     discriminant,
     phi_generators,
@@ -67,6 +68,7 @@ from oracles import (
     UNKNOWN,
     _PAIRING_REASONS,
     Budget,
+    Charged,
     OracleVerdict,
     checked_isometry,
     chern_coordinates,
@@ -76,6 +78,7 @@ from oracles import (
     duality_matrix,
     eval_free_lift,
     evaluation_pairing,
+    finite_isomorphism_by_translates,
     free_part,
     lifts,
     linking_pairing,
@@ -375,7 +378,7 @@ def cyclic_pairs(draw):
 def test_cyclic_isometries_give_the_witness_of_the_search(pair):
     order, modulus, q1, b1, q2, b2 = pair
     values2 = _quadratic_table([order], modulus, [q2], [[b2]])
-    searched = _generator_isomorphism([order], modulus, [q1], [[b1]], [q2], [[b2]], values2)
+    searched = _generator_isomorphism([order], modulus, [q1], [[b1]], [q2], [[b2]], values2, [modulus])
     units = _cyclic_isometries(order, modulus, b1, b2)
     closed = next((((u,),) for u in units if _value_at_multiple(u, q2, b2, modulus) == q1), None)
     assert closed == searched
@@ -403,7 +406,7 @@ def _searched_census(m):
                     (
                         cid
                         for cid, rep_q in enumerate(representatives)
-                        if _generator_isomorphism(part.factors, modulus, rep_q, b, q, b, values) is not None
+                        if _generator_isomorphism(part.factors, modulus, rep_q, b, q, b, values, [modulus] * len(part.factors)) is not None
                     ),
                     len(representatives),
                 )
@@ -1809,7 +1812,7 @@ def _oracle_torsion_map_verdict(
     no_map, equivalent, gauss_differ = reasons
     elements = list(group.elements())
     k = len(factors)
-    for images in _isometries(factors, modulus, link1, link2, range(k), [elements] * k, budget.charge):
+    for images in _isometries(factors, modulus, link1, link2, range(k), [Charged(elements, budget)] * k):
         if GroupIso(group, group, images).apply(side1.tors) == side2.tors:
             break
     else:
@@ -1906,7 +1909,7 @@ def _oracle_mixed_verdict(
         return mu_cache[key]
 
     k = len(factors)
-    for images in _isometries(factors, modulus, link1, link2, range(k), [elements] * k, budget.charge):
+    for images in _isometries(factors, modulus, link1, link2, range(k), [Charged(elements, budget)] * k):
         mapped = GroupIso(group, group, images).apply(side1.tors)
         v = tuple((t - s) % d for t, s, d in zip(side2.tors, mapped, factors))
         if any(vl % math.gcd(g, dl) for vl, dl in zip(v, factors)):
@@ -2229,14 +2232,15 @@ MIXED_TORSION_SHAPES = ((2, 2), (3, 3), (4, 4), (2, 4), (3, 9), (9, 9), (2, 2, 2
 
 
 @st.composite
-def mixed_pairs(draw):
+def mixed_pairs(draw, shapes=MIXED_TORSION_SHAPES, slope_gcds=(0, 1, 1, 2, 3, 4, 6), blocks=True, max_order=81):
     """Two decorations of [A] + 0_b with equal free decoration gcd 2g, each moved by its own handle slides.
 
-    A is a random symmetric block or a diagonal of repeated entries,
-    which gives torsion of rank 2 to 4; g is 0 in about one draw in six.
+    A is a diagonal from shapes, which gives torsion of rank 2 to 4, or,
+    with blocks, as often a random symmetric block; g is drawn from
+    slope_gcds, 0 in about one draw in seven by default.
     """
-    if draw(st.booleans()):
-        block = _diagonal(*draw(st.sampled_from(MIXED_TORSION_SHAPES)))
+    if not blocks or draw(st.booleans()):
+        block = _diagonal(*draw(st.sampled_from(shapes)))
     else:
         k = draw(st.integers(1, 3))
         block = [[0] * k for _ in range(k)]
@@ -2246,8 +2250,8 @@ def mixed_pairs(draw):
     k, b = len(block), draw(st.integers(1, 2))
     m = [[block[i][j] if i < k and j < k else 0 for j in range(k + b)] for i in range(k + b)]
     order = discriminant(IntMatrix(m)).torsion_order
-    assume(2 <= order <= 81)
-    g = draw(st.sampled_from((0, 1, 1, 2, 3, 4, 6)))
+    assume(2 <= order <= max_order)
+    g = draw(st.sampled_from(slope_gcds))
 
     def decoration():
         free = [g * draw(st.sampled_from((1, -1)))] + [g * draw(st.integers(-2, 2)) for _ in range(b - 1)]
@@ -2325,3 +2329,57 @@ def test_z3_5_pairs_are_pinned(monkeypatch, c1, c2, slid, status, searches):
     assert calls == Counter(_quadratic_table=2, _generator_isomorphism=searches)
     if status == EQUIVALENT:
         _assert_translate_witness(p1, p2, v)
+
+
+# One search per rank >= 2 p-part stands for every allowed translate: the
+# congruences q2(Psi h_i) = q1(h_i) mod M / k_i hold exactly when
+# q2 o Psi - q1 is b1(., t) with t in gT.  The reference searches the
+# translates one at a time (oracles.finite_isomorphism_by_translates).
+RANK_TWO_SHAPES = ((2, 2), (3, 3), (4, 4), (2, 4), (3, 9), (9, 9), (2, 2, 2), (3, 3, 3), (2, 2, 4), (4, 8), (3, 3, 9), (-3, 3), (5, 5), (2, 2, 2, 2))
+Z9_4 = _diagonal(9, 9, 9, 9, 0)
+
+
+@settings(max_examples=100, deadline=None)
+@given(mixed_pairs(RANK_TWO_SHAPES, (0, 1, 2, 3, 4, 6), blocks=False, max_order=243))
+@example(_pair(TWO_GENERATORS, (2, -2, -4, -2), TWO_GENERATORS, (0, -4, -2, -4)))
+def test_one_search_per_part_matches_the_search_per_translate(pair):
+    p1, p2 = pair
+    side1, side2 = classify_module._sides(p1, p2)
+    verdict = yc_equivalent(p1, p2)
+    assert (verdict.status == EQUIVALENT) == finite_isomorphism_by_translates(side1, side2, side1.free_gcd // 2)
+    if verdict.status == EQUIVALENT:
+        _assert_translate_witness(p1, p2, verdict)
+
+
+# (Z/9)^4 + Z with free entry 6, so g = 3 and 3T has 81 elements.  Searching
+# translate by translate, these pairs ran 5 and 4 searches and took about a
+# minute and about 13 s on a 2-core machine; one search per p-part decides
+# each in milliseconds.
+@pytest.mark.parametrize("c1", [(9, 9, 9, 9, 6), (9, 9, 9, 15, 6)])
+def test_late_translates_cost_one_search(monkeypatch, c1):
+    p1, p2 = presentation(Z9_4, c1), presentation(Z9_4, (9, 9, 15, 15, 6))
+    calls = _count_table_calls(monkeypatch)
+    v = yc_equivalent(p1, p2)
+    assert v.status == EQUIVALENT
+    assert calls == Counter(_quadratic_table=2, _generator_isomorphism=1)
+    # q2(Psi x) = q1(x) + b1(x, t) on all 6561 elements, on the integer
+    # tables (the rational check of _assert_translate_witness takes seconds)
+    side1, side2 = classify_module._sides(p1, p2)
+    iso, t = classify_module._finite_isomorphism(side1, side2, 3)
+    assert v.witness == iso and v.reason.endswith(f"t = {t} in 3T") and all(x % 3 == 0 for x in t)
+    factors, modulus = side1.data.torsion_factors, side1.data.value_modulus
+    pairing = _linear_table([_int_dot(t, row) for row in side1.data.linking], factors, modulus)
+    positions = _image_positions(factors, iso.images)
+    assert sorted(positions) == list(range(9**4))
+    assert [side2.table[u] for u in positions] == [(a + s) % modulus for a, s in zip(side1.table, pairing)]
+
+
+def test_a_witness_off_the_allowed_translates_raises(monkeypatch):
+    # the pair is equivalent by swapping h_0 and h_1; the identity keeps b,
+    # but q2 - q1 is no b1(., t) with t in 3T, so reading t off it misses
+    def identity(factors, *args):
+        return tuple(tuple(int(i == j) for j in range(len(factors))) for i in range(len(factors)))
+
+    monkeypatch.setattr(classify_module, "_generator_isomorphism", identity)
+    with pytest.raises(RuntimeError, match=r"the character \(2, 16, 0, 0\) is no b1"):
+        yc_equivalent(presentation(Z9_4, (11, 9, 9, 9, 6)), presentation(Z9_4, (9, 11, 9, 9, 6)))

@@ -616,7 +616,7 @@ def test_a_degenerate_pairing_keeps_the_leaf_check():
     # q = 0 and b = 0 on Z/2: the zero map is the first leaf that matches
     # q and b on the generator, and only the bijectivity test rejects it
     assert not _nondegenerate([2], 4, [[0]])
-    assert _generator_isomorphism([2], 4, [0], [[0]], [0], [[0]], [0, 0]) == ((1,),)
+    assert _generator_isomorphism([2], 4, [0], [[0]], [0], [[0]], [0, 0], [4]) == ((1,),)
 
 
 def test_is_isomorphic_refuses_an_unchecked_table_that_is_not_quadratic():
@@ -631,7 +631,7 @@ def test_is_isomorphic_refuses_an_unchecked_table_that_is_not_quadratic():
     q2 = QuadraticFunction(g, table([0, 0, 0, 1, 0]), check=False)
     # the identity matches q and b on the generator, and only the
     # pointwise check sees that it misses q at 3 and 4
-    assert _generator_isomorphism([5], 5, [0], [[0]], [0], [[0]], [0, 0, 0, 1, 0]) == ((1,),)
+    assert _generator_isomorphism([5], 5, [0], [[0]], [0], [[0]], [0, 0, 0, 1, 0], [5]) == ((1,),)
     with pytest.raises(ValueError, match="needs quadratic functions"):
         is_isomorphic(q1, q2)
 
@@ -650,7 +650,7 @@ def test_nondegenerate_searches_yield_the_leaves_of_the_checked_search(data):
     elements = list(itertools.product(*(range(d) for d in factors)))
     k = len(factors)
     order = data.draw(st.permutations(range(k)))
-    args = (factors, modulus, link1, link2, order, [elements] * k, lambda: True)
+    args = (factors, modulus, link1, link2, order, [elements] * k)
     leaves = list(itertools.islice(_isometries(*args), 500))
     with _every_leaf_checked():
         assert leaves == list(itertools.islice(_isometries(*args), 500))
@@ -676,7 +676,7 @@ def test_generator_isomorphism_returns_the_witness_of_the_checked_search(data):
     if sorted(values1) != sorted(values2):
         # the search's callers compare value histograms first
         return
-    images = _generator_isomorphism(factors, modulus, q1, link1, q2, link2, values2)
+    images = _generator_isomorphism(factors, modulus, q1, link1, q2, link2, values2, [modulus] * len(factors))
     assert images == _checked_isomorphism(factors, modulus, q1, link1, values1, q2, link2, values2)
     if images is not None:
         positions = _image_positions(factors, images)
