@@ -312,6 +312,13 @@ class _Primary:
         gens = list(zip(self.indices, self.scales))
         return [[s * t * link[i][j] % modulus for j, t in gens] for i, s in gens]
 
+    def nondegenerate_pairing(self, modulus: int, link: Sequence[Sequence[int]]) -> list[list[int]]:
+        """pairing, raising RuntimeError (also under -O) unless nondegenerate; on a cyclic part, b(h, h) = r M / p^v with r a unit."""
+        b = self.pairing(modulus, link)
+        if not (math.gcd(b[0][0], modulus) * self.factors[0] == modulus if len(b) == 1 else _nondegenerate(self.factors, modulus, b)):
+            raise RuntimeError(f"the linking pairing on the p-part {self.factors} is degenerate")
+        return b
+
     def quadratic(self, modulus: int, q_gen: Sequence[int], link: Sequence[Sequence[int]]) -> tuple[int, ...]:
         """q(h_i) = s_i q(g_i) + C(s_i, 2) b(g_i, g_i) from q and b on the g_i, residues mod modulus."""
         return tuple(column[0] for column in self.quadratic_columns(modulus, [[q] for q in q_gen], link))
@@ -358,8 +365,8 @@ def _finite_isomorphism(side1: _Side, side2: _Side, g: int) -> tuple[GroupIso, t
     keeps the p-parts, and the question splits into one per p-part
     (Wall 1963), on the generators h_i of order d_i = p^v_i of _Primary.
     For an isometry Psi, chi = q2 o Psi - q1 is a character, b1(., t) for
-    exactly one t, as b1 is nondegenerate, which each p-part checks,
-    raising RuntimeError otherwise.  t lies in gT_p exactly when chi
+    exactly one t, as b1 is nondegenerate (_Primary.nondegenerate_pairing
+    decides it once per p-part).  t lies in gT_p exactly when chi
     vanishes on (gT_p)^perp = T_p[g], which the k_i h_i generate,
     k_i = d_i / gcd(g, d_i): when q2(Psi h_i) = q1(h_i) mod M / k_i
     (_steps).  So one search covers every translate.  With g = 0 it asks
@@ -383,19 +390,14 @@ def _finite_isomorphism(side1: _Side, side2: _Side, g: int) -> tuple[GroupIso, t
     images = [[0] * len(factors) for _ in factors]
     t = [0] * len(factors)
     for part in sorted(_primary_parts(factors), key=lambda part: len(part.factors) > 1):
-        q1, b1 = part.quadratic(modulus, side1.q_gen, data1.linking), part.pairing(modulus, data1.linking)
+        q1, b1 = part.quadratic(modulus, side1.q_gen, data1.linking), part.nondegenerate_pairing(modulus, data1.linking)
         q2, b2 = part.quadratic(modulus, side2.q_gen, data2.linking), part.pairing(modulus, data2.linking)
         if len(part.factors) == 1:
             (order,), ((a1,), (a2,)), (((beta1,),), ((beta2,),)) = part.factors, (q1, q2), (b1, b2)
-            # b1(h, h) = r M / order, nondegenerate exactly when r is a unit mod order
-            if math.gcd(beta1, modulus) * order != modulus:
-                raise RuntimeError(f"the linking pairing on {factors} is degenerate")
             (step,) = _steps(part.factors, modulus, g)
             units = _cyclic_isometries(order, modulus, beta1, beta2)
             y = next((((u,),) for u in units if (u * a2 + u * (u - 1) // 2 * beta2 - a1) % step == 0), None)
         else:
-            if not _nondegenerate(part.factors, modulus, b1):
-                raise RuntimeError(f"the linking pairing on {factors} is degenerate")
             values1 = _quadratic_table(part.factors, modulus, q1, b1)
             values2 = _quadratic_table(part.factors, modulus, q2, b2)
             y = _translate_isometry(part.factors, modulus, g, (q1, b1, values1, Counter(values1)), (q2, b2, values2, Counter(values2)))
@@ -460,12 +462,15 @@ def canonical_chern_vectors(matrix: IntMatrix | Sequence[Sequence[int]]) -> tupl
 
 def _canonical_chern_vectors(data: DiscriminantData, count: int) -> tuple[tuple[int, ...], ...]:
     """canonical_chern_vectors of a form, from its discriminant data and its known decoration count."""
-    # B g_i, the U^-1 columns at the torsion indices; w runs over the finite coker(B)
-    covectors = data.cok_tors_covectors
-    base = data.matrix.diagonal()
-    out = []
-    for w in itertools.product(*(range(d) for d in data.torsion_factors)):
-        out.append(tuple(b + 2 * sum(wk * cov[j] for wk, cov in zip(w, covectors)) for j, b in enumerate(base)))
+    # B g_i, the U^-1 columns at the torsion indices; w runs over the finite
+    # coker(B) in itertools.product order, built as quadfun._linear_table is
+    columns = []
+    for j, b in enumerate(data.matrix.diagonal()):
+        column = [b]
+        for d, cov in zip(data.torsion_factors, data.cok_tors_covectors):
+            column = [x + t * 2 * cov[j] for x in column for t in range(d)]
+        columns.append(column)
+    out = list(zip(*columns)) or [()]  # the 0 x 0 form has one decoration, the empty vector
     if len(out) != count or len(set(out)) != len(out):
         raise RuntimeError(f"expected {count} distinct decorations, got {len(set(out))} of {len(out)}")
     return tuple(out)
@@ -479,9 +484,10 @@ def _census_keys(data: DiscriminantData, vecs: Sequence[Sequence[int]]) -> list[
     their slope gcds g agree and, for every p, their p-parts lie in one
     orbit of O(b_p) x gT_p; g = 0 with finite homology.  So each g and
     each prime is a census of its own.  b does not depend on the
-    decoration.  q is built column-wise: one list per torsion generator
-    holds q(g_i) for every decoration (lattice._phi_columns), and one
-    list per p-part generator q(h_i).  Where p does not divide g != 0,
+    decoration, and is checked nondegenerate once per p-part, as the
+    search requires.  q is built column-wise: one list per torsion
+    generator holds q(g_i) for every decoration (lattice._phi_columns),
+    and one list per p-part generator q(h_i).  Where p does not divide g != 0,
     every refinement of b_p is a translate: one class.  On a cyclic
     p-part of order p^v, with generator h, the class is keyed by the
     least q(u h) mod M / k (_steps) over the isometries u of b
@@ -494,7 +500,7 @@ def _census_keys(data: DiscriminantData, vecs: Sequence[Sequence[int]]) -> list[
     gcds = [math.gcd(*_radical_slope(data, v)) for v in vecs] if data.free_rank else [0] * len(vecs)
     columns = [gcds]
     for part in _primary_parts(data.torsion_factors):
-        b = part.pairing(modulus, link)
+        b = part.nondegenerate_pairing(modulus, link)
         h_columns = part.quadratic_columns(modulus, q_columns, link)
         if len(part.factors) == 1:
             ((beta,),), (a_column,) = b, h_columns

@@ -12,17 +12,16 @@ The isomorphism search works on value tables of int residues in units
 of 1/M, listed in itertools.product order.  The value histograms and
 the gcd of the defect character prefilter; a depth-first search then
 tries images of the generators, largest order first, among the elements
-whose value is right modulo the generator's step, pruned by element
-order and by the polarization.  With every step M, a leaf is a
-homomorphism carrying b2 to b1 and q2 to q1 on the generators, and two
+whose value, order and self-pairing fit, listed once, pruned by the
+pairing against the images chosen so far.  With every step M, a leaf is
+a homomorphism carrying b2 to b1 and q2 to q1 on the generators, and two
 implications make it an isomorphism with no pointwise check:
 q(x + y) = q(x) + q(y) + b(x, y) extends the match of q from the
-generators to every element, and when b1 is nondegenerate, Psi x = 0
-gives b1(x, .) = 0, so x = 0 and Psi is bijective.  Only a degenerate b1
-leaves bijectivity to a check at each leaf.  On a cyclic group the
-automorphisms are the multiplications by units, and _cyclic_isometries
-lists the ones that keep the polarization; it finds the search's
-witness, and a class key, with no table.
+generators to every element, and b1 is nondegenerate (decided once per
+p-part by the caller), so Psi x = 0 gives b1(x, .) = 0, x = 0.  On a
+cyclic group the automorphisms are the multiplications by units, and
+_cyclic_isometries lists the ones that keep the polarization; it finds
+the search's witness, and a class key, with no table.
 """
 
 from __future__ import annotations
@@ -92,16 +91,6 @@ def _generator_data(factors: Sequence[int], modulus: int, values: Sequence[int])
 def _defect_character(modulus: int, q_gen: Sequence[int], b_gen: Sequence[Sequence[int]]) -> list[int]:
     """The defect q(x) - q(-x) on the generators, 2 q(g_i) - b(g_i, g_i) mod modulus; it is additive in x."""
     return [(2 * q - b_gen[i][i]) % modulus for i, q in enumerate(q_gen)]
-
-
-def _image_positions(factors: Sequence[int], images: Sequence[Sequence[int]]) -> list[int]:
-    """Position of Psi(w) in itertools.product order for every w, in that order; Psi(g_i) = images[i]."""
-    positions = [0] * math.prod(factors)
-    for j, d in enumerate(factors):
-        stride = math.prod(factors[j + 1 :])
-        for t, c in enumerate(_linear_table([m[j] for m in images], factors, d)):
-            positions[t] += c * stride
-    return positions
 
 
 class OrderCapExceeded(RuntimeError):
@@ -332,21 +321,20 @@ def _nondegenerate(factors: Sequence[int], modulus: int, link: Sequence[Sequence
 
 def _isometries(
     factors: Sequence[int], modulus: int, link1: Sequence[Sequence[int]], link2: Sequence[Sequence[int]],
-    order: Sequence[int], candidates: Sequence[Iterable[Element]],
+    order: Sequence[int], candidates: Sequence[Sequence[Element]],
 ) -> Iterator[tuple[Element, ...]]:
     """Yield the generator images of each automorphism, built from the candidates, that carries link1 to link2.
 
     link1 and link2 hold b(g_i, g_j) on the two sides in units of
-    1/modulus.  Depth-first over the generators in the given order,
-    pruned by element order and by the pairing against the partial map,
-    so every leaf is a homomorphism Psi with b2(Psi x, Psi y) = b1(x, y).
-    When b1 is nondegenerate (decided once per search), Psi x = 0 gives
-    b1(x, .) = 0, hence x = 0: every leaf is bijective.  Otherwise a leaf
-    counts when its image table shows it bijective.  candidates[i] is
-    iterated afresh at each visit of generator i.
+    1/modulus.  The caller guarantees that link1 is nondegenerate and
+    that every m in candidates[i] is admissible for g_i: d_i m = 0 and
+    b2(m, m) = b1(g_i, g_i).  Depth-first over the generators in the
+    given order, each candidate is checked only against the images
+    already chosen, b2(m, Psi g_j) = b1(g_i, g_j), so every leaf is a
+    homomorphism Psi with b2(Psi x, Psi y) = b1(x, y); Psi x = 0 gives
+    b1(x, .) = 0, hence x = 0, so every leaf is bijective.
     """
     k = len(factors)
-    injective = _nondegenerate(factors, modulus, link1)
     cache: dict[tuple, int] = {}
 
     def pair(x: Element, y: Element) -> int:
@@ -361,15 +349,10 @@ def _isometries(
 
     def extend(depth: int) -> Iterator[tuple[Element, ...]]:
         if depth == k:
-            if injective or len(set(_image_positions(factors, images))) == math.prod(factors):
-                yield tuple(images)
+            yield tuple(images)
             return
         i = order[depth]
         for m in candidates[i]:
-            if any((factors[i] * ml) % dl for ml, dl in zip(m, factors)):
-                continue
-            if pair(m, m) != link1[i][i]:
-                continue
             if any(pair(m, images[j]) != link1[i][j] for j in order[:depth]):
                 continue
             images[i] = m
@@ -392,21 +375,32 @@ def _generator_isomorphism(
 
     Each side is given by q and b on the generators, side 2 also by its
     value table, as residues in units of 1/modulus, the table in
-    itertools.product order; each step divides modulus.  The search is
-    exhaustive, so None is a definite negative.  Its first leaf is
-    returned unchecked: it carries b2 to b1, so chi = q2 o Psi - q1 is a
-    character, as q2(Psi(x + y)) = q2(Psi x) + q2(Psi y) + b1(x, y), and
-    _isometries has made sure it is bijective; with every step modulus,
-    chi = 0.  The defect q(x) - q(-x) is a character, that of
-    q2 o Psi = q1 + chi is the defect of q1 plus 2 chi, and 2 chi(g_i) is
-    a multiple of 2 steps[i]: so the gcd of modulus, the 2 steps[i] and
-    the defect on the generators is the same on both sides.
+    itertools.product order; each step divides modulus, and b1 is
+    nondegenerate (the caller decides that once per p-part).  The search
+    is exhaustive, so None is a definite negative.  Each generator's
+    candidates are listed once, in element order, with the conditions
+    that do not depend on the other images: the value congruence, the
+    order d_i m = 0 and the self-pairing b2(m, m) = b1(g_i, g_i);
+    _isometries checks the rest.  Its first leaf is returned unchecked:
+    it is bijective and carries b2 to b1, so chi = q2 o Psi - q1 is a
+    character, as q2(Psi(x + y)) = q2(Psi x) + q2(Psi y) + b1(x, y); with
+    every step modulus, chi = 0.  The defect q(x) - q(-x) is a character,
+    that of q2 o Psi = q1 + chi is the defect of q1 plus 2 chi, and
+    2 chi(g_i) is a multiple of 2 steps[i]: so the gcd of modulus, the
+    2 steps[i] and the defect on the generators is the same on both sides.
     """
     doubled = [2 * s for s in steps]
     if math.gcd(modulus, *_defect_character(modulus, q1, b1), *doubled) != math.gcd(modulus, *_defect_character(modulus, q2, b2), *doubled):
         return None
     elements = list(itertools.product(*(range(d) for d in factors)))
-    candidates = [[m for m, v in zip(elements, values2) if (v - want) % s == 0] for want, s in zip(q1, steps)]
+    # b2(m, m) is quadratic in m with polarization 2 b2, as in lattice.self_linking_table
+    self_links = _quadratic_table(factors, modulus, [row[i] for i, row in enumerate(b2)], [[2 * x % modulus for x in row] for row in b2])
+    candidates = []
+    for i, (d, want, s) in enumerate(zip(factors, q1, steps)):
+        fits = [m for m, v, w in zip(elements, values2, self_links) if (v - want) % s == 0 and w == b1[i][i]]
+        if any(d % e for e in factors):  # otherwise d m = 0 for every m
+            fits = [m for m in fits if not any(d * x % e for x, e in zip(m, factors))]
+        candidates.append(fits)
     if not all(candidates):
         return None
     # largest order first; enumeration order of candidates fixes determinism
@@ -432,9 +426,8 @@ def _cyclic_isometries(order: int, modulus: int, b1: int, b2: int) -> list[int]:
     _generator_isomorphism returns on these tables with step modulus: its
     candidates for Psi(h) come in element order, i.e. ascending u, among
     those with value q1(h); the order check is vacuous on a cyclic group; the
-    pairing check is u^2 b2 = b1; and the leaf counts exactly when u is
-    a unit (with b1 degenerate the search tests it; otherwise every
-    pairing-preserving u is one).  Its
+    self-pairing check is u^2 b2 = b1; and with b1 nondegenerate, as the
+    search requires, every such u is a unit.  Its
     histogram and defect prechecks reject only pairs with no such u, so
     no u means None.  No value table and no search are needed.
 

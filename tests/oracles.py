@@ -12,6 +12,11 @@ keeps the rational layer they are tested against:
     coordinates recomputed from the Smith decomposition, which the library
     never replays (u_free_rows, cok_free_covectors, duality_matrix,
     eval_free_lift);
+  * the isometry search that tests element order and self-pairing at every
+    visit and bijectivity at each leaf of a degenerate pairing,
+    reference_isometries and reference_generator_isomorphism, with
+    image_positions; the library lists admissible candidates once and
+    needs a nondegenerate pairing;
   * functions of a QuadraticFunction given by its QmodZ values: bilinear_of,
     defect_of, gauss_sum, radical_compatible, invariant_fingerprint and
     is_isomorphic, with checked_isometry, the search-then-check-the-whole-
@@ -41,7 +46,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence, Union
+from typing import Iterable, Iterator, Mapping, Sequence, Union
 
 import quadlink.classify as classify
 from quadlink.classify import EQUIVALENT, INEQUIVALENT
@@ -56,11 +61,10 @@ from quadlink.quadfun import (
     GroupIso,
     OrderCapExceeded,
     QuadraticFunction,
+    _defect_character,
     _generator_data,
-    _generator_isomorphism,
-    _image_positions,
-    _isometries,
     _linear_table,
+    _nondegenerate,
     _quadratic_table,
     _radical_gcd,
     _residue_tables,
@@ -381,6 +385,109 @@ def invariant_fingerprint(q: QuadraticFunction) -> Fingerprint:
     return table_fingerprint(factors, modulus, residues, *_generator_data(factors, modulus, residues), q.radical_slopes)
 
 
+# The isometry search as the library ran it before admissible candidates
+# were listed up front: element order and self-pairing are tested at every
+# visit of a candidate, nondegeneracy of b1 is decided once per search, and
+# a degenerate b1 leaves bijectivity to a test at each leaf.  On
+# nondegenerate data the library's quadfun._generator_isomorphism must
+# return the first leaf of reference_generator_isomorphism; the sweeps
+# drive reference_isometries with Charged candidates.
+
+
+def image_positions(factors: Sequence[int], images: Sequence[Sequence[int]]) -> list[int]:
+    """Position of Psi(w) in itertools.product order for every w, in that order; Psi(g_i) = images[i]."""
+    positions = [0] * math.prod(factors)
+    for j, d in enumerate(factors):
+        stride = math.prod(factors[j + 1 :])
+        for t, c in enumerate(_linear_table([m[j] for m in images], factors, d)):
+            positions[t] += c * stride
+    return positions
+
+
+def reference_isometries(
+    factors: Sequence[int], modulus: int, link1: Sequence[Sequence[int]], link2: Sequence[Sequence[int]],
+    order: Sequence[int], candidates: Sequence[Iterable[Element]],
+) -> Iterator[tuple[Element, ...]]:
+    """Yield the generator images of each automorphism, built from the candidates, that carries link1 to link2.
+
+    link1 and link2 hold b(g_i, g_j) on the two sides in units of
+    1/modulus.  Depth-first over the generators in the given order,
+    pruned by element order and by the pairing against the partial map,
+    so every leaf is a homomorphism Psi with b2(Psi x, Psi y) = b1(x, y).
+    When b1 is nondegenerate (decided once per search), Psi x = 0 gives
+    b1(x, .) = 0, hence x = 0: every leaf is bijective.  Otherwise a leaf
+    counts when its image table shows it bijective.  candidates[i] is
+    iterated afresh at each visit of generator i.
+    """
+    k = len(factors)
+    injective = _nondegenerate(factors, modulus, link1)
+    cache: dict[tuple, int] = {}
+
+    def pair(x: Element, y: Element) -> int:
+        key = (x, y) if x <= y else (y, x)
+        if key not in cache:
+            a, b = key
+            terms = (ai * bj * link2[i][j] for i, ai in enumerate(a) if ai for j, bj in enumerate(b) if bj)
+            cache[key] = sum(terms) % modulus
+        return cache[key]
+
+    images: list[Element] = [()] * k
+
+    def extend(depth: int) -> Iterator[tuple[Element, ...]]:
+        if depth == k:
+            if injective or len(set(image_positions(factors, images))) == math.prod(factors):
+                yield tuple(images)
+            return
+        i = order[depth]
+        for m in candidates[i]:
+            if any((factors[i] * ml) % dl for ml, dl in zip(m, factors)):
+                continue
+            if pair(m, m) != link1[i][i]:
+                continue
+            if any(pair(m, images[j]) != link1[i][j] for j in order[:depth]):
+                continue
+            images[i] = m
+            yield from extend(depth + 1)
+
+    yield from extend(0)
+
+
+def reference_generator_isomorphism(
+    factors: Sequence[int],
+    modulus: int,
+    q1: Sequence[int],
+    b1: Sequence[Sequence[int]],
+    q2: Sequence[int],
+    b2: Sequence[Sequence[int]],
+    values2: Sequence[int],
+    steps: Sequence[int],
+) -> tuple[Element, ...] | None:
+    """Generator images of an isometry Psi carrying b2 to b1 with q2(Psi g_i) = q1(g_i) mod steps[i], or None.
+
+    Each side is given by q and b on the generators, side 2 also by its
+    value table, as residues in units of 1/modulus, the table in
+    itertools.product order; each step divides modulus.  The search is
+    exhaustive, so None is a definite negative.  Its first leaf is
+    returned unchecked: it carries b2 to b1, so chi = q2 o Psi - q1 is a
+    character, as q2(Psi(x + y)) = q2(Psi x) + q2(Psi y) + b1(x, y), and
+    reference_isometries has made sure it is bijective; with every step
+    modulus, chi = 0.  The defect q(x) - q(-x) is a character, that of
+    q2 o Psi = q1 + chi is the defect of q1 plus 2 chi, and 2 chi(g_i) is
+    a multiple of 2 steps[i]: so the gcd of modulus, the 2 steps[i] and
+    the defect on the generators is the same on both sides.
+    """
+    doubled = [2 * s for s in steps]
+    if math.gcd(modulus, *_defect_character(modulus, q1, b1), *doubled) != math.gcd(modulus, *_defect_character(modulus, q2, b2), *doubled):
+        return None
+    elements = list(itertools.product(*(range(d) for d in factors)))
+    candidates = [[m for m, v in zip(elements, values2) if (v - want) % s == 0] for want, s in zip(q1, steps)]
+    if not all(candidates):
+        return None
+    # largest order first; enumeration order of candidates fixes determinism
+    order = sorted(range(len(factors)), key=lambda i: (-factors[i], i))
+    return next(reference_isometries(factors, modulus, b1, b2, order, candidates), None)
+
+
 def is_isomorphic(q1: QuadraticFunction, q2: QuadraticFunction) -> GroupIso | None:
     """An isomorphism Psi with q2(Psi(x)) = q1(x) for all x, or None.
 
@@ -398,10 +505,10 @@ def is_isomorphic(q1: QuadraticFunction, q2: QuadraticFunction) -> GroupIso | No
     if Counter(values1) != Counter(values2):
         return None
     data1, data2 = (_generator_data(factors, modulus, values) for values in (values1, values2))
-    images = _generator_isomorphism(factors, modulus, *data1, *data2, values2, [modulus] * len(factors))
+    images = reference_generator_isomorphism(factors, modulus, *data1, *data2, values2, [modulus] * len(factors))
     if images is None:
         return None
-    if any(values2[u] != v for u, v in zip(_image_positions(factors, images), values1)):
+    if any(values2[u] != v for u, v in zip(image_positions(factors, images), values1)):
         raise ValueError("is_isomorphic needs quadratic functions: a map matching q on the generators misses it elsewhere")
     return GroupIso(q1.group, q2.group, images)
 
@@ -417,12 +524,12 @@ def checked_isometry(
 ) -> tuple[Element, ...] | None:
     """Generator images of the first isometry carrying b2 to b1 that carries values2 to values1 on the whole table, or None.
 
-    The candidates and the search order are those of the library's
-    search (quadfun._generator_isomorphism), but every leaf is checked
+    The candidates and the search order are those of the reference
+    search (reference_generator_isomorphism), but every leaf is checked
     pointwise on the whole value table, so the argument that a match on
     the generators extends to every element is not taken on trust.
-    Bijectivity of a leaf is left to _isometries; patching
-    quadfun._nondegenerate to return False makes it test every leaf.
+    Bijectivity of a leaf is left to reference_isometries; patching
+    this module's _nondegenerate to return False makes it test every leaf.
     All data are residues in units of 1/modulus, tables in
     itertools.product order.
     """
@@ -431,8 +538,8 @@ def checked_isometry(
     if not all(candidates):
         return None
     order = sorted(range(len(factors)), key=lambda i: (-factors[i], i))
-    for images in _isometries(factors, modulus, b1, b2, order, candidates):
-        if all(values2[u] == v for u, v in zip(_image_positions(factors, images), values1)):
+    for images in reference_isometries(factors, modulus, b1, b2, order, candidates):
+        if all(values2[u] == v for u, v in zip(image_positions(factors, images), values1)):
             return images
     return None
 
@@ -465,7 +572,7 @@ def translate_isometry_by_translates(factors: Sequence[int], modulus: int, g: in
             fits[c] = all(hist2[(v - c) % modulus] == n for v, n in hist1.items())
         if fits[c]:
             shifted = tuple((q + _int_dot(x, row)) % modulus for q, row in zip(q1, b1))
-            y = _generator_isomorphism(factors, modulus, shifted, b1, q2, b2, values2, [modulus] * len(factors))
+            y = reference_generator_isomorphism(factors, modulus, shifted, b1, q2, b2, values2, [modulus] * len(factors))
             if y is not None:
                 return x, shifted, y
     return None
@@ -535,7 +642,7 @@ class Budget:
 class Charged:
     """Candidates that charge a budget: one step per item, before it is yielded, iterated afresh each time.
 
-    As the candidates of quadfun._isometries they charge one step per
+    As the candidates of reference_isometries they charge one step per
     candidate tried, and a refused charge ends that visit of the
     generator; every later visit is refused at once, since the budget
     stays exhausted, so the search unwinds with no verdict.
@@ -591,14 +698,14 @@ def torsion_map_verdict(
     no_map, equivalent, gauss_differ = reasons
     elements = list(group.elements())
     k = len(factors)
-    for images in _isometries(factors, modulus, link1, link2, range(k), [Charged(elements, budget)] * k):
+    for images in reference_isometries(factors, modulus, link1, link2, range(k), [Charged(elements, budget)] * k):
         if GroupIso(group, group, images).apply(side1.tors) == side2.tors:
             break
     else:
         if budget.exhausted:
             return OracleVerdict(UNKNOWN, "budget ran out while sweeping torsion maps")
         return OracleVerdict(INEQUIVALENT, no_map)
-    dmap = _image_positions(factors, images)
+    dmap = image_positions(factors, images)
     # positions of the generators g_i in itertools.product order
     gens = [math.prod(factors[i + 1 :]) for i in range(k)]
     t1 = characters[tuple((q - values2[dmap[p]]) % modulus for q, p in zip(side1.q_gen, gens))]
@@ -748,7 +855,7 @@ def mixed_verdict(side1: classify._Side, side2: classify._Side, budget: Budget) 
         return mu_cache[key]
 
     k = len(factors)
-    for images in _isometries(factors, modulus, link1, link2, range(k), [Charged(elements, budget)] * k):
+    for images in reference_isometries(factors, modulus, link1, link2, range(k), [Charged(elements, budget)] * k):
         mapped = GroupIso(group, group, images).apply(side1.tors)
         v = tuple((t - s) % d for t, s, d in zip(side2.tors, mapped, factors))
         if any(vl % math.gcd(g, dl) for vl, dl in zip(v, factors)):
@@ -756,7 +863,7 @@ def mixed_verdict(side1: classify._Side, side2: classify._Side, budget: Budget) 
         axes = [mu_choices(dl, vl) for dl, vl in zip(factors, v)]
         if any(not axis for axis in axes):
             continue
-        dmap = _image_positions(factors, images)
+        dmap = image_positions(factors, images)
         q2_gen = [q2[dmap[p]] for p in gens]
         for mu in itertools.product(*axes):
             # side-2 slope correction plus the pairing with the coupling, linear in u

@@ -43,6 +43,7 @@ from quadlink.lattice import (
 )
 from quadlink.presentation import HandleSlide, apply_move, chern_equal, presentation, random_walk
 from quadlink.spaces import connected_sum, e8, lens
+import quadlink.quadfun as quadfun_module
 from quadlink.quadfun import (
     DEFAULT_ORDER_CAP,
     FiniteAbelianGroup,
@@ -54,8 +55,6 @@ from quadlink.quadfun import (
     _defect_character,
     _generator_data,
     _generator_isomorphism,
-    _image_positions,
-    _isometries,
     _linear_table,
     _quadratic_table,
 )
@@ -80,11 +79,14 @@ from oracles import (
     evaluation_pairing,
     finite_isomorphism_by_translates,
     free_part,
+    image_positions,
     lifts,
     linking_pairing,
     mixed_verdict,
     phi_eval,
     radical_slope,
+    reference_generator_isomorphism,
+    reference_isometries,
     residue_multiset,
     torsion_lift,
     torsion_map_verdict,
@@ -166,7 +168,7 @@ def test_finite_regime_witness_is_checked_pointwise():
     values_a = phi_table(data_a, a.chern)
     values_b = phi_table(data_b, b.chern)
     # position of the witness's image of every element, in the order of values_a
-    image = _image_positions(data_a.torsion_factors, v.witness.images)
+    image = image_positions(data_a.torsion_factors, v.witness.images)
     assert sorted(image) == list(range(len(values_a)))
     assert [values_b[u] for u in image] == values_a
 
@@ -378,7 +380,7 @@ def cyclic_pairs(draw):
 def test_cyclic_isometries_give_the_witness_of_the_search(pair):
     order, modulus, q1, b1, q2, b2 = pair
     values2 = _quadratic_table([order], modulus, [q2], [[b2]])
-    searched = _generator_isomorphism([order], modulus, [q1], [[b1]], [q2], [[b2]], values2, [modulus])
+    searched = reference_generator_isomorphism([order], modulus, [q1], [[b1]], [q2], [[b2]], values2, [modulus])
     units = _cyclic_isometries(order, modulus, b1, b2)
     closed = next((((u,),) for u in units if _value_at_multiple(u, q2, b2, modulus) == q1), None)
     assert closed == searched
@@ -754,6 +756,12 @@ def test_canonical_decorations_are_exhaustive_and_distinct():
         # the classes of the decorations exhaust the cokernel residues
         residues = {chern_coordinates(data, v)[1] for v in vecs}
         assert len(residues) <= len(vecs)
+
+
+def test_canonical_decorations_of_the_empty_form():
+    # no rows, no coordinate to build: one decoration, the empty vector
+    assert canonical_chern_vectors([]) == ((),)
+    assert yc_classes([]) == (((),),)
 
 
 def test_canonical_decorations_refuse_degenerate_forms():
@@ -1812,7 +1820,7 @@ def _oracle_torsion_map_verdict(
     no_map, equivalent, gauss_differ = reasons
     elements = list(group.elements())
     k = len(factors)
-    for images in _isometries(factors, modulus, link1, link2, range(k), [Charged(elements, budget)] * k):
+    for images in reference_isometries(factors, modulus, link1, link2, range(k), [Charged(elements, budget)] * k):
         if GroupIso(group, group, images).apply(side1.tors) == side2.tors:
             break
     else:
@@ -1909,7 +1917,7 @@ def _oracle_mixed_verdict(
         return mu_cache[key]
 
     k = len(factors)
-    for images in _isometries(factors, modulus, link1, link2, range(k), [Charged(elements, budget)] * k):
+    for images in reference_isometries(factors, modulus, link1, link2, range(k), [Charged(elements, budget)] * k):
         mapped = GroupIso(group, group, images).apply(side1.tors)
         v = tuple((t - s) % d for t, s, d in zip(side2.tors, mapped, factors))
         if any(vl % math.gcd(g, dl) for vl, dl in zip(v, factors)):
@@ -1917,7 +1925,7 @@ def _oracle_mixed_verdict(
         axes = [mu_choices(dl, vl) for dl, vl in zip(factors, v)]
         if any(not axis for axis in axes):
             continue
-        dmap = _image_positions(factors, images)
+        dmap = image_positions(factors, images)
         for mu in itertools.product(*axes):
             # side-2 slope correction plus the pairing with the coupling, linear in u
             row = [(r + sum(ml * link2[l][i] for l, ml in enumerate(mu))) % modulus for i, r in enumerate(row2)]
@@ -2219,6 +2227,52 @@ def test_degenerate_linking_is_refused(monkeypatch, decide, m1, c1, m2, c2):
         decide(presentation(m1, c1), presentation(m2, c2))
 
 
+# A degenerate pairing is refused once per p-part, before any table or
+# search, in a decision (side 1) and in a census alike: cyclic parts by
+# their unit test, the others by quadfun._nondegenerate.  The check raises,
+# so it holds under -O too.
+@pytest.mark.parametrize(
+    "run",
+    [
+        lambda: yc_equivalent(presentation(_diagonal(3, 3), (3, 3)), presentation(_diagonal(3, 3), (3, 5))),
+        lambda: yc_classes(_diagonal(9)),
+        lambda: yc_classes(_diagonal(3, 3)),
+        lambda: yc_classes(*_degenerate_census_list((9, 9))),
+    ],
+    ids=["finite-rank-two", "census-cyclic", "census-rank-two", "census-mixed"],
+)
+def test_a_degenerate_pairing_raises_in_decisions_and_censuses(monkeypatch, run):
+    original = classify_module.discriminant
+
+    def degenerate(matrix, **kwargs):
+        data = original(matrix, **kwargs)
+        return dataclasses.replace(data, linking=tuple((0,) * len(row) for row in data.linking))
+
+    monkeypatch.setattr(classify_module, "discriminant", degenerate)
+    with pytest.raises(RuntimeError, match="degenerate"):
+        run()
+
+
+def test_nondegeneracy_is_decided_once_per_part(monkeypatch):
+    # the search no longer decides it itself, once per search
+    decided = []
+    original = quadfun_module._nondegenerate
+
+    def counted(factors, *args):
+        decided.append(tuple(factors))
+        return original(factors, *args)
+
+    for module in (quadfun_module, classify_module):
+        monkeypatch.setattr(module, "_nondegenerate", counted)
+    assert len(yc_classes(_diagonal(9, 9, 27))) == 22
+    assert decided == [(9, 9, 27)]
+    decided.clear()
+    # (Z/9)^2 + (Z/5)^2, equivalent by swapping the generators
+    v = yc_equivalent(presentation(_diagonal(45, 45), (45, 47)), presentation(_diagonal(45, 45), (47, 45)))
+    assert v.status == EQUIVALENT
+    assert decided == [(9, 9), (5, 5)]
+
+
 # --- the translate route against the sweep oracle ---------------------------
 #
 # The library decides the mixed regime as the finite regime on translates:
@@ -2369,7 +2423,7 @@ def test_late_translates_cost_one_search(monkeypatch, c1):
     assert v.witness == iso and v.reason.endswith(f"t = {t} in 3T") and all(x % 3 == 0 for x in t)
     factors, modulus = side1.data.torsion_factors, side1.data.value_modulus
     pairing = _linear_table([_int_dot(t, row) for row in side1.data.linking], factors, modulus)
-    positions = _image_positions(factors, iso.images)
+    positions = image_positions(factors, iso.images)
     assert sorted(positions) == list(range(9**4))
     assert [side2.table[u] for u in positions] == [(a + s) % modulus for a, s in zip(side1.table, pairing)]
 

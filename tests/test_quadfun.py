@@ -18,8 +18,6 @@ from quadlink.quadfun import (
     table_fingerprint,
     _defect_character,
     _generator_isomorphism,
-    _image_positions,
-    _isometries,
     _nondegenerate,
     _quadratic_table,
 )
@@ -27,6 +25,7 @@ from quadlink.classify import EQUIVALENT, INEQUIVALENT, canonical_chern_vectors,
 from quadlink.presentation import presentation
 from quadlink.zlinalg import determinant, intmatrix
 
+import oracles as oracles_module
 from oracles import (
     bilinear_of,
     character_positions,
@@ -34,10 +33,13 @@ from oracles import (
     cyclo_from_angles,
     defect_of,
     gauss_sum,
+    image_positions,
     invariant_fingerprint,
     is_isomorphic,
     phi_eval,
     radical_compatible,
+    reference_generator_isomorphism,
+    reference_isometries,
     torsion_lift,
 )
 
@@ -549,12 +551,13 @@ def test_quadratic_table_handles_trivial_factors_and_zero_pairings():
 
 # --- leaf checks of the isometry search ------------------------------------------
 #
-# A leaf of _isometries is a homomorphism carrying b2 to b1, so it is
+# A leaf of the search is a homomorphism carrying b2 to b1, so it is
 # bijective when b1 is nondegenerate, and a leaf that also matches q on
 # the generators matches it everywhere.  The oracles: the brute-force
 # nondegeneracy test of oracles.character_positions (distinct
-# character keys), the search with every leaf tested for bijectivity,
-# and the whole-table check of every returned witness.
+# character keys), the reference search (oracles.reference_isometries),
+# which also takes degenerate pairings, with every leaf tested for
+# bijectivity, and the whole-table check of every returned witness.
 
 
 def _pairing(draw, factors):
@@ -616,7 +619,7 @@ def test_a_degenerate_pairing_keeps_the_leaf_check():
     # q = 0 and b = 0 on Z/2: the zero map is the first leaf that matches
     # q and b on the generator, and only the bijectivity test rejects it
     assert not _nondegenerate([2], 4, [[0]])
-    assert _generator_isomorphism([2], 4, [0], [[0]], [0], [[0]], [0, 0], [4]) == ((1,),)
+    assert reference_generator_isomorphism([2], 4, [0], [[0]], [0], [[0]], [0, 0], [4]) == ((1,),)
 
 
 def test_is_isomorphic_refuses_an_unchecked_table_that_is_not_quadratic():
@@ -631,14 +634,14 @@ def test_is_isomorphic_refuses_an_unchecked_table_that_is_not_quadratic():
     q2 = QuadraticFunction(g, table([0, 0, 0, 1, 0]), check=False)
     # the identity matches q and b on the generator, and only the
     # pointwise check sees that it misses q at 3 and 4
-    assert _generator_isomorphism([5], 5, [0], [[0]], [0], [[0]], [0, 0, 0, 1, 0], [5]) == ((1,),)
+    assert reference_generator_isomorphism([5], 5, [0], [[0]], [0], [[0]], [0, 0, 0, 1, 0], [5]) == ((1,),)
     with pytest.raises(ValueError, match="needs quadratic functions"):
         is_isomorphic(q1, q2)
 
 
 def _every_leaf_checked():
     """Force the bijectivity test at every leaf, as the search did before nondegeneracy was decided."""
-    return mock.patch.object(quadfun_module, "_nondegenerate", return_value=False)
+    return mock.patch.object(oracles_module, "_nondegenerate", return_value=False)
 
 
 @settings(max_examples=60, deadline=None)
@@ -651,13 +654,56 @@ def test_nondegenerate_searches_yield_the_leaves_of_the_checked_search(data):
     k = len(factors)
     order = data.draw(st.permutations(range(k)))
     args = (factors, modulus, link1, link2, order, [elements] * k)
-    leaves = list(itertools.islice(_isometries(*args), 500))
+    leaves = list(itertools.islice(reference_isometries(*args), 500))
     with _every_leaf_checked():
-        assert leaves == list(itertools.islice(_isometries(*args), 500))
+        assert leaves == list(itertools.islice(reference_isometries(*args), 500))
+
+
+@st.composite
+def p_group_searches(draw, max_order=243):
+    """Arguments of _generator_isomorphism on (Z/p^e_1) + ... + (Z/p^e_k), k <= 4, p in 2, 3, 5, with b1 and b2 nondegenerate.
+
+    The pairings are drawn as _pairing, q as _refinement, and the steps
+    are M gcd(g, d_i) / d_i (classify._steps), every step M when g = 0.
+    """
+    p = draw(st.sampled_from((2, 3, 5)))
+    room = 1  # |G| <= max_order exactly when the exponents sum to at most room
+    while p ** (room + 1) <= max_order:
+        room += 1
+    exponents = []
+    for i in reversed(range(draw(st.integers(1, min(4, room))))):
+        exponents.append(draw(st.integers(1, room - sum(exponents) - i)))
+    factors = [p**e for e in sorted(exponents)]
+    modulus = 2 * factors[-1]
+    link1 = _pairing(draw, factors)
+    assume(_nondegenerate(factors, modulus, link1))
+    link2 = link1 if draw(st.booleans()) else _pairing(draw, factors)
+    assume(_nondegenerate(factors, modulus, link2))
+    q1 = _refinement(draw, factors, modulus, link1)
+    q2 = _refinement(draw, factors, modulus, link2)
+    g = draw(st.sampled_from((0, 0, 1, 2, 3, 4, 6, 9)))
+    steps = [modulus * math.gcd(g, d) // d for d in factors]
+    return factors, modulus, q1, link1, q2, link2, _quadratic_table(factors, modulus, q2, link2), steps
+
+
+# (Z/9)^2 with b = diag(1/9, 1/9): q2 is q1 with the generators swapped
+_SWAPPED = ([9, 9], 18, [2, 4], [[2, 0], [0, 2]], [4, 2], [[2, 0], [0, 2]], _quadratic_table([9, 9], 18, [4, 2], [[2, 0], [0, 2]]))
+
+
+# The library lists each generator's admissible candidates once and needs a
+# nondegenerate b1; the reference tests order and self-pairing at every
+# visit and bijectivity at each leaf.  Both meet the same candidates in the
+# same order, so their first leaves agree.
+@settings(max_examples=200, deadline=None)
+@given(p_group_searches())
+@example((*_SWAPPED, [18, 18]))
+@example((*_SWAPPED, [6, 6]))
+def test_generator_isomorphism_returns_the_first_leaf_of_the_reference_search(args):
+    assert _generator_isomorphism(*args) == reference_generator_isomorphism(*args)
 
 
 def _checked_isomorphism(factors, modulus, q1, b1, values1, q2, b2, values2):
-    """_generator_isomorphism with every leaf tested for bijectivity and every found map checked on the whole table."""
+    """reference_generator_isomorphism with every leaf tested for bijectivity and every found map checked on the whole table."""
     if math.gcd(modulus, *_defect_character(modulus, q1, b1)) != math.gcd(modulus, *_defect_character(modulus, q2, b2)):
         return None
     with _every_leaf_checked():
@@ -676,9 +722,9 @@ def test_generator_isomorphism_returns_the_witness_of_the_checked_search(data):
     if sorted(values1) != sorted(values2):
         # the search's callers compare value histograms first
         return
-    images = _generator_isomorphism(factors, modulus, q1, link1, q2, link2, values2, [modulus] * len(factors))
+    images = reference_generator_isomorphism(factors, modulus, q1, link1, q2, link2, values2, [modulus] * len(factors))
     assert images == _checked_isomorphism(factors, modulus, q1, link1, values1, q2, link2, values2)
     if images is not None:
-        positions = _image_positions(factors, images)
+        positions = image_positions(factors, images)
         assert sorted(positions) == list(range(len(values1)))
         assert [values2[u] for u in positions] == values1
