@@ -1,7 +1,8 @@
 """Lens spaces: where equivalence classes undercount homeomorphism types.
 
-For odd p the decoration classes of the p-framed unknot biject with
-orbits of Z/p under multiplication by square roots of unity.  Counting
+For every order p the decoration classes of the p-framed unknot are as
+many as the orbits of Z/p under multiplication by the square roots of
+unity; for odd p they are those orbits, for even p only the counts agree.  Counting
 homeomorphism types of decorated L(p,1) gives p/2 + 1 rounded up; the
 first place the two counts split is p = 15.
 """

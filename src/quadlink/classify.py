@@ -115,10 +115,6 @@ EQUIVALENT = "equivalent"
 INEQUIVALENT = "inequivalent"
 
 
-class EvenOrderError(ValueError):
-    """The closed-form orbit census is stated for odd orders only."""
-
-
 @dataclass(frozen=True)
 class EquivalenceVerdict:
     status: str
@@ -654,46 +650,54 @@ def yc_classes(
 
 
 def lens_yc_count(p: int) -> int:
-    """Decoration classes of the odd lens family: orbits of Z/p under
-    multiplication by the square roots of unity."""
+    """Decoration classes of the p-framed unknot [[p]], the lens space
+    L(p, 1), for every order p >= 2: by Burnside's lemma, the mean of
+    gcd(u - 1, p) over the square roots u of unity mod p.
+
+    That mean is the number of orbits of Z/p under multiplication by
+    those roots.  For even p the classes are not those orbits; only the
+    counts agree.  Proof, in i = (c - p)/2 mod p for the decoration c:
+
+    1. The cyclic key of yc_classes has M = 2p, beta = 2 and
+       q(h) = 1 - p - 2i, and O(b) is the u with u^2 = 1 (mod p).  So
+       f_u(q(h)) = u q(h) + u(u - 1) is 1 - p - 2(u i + s_u) mod 2p: each
+       u acts by i -> u i + s_u (mod p).
+    2. Write k = (u^2 - 1)/p.  Then s_u = p(u - 1 - k)/2 (mod p).  For
+       odd p, u = 1 + k mod 2, so u - 1 - k is even and s_u = 0.  For
+       even p, u is odd, and s_u = p/2 exactly when k is odd.
+    3. When k is odd, v2(u - 1) + v2(u + 1) = v2(p) with both terms at
+       least 1.  So v2(u - 1) < v2(p), and gcd(u - 1, p) divides p/2.
+    4. So each map fixes exactly gcd(u - 1, p) residues, the solutions
+       of (u - 1) i = -s_u, as multiplication by u does, and Burnside's
+       lemma gives equal counts.
+
+    On [[8]] the classes are {0, 4}, {1, 7}, {2, 6}, {3, 5} in i, and the
+    multiplication orbits {0}, {4}, {2, 6}, {1, 3, 5, 7}.
+    """
     p = int(p)
     if p < 2:
-        raise ValueError(f"need p >= 3, got {p}")
-    if p % 2 == 0:
-        raise EvenOrderError(f"the orbit census is stated for odd orders only, got {p}")
-    roots = [r for r in range(p) if (r * r) % p == 1]
-    seen: set[int] = set()
-    count = 0
-    for i in range(p):
-        if i in seen:
-            continue
-        count += 1
-        seen.update((r * i) % p for r in roots)
-    return count
-
-
-def _twisting_parameters(p: int, q1: int, q2: int) -> tuple[int, int]:
-    """q1 and q2 reduced mod p >= 2, refused unless both are invertible mod p."""
-    q1, q2 = int(q1) % p, int(q2) % p
-    if math.gcd(q1, p) != 1 or math.gcd(q2, p) != 1:
-        raise ValueError("twisting parameters must be invertible mod p")
-    return q1, q2
+        raise ValueError(f"need p >= 2, got {p}")
+    roots = [r for r in range(1, p) if r * r % p == 1]
+    return sum(math.gcd(r - 1, p) for r in roots) // len(roots)
 
 
 def lens_diffeo_count(p: int, q1: int, q2: int) -> int:
     """Orbit count for the two-parameter lens family under its full
-    symmetry group, by direct enumeration of the fixed-point data."""
+    symmetry group, by direct enumeration of the fixed-point data.
+
+    The order and the twisting parameters q1, q2, which must be
+    invertible mod p, are checked before any work of order p."""
     p = int(p)
     if p < 2:
         raise ValueError(f"need p >= 2, got {p}")
-    q1, q2 = _twisting_parameters(p, q1, q2)
+    q1, q2 = int(q1) % p, int(q2) % p
+    if math.gcd(q1, p) != 1 or math.gcd(q2, p) != 1:
+        raise ValueError("twisting parameters must be invertible mod p")
     if (q1 * q1 - q2 * q2) % p or q1 == q2 or (q1 + q2) % p == 0:
         return p // 2 + 1
     ratio = q2 * pow(q1, -1, p) % p
-    triples = [(i, (q1 + q2 - i) % p, ratio * i % p) for i in range(p)]
-    scattered = sum(1 for t in triples if len(set(t)) == 3)
-    collapsed = sum(1 for t in triples if len(set(t)) == 1)
-    total = Fraction(p, 2) - Fraction(scattered, 4) + Fraction(collapsed, 2)
+    sizes = Counter(len({i, (q1 + q2 - i) % p, ratio * i % p}) for i in range(p))
+    total = Fraction(p, 2) - Fraction(sizes[3], 4) + Fraction(sizes[1], 2)
     if total.denominator != 1:
         raise RuntimeError(f"orbit count {total} is not an integer")
     return int(total)

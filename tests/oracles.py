@@ -36,7 +36,12 @@ keeps the rational layer they are tested against:
     which the library's EquivalenceVerdict does not accept, so the oracle
     routes return their own OracleVerdict;
   * reference_smith, the Smith elimination that rebuilds every row in every
-    round of a column phase, whose log smith_normal_form must reproduce.
+    round of a column phase, whose log smith_normal_form must reproduce;
+  * the two lens counts by enumeration: reference_lens_yc_count walks the
+    orbits of Z/p under multiplication by the square roots of unity, which
+    lens_yc_count counts by Burnside's lemma, and reference_lens_diffeo_count
+    lists the p fixed-point triples that lens_diffeo_count counts in one
+    pass.
 """
 
 from __future__ import annotations
@@ -913,3 +918,31 @@ def yc_equivalent_by_sweep(
     if d1.torsion_order > cap:
         raise OrderCapExceeded(d1.torsion_order, cap)
     return mixed_verdict(side1, side2, Budget(budget))
+
+
+def reference_lens_yc_count(p: int) -> int:
+    """Orbits of Z/p, p >= 2, under multiplication by the square roots of unity, walked one by one."""
+    roots = [r for r in range(p) if (r * r) % p == 1]
+    seen: set[int] = set()
+    count = 0
+    for i in range(p):
+        if i in seen:
+            continue
+        count += 1
+        seen.update((r * i) % p for r in roots)
+    return count
+
+
+def reference_lens_diffeo_count(p: int, q1: int, q2: int) -> int:
+    """lens_diffeo_count from the list of all p fixed-point triples, on p >= 2 and invertible q1, q2."""
+    q1, q2 = q1 % p, q2 % p
+    if (q1 * q1 - q2 * q2) % p or q1 == q2 or (q1 + q2) % p == 0:
+        return p // 2 + 1
+    ratio = q2 * pow(q1, -1, p) % p
+    triples = [(i, (q1 + q2 - i) % p, ratio * i % p) for i in range(p)]
+    scattered = sum(1 for t in triples if len(set(t)) == 3)
+    collapsed = sum(1 for t in triples if len(set(t)) == 1)
+    total = Fraction(p, 2) - Fraction(scattered, 4) + Fraction(collapsed, 2)
+    if total.denominator != 1:
+        raise RuntimeError(f"orbit count {total} is not an integer")
+    return int(total)

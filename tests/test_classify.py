@@ -18,7 +18,6 @@ from quadlink.classify import (
     EQUIVALENT,
     INEQUIVALENT,
     EquivalenceVerdict,
-    EvenOrderError,
     canonical_chern_vectors,
     invariants_report,
     lens_diffeo_count,
@@ -87,6 +86,8 @@ from oracles import (
     radical_slope,
     reference_generator_isomorphism,
     reference_isometries,
+    reference_lens_diffeo_count,
+    reference_lens_yc_count,
     residue_multiset,
     torsion_lift,
     torsion_map_verdict,
@@ -1051,15 +1052,43 @@ def test_orbit_census_counts():
 
 
 def test_orbit_census_refuses_even_and_tiny_orders():
-    with pytest.raises(EvenOrderError):
-        lens_yc_count(8)
-    with pytest.raises(EvenOrderError):
-        lens_yc_count(2)
-    # EvenOrderError is a ValueError, so a too small order must raise exactly ValueError
+    # even orders are counted; only an order below 2 is refused
+    assert lens_yc_count(2) == 2
+    assert lens_yc_count(8) == 4
+    assert lens_yc_count(16) == 7
     for p in (1, 0, -3, -4):
         with pytest.raises(ValueError) as exc:
             lens_yc_count(p)
         assert type(exc.value) is ValueError
+        assert str(exc.value) == f"need p >= 2, got {p}"
+
+
+def test_burnside_count_matches_the_orbit_walk():
+    for p in [*range(2, 2001), 720720, 999999, 1000000]:
+        assert lens_yc_count(p) == reference_lens_yc_count(p), p
+
+
+def test_one_pass_symmetry_count_matches_the_triple_list():
+    for p in range(2, 61):
+        units = [q for q in range(1, p) if math.gcd(q, p) == 1]
+        for q1, q2 in itertools.product(units, repeat=2):
+            assert lens_diffeo_count(p, q1, q2) == reference_lens_diffeo_count(p, q1, q2), (p, q1, q2)
+
+
+def test_lens_count_matches_the_census_at_every_order():
+    for p in range(2, 41):
+        for q in range(1, p):
+            if math.gcd(p, q) == 1:
+                assert len(yc_classes(lens(p, q))) == lens_yc_count(p), (p, q)
+
+
+def test_even_order_classes_are_not_multiplication_orbits():
+    # in i = (c - 8)/2 mod 8 only the counts agree, as lens_yc_count says
+    classes = [sorted((c - 8) // 2 % 8 for (c,) in cls) for cls in yc_classes([[8]])]
+    assert classes == [[0, 4], [1, 7], [2, 6], [3, 5]]
+    orbits = {frozenset(r * i % 8 for r in (1, 3, 5, 7)) for i in range(8)}
+    assert orbits == {frozenset({0}), frozenset({4}), frozenset({2, 6}), frozenset({1, 3, 5, 7})}
+    assert lens_yc_count(8) == len(classes) == len(orbits)
 
 
 def test_symmetry_orbit_counts():

@@ -53,7 +53,6 @@ PUBLIC = [
     "random_walk",
     "spin_structures",
     "EquivalenceVerdict",
-    "EvenOrderError",
     "InvariantReport",
     "canonical_chern_vectors",
     "invariants_report",
