@@ -69,6 +69,14 @@ keys each decoration by g and by its orbit under O(b_p) x gT_p at each
 prime p, on finite and degenerate forms alike, and decides no pair
 (yc_classes).
 
+No linear algebra is done twice.  A census holds |det| from its
+decoration count and passes it on (lattice._discriminant), so the Smith
+diagonal is checked against it with no second determinant.  A decision
+whose first side comes out unimodular takes |det B2| first, the Bareiss
+check discriminant(B2) would run anyway: |det| = 1 means G is trivial,
+so a unimodular form needs no Smith elimination.  Against a singular
+second side that determinant is 0, and the Smith route follows it.
+
 The order cap bounds |G| and is checked once per public entry point,
 by _decide after the verdicts that read no torsion element; nothing
 below them takes it.  Every verdict is definite: each regime ends in a
@@ -88,6 +96,7 @@ from typing import Callable, Sequence
 from .exact import CyclotomicSum, _prime_factors
 from .lattice import (
     DiscriminantData,
+    _discriminant,
     _int_dot,
     _phi_columns,
     _phi_generators,
@@ -249,10 +258,19 @@ def yc_equivalent(
 
 
 def _sides(p1: DecoratedPresentation, p2: DecoratedPresentation, cap: int | None = None) -> tuple[_Side, _Side]:
-    """The two sides of a decision, one discriminant per distinct matrix; with a cap, a larger torsion part raises first."""
+    """The two sides of a decision, one discriminant per distinct matrix; with a cap, a larger torsion part raises first.
+
+    When side 1 is unimodular, |det B2| comes first: it is the Bareiss
+    check that discriminant(B2) would run anyway, and with |det B2| = 1
+    side 2 needs no Smith elimination either.
+    """
     data1 = discriminant(p1.matrix, cap=cap)
-    # two decorations of one manifold share its discriminant data
-    data2 = data1 if p2.matrix == p1.matrix else discriminant(p2.matrix, cap=cap)
+    if p2.matrix == p1.matrix:  # two decorations of one manifold share its discriminant data
+        data2 = data1
+    elif data1.free_rank or data1.torsion_factors:
+        data2 = discriminant(p2.matrix, cap=cap)
+    else:
+        data2 = _discriminant(p2.matrix, abs(determinant(p2.matrix)), cap=cap)
     return _side(data1, p1.chern), _side(data2, p2.chern)
 
 
@@ -374,8 +392,9 @@ def _finite_isomorphism(side1: _Side, side2: _Side, g: int) -> tuple[GroupIso, t
     return, with no table built.  The other p-parts are searched once
     each on their p-tables, sum_p |G_p| elements instead of |G|
     (_translate_isometry), after every cyclic part has passed.  On both,
-    with g != 0, t is looked up in gT_p by chi, read off Psi by
-    _pull_back.  The witness is assembled by the Chinese remainder
+    with g != 0, t is read off chi, itself read off Psi by _pull_back:
+    in closed form on a cyclic part, by a scan of gT_p otherwise
+    (_translate).  The witness is assembled by the Chinese remainder
     theorem: the p-component of g_i is (s_i^-1 mod p^v_i) h_i, so
     Psi(g_i) = sum_p (s_i^-1 mod p^v_i) Psi_p(h_i), and t has coordinate
     sum_p x_i s_i on g_i.
@@ -402,8 +421,7 @@ def _finite_isomorphism(side1: _Side, side2: _Side, g: int) -> tuple[GroupIso, t
         x = (0,) * len(y)  # with g = 0 the search asked q2 o Psi = q1, so t = 0
         if g:
             chi = [(v - a) % modulus for v, a in zip(_pull_back(modulus, b2, y)(q2), q1)]
-            grid = itertools.product(*(range(0, d, math.gcd(g, d)) for d in part.factors))
-            x = next((x for x in grid if [_int_dot(x, row) % modulus for row in b1] == chi), None)
+            x = _translate(part.factors, modulus, g, b1, chi)
             if x is None:
                 raise RuntimeError(f"the character {tuple(chi)} is no b1(., t) with t in {g}T")
         for i, s, order, yi, xi in zip(part.indices, part.scales, part.factors, y, x):
@@ -413,6 +431,23 @@ def _finite_isomorphism(side1: _Side, side2: _Side, g: int) -> tuple[GroupIso, t
             t[i] = (t[i] + xi * s) % factors[i]
     group = FiniteAbelianGroup(factors)
     return GroupIso(group, group, tuple(map(tuple, images))), tuple(t)
+
+
+def _translate(factors: Sequence[int], modulus: int, g: int, b1: Sequence[Sequence[int]], chi: Sequence[int]) -> tuple[int, ...] | None:
+    """The coordinates x of the t = sum x_i h_i in gT_p with b1(h_i, t) = chi_i on one p-part, or None.
+
+    b1 is nondegenerate, so at most one t in T_p fits.  On a cyclic part
+    of order p^v, b1(h, h) = r M / p^v with r a unit mod p^v, so
+    x = (chi / (M / p^v)) r^-1 mod p^v is read in closed form, and t lies
+    in gT_p when gcd(g, p^v) divides x.  The other parts scan gT_p.
+    """
+    if len(factors) == 1:
+        (order,), ((beta,),), (c,) = factors, b1, chi
+        unit = modulus // order
+        x = c // unit * pow(beta // unit, -1, order) % order
+        return (x,) if c % unit == 0 and x % math.gcd(g, order) == 0 else None
+    grid = itertools.product(*(range(0, d, math.gcd(g, d)) for d in factors))
+    return next((x for x in grid if [_int_dot(x, row) % modulus for row in b1] == chi), None)
 
 
 def _translate_isometry(factors: Sequence[int], modulus: int, g: int, side1: tuple, side2: tuple) -> tuple[tuple[int, ...], ...] | None:
@@ -453,7 +488,7 @@ def canonical_chern_vectors(matrix: IntMatrix | Sequence[Sequence[int]]) -> tupl
     """
     m = intmatrix(matrix)
     count = _decoration_count(m)
-    return _canonical_chern_vectors(discriminant(m), count)
+    return _canonical_chern_vectors(_discriminant(m, count), count)
 
 
 def _canonical_chern_vectors(data: DiscriminantData, count: int) -> tuple[tuple[int, ...], ...]:
@@ -634,7 +669,7 @@ def yc_classes(
         count = _decoration_count(m)
         if count > cap:
             raise OrderCapExceeded(count, cap)
-        data = discriminant(m)
+        data = _discriminant(m, count)
         vecs = _canonical_chern_vectors(data, count)
     else:
         vecs = tuple(presentation(m.data, v).chern for v in chern_vectors)

@@ -28,6 +28,13 @@ DualLatticeError.  No column of U^-1 and no free row of U is replayed:
 coker(B) modulo torsion is Hom(ker B, Z), so the mixed regime reads the
 free part of c only through its slopes c(k_j)/2 (classify).
 
+discriminant checks a nondegenerate form's torsion order against its
+Bareiss determinant.  A caller that holds |det| already passes it to
+_discriminant, which checks the Smith diagonal against it instead of
+taking a second determinant.  With |det| = 1 the form is unimodular,
+the discriminant group is trivial and every field is empty, so no Smith
+elimination runs at all.
+
 discriminant stores the section in integers: the Smith columns
 V_i = d_i g_i, and the linking pairing on the g_i as integer residues
 in units of 1/(2N), N the last invariant factor: every value of phi_c
@@ -168,11 +175,28 @@ def discriminant(matrix: IntMatrix, *, cap: int | None = None) -> DiscriminantDa
 
     With a cap, a torsion part of larger order raises OrderCapExceeded
     as soon as the Smith diagonal is known, before any transform vector
-    is replayed.
+    is replayed.  A nondegenerate form's torsion order is checked
+    against its Bareiss determinant.
+    """
+    return _discriminant(matrix, None, cap=cap)
+
+
+def _discriminant(matrix: IntMatrix, abs_det: int | None, *, cap: int | None = None) -> DiscriminantData:
+    """discriminant of a form whose |det| the caller already holds, or None when it holds none.
+
+    With |det| = 1 the discriminant group is trivial, and the data is
+    that of the empty group, which the Smith route would return too,
+    with no elimination.  Otherwise the Smith diagonal is checked
+    against |det| and no second determinant is taken; with a cap, a
+    larger |det| raises before any elimination.
     """
     matrix = intmatrix(matrix)
     if not matrix.is_symmetric():
         raise ValueError("discriminant construction needs a symmetric matrix")
+    if abs_det == 1:
+        return DiscriminantData(matrix, 0, (), (), (), (), (), ())
+    if abs_det is not None and cap is not None and abs_det > cap:
+        raise OrderCapExceeded(abs_det, cap)
     n = matrix.rows
     snf = smith_normal_form(matrix)
     diag = snf.diagonal()
@@ -180,8 +204,10 @@ def discriminant(matrix: IntMatrix, *, cap: int | None = None) -> DiscriminantDa
     free_idx = [i for i in range(n) if diag[i] == 0]
     factors = tuple(diag[i] for i in tors_idx)
     order = prod(factors)
-    if not free_idx and order != abs(determinant(matrix)):
-        raise RuntimeError(f"torsion order {order} differs from |det| = {abs(determinant(matrix))}")
+    if abs_det is None and not free_idx:
+        abs_det = abs(determinant(matrix))
+    if abs_det is not None and (0 if free_idx else order) != abs_det:
+        raise RuntimeError(f"free rank {len(free_idx)} but |det| = {abs_det}" if free_idx else f"torsion order {order} differs from |det| = {abs_det}")
     if cap is not None and order > cap:
         raise OrderCapExceeded(order, cap)
 

@@ -583,6 +583,16 @@ def translate_isometry_by_translates(factors: Sequence[int], modulus: int, g: in
     return None
 
 
+def translate_by_scan(factors: Sequence[int], modulus: int, g: int, b1: Sequence[Sequence[int]], chi: Sequence[int]) -> tuple[int, ...] | None:
+    """The coordinates x of the t = sum x_i h_i in gT_p with b1(h_i, t) = chi_i, or None, by a scan of gT_p in itertools.product order.
+
+    The reference for classify._translate, which reads x in closed form
+    on a cyclic part.
+    """
+    grid = itertools.product(*(range(0, d, math.gcd(g, d)) for d in factors))
+    return next((x for x in grid if [_int_dot(x, row) % modulus for row in b1] == list(chi)), None)
+
+
 def finite_isomorphism_by_translates(side1: classify._Side, side2: classify._Side, g: int) -> bool:
     """Whether some isometry Psi and t in gT give q2 o Psi = q1 + b1(., t), searched p-part by p-part and translate by translate.
 

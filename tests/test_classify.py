@@ -57,7 +57,7 @@ from quadlink.quadfun import (
     _linear_table,
     _quadratic_table,
 )
-from quadlink.zlinalg import IntMatrix, SmithDecomposition, determinant, intmatrix, solve_integer
+from quadlink.zlinalg import IntMatrix, SmithDecomposition, determinant, intmatrix, smith_normal_form, solve_integer
 
 import oracles as oracles_module
 from oracles import (
@@ -91,6 +91,7 @@ from oracles import (
     residue_multiset,
     torsion_lift,
     torsion_map_verdict,
+    translate_by_scan,
     yc_equivalent_by_pairing,
     yc_equivalent_by_sweep,
 )
@@ -778,26 +779,44 @@ def test_census_counts_for_small_forms():
 
 def test_census_computes_the_determinant_once(monkeypatch):
     # one determinant and one discriminant per census, shared by every
-    # decoration; no per-decoration report and no public pairwise call
+    # decoration; a census hands its |det| to lattice._discriminant, so
+    # lattice takes no second determinant.  Both modules' bindings are
+    # counted.  No per-decoration report and no public pairwise call
     calls = Counter()
-    for name in ("determinant", "discriminant", "invariants_report", "yc_equivalent"):
-        original = getattr(classify_module, name)
+    names = [(classify_module, name) for name in ("determinant", "discriminant", "_discriminant", "invariants_report", "yc_equivalent")]
+    for module, name in names + [(lattice_module, "determinant")]:
+        original = getattr(module, name)
 
         def counted(*args, _name=name, _original=original, **kwargs):
             calls[_name] += 1
             return _original(*args, **kwargs)
 
-        monkeypatch.setattr(classify_module, name, counted)
+        monkeypatch.setattr(module, name, counted)
     for rows in ([[9]], [[2, 1], [1, 2]], [[3, 0], [0, 3]]):
         calls.clear()
         yc_classes(rows)
-        assert calls == {"determinant": 1, "discriminant": 1}
+        assert calls == {"determinant": 1, "_discriminant": 1}
     calls.clear()
     assert len(yc_classes(MIXED, [(2 * a, b) for a in range(-2, 3) for b in (0, 2)])) == 5
     assert calls == {"discriminant": 1}
     calls.clear()
+    # an explicit list holds no |det|: discriminant checks the Smith diagonal by its own
+    assert len(yc_classes([[9]], [(1,), (3,), (17,)])) == 2
+    assert calls == {"discriminant": 1, "determinant": 1}
+    calls.clear()
     assert len(canonical_chern_vectors([[9]])) == 9
-    assert calls == {"determinant": 1, "discriminant": 1}
+    assert calls == {"determinant": 1, "_discriminant": 1}
+
+    # |det| = 1: the trivial group, with no Smith elimination
+    def refuse(*args):
+        raise AssertionError("a unimodular census ran a Smith elimination")
+
+    monkeypatch.setattr(lattice_module, "smith_normal_form", refuse)
+    calls.clear()
+    assert yc_classes([[1]]) == (((1,),),)
+    assert yc_classes(e8()) == (((2,) * 8,),)
+    assert canonical_chern_vectors(e8()) == ((2,) * 8,)
+    assert calls == {"determinant": 3, "_discriminant": 3}
 
 
 def _count_table_calls(monkeypatch):
@@ -846,10 +865,11 @@ def test_a_prime_power_lens_census_is_table_free(monkeypatch):
 
 
 def test_an_empty_census_builds_no_discriminant(monkeypatch):
-    def refuse(m):
+    def refuse(*args):
         raise AssertionError("an empty census built a discriminant")
 
-    monkeypatch.setattr(classify_module, "discriminant", refuse)
+    for name in ("discriminant", "_discriminant"):
+        monkeypatch.setattr(classify_module, name, refuse)
     assert yc_classes([[3, 0], [0, 0]], []) == ()
     assert yc_classes([[1, 2], [3, 4]], []) == ()
 
@@ -1403,16 +1423,21 @@ def test_report_checks_integral_slopes(monkeypatch):
         _report_on_corrupted_data(monkeypatch, presentation([[1, 0], [0, 0]], (1, 0)), kernel=((1, 1),))
 
 
+def _patch_discriminants(monkeypatch, change):
+    """Make classify's discriminant and _discriminant, the census's entry point, return change(data) for the data they build."""
+    for name in ("discriminant", "_discriminant"):
+        original = getattr(classify_module, name)
+        monkeypatch.setattr(classify_module, name, lambda *args, _original=original, **kwargs: change(_original(*args, **kwargs)))
+
+
+def _zero_linking(data):
+    return dataclasses.replace(data, linking=tuple((0,) * len(row) for row in data.linking))
+
+
 def test_canonical_decorations_check_their_count(monkeypatch):
     # zero cokernel covectors collapse all decorations onto the diagonal;
     # they are corrupted after discriminant, whose own checks would refuse them
-    original = classify_module.discriminant
-
-    def zeroed(m):
-        data = original(m)
-        return dataclasses.replace(data, cok_tors_covectors=tuple((0,) * data.size for _ in data.torsion_factors))
-
-    monkeypatch.setattr(classify_module, "discriminant", zeroed)
+    _patch_discriminants(monkeypatch, lambda data: dataclasses.replace(data, cok_tors_covectors=tuple((0,) * data.size for _ in data.torsion_factors)))
     with pytest.raises(RuntimeError, match="distinct decorations"):
         canonical_chern_vectors([[3]])
 
@@ -2245,13 +2270,7 @@ def test_gauss_sum_of_a_shifted_function(form, index):
 def test_degenerate_linking_is_refused(monkeypatch, decide, m1, c1, m2, c2):
     # a zero pairing has every element in its radical; the phase lookup
     # needs every character to be b(., t) for exactly one t
-    original = classify_module.discriminant
-
-    def degenerate(matrix, **kwargs):
-        data = original(matrix, **kwargs)
-        return dataclasses.replace(data, linking=tuple((0,) * len(row) for row in data.linking))
-
-    monkeypatch.setattr(classify_module, "discriminant", degenerate)
+    _patch_discriminants(monkeypatch, _zero_linking)
     with pytest.raises(RuntimeError, match="degenerate"):
         decide(presentation(m1, c1), presentation(m2, c2))
 
@@ -2271,13 +2290,7 @@ def test_degenerate_linking_is_refused(monkeypatch, decide, m1, c1, m2, c2):
     ids=["finite-rank-two", "census-cyclic", "census-rank-two", "census-mixed"],
 )
 def test_a_degenerate_pairing_raises_in_decisions_and_censuses(monkeypatch, run):
-    original = classify_module.discriminant
-
-    def degenerate(matrix, **kwargs):
-        data = original(matrix, **kwargs)
-        return dataclasses.replace(data, linking=tuple((0,) * len(row) for row in data.linking))
-
-    monkeypatch.setattr(classify_module, "discriminant", degenerate)
+    _patch_discriminants(monkeypatch, _zero_linking)
     with pytest.raises(RuntimeError, match="degenerate"):
         run()
 
@@ -2466,3 +2479,140 @@ def test_a_witness_off_the_allowed_translates_raises(monkeypatch):
     monkeypatch.setattr(classify_module, "_generator_isomorphism", identity)
     with pytest.raises(RuntimeError, match=r"the character \(2, 16, 0, 0\) is no b1"):
         yc_equivalent(presentation(Z9_4, (11, 9, 9, 9, 6)), presentation(Z9_4, (9, 11, 9, 9, 6)))
+
+
+# --- closed-form translates on cyclic parts ---------------------------------
+#
+# On a cyclic p-part of order p^v, b1(h, h) = r M / p^v with r a unit, so the
+# t = x h with b1(., t) = chi has x = (chi / (M / p^v)) r^-1 mod p^v, read in
+# closed form (classify._translate); the scan of gT_p it replaced is the
+# reference (oracles.translate_by_scan).  chi is drawn both as the character
+# of some t and at random, so misses are compared too.
+@st.composite
+def cyclic_translates(draw):
+    p = draw(st.sampled_from((2, 3, 5, 7, 11)))
+    order = p ** draw(st.integers(1, 3))
+    modulus = 2 * order * draw(st.sampled_from([s for s in range(1, 8) if s % p]))
+    unit = modulus // order
+    r = draw(st.sampled_from([r for r in range(1, order) if r % p]))
+    beta = r * unit
+    g = draw(st.integers(1, 30))
+    if draw(st.booleans()):
+        chi = draw(st.integers(0, order - 1)) * beta % modulus
+    else:
+        chi = draw(st.integers(0, modulus - 1))
+    return order, modulus, g, beta, chi
+
+
+@settings(max_examples=300, deadline=None)
+@given(cyclic_translates())
+@example((9973, 2 * 9973, 1, 2, 2 * 9972 % (2 * 9973)))
+@example((9, 18, 3, 2, 6))
+@example((9, 18, 3, 2, 2))
+@example((8, 16, 3, 6, 2))
+def test_the_cyclic_translate_matches_the_scan(case):
+    order, modulus, g, beta, chi = case
+    x = classify_module._translate((order,), modulus, g, [[beta]], [chi])
+    assert x == translate_by_scan((order,), modulus, g, [[beta]], [chi])
+    if x is not None:
+        assert x[0] * beta % modulus == chi and x[0] % math.gcd(g, order) == 0
+
+
+def _seeded_translate_pairs(rng, count):
+    """Pairs of decorations of diag(d...) + 0_b with one slope gcd g > 0, each moved by its own handle slides.
+
+    The torsion has cyclic p-parts, alone or beside a p-part of rank two,
+    and g is prime to p in some draws.
+    """
+    shapes = ((5,), (9,), (8,), (7,), (25,), (27,), (6,), (12,), (-9,), (97,), (2, 6), (4, 12), (3, 15), (5, 10))
+    pairs = []
+    while len(pairs) < count:
+        torsion, b, g = rng.choice(shapes), rng.randint(1, 2), rng.choice((1, 2, 3, 4, 5, 6))
+        k = len(torsion)
+        m = _diagonal(*torsion, *[0] * b)
+        decorations = []
+        for _ in range(2):
+            free = [g * rng.choice((1, -1))] + [g * rng.randint(-2, 2) for _ in range(b - 1)]
+            decorations.append([m[i][i] + 2 * rng.randint(-3, 3) for i in range(k)] + [2 * f for f in free])
+        if rng.randint(0, 1):
+            decorations[1] = decorations[0]
+        pairs.append(tuple(_slid(presentation(m, c), rng.random(), rng.randint(0, 6)) for c in decorations))
+    return pairs
+
+
+def test_cyclic_translates_give_the_verdicts_of_the_scan():
+    # every reason names t, so equal reasons mean equal translates
+    equivalent = 0
+    for p1, p2 in _seeded_translate_pairs(random.Random(20261021), 150):
+        verdict = yc_equivalent(p1, p2)
+        with mock.patch.object(classify_module, "_translate", translate_by_scan):
+            assert verdict == yc_equivalent(p1, p2)
+        equivalent += verdict.status == EQUIVALENT and not verdict.reason.endswith("t = (0,) in 1T")
+    assert equivalent >= 40
+
+
+# --- the unimodular certificate ---------------------------------------------
+#
+# _sides takes |det B2| first when side 1 comes out unimodular, and side 2
+# needs no Smith elimination when it is 1 too.  Against a route that runs
+# discriminant on both sides, the data, verdict, reason and witness agree;
+# a singular or torsion side 2 still meets the free rank or torsion verdict.
+UNIMODULAR_BLOCKS = {"e8": e8(), "h": [[0, 1], [1, 0]], "+1": [[1]], "-1": [[-1]]}
+
+
+def _drawn_presentation(draw, blocks):
+    """The block sum of these matrices, decorated by a drawn characteristic vector, moved by up to 10 drawn handle slides."""
+    parts = [presentation(m, [m[i][i] + 2 * draw(st.integers(-2, 2)) for i in range(len(m))]) for m in blocks]
+    p = functools.reduce(connected_sum, parts)
+    n = p.matrix.rows
+    for _ in range(draw(st.integers(0, 10)) if n > 1 else 0):
+        i = draw(st.integers(0, n - 1))
+        j = (i + draw(st.integers(1, n - 1))) % n
+        p = apply_move(p, HandleSlide(i, j, draw(st.sampled_from((1, -1)))))
+    return p
+
+
+@st.composite
+def unimodular_first_sides(draw):
+    """A slid block sum of E8, hyperbolic and +-1 blocks against another, or against one with a singular or torsion block added."""
+    names = draw(st.lists(st.sampled_from(sorted(UNIMODULAR_BLOCKS)), min_size=1, max_size=3))
+    blocks = [[list(row) for row in IntMatrix(UNIMODULAR_BLOCKS[k]).data] for k in names]
+    extra = draw(st.sampled_from((None, None, None, 0, 2, -3, 4, 9)))
+    return _drawn_presentation(draw, blocks), _drawn_presentation(draw, blocks + ([] if extra is None else [[[extra]]]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(unimodular_first_sides())
+def test_a_unimodular_first_side_certifies_the_second(pair):
+    p1, p2 = pair
+    data2 = discriminant(p2.matrix)
+    smith = []
+    with mock.patch.object(lattice_module, "smith_normal_form", lambda m: smith.append(m) or smith_normal_form(m)):
+        _, side2 = classify_module._sides(p1, p2)
+    assert side2.data == data2
+    unimodular = not (data2.free_rank or data2.torsion_factors)
+    assert len(smith) == 1 + (not unimodular and p2.matrix != p1.matrix)
+    verdict = yc_equivalent(p1, p2)
+    both = [classify_module._side(discriminant(p.matrix), p.chern) for p in (p1, p2)]
+    assert verdict == classify_module._decide(*both, DEFAULT_ORDER_CAP)
+    if data2.free_rank:
+        assert verdict.reason == f"free ranks differ: 0 vs {data2.free_rank}"
+    elif data2.torsion_factors:
+        assert verdict.reason == f"torsion invariant factors differ: () vs {data2.torsion_factors}"
+    else:
+        assert verdict.status == EQUIVALENT
+
+
+@pytest.mark.parametrize(
+    "extra, reason",
+    [
+        ((0, 0), "free ranks differ: 0 vs 2"),
+        ((3, 9), "torsion invariant factors differ: () vs (3, 9)"),
+        ((3, 0), "free ranks differ: 0 vs 1"),
+    ],
+    ids=["singular", "torsion", "mixed"],
+)
+def test_a_unimodular_first_side_keeps_the_cheap_verdicts(extra, reason):
+    start = _slid(functools.reduce(connected_sum, [presentation(e8(), (0,) * 8), presentation([[0, 1], [1, 0]], (2, 0))]), 1)
+    other = _slid(functools.reduce(connected_sum, [start] + [presentation([[d]], (d % 2,)) for d in extra]), 2)
+    assert yc_equivalent(start, other) == EquivalenceVerdict(INEQUIVALENT, reason)

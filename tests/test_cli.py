@@ -270,17 +270,25 @@ def test_lens_census_argument_errors(capsys):
 
 
 def test_lens_census_refuses_twists_before_counting(capsys, monkeypatch):
-    # 3 divides 999999, so --q1 2 --q2 3 is refused without the O(p) count
-    def refuse(p):
-        raise AssertionError("counted the orbits of refused twisting parameters")
+    # 3 divides 999999, so these twists are refused with no O(p) pass.
+    # 3^2 = 3000^2 mod 999999 with 3000 != +-3, which is the case where
+    # lens_diffeo_count tallies its fixed-point triples in a Counter over
+    # range(p); the Counter and lens_yc_count both refuse to run
+    def refuse(*args):
+        raise AssertionError("ran an O(p) pass for refused twisting parameters")
 
     monkeypatch.setattr(cli_module, "lens_yc_count", refuse)
-    assert main(["lens-census", "--p", "999999", "--q1", "2", "--q2", "3"]) == EXIT_INVALID
-    assert capsys.readouterr().err == "error: twisting parameters must be invertible mod p\n"
+    monkeypatch.setattr(classify_module, "Counter", refuse)
+    for q1, q2 in (("2", "3"), ("3", "3000"), ("3000", "3")):
+        assert main(["lens-census", "--p", "999999", "--q1", q1, "--q2", q2]) == EXIT_INVALID
+        assert capsys.readouterr().err == "error: twisting parameters must be invertible mod p\n"
+    # invertible twists with 1 = 1000^2 mod 999999 reach the pass, so the patch sees it
+    with pytest.raises(AssertionError, match="ran an O"):
+        main(["lens-census", "--p", "999999", "--q1", "1", "--q2", "1000"])
 
 
 def test_lens_census_order_limit(capsys, monkeypatch):
-    # refused before counting, which takes O(p) time and memory
+    # refused before counting, which takes O(p) time in constant memory
     counted = []
     monkeypatch.setattr(cli_module, "lens_yc_count", lambda p: counted.append(p) or 1)
     monkeypatch.setattr(cli_module, "lens_diffeo_count", lambda p, q1, q2: 1)

@@ -10,7 +10,9 @@ from quadlink.classify import invariants_report
 from quadlink.exact import QmodZ
 from quadlink.lattice import (
     CharacteristicError,
+    DiscriminantData,
     DualLatticeError,
+    _discriminant,
     discriminant,
     is_characteristic,
     phi_generators,
@@ -18,8 +20,9 @@ from quadlink.lattice import (
     wu_classes,
 )
 from quadlink.presentation import presentation
-from quadlink.quadfun import _defect_character, _linear_table
-from quadlink.zlinalg import IntMatrix, SmithDecomposition, smith_normal_form
+from quadlink.quadfun import OrderCapExceeded, _defect_character, _linear_table
+from quadlink.spaces import e8
+from quadlink.zlinalg import IntMatrix, SmithDecomposition, determinant, smith_normal_form
 import quadlink.lattice as lattice_module
 
 from oracles import (
@@ -411,6 +414,50 @@ def test_discriminant_checks_torsion_order(monkeypatch):
     _corrupt_smith(monkeypatch, diag=(3,))
     with pytest.raises(RuntimeError, match="torsion order"):
         discriminant(IntMatrix([[5]]))
+
+
+# A caller that holds |det| passes it to _discriminant.  With |det| = 1
+# the discriminant group is trivial and no Smith elimination runs; with
+# any other |det| the Smith diagonal is checked against it, and no second
+# determinant is taken.
+@settings(max_examples=150, deadline=None)
+@given(symmetric_matrices(max_dim=5, max_entry=4))
+def test_a_held_determinant_gives_the_smith_route_data(m):
+    assert _discriminant(m, abs(determinant(m))) == discriminant(m)
+
+
+def _refuse(*args, **kwargs):
+    raise AssertionError("ran linear algebra the caller had settled")
+
+
+UNIMODULAR_FORMS = [IntMatrix((), cols=0), IntMatrix([[1]]), IntMatrix([[-1]]), IntMatrix([[0, 1], [1, 0]]), IntMatrix([[2, 1], [1, 1]]), e8()]
+
+
+def test_a_unimodular_form_needs_no_smith_elimination(monkeypatch):
+    routes = [discriminant(m) for m in UNIMODULAR_FORMS]
+    monkeypatch.setattr(lattice_module, "smith_normal_form", _refuse)
+    monkeypatch.setattr(lattice_module, "determinant", _refuse)
+    for m, route in zip(UNIMODULAR_FORMS, routes):
+        assert _discriminant(m, 1) == route == DiscriminantData(m, 0, (), (), (), (), (), ())
+
+
+def test_a_held_determinant_is_checked_with_no_second_one(monkeypatch):
+    monkeypatch.setattr(lattice_module, "determinant", _refuse)
+    assert _discriminant(IntMatrix([[3, 1], [1, 3]]), 8).torsion_factors == (8,)
+    with pytest.raises(RuntimeError, match=r"^torsion order 8 differs from \|det\| = 9$"):
+        _discriminant(IntMatrix([[3, 1], [1, 3]]), 9)
+    assert _discriminant(IntMatrix([[0, 0], [0, 3]]), 0).free_rank == 1
+    with pytest.raises(RuntimeError, match=r"^free rank 1 but \|det\| = 3$"):
+        _discriminant(IntMatrix([[0, 0], [0, 3]]), 3)
+    with pytest.raises(RuntimeError, match=r"^torsion order 1 differs from \|det\| = 0$"):
+        _discriminant(IntMatrix([[2, 1], [1, 1]]), 0)
+
+
+def test_a_held_determinant_above_the_cap_raises_before_elimination(monkeypatch):
+    monkeypatch.setattr(lattice_module, "smith_normal_form", _refuse)
+    with pytest.raises(OrderCapExceeded) as raised:
+        _discriminant(IntMatrix([[3, 1], [1, 3]]), 8, cap=7)
+    assert (raised.value.order, raised.value.cap) == (8, 7)
 
 
 def test_wu_classes_check_the_mod2_solution(monkeypatch):
